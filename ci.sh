@@ -116,6 +116,13 @@ cargo build --release --workspace
 stage "cargo test (debug profile, debug_assert! active)"
 cargo test -q --workspace
 
+# Release-profile tests for the event kernel and the packet simulator:
+# with debug_assert! compiled out, a past schedule is clamped (and
+# counted as sim.events.clamped) instead of panicking, and only here do
+# the clamp tests and the lane-fallback paths run as users build them.
+stage "cargo test --release (simcore + net, debug_assert! off)"
+cargo test --release -q -p fiveg-simcore -p fiveg-net
+
 # Opt-in (FIVEG_CI_MIRI=1): the shard kernel's unit tests under miri,
 # which catches UB the type system can't — even with every crate at
 # forbid(unsafe_code), the kernel leans on std sync primitives whose

@@ -7,9 +7,16 @@
 //! in through the [`Endpoint`] trait.
 //!
 //! Design notes (smoltcp school): the world owns all state; events carry
-//! only ids and plain packets; handlers never hold references across
-//! scheduling calls, so the borrow checker stays out of the way and the
-//! execution order is exactly the event order.
+//! only ids; handlers never hold references across scheduling calls, so
+//! the borrow checker stays out of the way and the execution order is
+//! exactly the event order.
+//!
+//! Packets in flight and ACKs on the reverse channel wait in FIFO pipes
+//! owned by the world (the htsim pipe model), and their events ride the
+//! matching [`EventQueue`] lane. Every pipe is fed by one stream whose
+//! times never go backwards — a hop's exits are clamped to its previous
+//! exit, the reverse channel has a fixed delay — so its events pop in
+//! push order and each one finds its item at the pipe's front.
 
 use crate::crosstraffic::CrossTraffic;
 use crate::hop::{Hop, HopStats, Queued};
@@ -17,7 +24,7 @@ use crate::packet::{FlowId, Packet, MSS_BYTES};
 use crate::path::PathConfig;
 use fiveg_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Classes of transport timers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,6 +86,7 @@ pub struct Ctx<'a> {
     now: SimTime,
     flow: FlowId,
     q: &'a mut EventQueue<Ev>,
+    inject: &'a mut Pipe<Packet>,
     rng: &'a mut SimRng,
     next_timer_id: &'a mut u64,
 }
@@ -104,14 +112,16 @@ impl Ctx<'_> {
             sent_at: self.now,
             retx,
         };
-        self.q.schedule_at(self.now, Ev::Arrive { hop: 0, pkt });
+        self.inject
+            .push(self.q, self.now, pkt, Ev::Arrive { hop: 0 });
     }
 
     /// Arms a timer; returns its id (delivered back in `on_timer`).
     pub fn set_timer(&mut self, kind: TimerKind, delay: SimDuration) -> u64 {
         let id = *self.next_timer_id;
         *self.next_timer_id += 1;
-        self.q.schedule_at(
+        self.q.schedule_on(
+            timer_lane(kind),
             self.now + delay,
             Ev::Timer {
                 flow: self.flow,
@@ -197,11 +207,13 @@ struct Flow {
     started: bool,
 }
 
-/// Internal events.
+/// Internal events. They carry only ids: a packet or ACK waits in the
+/// [`Pipe`] its event names.
 enum Ev {
+    /// The front packet of `pipes[hop]` reaches hop `hop` (the receiver
+    /// when `hop` is the hop count).
     Arrive {
         hop: usize,
-        pkt: Packet,
     },
     TxDone {
         hop: usize,
@@ -209,10 +221,8 @@ enum Ev {
     RateResume {
         hop: usize,
     },
-    AckArrive {
-        flow: FlowId,
-        ack: AckInfo,
-    },
+    /// The front ACK of the reverse-channel pipe reaches its sender.
+    AckArrive,
     Timer {
         flow: FlowId,
         kind: TimerKind,
@@ -227,10 +237,76 @@ enum Ev {
     },
 }
 
+// Heap and lane entries hold an `Ev` each; keep it to ids.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
+
+/// Event-queue lanes with one stream each. Timer lanes and the
+/// cross-traffic lane may see a time go backwards (a shorter RTO, a second
+/// cross source); those events fall back to the heap.
+const LANE_RTO: usize = 0;
+const LANE_PACE: usize = 1;
+const LANE_AUX: usize = 2;
+const LANE_ACK: usize = 3;
+const LANE_CROSS: usize = 4;
+/// `Arrive { hop }` rides lane `LANE_PIPE0 + hop`, for `hop` in
+/// `0..=hops`; `TxDone { hop }` follows on lane `LANE_PIPE0 + hops + 1 + hop`.
+const LANE_PIPE0: usize = 5;
+
+fn timer_lane(kind: TimerKind) -> usize {
+    match kind {
+        TimerKind::Rto => LANE_RTO,
+        TimerKind::Pace => LANE_PACE,
+        TimerKind::Aux(_) => LANE_AUX,
+    }
+}
+
+/// A FIFO of items in flight whose arrival events ride one queue lane.
+struct Pipe<T> {
+    lane: usize,
+    items: VecDeque<T>,
+    /// Time of the last push. Pushes must not go backwards: an earlier
+    /// event would leave the lane for the heap and pop ahead of items
+    /// already in the pipe.
+    tail: SimTime,
+}
+
+impl<T> Pipe<T> {
+    fn new(lane: usize) -> Self {
+        Pipe {
+            lane,
+            items: VecDeque::new(),
+            tail: SimTime::ZERO,
+        }
+    }
+
+    /// Appends `item` and schedules `ev`, its arrival, at `at`.
+    fn push(&mut self, q: &mut EventQueue<Ev>, at: SimTime, item: T, ev: Ev) {
+        debug_assert!(
+            at >= self.tail,
+            "pipe on lane {} pushed out of order: {at} < {}",
+            self.lane,
+            self.tail
+        );
+        self.tail = at;
+        self.items.push_back(item);
+        q.schedule_on(self.lane, at, ev);
+    }
+
+    /// The item whose arrival event is being dispatched.
+    fn pop(&mut self) -> Option<T> {
+        self.items.pop_front()
+    }
+}
+
 /// The network simulator.
 pub struct NetSim {
     q: EventQueue<Ev>,
     hops: Vec<Hop>,
+    /// `pipes[h]`: packets on their way to hop `h`; `pipes[hops.len()]`
+    /// leads to the receivers.
+    pipes: Vec<Pipe<Packet>>,
+    /// ACKs on the reverse channel.
+    acks: Pipe<(FlowId, AckInfo)>,
     reverse_delay: SimDuration,
     flows: Vec<Flow>,
     cross: Vec<(CrossTraffic, bool)>,
@@ -273,8 +349,10 @@ impl NetSim {
         let n = hops.len();
         assert!(n > 0, "a path needs at least one hop");
         NetSim {
-            q: EventQueue::new(),
+            q: EventQueue::with_lanes(LANE_PIPE0 + 2 * n + 1),
             hops,
+            pipes: (0..=n).map(|h| Pipe::new(LANE_PIPE0 + h)).collect(),
+            acks: Pipe::new(LANE_ACK),
             reverse_delay: path.reverse_delay,
             flows: Vec::new(),
             cross: Vec::new(),
@@ -397,6 +475,7 @@ impl NetSim {
                 now: self.q.now(),
                 flow,
                 q: &mut self.q,
+                inject: &mut self.pipes[0],
                 rng: &mut self.rng,
                 next_timer_id: &mut self.next_timer_id,
             };
@@ -407,13 +486,23 @@ impl NetSim {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrive { hop, pkt } => self.on_arrive(hop, pkt),
+            Ev::Arrive { hop } => {
+                let Some(pkt) = self.pipes[hop].pop() else {
+                    debug_assert!(false, "Arrive with an empty pipe");
+                    return;
+                };
+                self.on_arrive(hop, pkt);
+            }
             Ev::TxDone { hop } => self.on_tx_done(hop),
             Ev::RateResume { hop } => {
                 self.resume_pending[hop] = false;
                 self.try_start_service(hop);
             }
-            Ev::AckArrive { flow, ack } => {
+            Ev::AckArrive => {
+                let Some((flow, ack)) = self.acks.pop() else {
+                    debug_assert!(false, "AckArrive with an empty pipe");
+                    return;
+                };
                 self.with_sender(flow, |s, ctx| s.on_ack(ack, ctx));
             }
             Ev::Timer { flow, kind, id } => {
@@ -472,7 +561,9 @@ impl NetSim {
                     hop.stats.max_queue_delay = qd;
                 }
                 self.in_service[hop_idx] = Some(head);
-                self.q.schedule_at(now + ser, Ev::TxDone { hop: hop_idx });
+                let lane = LANE_PIPE0 + self.pipes.len() + hop_idx;
+                self.q
+                    .schedule_on(lane, now + ser, Ev::TxDone { hop: hop_idx });
             }
             None => {
                 // Outage: wait for the rate to come back.
@@ -517,13 +608,8 @@ impl NetSim {
         };
         // Cross-traffic is sunk after crossing its hop; data moves on.
         if !served.pkt.flow.is_cross() {
-            self.q.schedule_at(
-                exit_at,
-                Ev::Arrive {
-                    hop: hop_idx + 1,
-                    pkt: served.pkt,
-                },
-            );
+            let hop = hop_idx + 1;
+            self.pipes[hop].push(&mut self.q, exit_at, served.pkt, Ev::Arrive { hop });
         }
         self.try_start_service(hop_idx);
     }
@@ -546,8 +632,16 @@ impl NetSim {
         rx.stats.window_bytes[w] += pkt.size as f64;
 
         rx.highest_seq = rx.highest_seq.max(pkt.seq_end());
-        // Reassembly: merge into the out-of-order map, advance expected.
-        if pkt.seq_end() > rx.expected {
+        if rx.ooo.is_empty() && pkt.seq <= rx.expected {
+            // In-order segment with nothing buffered: the merged range
+            // would be inserted alone and popped straight back out, so
+            // skip the map but count its one-entry depth.
+            if pkt.seq_end() > rx.expected {
+                rx.expected = pkt.seq_end();
+                self.max_reassembly = self.max_reassembly.max(1);
+            }
+        } else if pkt.seq_end() > rx.expected {
+            // Reassembly: merge into the out-of-order map, advance expected.
             let mut new_s = pkt.seq.max(rx.expected);
             let mut new_e = pkt.seq_end();
             // Absorb overlapping/adjacent ranges (contiguous in key
@@ -625,13 +719,9 @@ impl NetSim {
                 sack_len,
                 ooo_bytes,
             };
-            self.q.schedule_at(
-                now + self.reverse_delay,
-                Ev::AckArrive {
-                    flow: pkt.flow,
-                    ack,
-                },
-            );
+            let at = now + self.reverse_delay;
+            self.acks
+                .push(&mut self.q, at, (pkt.flow, ack), Ev::AckArrive);
         }
     }
 
@@ -651,7 +741,7 @@ impl NetSim {
             Ev::CrossToggle { idx, on: next_on },
         );
         if on {
-            self.q.schedule_at(now, Ev::CrossEmit { idx });
+            self.q.schedule_on(LANE_CROSS, now, Ev::CrossEmit { idx });
         }
     }
 
@@ -673,7 +763,8 @@ impl NetSim {
             retx: false,
         };
         self.on_arrive(hop, pkt);
-        self.q.schedule_at(now + gap, Ev::CrossEmit { idx });
+        self.q
+            .schedule_on(LANE_CROSS, now + gap, Ev::CrossEmit { idx });
     }
 }
 

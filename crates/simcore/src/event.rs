@@ -1,13 +1,26 @@
 //! Generic discrete-event queue.
 //!
 //! [`EventQueue`] is a monotonic priority queue of `(time, payload)` pairs.
-//! Ties on time are broken by insertion order (FIFO), so simulations that
-//! schedule the same events in the same order always execute them in the
-//! same order — a hard requirement for reproducibility.
+//! Every event gets a sequence number when it is scheduled, and events pop
+//! in `(time, seq)` order: ties on time are broken by insertion order
+//! (FIFO), so simulations that schedule the same events in the same order
+//! always execute them in the same order — a hard requirement for
+//! reproducibility.
+//!
+//! Besides the binary heap, the queue has FIFO *lanes* (the rustasim
+//! idea of one ring per source, with a heap that keeps only what is out
+//! of order). A caller with a stream whose times never go backwards —
+//! packets leaving one link, ACKs on a fixed-delay channel — schedules it
+//! with [`EventQueue::schedule_on`], and the event is appended to that
+//! lane in O(1) instead of sifting through the heap. An event earlier
+//! than its lane's tail falls back to the heap, so any schedule is
+//! accepted. `pop` compares the heap top with the cached `(time, seq)`
+//! of every lane head, so the pop order is exactly the one a single heap
+//! would give: lanes change the cost, never the order.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event that has been scheduled on an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,11 +33,25 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-/// Internal heap entry; `BinaryHeap` is a max-heap so ordering is reversed.
+/// The pop-order key of an event.
+type Key = (SimTime, u64);
+
+/// Key of an empty lane or heap: later than any scheduled event, whose
+/// `seq` is always below `u64::MAX`.
+const NONE: Key = (SimTime::MAX, u64::MAX);
+
+/// Internal heap and lane entry; `BinaryHeap` is a max-heap so ordering
+/// is reversed.
 struct HeapEntry<E> {
     at: SimTime,
     seq: u64,
     payload: E,
+}
+
+impl<E> HeapEntry<E> {
+    fn key(&self) -> Key {
+        (self.at, self.seq)
+    }
 }
 
 impl<E> PartialEq for HeapEntry<E> {
@@ -41,10 +68,7 @@ impl<E> PartialOrd for HeapEntry<E> {
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: the heap's "largest" element is the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -53,12 +77,18 @@ impl<E> Ord for HeapEntry<E> {
 /// The queue tracks the current virtual time: popping an event advances the
 /// clock to that event's timestamp. Scheduling an event in the past is a
 /// logic error and panics in debug builds; in release it is clamped to the
-/// current time so the simulation keeps a coherent, monotonic clock.
+/// current time so the simulation keeps a coherent, monotonic clock, and
+/// counted as `sim.events.clamped`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
+    lanes: Vec<VecDeque<HeapEntry<E>>>,
+    /// Key of each lane's front entry, [`NONE`] when the lane is empty;
+    /// `pop` scans this array rather than the lanes themselves.
+    heads: Vec<Key>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
+    clamped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -69,25 +99,38 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> Drop for EventQueue<E> {
     /// Flushes lifetime totals into the ambient metrics scope (see
-    /// `fiveg-obs`): how many events this queue scheduled and executed.
-    /// Deterministic — both counts depend only on the simulation — and
+    /// `fiveg-obs`): how many events this queue scheduled and executed,
+    /// and — only when any were — how many it clamped into the present.
+    /// Deterministic — all counts depend only on the simulation — and
     /// free in the hot path, since the queue already tracks them.
     fn drop(&mut self) {
         if self.next_seq > 0 || self.popped > 0 {
             fiveg_obs::counter_add("sim.events.scheduled", self.next_seq);
             fiveg_obs::counter_add("sim.events.executed", self.popped);
         }
+        if self.clamped > 0 {
+            fiveg_obs::counter_add("sim.events.clamped", self.clamped);
+        }
     }
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at zero.
+    /// Creates an empty queue with the clock at zero and no lanes.
     pub fn new() -> Self {
+        Self::with_lanes(0)
+    }
+
+    /// Creates an empty queue with `lanes` FIFO lanes, numbered
+    /// `0..lanes`, for [`EventQueue::schedule_on`].
+    pub fn with_lanes(lanes: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+            heads: vec![NONE; lanes],
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
+            clamped: 0,
         }
     }
 
@@ -98,12 +141,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events executed (popped) so far.
@@ -111,19 +154,57 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Schedules `payload` to fire at absolute time `at`.
-    ///
-    /// Returns the sequence number assigned to the event.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
+    /// Clamps `at` into the present and assigns the next sequence number.
+    fn stamp(&mut self, at: SimTime) -> Key {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let at = at.max(self.now);
+        let at = if at < self.now {
+            self.clamped += 1;
+            self.now
+        } else {
+            at
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
+        (at, seq)
+    }
+
+    /// Schedules `payload` to fire at absolute time `at`.
+    ///
+    /// Returns the sequence number assigned to the event.
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
+        let (at, seq) = self.stamp(at);
         self.heap.push(HeapEntry { at, seq, payload });
+        seq
+    }
+
+    /// Schedules `payload` at absolute time `at` on FIFO lane `lane`.
+    ///
+    /// The event is appended to the lane when `at` is at or after the
+    /// lane's last event, and goes to the heap otherwise; either way it
+    /// pops in the same `(time, seq)` order as with
+    /// [`EventQueue::schedule_at`]. Returns the sequence number assigned
+    /// to the event.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not below the count given to
+    /// [`EventQueue::with_lanes`].
+    pub fn schedule_on(&mut self, lane: usize, at: SimTime, payload: E) -> u64 {
+        let (at, seq) = self.stamp(at);
+        let entry = HeapEntry { at, seq, payload };
+        let fifo = &mut self.lanes[lane];
+        match fifo.back() {
+            Some(tail) if at < tail.at => self.heap.push(entry),
+            Some(_) => fifo.push_back(entry),
+            None => {
+                self.heads[lane] = (at, seq);
+                fifo.push_back(entry);
+            }
+        }
         seq
     }
 
@@ -132,14 +213,31 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, payload)
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+    /// The earliest pending event's key and where it waits: `None` for
+    /// the heap, `Some(lane)` for a lane.
+    fn next_source(&self) -> Option<(Key, Option<usize>)> {
+        let mut best = self.heap.peek().map_or(NONE, HeapEntry::key);
+        let mut source = None;
+        for (lane, &key) in self.heads.iter().enumerate() {
+            if key < best {
+                best = key;
+                source = Some(lane);
+            }
+        }
+        (best != NONE).then_some((best, source))
     }
 
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let entry = self.heap.pop()?;
+    /// Removes the front event of `source` and advances the clock to it.
+    fn take(&mut self, source: Option<usize>) -> Option<ScheduledEvent<E>> {
+        let entry = match source {
+            None => self.heap.pop()?,
+            Some(lane) => {
+                let fifo = &mut self.lanes[lane];
+                let entry = fifo.pop_front()?;
+                self.heads[lane] = fifo.front().map_or(NONE, HeapEntry::key);
+                entry
+            }
+        };
         debug_assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         self.popped += 1;
@@ -150,10 +248,21 @@ impl<E> EventQueue<E> {
         })
     }
 
+    /// Timestamp of the next event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.next_source().map(|((at, _), _)| at)
+    }
+
+    /// Pops the earliest event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        let (_, source) = self.next_source()?;
+        self.take(source)
+    }
+
     /// Pops the earliest event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
+        match self.next_source()? {
+            ((at, _), source) if at <= deadline => self.take(source),
             _ => None,
         }
     }
@@ -161,6 +270,8 @@ impl<E> EventQueue<E> {
     /// Discards all pending events without touching the clock.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
+        self.heads.fill(NONE);
     }
 
     /// Forces the clock forward to `at` (no-op if `at` is in the past).
@@ -202,6 +313,37 @@ mod tests {
     }
 
     #[test]
+    fn lanes_and_heap_interleave_in_time_then_seq_order() {
+        let mut q = EventQueue::with_lanes(2);
+        let ms = SimTime::from_millis;
+        q.schedule_on(0, ms(10), "lane0@10");
+        q.schedule_at(ms(10), "heap@10");
+        q.schedule_on(1, ms(5), "lane1@5");
+        q.schedule_on(0, ms(20), "lane0@20");
+        // Earlier than lane 0's tail: falls back to the heap.
+        q.schedule_on(0, ms(15), "lane0@15");
+        q.schedule_on(1, ms(10), "lane1@10");
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.peek_time(), Some(ms(5)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(
+            order,
+            ["lane1@5", "lane0@10", "heap@10", "lane1@10", "lane0@15", "lane0@20"]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_lanes() {
+        let mut q = EventQueue::with_lanes(1);
+        q.schedule_on(0, SimTime::from_millis(1), 1);
+        q.schedule_at(SimTime::from_millis(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
     fn schedule_in_is_relative() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(10), 1);
@@ -227,5 +369,33 @@ mod tests {
         q.advance_to(SimTime::from_millis(50));
         q.advance_to(SimTime::from_millis(10));
         assert_eq!(q.now(), SimTime::from_millis(50));
+    }
+
+    /// Release builds clamp past schedules (debug builds panic first) on
+    /// both paths, count them, and flush the count only when non-zero.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn past_schedules_are_clamped_and_counted() {
+        let metrics = fiveg_obs::MetricsHandle::new();
+        fiveg_obs::scoped(&metrics, || {
+            let mut q = EventQueue::with_lanes(1);
+            q.schedule_at(SimTime::from_millis(10), 0);
+            q.pop();
+            q.schedule_at(SimTime::from_millis(3), 1);
+            q.schedule_on(0, SimTime::from_millis(4), 2);
+            let e = q.pop().unwrap();
+            assert_eq!((e.at, e.payload), (SimTime::from_millis(10), 1));
+            assert_eq!(q.pop().unwrap().at, SimTime::from_millis(10));
+        });
+        let counters = metrics.snapshot().counters;
+        assert_eq!(counters.get("sim.events.clamped"), Some(&2));
+
+        let quiet = fiveg_obs::MetricsHandle::new();
+        fiveg_obs::scoped(&quiet, || {
+            let mut q = EventQueue::new();
+            q.schedule_at(SimTime::from_millis(1), ());
+            q.pop();
+        });
+        assert!(!quiet.snapshot().counters.contains_key("sim.events.clamped"));
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! * [`time`] — nanosecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]).
-//! * [`event`] — generic binary-heap event queue with deterministic
-//!   FIFO tie-breaking.
+//! * [`event`] — generic event queue with deterministic FIFO
+//!   tie-breaking: a binary heap plus FIFO lanes for in-order streams.
 //! * [`rng`] — seedable ChaCha-based random stream with named substreams.
 //! * [`dist`] — the probability distributions the models need (normal,
 //!   log-normal, exponential, Pareto), implemented on top of [`rng`].

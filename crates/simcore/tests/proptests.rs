@@ -3,6 +3,98 @@
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{Cdf, EventQueue, Histogram, OnlineStats, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// One step of a random event-queue workload. Times are offsets from the
+/// queue's current time, so nothing is scheduled in the past.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    At(u64),
+    On(usize, u64),
+    Pop,
+    PopUntil(u64),
+}
+
+const LANES: usize = 3;
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        (0u64..50).prop_map(QueueOp::At),
+        // Small offsets keep lane pushes mostly in order; the occasional
+        // one behind its lane's tail must fall back to the heap.
+        (0..LANES, 0u64..50).prop_map(|(l, t)| QueueOp::On(l, t)),
+        Just(QueueOp::Pop),
+        (0u64..30).prop_map(QueueOp::PopUntil),
+    ]
+}
+
+/// The order lanes must not change: one binary heap on `(at, seq)`,
+/// with the same clock and sequence rules as the queue.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    now: SimTime,
+    next_seq: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule(&mut self, at: SimTime, payload: usize) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq, payload)));
+        seq
+    }
+
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize)> {
+        let &Reverse((at, ..)) = self.heap.peek()?;
+        if at > deadline {
+            return None;
+        }
+        let Reverse(ev) = self.heap.pop()?;
+        self.now = ev.0;
+        Some(ev)
+    }
+}
+
+proptest! {
+    /// Lanes change where events wait, never the order they pop in:
+    /// any mix of heap and lane schedules, pops and deadline pops gives
+    /// the reference heap's `(at, seq, payload)` sequence.
+    #[test]
+    fn lanes_pop_in_reference_heap_order(ops in prop::collection::vec(queue_op(), 1..300)) {
+        let mut q = EventQueue::with_lanes(LANES);
+        let mut reference = ReferenceQueue::default();
+        let key = |e: fiveg_simcore::ScheduledEvent<usize>| (e.at, e.seq, e.payload);
+        for (payload, op) in ops.into_iter().enumerate() {
+            let now = q.now();
+            let offset = |t: u64| now + SimDuration::from_nanos(t);
+            match op {
+                QueueOp::At(t) => {
+                    let at = offset(t);
+                    prop_assert_eq!(q.schedule_at(at, payload), reference.schedule(at, payload));
+                }
+                QueueOp::On(lane, t) => {
+                    let at = offset(t);
+                    prop_assert_eq!(q.schedule_on(lane, at, payload), reference.schedule(at, payload));
+                }
+                QueueOp::Pop => {
+                    prop_assert_eq!(q.pop().map(key), reference.pop_until(SimTime::MAX));
+                }
+                QueueOp::PopUntil(t) => {
+                    let deadline = offset(t);
+                    prop_assert_eq!(q.pop_until(deadline).map(key), reference.pop_until(deadline));
+                }
+            }
+            prop_assert_eq!(q.len(), reference.heap.len());
+            prop_assert_eq!(q.now(), reference.now);
+        }
+        while let Some(expect) = reference.pop_until(SimTime::MAX) {
+            prop_assert_eq!(q.pop().map(key), Some(expect));
+        }
+        prop_assert!(q.pop().is_none());
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO ties.
