@@ -312,3 +312,24 @@ cargo run --release -q -p fiveg-trace --bin trace -- \
 grep -q '\[complete\]' target/ci-trace-stats.txt \
   || { echo "trace determinism: stats reconstructs no complete handoff timeline" >&2;
        cat target/ci-trace-stats.txt >&2; exit 1; }
+
+# The benchmark (BENCHMARK.json): build it with its own command and run
+# every workload for 2 s at seed 2020. Its oracle is the only gate on
+# the tiled-city coverage-sweep digests and on the phy.* counters of the
+# sweep and the fleet round (benchmark/expected/seed-2020.json), so the
+# last line of each run must report "correct":true and "failed":0.
+stage "benchmark: every workload 2 s at seed 2020 (correct, failed 0)"
+mapfile -t BENCH_CMD < <(python3 -c \
+  'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+mapfile -t BENCH_WORKLOADS < <(python3 -c \
+  'import json; print("\n".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+mkdir -p target
+for w in "${BENCH_WORKLOADS[@]}"; do
+  log="target/ci-benchmark-${w}.log"
+  "${BENCH_CMD[@]}" --workload "$w" --seed 2020 --seconds 2 > "$log"
+  last=$(tail -n 1 "$log")
+  if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then
+    echo "benchmark: workload $w failed its checks: $last" >&2
+    exit 1
+  fi
+done

@@ -68,6 +68,12 @@ impl Building {
         self.footprint.crossings(seg)
     }
 
+    /// `self.wall_crossings(seg) > 0`, stopping at the first crossed
+    /// wall.
+    pub fn crosses_walls(&self, seg: Segment) -> bool {
+        self.footprint.is_crossed_by(seg)
+    }
+
     /// Whether the ray touches the building at all (blocks line of sight).
     pub fn blocks(&self, seg: Segment) -> bool {
         self.footprint.intersects_segment(seg)

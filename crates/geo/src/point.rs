@@ -38,7 +38,15 @@ impl Point {
     pub fn azimuth_to(self, other: Point) -> f64 {
         let d = other - self;
         let deg = d.y.atan2(d.x).to_degrees();
-        (deg + 360.0) % 360.0
+        // `(deg + 360.0) % 360.0` without the libm fmod: the sum lies in
+        // [180, 540], where subtracting 360 is exact (Sterbenz), so the
+        // result matches the fmod bit for bit (NaN stays NaN).
+        let wrapped = deg + 360.0;
+        if wrapped >= 360.0 {
+            wrapped - 360.0
+        } else {
+            wrapped
+        }
     }
 
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
@@ -201,20 +209,28 @@ impl Rect {
     /// footprint; crossing through a corner may count both edges, which
     /// overestimates walls by at most one — acceptable for loss modelling).
     pub fn crossings(self, seg: Segment) -> usize {
-        // Fast reject: both endpoints on the same outside half-plane.
-        if (seg.a.x < self.min.x && seg.b.x < self.min.x)
-            || (seg.a.x > self.max.x && seg.b.x > self.max.x)
-            || (seg.a.y < self.min.y && seg.b.y < self.min.y)
-            || (seg.a.y > self.max.y && seg.b.y > self.max.y)
-        {
+        if self.misses_bbox(seg) {
             return 0;
         }
         self.edges().iter().filter(|e| e.intersects(seg)).count()
     }
 
+    /// `self.crossings(seg) > 0`, stopping at the first crossed edge.
+    pub fn is_crossed_by(self, seg: Segment) -> bool {
+        !self.misses_bbox(seg) && self.edges().iter().any(|e| e.intersects(seg))
+    }
+
+    /// Fast reject: both endpoints on the same outside half-plane.
+    fn misses_bbox(self, seg: Segment) -> bool {
+        (seg.a.x < self.min.x && seg.b.x < self.min.x)
+            || (seg.a.x > self.max.x && seg.b.x > self.max.x)
+            || (seg.a.y < self.min.y && seg.b.y < self.min.y)
+            || (seg.a.y > self.max.y && seg.b.y > self.max.y)
+    }
+
     /// Whether the segment passes through (or touches) the rectangle.
     pub fn intersects_segment(self, seg: Segment) -> bool {
-        self.contains(seg.a) || self.contains(seg.b) || self.crossings(seg) > 0
+        self.contains(seg.a) || self.contains(seg.b) || self.is_crossed_by(seg)
     }
 
     /// Expands the rectangle outward by `margin` metres on all sides.

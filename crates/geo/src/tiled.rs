@@ -27,28 +27,22 @@ use crate::point::{Point, Rect, Segment};
 /// Grid cells per tile edge: tiles are `TILE_CELLS × CELL_M` = 320 m
 /// square, a few city blocks — big enough that a short site→UE ray
 /// usually stays inside one or two tiles, small enough that an empty
-/// park or river tile stays `None`.
+/// park or river tile costs nothing.
 pub const TILE_CELLS: usize = 8;
 
-/// One occupied tile: a local `TILE_CELLS`² uniform grid of per-cell
-/// candidate lists holding **global** building indices (ascending by
-/// construction — buildings register in index order).
-#[derive(Debug, Clone)]
-struct Tile {
-    cells: Vec<Vec<u32>>,
-}
+/// Grid cells per tile.
+const TILE_AREA: usize = TILE_CELLS * TILE_CELLS;
 
-impl Tile {
-    fn empty() -> Tile {
-        Tile {
-            cells: vec![Vec::new(); TILE_CELLS * TILE_CELLS],
-        }
-    }
-}
+/// `tile_base` entry of an unoccupied tile.
+const NO_TILE: u32 = u32::MAX;
 
-/// A two-level spatial index: a `tx × ty` directory of optional tiles
-/// over a conceptual uniform grid of [`CELL_M`]-metre cells (the same
-/// geometry as the flat index, so the slab walk is shared logic).
+/// A two-level spatial index: a `tx × ty` directory of tiles over a
+/// conceptual uniform grid of [`CELL_M`]-metre cells (the same geometry
+/// as the flat index, so the slab walk is shared logic). The candidate
+/// lists of occupied tiles are stored flat, in compressed-row form:
+/// occupied tile `t`'s local cell `c` lists
+/// `items[cell_start[b + c]..cell_start[b + c + 1]]` with
+/// `b = tile_base[t]`.
 #[derive(Debug, Clone)]
 pub struct TiledSpatialIndex {
     bounds: Rect,
@@ -58,11 +52,25 @@ pub struct TiledSpatialIndex {
     /// Global cell-grid dimensions: `tx * TILE_CELLS` × `ty * TILE_CELLS`.
     gnx: usize,
     gny: usize,
-    tiles: Vec<Option<Box<Tile>>>,
+    /// Per tile: offset of its first cell in `cell_start`, or
+    /// [`NO_TILE`].
+    tile_base: Vec<u32>,
+    /// Start of each occupied cell's run in `items` (tile-major,
+    /// `TILE_AREA` cells per occupied tile), plus one closing entry.
+    cell_start: Vec<u32>,
+    /// **Global** building indices, ascending within each cell's run
+    /// (buildings register in index order).
+    items: Vec<u32>,
     n_buildings: usize,
 }
 
 const NO_CANDIDATES: &[u32] = &[];
+
+/// Index of global cell `(ix, iy)` within its tile.
+#[inline]
+fn local_cell(ix: usize, iy: usize) -> usize {
+    (iy % TILE_CELLS) * TILE_CELLS + ix % TILE_CELLS
+}
 
 impl TiledSpatialIndex {
     /// Builds the index over `buildings`. `bounds` is a hint; the grid
@@ -93,21 +101,56 @@ impl TiledSpatialIndex {
             ty,
             gnx: tx * TILE_CELLS,
             gny: ty * TILE_CELLS,
-            tiles: (0..tx * ty).map(|_| None).collect(),
+            tile_base: vec![NO_TILE; tx * ty],
+            cell_start: Vec::new(),
+            items: Vec::new(),
             n_buildings: buildings.len(),
         };
+        // Every (building, tile, cell within the tile) registration, in
+        // building order.
+        let mut regs: Vec<(u32, usize, usize)> = Vec::new();
         for (bi, b) in buildings.iter().enumerate() {
             let fp = b.footprint.inflate(EPS);
             let (ix0, iy0) = idx.cell_floor(fp.min);
             let (ix1, iy1) = idx.cell_floor(fp.max);
             for iy in iy0..=iy1 {
                 for ix in ix0..=ix1 {
-                    let t = (iy / TILE_CELLS) * idx.tx + ix / TILE_CELLS;
-                    let tile = idx.tiles[t].get_or_insert_with(|| Box::new(Tile::empty()));
-                    tile.cells[(iy % TILE_CELLS) * TILE_CELLS + ix % TILE_CELLS].push(bi as u32);
+                    regs.push((bi as u32, idx.tile_of(ix, iy), local_cell(ix, iy)));
                 }
             }
         }
+        // Occupied tiles take consecutive `TILE_AREA` blocks of cells, in
+        // tile order.
+        for &(_, t, _) in &regs {
+            idx.tile_base[t] = 0;
+        }
+        let mut cells = 0usize;
+        for base in idx.tile_base.iter_mut().filter(|b| **b != NO_TILE) {
+            assert!(cells < NO_TILE as usize, "tiled index: too many tiles");
+            *base = cells as u32;
+            cells += TILE_AREA;
+        }
+        assert!(
+            u32::try_from(regs.len()).is_ok(),
+            "tiled index: too many registrations"
+        );
+        // Counting sort of the registrations by cell; it is stable, so
+        // every run stays ascending.
+        let mut start = vec![0u32; cells + 1];
+        for &(_, t, c) in &regs {
+            start[idx.tile_base[t] as usize + c + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        idx.items = vec![0; regs.len()];
+        for &(bi, t, c) in &regs {
+            let c = idx.tile_base[t] as usize + c;
+            idx.items[fill[c] as usize] = bi;
+            fill[c] += 1;
+        }
+        idx.cell_start = start;
         idx
     }
 
@@ -125,7 +168,7 @@ impl TiledSpatialIndex {
 
     /// Tile-directory dimensions `(tx, ty)` and occupied-tile count.
     pub fn tile_stats(&self) -> (usize, usize, usize) {
-        let occupied = self.tiles.iter().filter(|t| t.is_some()).count();
+        let occupied = self.tile_base.iter().filter(|&&b| b != NO_TILE).count();
         (self.tx, self.ty, occupied)
     }
 
@@ -138,13 +181,26 @@ impl TiledSpatialIndex {
         (ix, iy)
     }
 
+    /// Directory index of the tile holding global cell `(ix, iy)`.
+    #[inline]
+    fn tile_of(&self, ix: usize, iy: usize) -> usize {
+        (iy / TILE_CELLS) * self.tx + ix / TILE_CELLS
+    }
+
+    /// The candidate list of global cell `(ix, iy)` in the occupied
+    /// tile starting at `base`.
+    #[inline]
+    fn cell_items(&self, base: u32, ix: usize, iy: usize) -> &[u32] {
+        let c = base as usize + local_cell(ix, iy);
+        &self.items[self.cell_start[c] as usize..self.cell_start[c + 1] as usize]
+    }
+
     /// The candidate list of global cell `(ix, iy)` — empty for cells
     /// in unoccupied tiles.
-    #[inline]
     fn cell(&self, ix: usize, iy: usize) -> &[u32] {
-        match &self.tiles[(iy / TILE_CELLS) * self.tx + ix / TILE_CELLS] {
-            Some(t) => &t.cells[(iy % TILE_CELLS) * TILE_CELLS + ix % TILE_CELLS],
-            None => NO_CANDIDATES,
+        match self.tile_base[self.tile_of(ix, iy)] {
+            NO_TILE => NO_CANDIDATES,
+            base => self.cell_items(base, ix, iy),
         }
     }
 
@@ -158,13 +214,13 @@ impl TiledSpatialIndex {
         self.cell(ix, iy)
     }
 
-    /// Visits every global cell the slab-clipped `seg` overlaps — the
-    /// same column walk as the flat index, but cell lookups resolve
-    /// through the tile directory, and a whole run of cells inside an
-    /// unoccupied tile is skipped at tile granularity. Stops early when
-    /// `visit` returns `true`.
+    /// Passes the candidate list of every global cell the slab-clipped
+    /// `seg` overlaps to `visit` — the same column walk as the flat
+    /// index, but a whole run of cells inside an unoccupied tile is
+    /// skipped at tile granularity. Stops early when `visit` returns
+    /// `true`.
     #[inline]
-    fn for_cells_on_segment(&self, seg: Segment, mut visit: impl FnMut(usize, usize) -> bool) {
+    fn for_cells_on_segment(&self, seg: Segment, mut visit: impl FnMut(&[u32]) -> bool) {
         let min_x = seg.a.x.min(seg.b.x) - EPS;
         let max_x = seg.a.x.max(seg.b.x) + EPS;
         let min_y = seg.a.y.min(seg.b.y) - EPS;
@@ -198,15 +254,15 @@ impl TiledSpatialIndex {
             let y_hi = ya.max(yb).min(max_y);
             let (_, iy0) = self.cell_floor(Point::new(0.0, y_lo - EPS));
             let (_, iy1) = self.cell_floor(Point::new(0.0, y_hi + EPS));
-            let tcol = ix / TILE_CELLS;
             let mut iy = iy0;
             while iy <= iy1 {
                 // Empty tile: hop straight past its remaining cell rows.
-                if self.tiles[(iy / TILE_CELLS) * self.tx + tcol].is_none() {
+                let base = self.tile_base[self.tile_of(ix, iy)];
+                if base == NO_TILE {
                     iy = (iy / TILE_CELLS + 1) * TILE_CELLS;
                     continue;
                 }
-                if visit(ix, iy) {
+                if visit(self.cell_items(base, ix, iy)) {
                     return;
                 }
                 iy += 1;
@@ -219,8 +275,8 @@ impl TiledSpatialIndex {
     /// same contract as [`crate::index::SpatialIndex::candidates_segment`].
     pub fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
         out.clear();
-        self.for_cells_on_segment(seg, |ix, iy| {
-            out.extend_from_slice(self.cell(ix, iy));
+        self.for_cells_on_segment(seg, |run| {
+            out.extend_from_slice(run);
             false
         });
         out.sort_unstable();
@@ -236,8 +292,8 @@ impl TiledSpatialIndex {
     pub fn candidates_segment_mask(&self, seg: Segment, words: &mut Vec<u64>) {
         words.clear();
         words.resize(self.mask_words(), 0);
-        self.for_cells_on_segment(seg, |ix, iy| {
-            for &bi in self.cell(ix, iy) {
+        self.for_cells_on_segment(seg, |run| {
+            for &bi in run {
                 words[bi as usize / 64] |= 1u64 << (bi % 64);
             }
             false
@@ -250,14 +306,9 @@ impl TiledSpatialIndex {
     /// as [`crate::index::SpatialIndex::scan_segment_until`].
     pub fn scan_segment_until(&self, seg: Segment, mut test: impl FnMut(u32) -> bool) -> bool {
         let mut hit = false;
-        self.for_cells_on_segment(seg, |ix, iy| {
-            for &bi in self.cell(ix, iy) {
-                if test(bi) {
-                    hit = true;
-                    return true;
-                }
-            }
-            false
+        self.for_cells_on_segment(seg, |run| {
+            hit = run.iter().any(|&bi| test(bi));
+            hit
         });
         hit
     }

@@ -122,3 +122,75 @@ proptest! {
         }
     }
 }
+
+/// `Point::azimuth_to` as first written, with the libm `fmod` fold.
+fn azimuth_fmod(a: Point, b: Point) -> f64 {
+    let d = b - a;
+    (d.y.atan2(d.x).to_degrees() + 360.0) % 360.0
+}
+
+/// Bit-identical, except that any NaN matches any NaN.
+fn same_bits(new: f64, old: f64) -> bool {
+    if old.is_nan() {
+        new.is_nan()
+    } else {
+        new.to_bits() == old.to_bits()
+    }
+}
+
+proptest! {
+    /// The conditional-subtract fold in `azimuth_to` equals the `fmod`
+    /// fold bit for bit, on map-scale and on arbitrary coordinates.
+    #[test]
+    fn azimuth_fold_matches_fmod(a in pt(), b in pt(), c in any::<f64>(), d in any::<f64>()) {
+        prop_assert!(same_bits(a.azimuth_to(b), azimuth_fmod(a, b)));
+        let far = Point::new(c, d);
+        prop_assert!(same_bits(a.azimuth_to(far), azimuth_fmod(a, far)));
+        prop_assert!(same_bits(far.azimuth_to(a), azimuth_fmod(far, a)));
+    }
+}
+
+/// Edge cases of the azimuth fold: signed zeros, the ±180° branch cut,
+/// angles a hair below 0° (so the sum lands just under 360), huge and
+/// tiny offsets, infinities and NaN.
+#[test]
+fn azimuth_fold_matches_fmod_on_edge_cases() {
+    let coords = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        1e-14,
+        -1e-14,
+        -1e-300,
+        5e-324,
+        -5e-324,
+        1e6,
+        -1e6,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for origin in [Point::new(0.0, 0.0), Point::new(1e6, -1e6)] {
+        for &x in &coords {
+            for &y in &coords {
+                let p = origin + Point::new(x, y);
+                let (new, old) = (origin.azimuth_to(p), azimuth_fmod(origin, p));
+                assert!(
+                    same_bits(new, old),
+                    "{origin:?} -> ({x}, {y}): {new} vs {old}"
+                );
+            }
+        }
+    }
+    let o = Point::new(0.0, 0.0);
+    assert_eq!(
+        o.azimuth_to(Point::new(-1.0, 0.0)).to_bits(),
+        180f64.to_bits()
+    );
+    assert_eq!(
+        o.azimuth_to(Point::new(-1.0, -0.0)).to_bits(),
+        180f64.to_bits()
+    );
+    assert!(o.azimuth_to(Point::new(f64::NAN, 1.0)).is_nan());
+}

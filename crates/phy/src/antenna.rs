@@ -49,7 +49,19 @@ impl SectorAntenna {
     /// Smallest absolute angular difference between two azimuths, degrees
     /// in `[0, 180]`.
     pub fn angle_diff(a: f64, b: f64) -> f64 {
-        let d = (a - b).rem_euclid(360.0);
+        // Inside (-360, 360) `rem_euclid(360.0)` reduces to one
+        // conditional add (its fmod returns the input unchanged there);
+        // keep the libm call only for the rare far-out input.
+        let x = a - b;
+        let d = if x.abs() < 360.0 {
+            if x < 0.0 {
+                x + 360.0
+            } else {
+                x
+            }
+        } else {
+            x.rem_euclid(360.0)
+        };
         if d > 180.0 {
             360.0 - d
         } else {

@@ -9,7 +9,7 @@
 use crate::carrier::Tech;
 use crate::cell::CellPhy;
 use crate::mcs;
-use crate::pathloss::{PropagationParams, ShadowGrid, ShadowingField};
+use crate::pathloss::{LatticePoint, PropagationParams, ShadowGrid, ShadowingField};
 use crate::penetration::wall_loss;
 use fiveg_geo::building::Material;
 use fiveg_geo::point::Segment;
@@ -17,6 +17,7 @@ use fiveg_geo::{Campus, CampusMap, Point};
 use fiveg_simcore::{BitRate, Db, Dbm};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Service threshold: below this RSRP the network cannot sustain a
 /// connection (paper Sec. 3.1, citing Rel-15 TS 36.211: "if the RSRP is
@@ -170,12 +171,15 @@ pub struct MeasureScratch {
     rsrp_mw: Vec<f64>,
     /// Ground distance per cell (same order as the tech's cell list).
     d2s: Vec<f64>,
+    /// One [`rank_key`] per cell: the output order, as integers.
+    keys: Vec<u128>,
     /// Already-tested bitmap words for the current ray.
     words: Vec<u64>,
     /// Buildings containing the current UE position (ascending).
     ue_hits: Vec<u32>,
-    /// UE position the ray cache below is valid for.
-    ray_ue: Option<(u64, u64)>,
+    /// Environment id and UE position bits the ray cache below is
+    /// valid for.
+    ray_key: Option<(u64, u64, u64)>,
     /// Per-site ray geometry for the current UE. Persists across the
     /// per-technology calls of one sample, so co-sited NR cells reuse
     /// the rays the LTE call already traced.
@@ -227,6 +231,7 @@ impl Drop for MeasureScratch {
 /// The radio environment.
 #[derive(Debug, Clone)]
 pub struct RadioEnv {
+    id: EnvId,
     /// Campus geometry.
     pub map: CampusMap,
     /// Deployed cells (all technologies).
@@ -235,7 +240,9 @@ pub struct RadioEnv {
     pub params: PropagationParams,
     shadowing: Vec<ShadowingField>,
     /// Precomputed lattice Gaussians per shadowing field, covering the
-    /// campus bounds (plus a margin); same order as `cells`.
+    /// campus bounds (plus a margin); same order as `cells`. All share
+    /// one extent, so a [`LatticePoint`] located once per call indexes
+    /// every cell's grid.
     shadow_grids: Vec<ShadowGrid>,
     /// Unique mast locations (by bit-equal position).
     sites: Vec<SiteGeom>,
@@ -247,6 +254,43 @@ pub struct RadioEnv {
     by_tech: [Vec<usize>; 2],
     /// First cell index per PCI.
     pci_index: BTreeMap<u16, usize>,
+}
+
+/// Source of [`EnvId`]s.
+static NEXT_ENV_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Identity of a [`RadioEnv`] for [`MeasureScratch`]'s ray cache. Every
+/// constructed environment takes a fresh one, and so does every clone:
+/// a clone's public fields may be changed before it is measured, so it
+/// must not replay the original's cached rays.
+#[derive(Debug, PartialEq, Eq)]
+struct EnvId(u64);
+
+impl EnvId {
+    fn fresh() -> EnvId {
+        // `Relaxed`: the counter publishes no other data; only the
+        // ids' uniqueness matters.
+        // fiveg-lint: allow(S003) -- ids are only compared as a ray-cache key; no output reads them
+        EnvId(NEXT_ENV_ID.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for EnvId {
+    fn clone(&self) -> Self {
+        EnvId::fresh()
+    }
+}
+
+/// Sort key of the cell at position `k` with RSRP `rsrp_dbm`: ascending
+/// keys list descending [`f64::total_cmp`] RSRP, ties by position —
+/// exactly the order of a stable descending `total_cmp` sort, but as
+/// unique integers, so an unstable sort yields it.
+fn rank_key(rsrp_dbm: f64, k: usize) -> u128 {
+    let b = rsrp_dbm.to_bits();
+    // total_cmp as an unsigned order: negatives flip every bit,
+    // positives set the sign bit.
+    let ascending = if b >> 63 == 1 { !b } else { b | 1 << 63 };
+    (u128::from(!ascending) << 64) | k as u128
 }
 
 fn tech_slot(tech: Tech) -> usize {
@@ -275,7 +319,7 @@ impl RadioEnv {
         // loads. The cached values ARE the gaussian_at outputs, so fast
         // and naive paths stay bit-identical.
         const SHADOW_MARGIN_M: f64 = 200.0;
-        let shadow_grids = shadowing
+        let shadow_grids: Vec<ShadowGrid> = shadowing
             .iter()
             .map(|f| {
                 f.grid_for(
@@ -286,6 +330,10 @@ impl RadioEnv {
                 )
             })
             .collect();
+        assert!(
+            shadow_grids.windows(2).all(|w| w[0].same_extent(&w[1])),
+            "every cell's shadowing grid must share one lattice"
+        );
         let cache: Vec<CellCache> = cells
             .iter()
             .map(|c| {
@@ -354,6 +402,7 @@ impl RadioEnv {
             }
         }
         RadioEnv {
+            id: EnvId::fresh(),
             map,
             cells,
             params,
@@ -530,7 +579,7 @@ impl RadioEnv {
                 }
                 words[w] |= bit;
                 visited += 1;
-                self.map.buildings[bi as usize].wall_crossings(seg) > 0
+                self.map.buildings[bi as usize].crosses_walls(seg)
             });
             match scanned {
                 Some(hit) => blocked = hit,
@@ -541,7 +590,7 @@ impl RadioEnv {
                             continue;
                         }
                         visited += 1;
-                        if b.wall_crossings(seg) > 0 {
+                        if b.crosses_walls(seg) {
                             blocked = true;
                             break;
                         }
@@ -604,13 +653,14 @@ impl RadioEnv {
         if idxs.is_empty() {
             return &scratch.out;
         }
-        // The ray cache is keyed on the UE position: the per-technology
-        // calls of one sample share it, so co-sited NR cells reuse rays
-        // the LTE call already traced. The UE-building lookup is equally
-        // ray-invariant and hoisted with it.
-        let ue_bits = (ue.x.to_bits(), ue.y.to_bits());
-        if scratch.ray_ue != Some(ue_bits) {
-            scratch.ray_ue = Some(ue_bits);
+        // The ray cache is keyed on the environment and the UE
+        // position: the per-technology calls of one sample share it, so
+        // co-sited NR cells reuse rays the LTE call already traced. The
+        // UE-building lookup is equally ray-invariant and hoisted with
+        // it.
+        let key = (self.id.0, ue.x.to_bits(), ue.y.to_bits());
+        if scratch.ray_key != Some(key) {
+            scratch.ray_key = Some(key);
             scratch.ray_sites.clear();
             scratch
                 .ray_sites
@@ -624,6 +674,10 @@ impl RadioEnv {
         scratch.rsrp_mw.resize(n, 0.0);
         scratch.d2s.clear();
         scratch.d2s.resize(n, 0.0);
+        // Every shadowing grid shares one lattice (asserted in `new`),
+        // so the UE's lattice weights and grid slot are per call.
+        let lattice = LatticePoint::new(ue.x, ue.y, self.shadowing[idxs[0]].grid_m)
+            .in_grid(&self.shadow_grids[idxs[0]]);
         for g in &self.groups[tech_slot(tech)] {
             if !scratch.ray_sites[g.site].computed {
                 scratch.ray_sites[g.site] = self.trace_site(
@@ -665,7 +719,7 @@ impl RadioEnv {
                     loss += self.cache[i].wall_db[mat_slot(m)] * rs.walls_ue as f64;
                 }
                 loss += self.shadowing[i]
-                    .value_db_cached(ue.x, ue.y, sigma, &self.shadow_grids[i])
+                    .value_db_at(&lattice, sigma, &self.shadow_grids[i])
                     .value();
                 let dbm = Dbm::new(self.cache[i].eirp_dbm - loss);
                 scratch.rsrp_dbm[k] = dbm;
@@ -697,7 +751,21 @@ impl RadioEnv {
             .enumerate()
             .map(|(k2, &i2)| scratch.rsrp_mw[k2] * self.cells[i2].load)
             .sum();
-        for (k, &i) in idxs.iter().enumerate() {
+        // Sorted by descending RSRP through integer keys (see
+        // `rank_key`): a NaN RSRP from a pathological parameter set
+        // sorts deterministically instead of panicking mid-campaign.
+        scratch.keys.clear();
+        scratch.keys.extend(
+            scratch
+                .rsrp_dbm
+                .iter()
+                .enumerate()
+                .map(|(k, d)| rank_key(d.value(), k)),
+        );
+        scratch.keys.sort_unstable();
+        for &key in &scratch.keys {
+            let k = key as u64 as usize;
+            let i = idxs[k];
             let interference = total_loaded - scratch.rsrp_mw[k] * self.cells[i].load;
             let sinr = Db::from_linear((scratch.rsrp_mw[k] / (interference + noise_mw)).max(1e-12));
             let rsrq = Db::from_linear((scratch.rsrp_mw[k] / (12.0 * rssi_per_re)).max(1e-12));
@@ -710,20 +778,15 @@ impl RadioEnv {
                 distance_m: scratch.d2s[k],
             });
         }
-        // total_cmp: a NaN RSRP from a pathological parameter set sorts
-        // deterministically instead of panicking mid-campaign.
-        scratch
-            .out
-            .sort_by(|a, b| b.rsrp.value().total_cmp(&a.rsrp.value()));
         &scratch.out
     }
 
     /// Reference implementation of [`RadioEnv::measure_all`]: full
-    /// building scans, no hoisted tables, fresh allocations — the
-    /// equivalence property tests hold the fast path bit-identical to
-    /// this. Not for production use.
-    #[doc(hidden)]
-    pub fn measure_all_naive(&self, ue: Point, tech: Tech) -> Vec<CellMeasurement> {
+    /// building scans, no hoisted tables, fresh allocations, a stable
+    /// comparison sort — the equivalence tests hold the fast path
+    /// bit-identical to this.
+    #[cfg(test)]
+    fn measure_all_naive(&self, ue: Point, tech: Tech) -> Vec<CellMeasurement> {
         let idxs: Vec<usize> = (0..self.cells.len())
             .filter(|&i| self.cells[i].tech() == tech)
             .collect();
@@ -1056,24 +1119,136 @@ mod tests {
         assert!(snap.counters["phy.buildings.pruned"] > 0);
     }
 
-    /// The RSRP sort uses `total_cmp`: a NaN from a pathological
-    /// parameter set sorts deterministically (positive NaN above +inf,
-    /// hence first in the descending order) instead of panicking
-    /// mid-campaign as the old `partial_cmp(..).expect(..)` did.
+    /// The RSRP order is descending `total_cmp`: a NaN from a
+    /// pathological parameter set sorts deterministically (positive NaN
+    /// above +inf, hence first) instead of panicking mid-campaign as
+    /// the old `partial_cmp(..).expect(..)` did. The integer keys give
+    /// exactly the stable `total_cmp` sort's order, ties and signed
+    /// zeros included.
     #[test]
     fn nan_rsrp_sorts_deterministically_without_panic() {
-        let mk = |v: f64| CellMeasurement {
-            pci: 1,
-            tech: Tech::Nr,
-            rsrp: Dbm::new(v),
-            rsrq: Db::new(-10.0),
-            sinr: Db::new(0.0),
-            distance_m: 10.0,
-        };
-        let mut v = [mk(f64::NAN), mk(-80.0), mk(-120.0), mk(-60.0)];
-        v.sort_by(|a, b| b.rsrp.value().total_cmp(&a.rsrp.value()));
-        assert!(v[0].rsrp.value().is_nan());
-        assert_eq!(v[1].rsrp.value(), -60.0);
-        assert_eq!(v[3].rsrp.value(), -120.0);
+        let vals = [
+            f64::NAN,
+            -80.0,
+            -120.0,
+            -60.0,
+            -80.0,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            -60.0,
+            0.0,
+        ];
+        let mut stable: Vec<usize> = (0..vals.len()).collect();
+        stable.sort_by(|&a, &b| vals[b].total_cmp(&vals[a]));
+        let mut keys: Vec<u128> = vals
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| rank_key(v, k))
+            .collect();
+        keys.sort_unstable();
+        let keyed: Vec<usize> = keys.iter().map(|&key| key as u64 as usize).collect();
+        assert_eq!(keyed, stable);
+        assert!(vals[keyed[0]].is_nan());
+        assert_eq!(keyed[1..6], [7, 5, 11, 6, 3]);
+        assert!(vals[keyed[vals.len() - 1]].is_nan());
+    }
+
+    fn assert_same_measurements(a: &[CellMeasurement], b: &[CellMeasurement], at: Point) {
+        assert_eq!(a.len(), b.len(), "at {at:?}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.pci, y.pci, "order diverged at {at:?}");
+            assert_eq!(x.rsrp.value().to_bits(), y.rsrp.value().to_bits());
+            assert_eq!(x.rsrq.value().to_bits(), y.rsrq.value().to_bits());
+            assert_eq!(x.sinr.value().to_bits(), y.sinr.value().to_bits());
+            assert_eq!(x.distance_m.to_bits(), y.distance_m.to_bits());
+        }
+    }
+
+    fn city_env(tiles: usize) -> RadioEnv {
+        let mut spec = fiveg_geo::CitySpec::dense_urban();
+        spec.tiles_x = tiles;
+        spec.tiles_y = tiles;
+        let campus = fiveg_geo::generate_city(&spec, &SimRng::new(2020));
+        RadioEnv::from_campus(&campus, 0x5eed, 0.5, 0.05)
+    }
+
+    /// The fast path on a city big enough for the tiled index, at
+    /// random points (some beyond the shadowing grid's margin, so the
+    /// direct-evaluation fallback runs), indoor points and points on or
+    /// within a metre of a mast.
+    #[test]
+    fn fast_path_bit_identical_to_naive_on_tiled_city() {
+        let e = city_env(3);
+        assert!(e.map.buildings.len() >= fiveg_geo::map::TILED_INDEX_THRESHOLD);
+        assert!(e
+            .map
+            .spatial_index()
+            .is_some_and(fiveg_geo::MapIndex::is_tiled));
+        let b = e.map.bounds;
+        let mut rng = SimRng::new(0x71ED);
+        let mut points: Vec<Point> = (0..24)
+            .map(|_| {
+                Point::new(
+                    rng.range_f64(b.min.x - 400.0, b.max.x + 400.0),
+                    rng.range_f64(b.min.y - 400.0, b.max.y + 400.0),
+                )
+            })
+            .collect();
+        points.extend(
+            e.map
+                .buildings
+                .iter()
+                .step_by(40)
+                .map(|bl| bl.footprint.center()),
+        );
+        for c in e.cells.iter().step_by(30) {
+            points.push(c.pos);
+            points.push(c.pos + Point::new(0.6, -0.5));
+        }
+        points.push(Point::new(b.max.x + 250.0, b.max.y + 300.0));
+        assert!(points.iter().any(|&p| e.map.is_indoor(p)));
+        let mut scratch = MeasureScratch::new();
+        for &ue in &points {
+            for tech in [Tech::Lte, Tech::Nr] {
+                let naive = e.measure_all_naive(ue, tech);
+                assert_same_measurements(&naive, e.measure_all_into(ue, tech, &mut scratch), ue);
+            }
+        }
+    }
+
+    /// One scratch shared by several environments must never replay
+    /// rays traced in another: neither for an environment with the same
+    /// site count (wrong values) nor for one with more sites (an
+    /// out-of-bounds ray-cache index).
+    #[test]
+    fn scratch_shared_between_envs_matches_fresh() {
+        let e = env();
+        let mut moved_cells = e.cells.clone();
+        for c in &mut moved_cells {
+            c.pos = c.pos + Point::new(40.0, -35.0);
+        }
+        let moved = RadioEnv::new(e.map.clone(), moved_cells, e.params, 77);
+        let city = city_env(3);
+        assert!(city.sites.len() > e.sites.len());
+        let mut shared = MeasureScratch::new();
+        let mut rng = SimRng::new(0x5CA7);
+        for _ in 0..20 {
+            let ue = Point::new(rng.range_f64(0.0, 1000.0), rng.range_f64(0.0, 1000.0));
+            for tech in [Tech::Lte, Tech::Nr] {
+                for other in [&e, &moved, &city, &e] {
+                    let fresh = other.measure_all(ue, tech);
+                    assert_same_measurements(
+                        &fresh,
+                        other.measure_all_into(ue, tech, &mut shared),
+                        ue,
+                    );
+                }
+            }
+        }
+        // A clone is a distinct environment for the cache as well.
+        assert_ne!(e.clone().id, e.id);
     }
 }

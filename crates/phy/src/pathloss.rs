@@ -165,29 +165,22 @@ impl ShadowingField {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
+    /// The four lattice Gaussians around `p`, in [`LatticePoint`]
+    /// corner order.
+    fn corners(&self, p: &LatticePoint) -> [f64; 4] {
+        [
+            self.gaussian_at(p.i0, p.j0),
+            self.gaussian_at(p.i0 + 1, p.j0),
+            self.gaussian_at(p.i0, p.j0 + 1),
+            self.gaussian_at(p.i0 + 1, p.j0 + 1),
+        ]
+    }
+
     /// Standard-normal shadowing value at `(x, y)` metres (multiply by
     /// sigma to get dB).
     pub fn standard_value(&self, x: f64, y: f64) -> f64 {
-        let gx = x / self.grid_m;
-        let gy = y / self.grid_m;
-        let i0 = gx.floor() as i64;
-        let j0 = gy.floor() as i64;
-        let fx = gx - i0 as f64;
-        let fy = gy - j0 as f64;
-        let v00 = self.gaussian_at(i0, j0);
-        let v10 = self.gaussian_at(i0 + 1, j0);
-        let v01 = self.gaussian_at(i0, j0 + 1);
-        let v11 = self.gaussian_at(i0 + 1, j0 + 1);
-        let w00 = (1.0 - fx) * (1.0 - fy);
-        let w10 = fx * (1.0 - fy);
-        let w01 = (1.0 - fx) * fy;
-        let w11 = fx * fy;
-        // Normalise by the L2 norm of the weights so the interpolated
-        // field keeps unit marginal variance everywhere (plain bilinear
-        // interpolation of iid Gaussians would shrink variance to 4/9 at
-        // cell centres).
-        let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
-        (v00 * w00 + v10 * w10 + v01 * w01 + v11 * w11) / norm
+        let p = LatticePoint::new(x, y, self.grid_m);
+        p.interpolate(self.corners(&p))
     }
 
     /// Shadowing loss in dB at `(x, y)` with the given sigma.
@@ -214,6 +207,7 @@ impl ShadowingField {
             }
         }
         ShadowGrid {
+            grid_m: self.grid_m,
             i0,
             j0,
             nx,
@@ -222,35 +216,81 @@ impl ShadowingField {
         }
     }
 
-    /// [`ShadowingField::value_db`] reading lattice Gaussians from a
-    /// [`ShadowGrid`] cache where possible (falling back to direct
-    /// evaluation outside it). Same arithmetic, same bits — the
-    /// Gaussian evaluation (two hashes, `ln`, `sqrt`, `cos` per corner)
-    /// dominates the query cost, and the cache replaces it with a load.
-    pub fn value_db_cached(&self, x: f64, y: f64, sigma: f64, grid: &ShadowGrid) -> Db {
-        let gx = x / self.grid_m;
-        let gy = y / self.grid_m;
+    /// [`ShadowingField::value_db`] at a point located once with
+    /// [`LatticePoint::new`] (and [`LatticePoint::in_grid`]): the
+    /// lattice Gaussians come from `grid` when the point's corners lie
+    /// inside it, else from direct evaluation. Same arithmetic, same
+    /// bits — the Gaussian evaluation (two hashes, `ln`, `sqrt`, `cos`
+    /// per corner) dominates a direct query, and the grid replaces it
+    /// with four loads. `grid` must be this field's grid with the
+    /// extent `p` was located against.
+    pub fn value_db_at(&self, p: &LatticePoint, sigma: f64, grid: &ShadowGrid) -> Db {
+        let v = match p.slot {
+            Some(s) => grid.corners(s),
+            None => self.corners(p),
+        };
+        Db::new(p.interpolate(v) * sigma)
+    }
+}
+
+/// Where a query point sits on a shadowing lattice: its lower-left
+/// lattice corner and the normalised bilinear weights. Every field on
+/// the same lattice spacing shares them, so a caller querying many
+/// fields at one point locates it once.
+#[derive(Debug, Clone, Copy)]
+pub struct LatticePoint {
+    i0: i64,
+    j0: i64,
+    /// Weights of corners `(i0, j0)`, `(i0 + 1, j0)`, `(i0, j0 + 1)`,
+    /// `(i0 + 1, j0 + 1)`.
+    w: [f64; 4],
+    /// L2 norm of `w`.
+    norm: f64,
+    /// Offset of corner `(i0, j0)` in a [`ShadowGrid`] that holds all
+    /// four corners (see [`LatticePoint::in_grid`]).
+    slot: Option<usize>,
+}
+
+impl LatticePoint {
+    /// Locates `(x, y)` metres on a lattice of `grid_m` spacing.
+    pub fn new(x: f64, y: f64, grid_m: f64) -> Self {
+        let gx = x / grid_m;
+        let gy = y / grid_m;
         let i0 = gx.floor() as i64;
         let j0 = gy.floor() as i64;
         let fx = gx - i0 as f64;
         let fy = gy - j0 as f64;
-        let corner = |i: i64, j: i64| -> f64 {
-            match grid.get(i, j) {
-                Some(v) => v,
-                None => self.gaussian_at(i, j),
-            }
-        };
-        let v00 = corner(i0, j0);
-        let v10 = corner(i0 + 1, j0);
-        let v01 = corner(i0, j0 + 1);
-        let v11 = corner(i0 + 1, j0 + 1);
         let w00 = (1.0 - fx) * (1.0 - fy);
         let w10 = fx * (1.0 - fy);
         let w01 = (1.0 - fx) * fy;
         let w11 = fx * fy;
+        // Normalise by the L2 norm of the weights so the interpolated
+        // field keeps unit marginal variance everywhere (plain bilinear
+        // interpolation of iid Gaussians would shrink variance to 4/9 at
+        // cell centres).
         let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
-        let v = (v00 * w00 + v10 * w10 + v01 * w01 + v11 * w11) / norm;
-        Db::new(v * sigma)
+        LatticePoint {
+            i0,
+            j0,
+            w: [w00, w10, w01, w11],
+            norm,
+            slot: None,
+        }
+    }
+
+    /// Resolves the point's corners in `grid`'s layout. The result is
+    /// valid for every grid with the same extent (see
+    /// [`ShadowGrid::same_extent`]); outside the grid the point falls
+    /// back to direct evaluation.
+    pub fn in_grid(mut self, grid: &ShadowGrid) -> Self {
+        self.slot = grid.slot(self.i0, self.j0);
+        self
+    }
+
+    /// Normalised bilinear combination of the four corner values.
+    fn interpolate(&self, v: [f64; 4]) -> f64 {
+        let w = &self.w;
+        (v[0] * w[0] + v[1] * w[1] + v[2] * w[2] + v[3] * w[3]) / self.norm
     }
 }
 
@@ -258,6 +298,7 @@ impl ShadowingField {
 /// rectangle (see [`ShadowingField::grid_for`]).
 #[derive(Debug, Clone)]
 pub struct ShadowGrid {
+    grid_m: f64,
     i0: i64,
     j0: i64,
     nx: usize,
@@ -266,15 +307,34 @@ pub struct ShadowGrid {
 }
 
 impl ShadowGrid {
-    /// Cached Gaussian at lattice point `(i, j)`, if inside the grid.
-    #[inline]
-    fn get(&self, i: i64, j: i64) -> Option<f64> {
+    /// Whether `other` covers the same lattice points at the same
+    /// spacing, so one [`LatticePoint`] slot indexes both.
+    pub fn same_extent(&self, other: &ShadowGrid) -> bool {
+        self.grid_m.to_bits() == other.grid_m.to_bits()
+            && (self.i0, self.j0, self.nx, self.ny) == (other.i0, other.j0, other.nx, other.ny)
+    }
+
+    /// Offset of lattice point `(i, j)` when it and its `+1` neighbours
+    /// all lie inside the grid.
+    fn slot(&self, i: i64, j: i64) -> Option<usize> {
         let di = i - self.i0;
         let dj = j - self.j0;
-        if di < 0 || dj < 0 || di >= self.nx as i64 || dj >= self.ny as i64 {
+        if di < 0 || dj < 0 || di + 1 >= self.nx as i64 || dj + 1 >= self.ny as i64 {
             return None;
         }
-        Some(self.vals[dj as usize * self.nx + di as usize])
+        Some(dj as usize * self.nx + di as usize)
+    }
+
+    /// The four cached corners at `slot`, in [`LatticePoint`] order.
+    #[inline]
+    fn corners(&self, slot: usize) -> [f64; 4] {
+        let up = slot + self.nx;
+        [
+            self.vals[slot],
+            self.vals[slot + 1],
+            self.vals[up],
+            self.vals[up + 1],
+        ]
     }
 }
 
@@ -361,7 +421,8 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let y = -300.0 + (k >> 40) as f64 * (1500.0 / (1u64 << 24) as f64);
             let direct = f.value_db(x, y, 7.0).value();
-            let cached = f.value_db_cached(x, y, 7.0, &grid).value();
+            let p = LatticePoint::new(x, y, f.grid_m).in_grid(&grid);
+            let cached = f.value_db_at(&p, 7.0, &grid).value();
             assert_eq!(direct.to_bits(), cached.to_bits(), "at ({x}, {y})");
         }
     }

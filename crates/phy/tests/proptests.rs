@@ -76,3 +76,74 @@ proptest! {
         prop_assert!(f.standard_value(x, y).abs() < 8.0);
     }
 }
+
+/// `SectorAntenna::angle_diff` as first written, with `rem_euclid`.
+fn angle_diff_rem_euclid(a: f64, b: f64) -> f64 {
+    let d = (a - b).rem_euclid(360.0);
+    if d > 180.0 {
+        360.0 - d
+    } else {
+        d
+    }
+}
+
+/// Bit-identical, except that any NaN matches any NaN.
+fn same_bits(new: f64, old: f64) -> bool {
+    if old.is_nan() {
+        new.is_nan()
+    } else {
+        new.to_bits() == old.to_bits()
+    }
+}
+
+proptest! {
+    /// The conditional-add fold in `angle_diff` equals the
+    /// `rem_euclid` fold bit for bit, on azimuth-scale and on arbitrary
+    /// inputs.
+    #[test]
+    fn angle_diff_fold_matches_rem_euclid(
+        a in -1000.0f64..1000.0,
+        b in -1000.0f64..1000.0,
+        c in any::<f64>(),
+        d in any::<f64>(),
+    ) {
+        prop_assert!(same_bits(SectorAntenna::angle_diff(a, b), angle_diff_rem_euclid(a, b)));
+        prop_assert!(same_bits(SectorAntenna::angle_diff(c, d), angle_diff_rem_euclid(c, d)));
+        prop_assert!(same_bits(SectorAntenna::angle_diff(a, d), angle_diff_rem_euclid(a, d)));
+    }
+}
+
+/// Edge cases of the angle fold: signed zeros, ±180, the ±360 range
+/// limits and one ulp inside them, huge and tiny values, infinities and
+/// NaN, as every ordered pair.
+#[test]
+fn angle_diff_fold_matches_rem_euclid_on_edge_cases() {
+    let below_360 = f64::from_bits(360f64.to_bits() - 1);
+    let vals = [
+        0.0,
+        -0.0,
+        180.0,
+        -180.0,
+        360.0,
+        -360.0,
+        below_360,
+        -below_360,
+        540.0,
+        -720.0,
+        1e6,
+        -1e6,
+        5e-324,
+        -5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for &a in &vals {
+        for &b in &vals {
+            let (new, old) = (SectorAntenna::angle_diff(a, b), angle_diff_rem_euclid(a, b));
+            assert!(same_bits(new, old), "angle_diff({a}, {b}): {new} vs {old}");
+        }
+    }
+    assert!(SectorAntenna::angle_diff(f64::NAN, 0.0).is_nan());
+    assert!(SectorAntenna::angle_diff(0.0, f64::NAN).is_nan());
+}
