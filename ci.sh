@@ -85,6 +85,45 @@ on_exit() {
 }
 trap on_exit EXIT
 
+# same_artifacts LABEL A B [GLOB...]: every file in A matching a GLOB
+# (default *.json) must be byte-identical to its namesake in B. The
+# manifest and the bench report embed wall times and are skipped; their
+# deterministic parts go through same_fingerprints and --bench-check.
+# Fails when a GLOB matches no file in A.
+same_artifacts() {
+  local label=$1 a=$2 b=$3
+  shift 3
+  (($#)) || set -- '*.json'
+  local pat f name compared
+  for pat in "$@"; do
+    compared=0
+    for f in "$a"/$pat; do
+      [[ -e "$f" ]] || continue
+      name=$(basename "$f")
+      [[ "$name" == manifest.json || "$name" == BENCH_0003.json ]] && continue
+      cmp "$f" "$b/$name" \
+        || { echo "${label}: artifact $name differs between $a and $b" >&2; exit 1; }
+      compared=$((compared + 1))
+    done
+    ((compared > 0)) || { echo "${label}: no $pat artifact in $a" >&2; exit 1; }
+  done
+}
+
+# same_fingerprints LABEL A B KEY...: the manifest lines holding each
+# KEY must be identical in A and B. Fails when A's manifest holds no
+# fingerprint value for a KEY.
+same_fingerprints() {
+  local label=$1 a=$2 b=$3
+  shift 3
+  local key
+  for key in "$@"; do
+    grep -q "\"${key}\": \"" "$a/manifest.json" \
+      || { echo "${label}: no ${key} fingerprint in $a/manifest.json" >&2; exit 1; }
+    diff <(grep "\"${key}\"" "$a/manifest.json") <(grep "\"${key}\"" "$b/manifest.json") \
+      || { echo "${label}: manifest ${key} fingerprints differ between $a and $b" >&2; exit 1; }
+  done
+}
+
 # vendor/ holds offline subsets of external crates and keeps upstream
 # formatting; everything we author is held to rustfmt. Lint fixtures
 # are deliberate hazard snippets, checked by the lint self-test below
@@ -211,24 +250,15 @@ FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
 stage "determinism: --jobs 1 vs --jobs 8"
 FIVEG_SWEEP_THREADS=1 "${REPRO[@]}" --jobs 1 --out target/ci-bench-j1 --bench \
   --bench-check target/ci-bench-j8/BENCH_0003.json > /dev/null
-for f in target/ci-bench-j1/*.json; do
-  name=$(basename "$f")
-  # manifest.json and the bench report embed wall times; their
-  # deterministic parts are compared via fingerprints/counters below.
-  [[ "$name" == manifest.json || "$name" == BENCH_0003.json ]] && continue
-  cmp "$f" "target/ci-bench-j8/$name" \
-    || { echo "determinism: artifact $name differs between -j1 and -j8" >&2; exit 1; }
-done
-diff <(grep '"json_hash"' target/ci-bench-j1/manifest.json) \
-     <(grep '"json_hash"' target/ci-bench-j8/manifest.json) \
-  || { echo "determinism: manifest artifact fingerprints differ" >&2; exit 1; }
+same_artifacts "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8
+same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8 json_hash
 
 # The conservative-PDES contract: the full quick campaign plus the
 # committed scenarios must be byte-identical — artifacts, manifest
-# fingerprints, obs counters — for any shard count. FIVEG_SHARDS=1 is
-# the classic serial single-queue loop; 2 and 8 run barrier-windowed
-# shard workers. Counter identity rides the --bench-check (exact-match
-# gate); artifact identity is byte compares, mirroring the jobs loop.
+# fingerprints, obs counters — for any shard count. Every count runs
+# the one barrier-windowed shard loop: FIVEG_SHARDS=1 on the calling
+# thread, 2 and 8 on as many worker threads. Counter identity rides the
+# --bench-check (exact-match gate); artifact identity is same_artifacts.
 stage "determinism: shard matrix (FIVEG_SHARDS=1/2/8)"
 rm -rf target/ci-shard-s1 target/ci-shard-s2 target/ci-shard-s8 target/ci-shard-x
 FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${SCEN_JOBS[@]}" --jobs 8 \
@@ -237,27 +267,15 @@ for s in 2 8; do
   FIVEG_SHARDS=$s FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${SCEN_JOBS[@]}" --jobs 8 \
     --out "target/ci-shard-s$s" --bench \
     --bench-check target/ci-shard-s1/BENCH_0003.json > /dev/null
-  for f in "target/ci-shard-s$s"/*.json; do
-    name=$(basename "$f")
-    [[ "$name" == manifest.json || "$name" == BENCH_0003.json ]] && continue
-    cmp "$f" "target/ci-shard-s1/$name" \
-      || { echo "shard matrix: artifact $name differs between FIVEG_SHARDS=1 and =$s" >&2; exit 1; }
-  done
-  diff <(grep '"json_hash"' target/ci-shard-s1/manifest.json) \
-       <(grep '"json_hash"' "target/ci-shard-s$s/manifest.json") \
-    || { echo "shard matrix: manifest fingerprints differ at FIVEG_SHARDS=$s" >&2; exit 1; }
+  same_artifacts "shard matrix (FIVEG_SHARDS=$s)" "target/ci-shard-s$s" target/ci-shard-s1
+  same_fingerprints "shard matrix (FIVEG_SHARDS=$s)" target/ci-shard-s1 "target/ci-shard-s$s" json_hash
 done
 # Cross the shard axis with the worker axis on the cheapest pair: the
 # scenario artifacts of (FIVEG_SHARDS=2, --jobs 1, 1 sweep thread) must
 # match the (FIVEG_SHARDS=8, --jobs 8) run above.
 FIVEG_SHARDS=2 FIVEG_SWEEP_THREADS=1 "${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario \
   --jobs 1 --out target/ci-shard-x > /dev/null
-for f in target/ci-shard-x/*.json; do
-  name=$(basename "$f")
-  [[ "$name" == manifest.json ]] && continue
-  cmp "$f" "target/ci-shard-s8/$name" \
-    || { echo "shard matrix: scenario artifact $name differs across the jobs x shards cross" >&2; exit 1; }
-done
+same_artifacts "shard matrix (jobs x shards cross)" target/ci-shard-x target/ci-shard-s8
 
 # City smoke: the procedural dense-urban scenario exercises the whole
 # city fast path — generate_city, the tiled spatial index (3x3 tiles
@@ -272,15 +290,8 @@ FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scen
   --jobs 8 --out target/ci-city-s1 > /dev/null
 FIVEG_SHARDS=8 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
   --jobs 8 --out target/ci-city-s8 > /dev/null
-for f in target/ci-city-s1/*.json; do
-  name=$(basename "$f")
-  [[ "$name" == manifest.json ]] && continue
-  cmp "$f" "target/ci-city-s8/$name" \
-    || { echo "city smoke: artifact $name differs between FIVEG_SHARDS=1 and =8" >&2; exit 1; }
-done
-diff <(grep '"json_hash"' target/ci-city-s1/manifest.json) \
-     <(grep '"json_hash"' target/ci-city-s8/manifest.json) \
-  || { echo "city smoke: manifest fingerprints differ across shard counts" >&2; exit 1; }
+same_artifacts "city smoke (FIVEG_SHARDS=1 vs 8)" target/ci-city-s1 target/ci-city-s8
+same_fingerprints "city smoke (FIVEG_SHARDS=1 vs 8)" target/ci-city-s1 target/ci-city-s8 json_hash
 
 # Trace determinism: the flight recorder's byte contract. A full-mode
 # trace of the dense-urban smoke scenario must be byte-identical —
@@ -295,18 +306,9 @@ FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scen
   --jobs 1 --trace=full --out target/ci-trace-s1 > /dev/null
 FIVEG_SHARDS=8 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
   --jobs 8 --trace=full --out target/ci-trace-s8 > /dev/null
-ls target/ci-trace-s1/*.trace.bin > /dev/null 2>&1 \
-  || { echo "trace determinism: --trace=full produced no .trace.bin artifact" >&2; exit 1; }
-for f in target/ci-trace-s1/*.trace.bin target/ci-trace-s1/*.trace.json; do
-  name=$(basename "$f")
-  cmp "$f" "target/ci-trace-s8/$name" \
-    || { echo "trace determinism: $name differs between FIVEG_SHARDS=1 and =8" >&2; exit 1; }
-done
-grep -q '"trace_hash": "' target/ci-trace-s1/manifest.json \
-  || { echo "trace determinism: no trace fingerprint in the manifest" >&2; exit 1; }
-diff <(grep '"trace_hash"' target/ci-trace-s1/manifest.json) \
-     <(grep '"trace_hash"' target/ci-trace-s8/manifest.json) \
-  || { echo "trace determinism: manifest trace fingerprints differ" >&2; exit 1; }
+same_artifacts "trace determinism (shards 1 vs 8)" target/ci-trace-s1 target/ci-trace-s8 \
+  '*.trace.bin' '*.trace.json'
+same_fingerprints "trace determinism (shards 1 vs 8)" target/ci-trace-s1 target/ci-trace-s8 trace_hash
 cargo run --release -q -p fiveg-trace --bin trace -- \
   stats target/ci-trace-s1/dense_urban_smoke.trace.bin > target/ci-trace-stats.txt
 grep -q '\[complete\]' target/ci-trace-stats.txt \

@@ -78,9 +78,10 @@ const FLEET_SCENARIO: &str = r#"{
 const FLEET_SHARDS: usize = 6;
 
 /// The `shard.fleet.serial` / `shard.fleet.sharded` workload pair: one
-/// multi-cell fleet scenario run twice — on the classic single-queue
-/// serial loop (`shards = 1`) and on `FLEET_SHARDS` conservative-PDES
-/// shards. Returns `(serial, sharded)`.
+/// multi-cell fleet scenario run twice through the shard engine's
+/// windowed loop — with one UE shard on the calling thread
+/// (`shards = 1`) and with `FLEET_SHARDS` shards on as many threads.
+/// Returns `(serial, sharded)`.
 ///
 /// The sharded leg's counters carry the determinism contract twice
 /// over: every counter must equal the serial leg's (both legs sit in

@@ -48,10 +48,11 @@ pub fn sweep_threads() -> usize {
 
 /// Shard count for sharded fleet runs: the `FIVEG_SHARDS` environment
 /// variable if set to a positive integer, else the machine's available
-/// parallelism. Resolved once per process. `FIVEG_SHARDS=1` selects the
-/// serial single-queue event loop; any value yields byte-identical
-/// artifacts and obs counters (the conservative-PDES determinism
-/// contract, enforced by the ci.sh shard-matrix stage).
+/// parallelism. Resolved once per process. Every value runs the same
+/// barrier-windowed shard loop (`FIVEG_SHARDS=1` inline on the calling
+/// thread, with no spawn) and yields byte-identical artifacts and obs
+/// counters (the conservative-PDES determinism contract, enforced by
+/// the ci.sh shard-matrix stage).
 pub fn shard_count() -> usize {
     static SHARDS: OnceLock<usize> = OnceLock::new();
     *SHARDS.get_or_init(|| {

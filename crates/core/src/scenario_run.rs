@@ -21,8 +21,9 @@
 //! router shard, with the access path's one-way latency as lookahead.
 //! Artifact bytes and obs counters are independent of `--jobs` *and*
 //! of `FIVEG_SHARDS` — cross-shard ties break on the stable
-//! `(time, shard-id, seq)` key, never on arrival order, and
-//! `FIVEG_SHARDS=1` is the old single-queue serial loop.
+//! `(time, shard-id, seq)` key, never on arrival order, and every
+//! shard count runs the engine's one barrier-windowed loop
+//! (`FIVEG_SHARDS=1` is one UE shard plus the router on one thread).
 
 use crate::experiments::coverage;
 use crate::report;
@@ -819,7 +820,7 @@ impl UeCells<'_> {
 /// The wireline-router shard: owns the tick clock, the per-cell attach
 /// census, PRB fractions, the shared backhaul cap and the per-group
 /// bitrate statistics (pushed in global UE order, so the Welford sums
-/// are bit-identical to the serial loop).
+/// are bit-identical for any shard count).
 struct RouterHub<'a> {
     sc: &'a Scenario,
     spec: &'a ScenarioSpec,
@@ -926,7 +927,7 @@ impl RouterHub<'_> {
             fiveg_trace::is_active() && tick.is_multiple_of(u64::from(fiveg_trace::sample_rate()));
         let trace_t_ns = ctx.now().as_nanos();
         // Intents arrive in (origin shard, seq) order; restore the
-        // global UE order the serial pass used.
+        // global UE order, which no shard count changes.
         self.attach.sort_unstable_by_key(|&(ue, ..)| ue);
         self.unattached.sort_unstable();
         self.attached.iter_mut().for_each(|c| *c = 0);
@@ -1057,8 +1058,9 @@ pub fn run_fleet(
 ///
 /// The run partitions into `shards` UE-cluster shards plus a router
 /// shard on the conservative engine; every observable byte (report
-/// floats, obs counters) is identical for any `shards` value, and
-/// `shards = 1` executes the classic merged single-queue loop.
+/// floats, obs counters) is identical for any `shards` value. The
+/// engine runs on `shards` threads; `shards = 1` runs its windowed
+/// loop inline on the calling thread.
 pub fn run_fleet_sharded(
     sc: &Scenario,
     spec: &ScenarioSpec,
@@ -1225,7 +1227,7 @@ fn run_fleet_impl(
 
     // Merge: integer accumulators sum commutatively in shard-id order;
     // UEs sort back into the global order so the group aggregation's
-    // float sums match the serial loop bit for bit.
+    // float sums are bit-identical for any shard count.
     let mut group_active: Vec<u64> = vec![0; fleet.groups.len()];
     let mut group_handoffs: Vec<u64> = vec![0; fleet.groups.len()];
     let mut fault_impact: Vec<u64> = vec![0; spec.faults.len()];

@@ -3,10 +3,11 @@
 //! A simulation is partitioned into **shards** — e.g. a gNB cell plus
 //! its attached UEs, or a wireline router — that advance concurrently
 //! under *conservative* synchronization: a shard may only execute
-//! events strictly earlier than the current **safe window**, whose
-//! width is the minimum **lookahead** (one-way link latency) declared
-//! by any cross-shard link. A message sent at time `t` over a link
-//! with lookahead `L` arrives no earlier than `t + L ≥ window_end`, so
+//! events inside the current **safe window** `[h, h + W - 1 ns]`,
+//! where `h` is the earliest pending event and `W` the minimum
+//! **lookahead** (one-way link latency) declared by any cross-shard
+//! link. A message sent at time `t ≥ h` over a link with lookahead
+//! `L ≥ W` arrives no earlier than `t + L ≥ h + W`, past the window, so
 //! every message is delivered at a barrier *before* any shard enters
 //! the window that could observe it — no shard ever receives an event
 //! in its past, and no rollback machinery is needed.
@@ -16,12 +17,13 @@
 //! Every event carries the key `(time, origin shard, origin seq)`,
 //! where each shard stamps its local schedules *and* its cross-shard
 //! sends from one monotone sequence counter. Per-shard delivery order
-//! is the total order of that key — never arrival order — so a run is
-//! bit-identical for any thread count and any window partitioning:
-//! [`ShardEngine::run`] with 1 thread (a single merged event queue,
-//! exactly the classic serial loop) and with N threads execute every
-//! shard's events in the same sequence. The property tests at the
-//! bottom of this module pin that equivalence.
+//! is the total order of that key — never arrival order — and
+//! [`ShardEngine::run`] executes one barrier-windowed loop for every
+//! thread count (one thread runs it inline), so a run, its windows
+//! and the error it fails with are bit-identical for any thread count.
+//! The property tests at the bottom of this module pin every shard's
+//! sequence to a reference loop over one merged `(time, origin, seq)`
+//! heap.
 //!
 //! ## Deadlock freedom
 //!
@@ -38,15 +40,15 @@
 //! summed over shards) and `shard.msgs` (cross-shard messages
 //! delivered). Both are integer sums of per-shard totals — merging is
 //! commutative — and are byte-identical for any thread count. Window
-//! round counts depend on the execution mode and are reported only in
-//! [`ShardStats`], never as ambient counters.
+//! round counts are too, but depend on the topology, so they are
+//! reported only in [`ShardStats`], never as ambient counters.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Index of a shard within a [`Topology`] (`0..shards`).
 pub type ShardId = usize;
@@ -502,7 +504,39 @@ struct Cell<L: ShardLogic> {
     queue: BinaryHeap<Keyed<L::Event>>,
     seq: u64,
     executed: u64,
-    delivered: u64,
+    /// Messages sent in the current window, delivered at its barrier.
+    outbox: Vec<Outgoing<L::Event>>,
+    /// The first error this shard's handlers raised, or the overflow
+    /// of one of its links; it ends the run at the next barrier.
+    error: Option<ShardError>,
+}
+
+/// Leader only, at a barrier: moves every shard's outbox into the
+/// destination queues and returns how many messages moved. A link
+/// whose backlog in the window exceeds its capacity fails its source
+/// shard with [`ShardError::MailboxOverflow`], lowest `dst` first.
+fn deliver<L: ShardLogic>(topo: &Topology, shards: &mut [MutexGuard<'_, Cell<L>>]) -> u64 {
+    let mut moved = 0;
+    let mut per_dst: Vec<usize> = vec![0; shards.len()];
+    for src in 0..shards.len() {
+        let mut outbox = std::mem::take(&mut shards[src].outbox);
+        moved += outbox.len() as u64;
+        per_dst.fill(0);
+        for o in outbox.drain(..) {
+            per_dst[o.dst] += 1;
+            debug_assert!(topo
+                .link(src, o.dst)
+                .is_some_and(|l| o.msg.at >= o.sent_at + l.lookahead));
+            shards[o.dst].queue.push(o.msg);
+        }
+        // `send` queues only on declared links.
+        shards[src].error = per_dst.iter().enumerate().find_map(|(dst, &sent)| {
+            let capacity = topo.link(src, dst)?.capacity;
+            (sent > capacity).then_some(ShardError::MailboxOverflow { src, dst, capacity })
+        });
+        shards[src].outbox = outbox;
+    }
+    moved
 }
 
 /// Deterministic run totals.
@@ -512,8 +546,9 @@ pub struct ShardStats {
     pub events: u64,
     /// Cross-shard messages delivered. Thread-count invariant.
     pub msgs: u64,
-    /// Synchronization rounds. Depends on the execution mode (a serial
-    /// run has none) — informational only, never an obs counter.
+    /// Safe windows released. Thread-count invariant, but a function
+    /// of the topology (and so of a fleet's shard count) — informational
+    /// only, never an obs counter.
     pub rounds: u64,
 }
 
@@ -560,7 +595,8 @@ impl<L: ShardLogic> ShardEngine<L> {
                 queue: BinaryHeap::new(),
                 seq: 0,
                 executed: 0,
-                delivered: 0,
+                outbox: Vec::new(),
+                error: None,
             })
             .collect();
         Ok(ShardEngine { topo, cells })
@@ -586,219 +622,60 @@ impl<L: ShardLogic> ShardEngine<L> {
     /// Runs the simulation to completion and returns the final shard
     /// logics plus deterministic totals.
     ///
-    /// `threads <= 1` uses the serial path: one merged event queue
-    /// ordered by the same `(time, origin, seq)` key — the classic
-    /// single-queue loop. More threads use barrier-synchronized safe
-    /// windows. Observable behavior is bit-identical either way; on
+    /// Every thread count runs the same loop: each round a leader
+    /// delivers the last window's messages and releases the safe window
+    /// `[h, h + W - 1 ns]` from the earliest pending time `h`, and
+    /// `threads` workers (clamped to `1..=shards`; one runs inline on
+    /// the calling thread) execute every shard's events inside it.
+    /// Observable behavior is bit-identical for any `threads`; on
     /// completion the `shard.events` / `shard.msgs` counters are
     /// flushed into the ambient `fiveg-obs` scope.
+    ///
+    /// The first window in which a handler fails ends the run with the
+    /// error of the lowest failing shard. Only when no handler failed
+    /// is a link whose backlog in the window exceeded its capacity
+    /// reported, as [`ShardError::MailboxOverflow`] of the lowest
+    /// `(src, dst)` link.
     pub fn run(self, threads: usize) -> Result<ShardRun<L>, ShardError> {
-        let run = if threads <= 1 || self.topo.shards() == 1 {
-            self.run_serial()
-        } else {
-            self.run_parallel(threads)
-        }?;
-        fiveg_obs::counter_add("shard.events", run.stats.events);
-        fiveg_obs::counter_add("shard.msgs", run.stats.msgs);
-        Ok(run)
-    }
-
-    /// The serial fallback: every pending event of every shard lives
-    /// in one merged queue ordered by `(time, origin, seq)`.
-    fn run_serial(self) -> Result<ShardRun<L>, ShardError> {
-        let ShardEngine { topo, mut cells } = self;
-        let n = topo.shards();
-        // The destination rides inside the payload so the merged heap
-        // still orders by the plain `(at, origin, seq)` event key.
-        struct GlobalTag<E> {
-            dst: ShardId,
-            event: E,
-        }
-        let mut heap: BinaryHeap<Keyed<GlobalTag<L::Event>>> = BinaryHeap::new();
-        for cell in &mut cells {
-            let dst = cell.id;
-            for k in std::mem::take(&mut cell.queue) {
-                heap.push(Keyed {
-                    at: k.at,
-                    origin: k.origin,
-                    seq: k.seq,
-                    event: GlobalTag {
-                        dst,
-                        event: k.event,
-                    },
-                });
-            }
-        }
-        // Sent-but-not-yet-executed messages per directed link, for
-        // the capacity bound.
-        let mut in_flight: Vec<usize> = vec![0; n * n];
-        let mut local: Vec<Keyed<L::Event>> = Vec::new();
-        let mut outbox: Vec<Outgoing<L::Event>> = Vec::new();
-        let mut error: Option<ShardError> = None;
-        let mut events = 0u64;
-        let mut msgs = 0u64;
-        while let Some(k) = heap.pop() {
-            let (at, origin) = (k.at, k.origin);
-            let GlobalTag { dst, event } = k.event;
-            if origin != dst {
-                in_flight[origin * n + dst] = in_flight[origin * n + dst].saturating_sub(1);
-                msgs += 1;
-                // Recv is traced at *execution* time: execution order
-                // is deterministic, mailbox-drain order is not.
-                fiveg_trace::emit(
-                    dst as u32,
-                    &fiveg_trace::TraceEvent::ShardMsgRecv {
-                        t_ns: at.as_nanos(),
-                        src: origin as u32,
-                        dst: dst as u32,
-                    },
-                );
-            }
-            events += 1;
-            let cell = &mut cells[dst];
-            cell.executed += 1;
-            if origin != dst {
-                cell.delivered += 1;
-            }
-            let mut ctx = ShardCtx {
-                shard: dst,
-                now: at,
-                topo: &topo,
-                seq: &mut cell.seq,
-                local: &mut local,
-                outbox: &mut outbox,
-                error: &mut error,
-            };
-            cell.logic.handle(&mut ctx, at, event);
-            for l in local.drain(..) {
-                heap.push(Keyed {
-                    at: l.at,
-                    origin: l.origin,
-                    seq: l.seq,
-                    event: GlobalTag {
-                        dst,
-                        event: l.event,
-                    },
-                });
-            }
-            for o in outbox.drain(..) {
-                let slot = o.msg.origin * n + o.dst;
-                // Links were validated by `send`; a missing link is
-                // already recorded in `error`.
-                if let Some(link) = topo.link(o.msg.origin, o.dst) {
-                    if in_flight[slot] >= link.capacity {
-                        if error.is_none() {
-                            error = Some(ShardError::MailboxOverflow {
-                                src: o.msg.origin,
-                                dst: o.dst,
-                                capacity: link.capacity,
-                            });
-                        }
-                        continue;
-                    }
-                    in_flight[slot] += 1;
-                    debug_assert!(o.msg.at >= o.sent_at + link.lookahead);
-                    heap.push(Keyed {
-                        at: o.msg.at,
-                        origin: o.msg.origin,
-                        seq: o.msg.seq,
-                        event: GlobalTag {
-                            dst: o.dst,
-                            event: o.msg.event,
-                        },
-                    });
-                }
-            }
-            if let Some(e) = error.take() {
-                return Err(e);
-            }
-        }
-        Ok(ShardRun {
-            logics: cells.into_iter().map(|c| c.logic).collect(),
-            stats: ShardStats {
-                events,
-                msgs,
-                rounds: 0,
-            },
-        })
-    }
-
-    /// The parallel path: persistent scoped workers advance shards
-    /// through barrier-released safe windows of width
-    /// [`Topology::min_lookahead`].
-    fn run_parallel(self, threads: usize) -> Result<ShardRun<L>, ShardError> {
         let ShardEngine { topo, cells } = self;
         let n = topo.shards();
-        let threads = threads.clamp(2, n);
-        let window = topo.min_lookahead();
+        let threads = threads.clamp(1, n);
+        // Inclusive window reach `W - 1 ns` (zero lookahead never
+        // builds): a send at `s >= h` lands at `>= h + W`, outside the
+        // window, and a horizon at `SimTime::MAX` still executes.
+        let reach = topo.min_lookahead() - SimDuration::from_nanos(1);
 
         let cells: Vec<Mutex<Cell<L>>> = cells.into_iter().map(Mutex::new).collect();
-        let mailboxes: Vec<Mutex<Vec<Outgoing<L::Event>>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
         let barrier = Barrier::new(threads);
         let next_shard = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let window_end = AtomicU64::new(0);
         let rounds = AtomicU64::new(0);
         let msgs = AtomicU64::new(0);
-        let failure: Mutex<Option<ShardError>> = Mutex::new(None);
 
-        fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+        fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
             m.lock().unwrap_or_else(PoisonError::into_inner)
         }
-        let record_failure = |e: ShardError| {
-            let mut f = lock(&failure);
-            if f.is_none() {
-                *f = Some(e);
-            }
-        };
 
         let worker = || {
             let mut local: Vec<Keyed<L::Event>> = Vec::new();
-            let mut outbox: Vec<Outgoing<L::Event>> = Vec::new();
-            let mut error: Option<ShardError> = None;
             loop {
                 if barrier.wait().is_leader() {
-                    // Deliver every in-flight message, then release
-                    // the next safe window.
-                    let mut overflow: Option<ShardError> = None;
-                    let mut per_src: Vec<usize> = vec![0; n];
-                    for (dst, mailbox) in mailboxes.iter().enumerate() {
-                        let mut inbox = lock(mailbox);
-                        if inbox.is_empty() {
-                            continue;
-                        }
-                        per_src.fill(0);
-                        let mut cell = lock(&cells[dst]);
-                        for o in inbox.drain(..) {
-                            per_src[o.msg.origin] += 1;
-                            if let Some(link) = topo.link(o.msg.origin, dst) {
-                                if per_src[o.msg.origin] > link.capacity && overflow.is_none() {
-                                    overflow = Some(ShardError::MailboxOverflow {
-                                        src: o.msg.origin,
-                                        dst,
-                                        capacity: link.capacity,
-                                    });
-                                }
-                                debug_assert!(o.msg.at >= o.sent_at + link.lookahead);
-                            }
-                            cell.delivered += 1;
-                            msgs.fetch_add(1, MemOrder::Relaxed);
-                            cell.queue.push(o.msg);
-                        }
+                    let mut shards: Vec<_> = cells.iter().map(lock).collect();
+                    // A handler failure ends the run before delivery,
+                    // so an overflow is reported only without one.
+                    let mut failed = shards.iter().any(|c| c.error.is_some());
+                    if !failed {
+                        msgs.fetch_add(deliver(&topo, &mut shards), MemOrder::Relaxed);
+                        failed = shards.iter().any(|c| c.error.is_some());
                     }
-                    if let Some(e) = overflow {
-                        record_failure(e);
-                    }
-                    let horizon = cells
+                    let horizon = shards
                         .iter()
-                        .filter_map(|c| lock(c).queue.peek().map(|k| k.at))
+                        .filter_map(|c| c.queue.peek().map(|k| k.at))
                         .min();
-                    let failed = lock(&failure).is_some();
                     match horizon {
-                        Some(t) if !failed => {
-                            let end = t.checked_add(window).unwrap_or(SimTime::MAX);
-                            window_end.store(end.as_nanos(), MemOrder::Relaxed);
+                        Some(h) if !failed => {
+                            window_end.store((h + reach).as_nanos(), MemOrder::Relaxed);
                             rounds.fetch_add(1, MemOrder::Relaxed);
                         }
                         _ => stop.store(true, MemOrder::Relaxed),
@@ -817,12 +694,12 @@ impl<L: ShardLogic> ShardEngine<L> {
                     }
                     let mut cell = lock(&cells[s]);
                     let cell = &mut *cell;
-                    while cell.queue.peek().is_some_and(|k| k.at < end) {
+                    while cell.queue.peek().is_some_and(|k| k.at <= end) {
                         let Some(k) = cell.queue.pop() else { break };
                         cell.executed += 1;
                         if k.origin != cell.id {
-                            // Mirror of the serial path: recv traced
-                            // at execution time for determinism.
+                            // Recv is traced at *execution* time,
+                            // in the queue's deterministic key order.
                             fiveg_trace::emit(
                                 cell.id as u32,
                                 &fiveg_trace::TraceEvent::ShardMsgRecv {
@@ -838,67 +715,67 @@ impl<L: ShardLogic> ShardEngine<L> {
                             topo: &topo,
                             seq: &mut cell.seq,
                             local: &mut local,
-                            outbox: &mut outbox,
-                            error: &mut error,
+                            outbox: &mut cell.outbox,
+                            error: &mut cell.error,
                         };
                         cell.logic.handle(&mut ctx, k.at, k.event);
                         cell.queue.extend(local.drain(..));
-                        if error.is_some() {
+                        if cell.error.is_some() {
                             break;
                         }
-                    }
-                    for o in outbox.drain(..) {
-                        lock(&mailboxes[o.dst]).push(o);
-                    }
-                    if let Some(e) = error.take() {
-                        record_failure(e);
                     }
                 }
             }
         };
 
-        // Re-install the caller's ambient metrics scope inside every
-        // worker so logic handlers record into the same registry (the
-        // par_map_with pattern); counter merges are commutative adds,
-        // hence thread-count invariant.
-        let handle = fiveg_obs::current();
-        let trace_handle = fiveg_trace::current();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let run = || match &handle {
-                        Some(h) => fiveg_obs::scoped(h, worker),
-                        None => worker(),
-                    };
-                    // Trace emission is shared-sink + per-origin
-                    // sequenced, so re-installing the same handle in
-                    // every worker stays thread-count invariant.
-                    match &trace_handle {
-                        Some(t) => fiveg_trace::scoped(t, run),
-                        None => run(),
-                    }
-                });
-            }
-        });
-
-        if let Some(e) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            return Err(e);
+        if threads == 1 {
+            // No spawn: the caller's ambient obs and trace scopes are
+            // already installed (the par_map_with pattern).
+            worker();
+        } else {
+            // Re-install the caller's ambient metrics scope inside
+            // every worker so logic handlers record into the same
+            // registry; counter merges are commutative adds, hence
+            // thread-count invariant.
+            let handle = fiveg_obs::current();
+            let trace_handle = fiveg_trace::current();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        let run = || match &handle {
+                            Some(h) => fiveg_obs::scoped(h, worker),
+                            None => worker(),
+                        };
+                        // Trace emission is shared-sink + per-origin
+                        // sequenced, so re-installing the same handle
+                        // in every worker stays thread-count invariant.
+                        match &trace_handle {
+                            Some(t) => fiveg_trace::scoped(t, run),
+                            None => run(),
+                        }
+                    });
+                }
+            });
         }
+
         let mut events = 0u64;
         let mut logics = Vec::with_capacity(n);
         for cell in cells {
             let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
+            if let Some(e) = cell.error {
+                return Err(e);
+            }
             events += cell.executed;
             logics.push(cell.logic);
         }
-        Ok(ShardRun {
-            logics,
-            stats: ShardStats {
-                events,
-                msgs: msgs.into_inner(),
-                rounds: rounds.into_inner(),
-            },
-        })
+        let stats = ShardStats {
+            events,
+            msgs: msgs.into_inner(),
+            rounds: rounds.into_inner(),
+        };
+        fiveg_obs::counter_add("shard.events", stats.events);
+        fiveg_obs::counter_add("shard.msgs", stats.msgs);
+        Ok(ShardRun { logics, stats })
     }
 }
 
@@ -906,10 +783,15 @@ impl<L: ShardLogic> ShardEngine<L> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::time::Duration;
 
     /// A deterministic pseudo-random logic: every event fans out into
     /// local schedules and cross-shard sends derived from a stable
     /// hash of (shard, time, payload), and logs its delivery order.
+    /// The fan-out exceeds one event, so each shard runs until its
+    /// budget is spent. Every delay is whole microseconds and a third of
+    /// the sends take exactly the link's lookahead, so messages often
+    /// land on a window's edge and tie with events already there.
     struct Chaos {
         id: ShardId,
         out_links: Vec<(ShardId, SimDuration)>,
@@ -928,12 +810,12 @@ mod tests {
             self.budget -= 1;
             let h =
                 crate::hash::fnv1a64(format!("{}:{}:{event}", self.id, at.as_nanos()).as_bytes());
-            if h % 3 == 0 {
+            if !h.is_multiple_of(3) {
                 ctx.schedule_in(SimDuration::from_micros(1 + h % 50), h ^ 1);
             }
-            if h % 2 == 0 && !self.out_links.is_empty() {
+            if h.is_multiple_of(2) && !self.out_links.is_empty() {
                 let (dst, lookahead) = self.out_links[(h as usize >> 8) % self.out_links.len()];
-                let extra = SimDuration::from_nanos(h % 10_000);
+                let extra = SimDuration::from_micros(h % 3);
                 ctx.send(dst, lookahead + extra, h ^ 2);
             }
         }
@@ -944,12 +826,12 @@ mod tests {
         let mut rng = SimRng::new(seed);
         let mut builder = Topology::builder(shards);
         let mut out: Vec<Vec<(ShardId, SimDuration)>> = vec![Vec::new(); shards];
-        for src in 0..shards {
+        for (src, out_links) in out.iter_mut().enumerate() {
             for dst in 0..shards {
                 if src != dst && rng.chance(0.6) {
-                    let la = SimDuration::from_micros(rng.range_u64(1, 200));
+                    let la = SimDuration::from_micros(rng.range_u64(1, 20));
                     builder = builder.link(src, dst, la);
-                    out[src].push((dst, la));
+                    out_links.push((dst, la));
                 }
             }
         }
@@ -967,7 +849,65 @@ mod tests {
         (topo, logics)
     }
 
-    fn run_setup(shards: usize, seed: u64, threads: usize) -> (Vec<Vec<(u64, u64)>>, ShardStats) {
+    /// The reference the windowed loop is checked against: every
+    /// pending event of every shard in one heap ordered by
+    /// `(at, origin, seq)`, executed one at a time. No capacity,
+    /// failure or trace handling.
+    fn run_merged<L: ShardLogic>(engine: ShardEngine<L>) -> ShardRun<L> {
+        let ShardEngine { topo, mut cells } = engine;
+        let tag = |dst: ShardId, k: Keyed<L::Event>| Keyed {
+            at: k.at,
+            origin: k.origin,
+            seq: k.seq,
+            event: (dst, k.event),
+        };
+        let mut heap = BinaryHeap::new();
+        for cell in &mut cells {
+            let dst = cell.id;
+            heap.extend(
+                std::mem::take(&mut cell.queue)
+                    .into_iter()
+                    .map(|k| tag(dst, k)),
+            );
+        }
+        let mut local = Vec::new();
+        let (mut events, mut msgs) = (0u64, 0u64);
+        while let Some(k) = heap.pop() {
+            let (dst, event) = k.event;
+            events += 1;
+            msgs += u64::from(k.origin != dst);
+            let cell = &mut cells[dst];
+            let mut ctx = ShardCtx {
+                shard: dst,
+                now: k.at,
+                topo: &topo,
+                seq: &mut cell.seq,
+                local: &mut local,
+                outbox: &mut cell.outbox,
+                error: &mut cell.error,
+            };
+            cell.logic.handle(&mut ctx, k.at, event);
+            assert_eq!(cell.error, None, "the reference loop handles no failures");
+            heap.extend(local.drain(..).map(|l| tag(dst, l)));
+            heap.extend(cell.outbox.drain(..).map(|o| tag(o.dst, o.msg)));
+        }
+        ShardRun {
+            logics: cells.into_iter().map(|c| c.logic).collect(),
+            stats: ShardStats {
+                events,
+                msgs,
+                rounds: 0,
+            },
+        }
+    }
+
+    /// Runs a seeded random setup on `threads` workers, or on the
+    /// reference merged-heap loop when `threads` is `None`.
+    fn run_setup(
+        shards: usize,
+        seed: u64,
+        threads: Option<usize>,
+    ) -> (Vec<Vec<(u64, u64)>>, ShardStats) {
         let (topo, logics) = random_setup(shards, seed);
         let mut engine = ShardEngine::new(topo, logics).expect("engine builds");
         for s in 0..shards {
@@ -975,7 +915,10 @@ mod tests {
                 .seed(s, SimTime::from_micros(s as u64), s as u64)
                 .expect("seed in range");
         }
-        let run = engine.run(threads).expect("run completes");
+        let run = match threads {
+            Some(t) => engine.run(t).expect("run completes"),
+            None => run_merged(engine),
+        };
         (run.logics.into_iter().map(|l| l.log).collect(), run.stats)
     }
 
@@ -983,18 +926,19 @@ mod tests {
     fn sharded_equals_serial_for_random_topologies() {
         // The determinism property: for random topologies and
         // lookaheads, every shard delivers the same events in the
-        // same order for any thread count.
+        // same order as the merged-heap reference, for any thread
+        // count, and the windows released do not depend on it.
         for shards in [1, 2, 3, 8] {
             for seed in 0..6u64 {
-                let (serial_logs, serial_stats) = run_setup(shards, seed, 1);
-                for threads in [2, 3, 8] {
-                    let (par_logs, par_stats) = run_setup(shards, seed, threads);
-                    assert_eq!(
-                        serial_logs, par_logs,
-                        "shards={shards} seed={seed} threads={threads}"
-                    );
-                    assert_eq!(serial_stats.events, par_stats.events);
-                    assert_eq!(serial_stats.msgs, par_stats.msgs);
+                let (ref_logs, ref_stats) = run_setup(shards, seed, None);
+                let mut rounds = None;
+                for threads in [1, 2, 3, 8] {
+                    let (logs, stats) = run_setup(shards, seed, Some(threads));
+                    let what = format!("shards={shards} seed={seed} threads={threads}");
+                    assert_eq!(ref_logs, logs, "{what}");
+                    assert_eq!(ref_stats.events, stats.events, "{what}");
+                    assert_eq!(ref_stats.msgs, stats.msgs, "{what}");
+                    assert_eq!(*rounds.get_or_insert(stats.rounds), stats.rounds, "{what}");
                 }
             }
         }
@@ -1002,25 +946,14 @@ mod tests {
 
     #[test]
     fn shard_counters_are_thread_count_invariant() {
+        let (_, reference) = run_setup(4, 7, None);
         for threads in [1, 2, 8] {
             let m = fiveg_obs::MetricsHandle::new();
-            fiveg_obs::scoped(&m, || {
-                let _ = run_setup(4, 7, threads);
-            });
-            let snap = m.snapshot();
-            let base = {
-                let m1 = fiveg_obs::MetricsHandle::new();
-                fiveg_obs::scoped(&m1, || {
-                    let _ = run_setup(4, 7, 1);
-                });
-                m1.snapshot()
-            };
+            fiveg_obs::scoped(&m, || run_setup(4, 7, Some(threads)));
+            let c = m.snapshot().counters;
             assert_eq!(
-                snap.counters["shard.events"], base.counters["shard.events"],
-                "threads={threads}"
-            );
-            assert_eq!(
-                snap.counters["shard.msgs"], base.counters["shard.msgs"],
+                (c["shard.events"], c["shard.msgs"]),
+                (reference.events, reference.msgs),
                 "threads={threads}"
             );
         }
@@ -1080,84 +1013,146 @@ mod tests {
         );
     }
 
+    /// Stalls its worker for `.2`, then sends to shard `.0` after `.1`.
+    struct Sender(ShardId, SimDuration, Duration);
+
+    impl ShardLogic for Sender {
+        type Event = u64;
+        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, _ev: u64) {
+            std::thread::sleep(self.2);
+            ctx.send(self.0, self.1, 0);
+        }
+    }
+
+    /// Seeds `senders[s]` at time zero for every `s` in `seeded` and
+    /// returns the error the run ends with.
+    fn sender_error(
+        topo: Topology,
+        senders: Vec<Sender>,
+        seeded: &[ShardId],
+        threads: usize,
+    ) -> ShardError {
+        let mut engine = ShardEngine::new(topo, senders).expect("engine builds");
+        for &s in seeded {
+            engine.seed(s, SimTime::ZERO, 0).expect("seeds");
+        }
+        engine.run(threads).expect_err("the send fails")
+    }
+
     #[test]
     fn send_without_link_and_lookahead_violations_abort() {
-        struct BadSender(ShardError);
-        impl ShardLogic for BadSender {
-            type Event = u64;
-            fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, _ev: u64) {
-                match self.0 {
-                    ShardError::UnknownLink { .. } => ctx.send(1, SimDuration::from_secs(1), 0),
-                    _ => ctx.send(0, SimDuration::from_nanos(1), 0),
-                }
+        let topo = || {
+            Topology::builder(2)
+                .link(1, 0, SimDuration::from_micros(5))
+                .build()
+                .expect("builds")
+        };
+        let senders = || {
+            vec![
+                Sender(1, SimDuration::from_secs(1), Duration::ZERO),
+                Sender(0, SimDuration::from_nanos(1), Duration::ZERO),
+            ]
+        };
+        for threads in [1, 2] {
+            // Shard 0 has no link at all.
+            let err = sender_error(topo(), senders(), &[0], threads);
+            assert_eq!(err, ShardError::UnknownLink { src: 0, dst: 1 });
+            // Shard 1 sends below the declared lookahead.
+            let err = sender_error(topo(), senders(), &[1], threads);
+            assert!(
+                matches!(err, ShardError::LookaheadViolated { src: 1, dst: 0, .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn same_window_failures_resolve_to_the_lowest_shard() {
+        // Shards 1 and 2 both send on a missing link in the first
+        // window. Shard 1 stalls before it sends, so with several
+        // threads shard 2 fails first in wall time; the run must still
+        // report shard 1's error.
+        for threads in [1, 2, 3] {
+            for attempt in 0..5 {
+                let senders = [0, 5, 0]
+                    .map(|ms| Sender(0, SimDuration::from_micros(1), Duration::from_millis(ms)))
+                    .into();
+                let topo = Topology::builder(3).build().expect("builds");
+                assert_eq!(
+                    sender_error(topo, senders, &[1, 2], threads),
+                    ShardError::UnknownLink { src: 1, dst: 0 },
+                    "threads={threads} attempt={attempt}"
+                );
             }
         }
-        // Shard 0 has no link at all.
-        let topo = Topology::builder(2)
-            .link(1, 0, SimDuration::from_micros(5))
-            .build()
-            .expect("builds");
-        let mut engine = ShardEngine::new(
-            topo,
-            vec![
-                BadSender(ShardError::UnknownLink { src: 0, dst: 1 }),
-                BadSender(ShardError::NoShards),
-            ],
-        )
-        .expect("engine builds");
-        engine.seed(0, SimTime::ZERO, 0).expect("seeds");
-        let err = engine.run(1).expect_err("unlinked send fails");
-        assert_eq!(err, ShardError::UnknownLink { src: 0, dst: 1 });
+    }
 
-        // Shard 1 sends below the declared lookahead.
-        let topo = Topology::builder(2)
-            .link(1, 0, SimDuration::from_micros(5))
-            .build()
-            .expect("builds");
-        let mut engine = ShardEngine::new(
-            topo,
-            vec![
-                BadSender(ShardError::UnknownLink { src: 0, dst: 1 }),
-                BadSender(ShardError::NoShards),
-            ],
-        )
-        .expect("engine builds");
-        engine.seed(1, SimTime::ZERO, 0).expect("seeds");
-        let err = engine.run(1).expect_err("lookahead violation fails");
-        assert!(
-            matches!(err, ShardError::LookaheadViolated { src: 1, dst: 0, .. }),
-            "{err}"
-        );
+    #[test]
+    fn events_at_time_zero_and_max_both_execute() {
+        // A horizon at SimTime::MAX still releases a window that
+        // executes it. The run goes on a spawned thread so a livelock
+        // fails the test instead of hanging the suite.
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let topo = Topology::builder(2)
+                    .link(0, 1, SimDuration::from_micros(5))
+                    .build()
+                    .expect("builds");
+                let idle = |id| Chaos {
+                    id,
+                    out_links: Vec::new(),
+                    budget: 0,
+                    log: Vec::new(),
+                };
+                let mut engine =
+                    ShardEngine::new(topo, vec![idle(0), idle(1)]).expect("engine builds");
+                engine.seed(0, SimTime::ZERO, 0).expect("seeds");
+                engine.seed(1, SimTime::MAX, 1).expect("seeds");
+                let _ = tx.send(engine.run(threads));
+            });
+            let run = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("threads={threads}: run did not finish in 30 s"))
+                .expect("run completes");
+            let logs: Vec<_> = run.logics.into_iter().map(|c| c.log).collect();
+            assert_eq!(
+                logs,
+                [vec![(0, 0)], vec![(u64::MAX, 1)]],
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
     fn bounded_links_overflow_deterministically() {
-        struct Flooder;
-        impl ShardLogic for Flooder {
-            type Event = u64;
-            fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
-                if ev == 0 {
-                    for _ in 0..3 {
-                        ctx.send(1, SimDuration::from_micros(10), 1);
-                    }
-                }
-            }
-        }
-        for threads in [1, 2] {
-            let topo = Topology::builder(2)
+        // Shard 0 sends three messages in one window on a link that
+        // holds two. When shard 2 also sends on a missing link in that
+        // window, its handler error takes precedence over the overflow.
+        let topo = || {
+            Topology::builder(3)
                 .link_with_capacity(0, 1, SimDuration::from_micros(10), 2)
                 .build()
-                .expect("builds");
-            let mut engine = ShardEngine::new(topo, vec![Flooder, Flooder]).expect("engine builds");
-            engine.seed(0, SimTime::ZERO, 0).expect("seeds");
-            let err = engine.run(threads).expect_err("overflow fails");
+                .expect("builds")
+        };
+        let senders = || {
+            (0..3)
+                .map(|_| Sender(1, SimDuration::from_micros(10), Duration::ZERO))
+                .collect()
+        };
+        for threads in [1, 2, 3] {
             assert_eq!(
-                err,
+                sender_error(topo(), senders(), &[0, 0, 0], threads),
                 ShardError::MailboxOverflow {
                     src: 0,
                     dst: 1,
                     capacity: 2
                 },
+                "threads={threads}"
+            );
+            assert_eq!(
+                sender_error(topo(), senders(), &[0, 0, 0, 2], threads),
+                ShardError::UnknownLink { src: 2, dst: 1 },
                 "threads={threads}"
             );
         }
