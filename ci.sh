@@ -143,8 +143,10 @@ cargo run --release -q -p fiveg-lint -- --check
 stage "lint self-test (fixture suite)"
 cargo run --release -q -p fiveg-lint -- --self-test
 
-stage "cargo clippy --workspace"
-cargo clippy --release --workspace -- -D warnings
+# --all-targets lints test, bench and example code too, as
+# benchmark/check.sh does for the benchmark package.
+stage "cargo clippy --workspace --all-targets"
+cargo clippy --release --workspace --all-targets -- -D warnings
 
 stage "cargo build --release"
 cargo build --release --workspace

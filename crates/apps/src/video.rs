@@ -121,6 +121,8 @@ type FrameLog = Arc<Mutex<Vec<FrameRecord>>>;
 struct VideoSender {
     inner: TcpSender,
     frames: FrameLog,
+    /// Index of the first frame in `frames` not yet delivered.
+    first_undelivered: usize,
     /// Dedicated seeded stream for the frame-size process.
     rng: SimRng,
     fps: f64,
@@ -183,23 +185,18 @@ impl VideoSender {
         self.inner.resume(ctx);
     }
 
+    /// Marks every frame whose last byte `acked` covers as delivered at
+    /// `now`. `end_seq` grows with the frame index and the cumulative ACK
+    /// never falls, so delivered frames are a prefix of the log and the
+    /// scan resumes at the first undelivered frame.
     fn mark_deliveries(&mut self, acked: u64, now: SimTime) {
         let mut frames = self.frames.lock();
-        for f in frames.iter_mut().rev() {
-            if f.delivered.is_some() {
+        while let Some(f) = frames.get_mut(self.first_undelivered) {
+            if f.end_seq > acked {
                 break;
             }
-            if f.end_seq <= acked {
-                f.delivered = Some(now);
-            }
-        }
-        // The reverse scan above stops at the first delivered frame from
-        // the back; fix up any stragglers in a forward pass (cheap: the
-        // undelivered prefix is short).
-        for f in frames.iter_mut() {
-            if f.delivered.is_none() && f.end_seq <= acked {
-                f.delivered = Some(now);
-            }
+            f.delivered = Some(now);
+            self.first_undelivered += 1;
         }
     }
 }
@@ -265,6 +262,7 @@ impl VideoSession {
         let sender = VideoSender {
             inner,
             frames: frames.clone(),
+            first_undelivered: 0,
             rng: SimRng::new(seed).substream("video-frames"),
             fps: 30.0,
             mean_frame_bytes: mean_mbps * 1e6 / 8.0 / 30.0,

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn handoff_latency_ordering() {
-        assert!(PAPER_HO_LATENCY_5G5G_MS > PAPER_HO_LATENCY_4G5G_MS);
-        assert!(PAPER_HO_LATENCY_4G5G_MS > PAPER_HO_LATENCY_4G4G_MS);
+        const { assert!(PAPER_HO_LATENCY_5G5G_MS > PAPER_HO_LATENCY_4G5G_MS) };
+        const { assert!(PAPER_HO_LATENCY_4G5G_MS > PAPER_HO_LATENCY_4G4G_MS) };
     }
 }

@@ -153,12 +153,12 @@ pub struct CampusMap {
 /// stays out of the artifact bytes — the vendored serde derive has no
 /// `#[serde(skip)]`.
 impl Serialize for CampusMap {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("bounds".to_string(), self.bounds.to_value()),
-            ("buildings".to_string(), self.buildings.to_value()),
-            ("roads".to_string(), self.roads.to_value()),
-        ])
+    fn serialize(&self, s: &mut serde::Serializer) {
+        let mut map = s.map();
+        map.entry("bounds", &self.bounds);
+        map.entry("buildings", &self.buildings);
+        map.entry("roads", &self.roads);
+        map.end();
     }
 }
 

@@ -628,7 +628,7 @@ mod tests {
         assert_eq!(
             side.get("counts")
                 .and_then(|c| c.get("attach"))
-                .and_then(|v| v.as_u64()),
+                .and_then(fiveg_obs::JsonValue::as_u64),
             Some(1)
         );
         assert_eq!(side.get("mode").and_then(|v| v.as_str()), Some("full"));

@@ -55,7 +55,7 @@ fn coverage_holes_force_vertical_handoffs() {
     let crosses_hole = trace.iter().any(|p| {
         sc.env
             .serving(p.pos, Tech::Nr)
-            .map_or(true, |m| m.rsrp.value() < -105.0)
+            .is_none_or(|m| m.rsrp.value() < -105.0)
     });
     let recs = HandoffCampaign::default().run(&sc.env, &trace, &mut rng.substream("h"));
     let fallbacks = recs
