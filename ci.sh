@@ -126,25 +126,23 @@ same_fingerprints() {
 
 # vendor/ holds offline subsets of external crates and keeps upstream
 # formatting; everything we author is held to rustfmt. Lint fixtures
-# are deliberate hazard snippets, checked by the lint self-test below
-# rather than by rustfmt.
+# are deliberate hazard snippets, checked by the fiveg-lint fixture
+# suite under cargo test rather than by rustfmt.
 stage "rustfmt --check (workspace)"
 find crates tests examples -name '*.rs' -not -path '*/fixtures/*' -print0 \
   | xargs -0 rustfmt --edition 2021 --check
 
-# Determinism linter, before anything expensive: no *new* D001-D005 /
-# U001 findings beyond golden/lint-baseline.json. On failure fiveg-lint
-# names the rule id with the most new findings and the pragma to use.
+# Determinism linter, before anything expensive: no S001-S003 / F001 /
+# W001 finding and no malformed pragma. On failure fiveg-lint names the
+# rule id with the most findings and the pragma to use.
 stage "fiveg-lint --check (determinism invariants)"
 cargo run --release -q -p fiveg-lint -- --check
 
-# The linter's own fixture suite: known-positive/known-negative
-# snippets must keep matching their inline expectation markers.
-stage "lint self-test (fixture suite)"
-cargo run --release -q -p fiveg-lint -- --self-test
-
-# --all-targets lints test, bench and example code too, as
-# benchmark/check.sh does for the benchmark package.
+# --all-targets lints test and example code too, as benchmark/check.sh
+# does for the benchmark package. The one-line determinism rules are
+# lints here: crates/clippy.toml (HashMap/HashSet, partial_cmp, wall
+# clock), unsafe_code = "forbid", and unwrap/expect/missing_docs at
+# each lib root (DESIGN.md §7).
 stage "cargo clippy --workspace --all-targets"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
@@ -183,9 +181,8 @@ else
 fi
 
 # Rustdoc as a hard gate: broken intra-doc links or malformed doc
-# fragments are docs-rot the moment they land, and W003 (pub items
-# must be documented) only keeps its teeth if what's written actually
-# renders.
+# fragments are docs-rot the moment they land, and missing_docs only
+# keeps its teeth if what's written actually renders.
 stage "cargo doc --workspace --no-deps (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --release --workspace --no-deps -q
 

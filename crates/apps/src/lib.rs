@@ -14,8 +14,7 @@
 //!   streaming over the calibrated paths, freeze detection and
 //!   stopwatch frame delay (Figs. 18–20).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod video;
 pub mod web;

@@ -4,8 +4,7 @@
 //! the `repro` binary that regenerates every table and figure of the
 //! paper as text + JSON artifacts.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod micro;
 pub mod report;

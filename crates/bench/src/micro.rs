@@ -25,7 +25,10 @@ pub fn phy_sample_micro(seed: u64) -> MicroBench {
     let sc = Scenario::paper(seed);
     let grid = sc.campus.map.grid_samples(GRID_STEP_M, true);
     let m = MetricsHandle::new();
-    // fiveg-lint: allow(D003) -- microbench wall time; counters carry determinism
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "microbench wall time; counters carry determinism"
+    )]
     let start = Instant::now();
     fiveg_obs::scoped(&m, || {
         let mut scratch = MeasureScratch::new();
@@ -101,7 +104,10 @@ pub fn fleet_shard_micro(seed: u64) -> (MicroBench, MicroBench) {
     let sc = fiveg_core::scenario_run::build_scenario(&spec, seed);
     let leg = |shards: usize| {
         let m = MetricsHandle::new();
-        // fiveg-lint: allow(D003) -- microbench wall time; counters carry determinism
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "microbench wall time; counters carry determinism"
+        )]
         let start = Instant::now();
         let report = fiveg_obs::scoped(&m, || {
             fiveg_core::scenario_run::run_fleet_sharded(&sc, &spec, &fleet, seed ^ 0xf1ee7, shards)
@@ -166,7 +172,10 @@ pub fn trace_overhead_micro(seed: u64) -> (MicroBench, MicroBench) {
             mode,
             ..Default::default()
         });
-        // fiveg-lint: allow(D003) -- microbench wall time; counters carry determinism
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "microbench wall time; counters carry determinism"
+        )]
         let start = Instant::now();
         fiveg_obs::scoped(&m, || {
             fiveg_trace::scoped(&t, || {
@@ -223,7 +232,10 @@ pub fn city_sweep_micro(seed: u64) -> MicroBench {
     let env = fiveg_core::phy::RadioEnv::from_campus(&campus, seed ^ 0x5eed, 0.5, 0.05);
     let grid = campus.map.grid_samples(CITY_GRID_STEP_M, true);
     let m = MetricsHandle::new();
-    // fiveg-lint: allow(D003) -- microbench wall time; counters carry determinism
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "microbench wall time; counters carry determinism"
+    )]
     let start = Instant::now();
     fiveg_obs::scoped(&m, || {
         let mut scratch = MeasureScratch::new();
@@ -288,7 +300,10 @@ pub fn city_attach_micro(seed: u64) -> (MicroBench, MicroBench) {
     let sc = fiveg_core::scenario_run::build_scenario(&spec, seed);
     let leg = |incremental: bool| {
         let m = MetricsHandle::new();
-        // fiveg-lint: allow(D003) -- microbench wall time; counters carry determinism
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "microbench wall time; counters carry determinism"
+        )]
         let start = Instant::now();
         let report = fiveg_obs::scoped(&m, || {
             let run = if incremental {

@@ -198,7 +198,10 @@ fn run_unit(job: &dyn Job, cfg: &RunConfig, rep: u32) -> JobResult {
         rep,
     };
     let max_attempts = 1 + job.retry_budget();
-    // fiveg-lint: allow(D003) -- wall time feeds manifest.json, not artifacts
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time feeds manifest.json, not artifacts"
+    )]
     let start = Instant::now();
     let mut attempts = 0;
     let mut last_err = String::new();
@@ -281,7 +284,10 @@ pub fn run(registry: &Registry, cfg: &RunConfig, progress: &mut dyn FnMut(&JobEv
         .flat_map(|j| (0..j.reps().max(1)).map(move |r| (j.clone(), r)))
         .collect();
     let total = units.len();
-    // fiveg-lint: allow(D003) -- campaign wall time feeds manifest.json only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "campaign wall time feeds manifest.json only"
+    )]
     let start = Instant::now();
 
     let next_unit = AtomicUsize::new(0);

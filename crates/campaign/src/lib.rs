@@ -41,8 +41,7 @@
 //! assert!(report.results[0].is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod artifacts;
 pub mod executor;

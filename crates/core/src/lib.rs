@@ -36,8 +36,7 @@
 //! assert!(kpi.serving.rsrp.value() > -140.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod calib;
 pub mod experiments;

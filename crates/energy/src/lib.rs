@@ -16,8 +16,7 @@
 //!   NR NSA, NR Oracle (perfect sleep) and the paper's dynamic 4G/5G
 //!   switching heuristic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod machine;
 pub mod params;

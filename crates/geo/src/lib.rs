@@ -26,8 +26,7 @@
 //! * [`mobility`] — walk/bike mobility models producing timestamped
 //!   position traces (road survey, random waypoint, linear transects).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod building;
 pub mod campus;

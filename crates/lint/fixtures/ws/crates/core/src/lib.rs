@@ -2,8 +2,6 @@
 //! crate below — the cross-crate taint case single-file fixtures
 //! cannot express. Never compiled; only parsed by the self-test.
 
-#![forbid(unsafe_code)]
-
 impl ShardLogic for WsNode {
     /// The handler: taints `simcore_flush` through the dependency edge.
     fn handle(&mut self, at: u64) {

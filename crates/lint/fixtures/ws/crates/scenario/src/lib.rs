@@ -1,4 +1,4 @@
-//! lint ws fixture: a library crate root missing its forbid. //~ W002
+//! lint ws fixture: a crate whose one dependency edge is allowed.
 
-/// Documented, so no W003 rides along.
+/// No finding anywhere in this crate.
 pub fn scenario_probe() {}

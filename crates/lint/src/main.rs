@@ -1,57 +1,46 @@
 //! `fiveg-lint` CLI.
 //!
-//! Exit codes: 0 = clean (or only grandfathered findings), 1 = usage or
-//! I/O error, 2 = new findings (`--check`) or fixture mismatch
-//! (`--self-test`).
+//! Exit codes: 0 = clean, 1 = usage or I/O error, 2 = findings
+//! (`--check`).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fiveg_lint::{
-    report_json, scan_workspace, selftest, worst_rule, Baseline, Finding, BASELINE_PATH, RULES,
-};
+use fiveg_lint::{report_json, scan_workspace, worst_rule, Finding, RULES, TOOLCHAIN_RULES};
 
 const USAGE: &str = "\
 fiveg-lint: workspace determinism linter
 
-USAGE: fiveg-lint [MODE] [--root DIR] [--baseline FILE]
+USAGE: fiveg-lint [MODE] [--root DIR]
 
 MODES (default: list all findings):
-  --check       exit 2 if any finding is not in the baseline; print the
-                new findings and the rule id with the most of them
+  --check       exit 2 on any finding; print the findings and the rule
+                id with the most of them
   --json        print the full report as stable, diffable JSON
-  --bless       rewrite the baseline to grandfather today's findings
-  --self-test   run the rule engine over crates/lint/fixtures and
-                compare against the `//~ RULE` markers; exit 2 on drift
-  --rules       print the rule table
+  --rules       print the rule table, then the rules clippy and rustc
+                enforce instead
   --help        this text
 
 OPTIONS:
-  --root DIR       workspace root (default: nearest ancestor with a
-                   [workspace] Cargo.toml)
-  --baseline FILE  baseline path (default: golden/lint-baseline.json)
+  --root DIR    workspace root (default: nearest ancestor with a
+                [workspace] Cargo.toml)
 ";
 
 enum Mode {
     List,
     Check,
     Json,
-    Bless,
-    SelfTest,
     Rules,
 }
 
 fn main() -> ExitCode {
     let mut mode = Mode::List;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => mode = Mode::Check,
             "--json" => mode = Mode::Json,
-            "--bless" => mode = Mode::Bless,
-            "--self-test" => mode = Mode::SelfTest,
             "--rules" => mode = Mode::Rules,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -61,10 +50,6 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
             other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
@@ -73,6 +58,10 @@ fn main() -> ExitCode {
         for (id, what, hint) in RULES {
             println!("{id}  {what}\n      fix: {hint}");
         }
+        println!("\nenforced by the toolchain (cargo clippy -D warnings):");
+        for (id, what, lint, place) in TOOLCHAIN_RULES {
+            println!("{id}  {what}\n      lint: {lint} ({place})");
+        }
         return ExitCode::SUCCESS;
     }
 
@@ -80,24 +69,6 @@ fn main() -> ExitCode {
         eprintln!("fiveg-lint: no [workspace] Cargo.toml above the current directory; pass --root");
         return ExitCode::FAILURE;
     };
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(BASELINE_PATH));
-
-    if let Mode::SelfTest = mode {
-        return match selftest::run(&root.join("crates/lint/fixtures")) {
-            Ok(checked) => {
-                println!("fiveg-lint self-test: {checked} fixtures ok");
-                ExitCode::SUCCESS
-            }
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("self-test: {f}");
-                }
-                eprintln!("fiveg-lint self-test: {} fixture(s) FAILED", failures.len());
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let report = match scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -106,82 +77,43 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Mode::Bless = mode {
-        let base = Baseline::from_findings(&report.findings);
-        if let Err(e) = std::fs::write(&baseline_path, base.to_json()) {
-            eprintln!("fiveg-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "blessed {} findings into {}",
-            report.findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let base = match load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("fiveg-lint: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     match mode {
         Mode::Json => {
-            print!("{}", report_json(&report, &base));
+            print!("{}", report_json(&report));
             ExitCode::SUCCESS
         }
         Mode::Check => {
-            let (_, new) = base.split(&report.findings);
-            let stale = base.stale(&report.findings);
-            if !stale.is_empty() {
-                let gone: u64 = stale.iter().map(|(_, _, c)| c).sum();
+            if report.findings.is_empty() {
                 println!(
-                    "note: {gone} baseline finding(s) no longer exist; run --bless to shrink the baseline"
-                );
-            }
-            if new.is_empty() {
-                println!(
-                    "fiveg-lint: clean — {} files, {} grandfathered, {} suppressed, 0 new",
-                    report.files,
-                    report.findings.len(),
-                    report.suppressed
+                    "fiveg-lint: clean — {} files, {} suppressed",
+                    report.files, report.suppressed
                 );
                 return ExitCode::SUCCESS;
             }
-            for f in &new {
-                print_finding(f, true);
+            for f in &report.findings {
+                print_finding(f);
             }
-            if let Some((rule, count)) = worst_rule(&new) {
+            if let Some((rule, count)) = worst_rule(&report.findings) {
                 eprintln!(
-                    "fiveg-lint: {} new finding(s); most from {rule} ({count}) — fix them or add `// fiveg-lint: allow({rule}) -- reason`",
-                    new.len()
+                    "fiveg-lint: {} finding(s); most from {rule} ({count}) — fix them or add `// fiveg-lint: allow({rule}) -- reason`",
+                    report.findings.len()
                 );
             }
             ExitCode::from(2)
         }
         Mode::List => {
-            let (old, new) = base.split(&report.findings);
-            let new_set: std::collections::BTreeSet<(&str, u32, &str)> = new
-                .iter()
-                .map(|f| (f.file.as_str(), f.line, f.rule))
-                .collect();
             for f in &report.findings {
-                print_finding(f, new_set.contains(&(f.file.as_str(), f.line, f.rule)));
+                print_finding(f);
             }
             println!(
-                "fiveg-lint: {} findings in {} files ({} grandfathered, {} new, {} suppressed)",
+                "fiveg-lint: {} findings in {} files ({} suppressed)",
                 report.findings.len(),
                 report.files,
-                old.len(),
-                new.len(),
                 report.suppressed
             );
             ExitCode::SUCCESS
         }
-        Mode::Bless | Mode::SelfTest | Mode::Rules => unreachable!("handled above"),
+        Mode::Rules => unreachable!("handled above"),
     }
 }
 
@@ -190,20 +122,9 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn print_finding(f: &Finding, is_new: bool) {
-    let tag = if is_new { "NEW " } else { "base" };
-    println!("[{tag}] {}:{} {} `{}`", f.file, f.line, f.rule, f.excerpt);
+fn print_finding(f: &Finding) {
+    println!("{}:{} {} `{}`", f.file, f.line, f.rule, f.excerpt);
     println!("        fix: {}", f.hint);
-}
-
-/// A missing baseline is an empty baseline, so the linter works before
-/// the first `--bless`; a present-but-invalid one is a hard error.
-fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Baseline::parse(&text).map_err(|e| e.to_string()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
 }
 
 fn find_workspace_root() -> Option<PathBuf> {

@@ -1,12 +1,13 @@
-//! The determinism rules and the per-file scanner.
+//! The rule table, file classification and suppression pragmas.
 //!
 //! Each rule is a named, machine-checkable invariant of this
 //! workspace's "byte-identical artifacts for any worker/thread count"
-//! guarantee. Rules operate on the token stream from
-//! [`crate::tokenizer`], so identifiers inside strings and comments
-//! never match.
+//! guarantee that needs the workspace model to see; the rules are
+//! evaluated by [`crate::workspace::analyze`]. Pragmas are read from
+//! the token stream of [`crate::tokenizer`], so a pragma quoted inside
+//! a string never counts.
 
-use crate::tokenizer::{tokenize, Tok, TokKind};
+use crate::tokenizer::{tokenize, Tok};
 
 /// Where a file sits in the workspace; decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,41 +69,18 @@ impl FileCtx {
             kind,
         })
     }
-
-    fn is_sim_crate(&self) -> bool {
-        // Crates on the deterministic artifact path. `obs` (stable-order
-        // snapshots by construction), `bench` (wall-clock reporting) and
-        // `lint` itself are not sim crates.
-        matches!(
-            self.crate_name.as_deref(),
-            Some(
-                "simcore"
-                    | "geo"
-                    | "phy"
-                    | "ran"
-                    | "net"
-                    | "transport"
-                    | "apps"
-                    | "energy"
-                    | "core"
-                    | "campaign"
-                    | "trace"
-            )
-        )
-    }
 }
 
 /// One finding: rule, location, the offending line and a fix hint.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D001` ... `U001`, `L000`).
+    /// Rule id (`S001` ... `W001`, `L000`).
     pub rule: &'static str,
-    /// The trimmed source line — the baseline key, resilient to code
-    /// moving between lines.
+    /// The trimmed source line.
     pub excerpt: String,
     /// One-line fix hint.
     pub hint: &'static str,
@@ -113,39 +91,9 @@ pub struct Finding {
 /// cannot drift apart.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
-        "D001",
-        "HashMap/HashSet in deterministic sim-crate library code",
-        "unordered iteration breaks byte-identity; use BTreeMap/BTreeSet or sort before draining",
-    ),
-    (
-        "D002",
-        "float sort/min/max comparator built on partial_cmp",
-        "partial_cmp panics or mis-orders on NaN; use f64::total_cmp",
-    ),
-    (
-        "D003",
-        "wall-clock (Instant::now/SystemTime) outside fiveg-obs span timers",
-        "wall-clock in sim paths breaks replay; route timing through fiveg-obs spans",
-    ),
-    (
-        "D004",
-        "static mut global state",
-        "mutable globals defeat determinism and thread-safety; pass state explicitly",
-    ),
-    (
-        "D005",
-        "unseeded RNG construction (thread_rng/from_entropy/OsRng)",
-        "unseeded RNG breaks replay; derive seeds via stable_hash(base_seed, name, rep)",
-    ),
-    (
-        "U001",
-        "unwrap()/expect() in library code",
-        "library panics abort whole campaigns; return Result or add a justifying pragma",
-    ),
-    (
         "L000",
         "malformed fiveg-lint pragma",
-        "pragma syntax is `// fiveg-lint: allow(D00x[,D00y]) -- reason`",
+        "pragma syntax is `// fiveg-lint: allow(S00x[,F001]) -- reason`",
     ),
     (
         "S001",
@@ -172,15 +120,53 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "crate dependency edge outside the declared layering DAG",
         "add the edge to ALLOWED_DEPS in crates/lint/src/workspace.rs (a reviewed design decision) or drop the dependency",
     ),
+];
+
+/// Rules enforced by the toolchain instead: id, what it catches, the
+/// lint, and where that lint is configured. `--rules` prints them after
+/// [`RULES`]; `cargo clippy -D warnings` turns every lint into an error.
+pub const TOOLCHAIN_RULES: &[(&str, &str, &str, &str)] = &[
+    (
+        "D001",
+        "HashMap/HashSet",
+        "clippy::disallowed_types",
+        "crates/clippy.toml",
+    ),
+    (
+        "D002",
+        "partial_cmp calls, derived PartialOrd included",
+        "clippy::disallowed_methods",
+        "crates/clippy.toml",
+    ),
+    (
+        "D003",
+        "wall-clock reads (Instant::now, SystemTime::now)",
+        "clippy::disallowed_methods",
+        "crates/clippy.toml",
+    ),
+    (
+        "D004",
+        "static mut global state",
+        "unsafe_code",
+        "[workspace.lints.rust]",
+    ),
+    (
+        "U001",
+        "unwrap()/expect() in library code",
+        "clippy::unwrap_used, clippy::expect_used",
+        "each lib root",
+    ),
     (
         "W002",
-        "library crate missing #![forbid(unsafe_code)]",
-        "add #![forbid(unsafe_code)] to the crate root; sim results must not rest on unchecked memory claims",
+        "unsafe code",
+        "unsafe_code",
+        "[workspace.lints.rust]",
     ),
     (
         "W003",
-        "pub item without a rustdoc comment",
-        "document the item or demote it from pub; ratcheted via the baseline like U001 was",
+        "public item without a rustdoc comment",
+        "missing_docs",
+        "each lib root",
     ),
 ];
 
@@ -197,145 +183,48 @@ pub fn hint_for(id: &str) -> &'static str {
         .map_or("", |(_, _, h)| h)
 }
 
-/// A parsed suppression pragma.
-struct Pragma {
-    line: u32,
-    rules: Vec<String>,
+/// A well-formed suppression pragma: its line and the rules it names.
+pub type Pragma = (u32, Vec<String>);
+
+/// Reads a file's pragmas: the well-formed ones, and an L000 finding
+/// for each malformed one.
+///
+/// `// fiveg-lint: allow(S002) -- reason` silences the listed rules on
+/// the pragma's own line and on the line directly below it, so it works
+/// both as a trailing comment and as a stand-alone line above the
+/// offending statement.
+pub fn scan_pragmas(ctx: &FileCtx, src: &str) -> (Vec<Pragma>, Vec<Finding>) {
+    let mut pragmas = Vec::new();
+    let mut malformed = Vec::new();
+    for t in tokenize(src).iter().filter(|t| t.is_comment()) {
+        let Some(body) = pragma_body(t.text) else {
+            continue;
+        };
+        match parse_pragma(body) {
+            Some(rules) => pragmas.push((t.line, rules)),
+            None => malformed.push(Finding {
+                file: ctx.rel_path.clone(),
+                line: t.line,
+                rule: "L000",
+                excerpt: src
+                    .lines()
+                    .nth(t.line as usize - 1)
+                    .unwrap_or_default()
+                    .trim()
+                    .to_string(),
+                hint: hint_for("L000"),
+            }),
+        }
+    }
+    (pragmas, malformed)
 }
 
-/// Scans one file's source, returning (findings, suppressed_count).
-///
-/// Suppression: `// fiveg-lint: allow(D001) -- reason` silences the
-/// listed rules on the pragma's own line and on the line directly
-/// below it, so it works both as a trailing comment and as a
-/// stand-alone line above the offending statement.
-pub fn scan_file(ctx: &FileCtx, src: &str) -> (Vec<Finding>, usize) {
-    let toks = tokenize(src);
-    let test_regions = test_regions(&toks);
-    let in_test = |line: u32| {
-        ctx.kind == FileKind::Test || test_regions.iter().any(|&(a, b)| line >= a && line <= b)
-    };
-    let lines: Vec<&str> = src.lines().collect();
-    let excerpt = |line: u32| {
-        lines
-            .get(line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
-
-    let mut pragmas: Vec<Pragma> = Vec::new();
-    let mut raw = Vec::new(); // findings before pragma filtering
-
-    for t in &toks {
-        if t.kind != TokKind::LineComment && t.kind != TokKind::BlockComment {
-            continue;
-        }
-        if let Some(rest) = pragma_body(t.text) {
-            match parse_pragma(rest) {
-                Some(rules) => pragmas.push(Pragma {
-                    line: t.line,
-                    rules,
-                }),
-                None => raw.push(Finding {
-                    file: ctx.rel_path.clone(),
-                    line: t.line,
-                    rule: "L000",
-                    excerpt: excerpt(t.line),
-                    hint: hint_for("L000"),
-                }),
-            }
-        }
-    }
-
-    // Significant (non-comment) tokens drive the rules.
-    let sig: Vec<&Tok> = toks.iter().filter(|t| !t.is_comment()).collect();
-    let push = |raw: &mut Vec<Finding>, rule: &'static str, line: u32| {
-        // One finding per (rule, line): `HashMap<K, HashSet<V>>` is one
-        // hazard site, not two.
-        if raw.iter().any(|f| f.rule == rule && f.line == line) {
-            return;
-        }
-        raw.push(Finding {
-            file: ctx.rel_path.clone(),
-            line,
-            rule,
-            excerpt: excerpt(line),
-            hint: hint_for(rule),
-        });
-    };
-
-    // Index of the most recent sort-family method name, for D002.
-    let mut last_sort: Option<usize> = None;
-    for (i, t) in sig.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.text {
-            "HashMap" | "HashSet"
-                if ctx.kind == FileKind::Lib && ctx.is_sim_crate() && !in_test(t.line) =>
-            {
-                push(&mut raw, "D001", t.line);
-            }
-            "sort_by" | "sort_unstable_by" | "max_by" | "min_by" | "binary_search_by" => {
-                last_sort = Some(i);
-            }
-            "partial_cmp" => {
-                // Inside a comparator closure the call sits within a few
-                // dozen tokens of the sort-family name; `fn partial_cmp`
-                // trait impls have no such neighbour and never match.
-                if matches!(last_sort, Some(j) if i - j <= 40) {
-                    push(&mut raw, "D002", t.line);
-                }
-            }
-            "Instant" | "SystemTime" => {
-                let is_now_call = t.text == "SystemTime"
-                    || matches!(
-                        (sig.get(i + 1), sig.get(i + 2), sig.get(i + 3)),
-                        (Some(a), Some(b), Some(c))
-                            if a.text == ":" && b.text == ":" && c.text == "now"
-                    );
-                if is_now_call && ctx.crate_name.as_deref() != Some("obs") && !in_test(t.line) {
-                    push(&mut raw, "D003", t.line);
-                }
-            }
-            "static" => {
-                if matches!(sig.get(i + 1), Some(n) if n.text == "mut") {
-                    push(&mut raw, "D004", t.line);
-                }
-            }
-            "thread_rng" | "from_entropy" | "OsRng" if !in_test(t.line) => {
-                push(&mut raw, "D005", t.line);
-            }
-            "unwrap" | "expect" => {
-                let is_method_call = i > 0
-                    && sig[i - 1].text == "."
-                    && matches!(sig.get(i + 1), Some(p) if p.text == "(");
-                // `self.expect(...)` is a custom method on the receiver
-                // type (e.g. the obs JSON parser), not Option/Result.
-                let custom_method = i >= 2 && sig[i - 2].text == "self" && sig[i - 1].text == ".";
-                if is_method_call && !custom_method && ctx.kind == FileKind::Lib && !in_test(t.line)
-                {
-                    push(&mut raw, "U001", t.line);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let mut findings = Vec::new();
-    let mut suppressed = 0usize;
-    for f in raw {
-        let hit = pragmas.iter().any(|p| {
-            (p.line == f.line || p.line + 1 == f.line) && p.rules.iter().any(|r| r == f.rule)
-        });
-        if hit {
-            suppressed += 1;
-        } else {
-            findings.push(f);
-        }
-    }
-    findings.sort();
-    (findings, suppressed)
+/// True when a pragma in `pragmas` names `rule` on `line` or the line
+/// above it.
+pub fn suppressed(pragmas: &[Pragma], rule: &str, line: u32) -> bool {
+    pragmas
+        .iter()
+        .any(|(at, rules)| (*at == line || *at + 1 == line) && rules.iter().any(|r| r == rule))
 }
 
 /// Extracts the pragma body from a comment whose text *starts* with
@@ -351,7 +240,7 @@ fn pragma_body(comment: &str) -> Option<&str> {
     Some(body.strip_suffix("*/").map_or(body, str::trim_end))
 }
 
-/// Parses `allow(D001,D002) -- reason`; `None` if malformed (unknown
+/// Parses `allow(S001,S003) -- reason`; `None` if malformed (unknown
 /// rule, missing reason, bad shape).
 fn parse_pragma(body: &str) -> Option<Vec<String>> {
     let rest = body.strip_prefix("allow(")?;
@@ -367,21 +256,6 @@ fn parse_pragma(body: &str) -> Option<Vec<String>> {
         return None;
     }
     Some(rules)
-}
-
-/// Well-formed pragmas of a source file, as `(line, rules)` pairs, for
-/// passes that run outside [`scan_file`] (the semantic workspace pass).
-/// Malformed pragmas are skipped here — [`scan_file`] already reports
-/// them as L000, and reporting twice would double-count.
-pub fn file_pragmas(src: &str) -> Vec<(u32, Vec<String>)> {
-    let toks = tokenize(src);
-    toks.iter()
-        .filter(|t| t.is_comment())
-        .filter_map(|t| {
-            let rules = parse_pragma(pragma_body(t.text)?)?;
-            Some((t.line, rules))
-        })
-        .collect()
 }
 
 /// `test_regions` computed from raw source, for callers outside this
@@ -450,15 +324,22 @@ fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::{analyze, SourceFile};
 
     fn lib_ctx(path: &str) -> FileCtx {
         FileCtx::classify(path).expect("classifiable")
     }
 
-    fn rules_hit(path: &str, src: &str) -> Vec<(&'static str, u32)> {
-        let (f, _) = scan_file(&lib_ctx(path), src);
-        f.into_iter().map(|f| (f.rule, f.line)).collect()
+    /// Runs the single-file semantic pass: `(findings, suppressed)`.
+    fn scan(path: &str, src: &str) -> (Vec<Finding>, usize) {
+        let file = SourceFile {
+            ctx: lib_ctx(path),
+            src: src.to_string(),
+        };
+        analyze(&[file], &[])
     }
+
+    const ENV_READ: &str = "std::env::var(\"FIVEG_X\").is_ok()";
 
     #[test]
     fn classify_kinds() {
@@ -472,101 +353,47 @@ mod tests {
     }
 
     #[test]
-    fn d001_only_in_sim_lib_code() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules_hit("crates/phy/src/x.rs", src), vec![("D001", 1)]);
-        assert!(rules_hit("crates/obs/src/x.rs", src).is_empty());
-        assert!(rules_hit("tests/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d001_skips_test_mods() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
-        assert!(rules_hit("crates/net/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d002_flags_sort_comparators_not_trait_impls() {
-        let sort = "v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n";
-        assert!(rules_hit("crates/phy/src/x.rs", sort)
-            .iter()
-            .any(|&(r, _)| r == "D002"));
-        let tr = "impl PartialOrd for T {\n  fn partial_cmp(&self, o: &T) -> Option<Ordering> { None }\n}\n";
-        assert!(!rules_hit("crates/phy/src/x.rs", tr)
-            .iter()
-            .any(|&(r, _)| r == "D002"));
-    }
-
-    #[test]
-    fn d003_exempts_obs_and_tests() {
-        let src = "let t = Instant::now();\n";
-        assert_eq!(
-            rules_hit("crates/campaign/src/x.rs", src),
-            vec![("D003", 1)]
-        );
-        assert!(rules_hit("crates/obs/src/x.rs", src).is_empty());
-        assert!(rules_hit("tests/x.rs", src).is_empty());
-        // A plain `Instant` type mention is not a wall-clock read.
-        assert!(rules_hit("crates/campaign/src/x.rs", "fn f(t: Instant) {}\n").is_empty());
-    }
-
-    #[test]
-    fn d004_and_d005() {
-        assert_eq!(
-            rules_hit("crates/net/src/x.rs", "static mut G: u32 = 0;\n"),
-            vec![("D004", 1)]
-        );
-        assert_eq!(
-            rules_hit("crates/net/src/x.rs", "let mut r = thread_rng();\n"),
-            vec![("D005", 1)]
-        );
-        assert!(rules_hit("crates/net/src/x.rs", "static G: u32 = 0;\n").is_empty());
-    }
-
-    #[test]
-    fn u001_lib_only_and_method_position() {
-        let src = "let x = o.unwrap();\n";
-        assert_eq!(rules_hit("crates/net/src/x.rs", src), vec![("U001", 1)]);
-        assert!(rules_hit("crates/bench/src/bin/repro.rs", src).is_empty());
-        assert!(rules_hit("examples/q.rs", src).is_empty());
-        // `unwrap_or`, a bare `expect` ident, and a custom
-        // `self.expect(...)` method are not findings.
-        assert!(rules_hit("crates/net/src/x.rs", "let x = o.unwrap_or(0);\n").is_empty());
-        assert!(rules_hit("crates/net/src/x.rs", "let expect = 1;\n").is_empty());
-        assert!(rules_hit("crates/net/src/x.rs", "self.expect(b'{')?;\n").is_empty());
-    }
-
-    #[test]
     fn pragma_suppresses_same_and_next_line() {
         let trailing =
-            "let x = o.unwrap(); // fiveg-lint: allow(U001) -- invariant: set in new()\n";
-        let (f, s) = scan_file(&lib_ctx("crates/net/src/x.rs"), trailing);
-        assert!(f.is_empty());
+            format!("fn f() -> bool {{\n    {ENV_READ} // fiveg-lint: allow(S002) -- knob\n}}\n");
+        let (f, s) = scan("crates/net/src/x.rs", &trailing);
+        assert!(f.is_empty(), "{f:?}");
         assert_eq!(s, 1);
-        let above = "// fiveg-lint: allow(U001) -- invariant: set in new()\nlet x = o.unwrap();\n";
-        let (f, s) = scan_file(&lib_ctx("crates/net/src/x.rs"), above);
-        assert!(f.is_empty());
+        let above = format!(
+            "fn f() -> bool {{\n    // fiveg-lint: allow(S002) -- knob\n    {ENV_READ}\n}}\n"
+        );
+        let (f, s) = scan("crates/net/src/x.rs", &above);
+        assert!(f.is_empty(), "{f:?}");
         assert_eq!(s, 1);
     }
 
     #[test]
     fn pragma_does_not_blanket_other_rules_or_lines() {
-        let src =
-            "// fiveg-lint: allow(U001) -- reason\nlet x = o.unwrap();\nlet y = o.unwrap();\n";
-        let (f, s) = scan_file(&lib_ctx("crates/net/src/x.rs"), src);
+        let src = format!(
+            "fn f() -> bool {{\n    // fiveg-lint: allow(S002) -- knob\n    {ENV_READ};\n    {ENV_READ}\n}}\n"
+        );
+        let (f, s) = scan("crates/net/src/x.rs", &src);
         assert_eq!(s, 1);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 3);
+        assert_eq!(f[0].line, 4);
+        let other = format!(
+            "fn f() -> bool {{\n    // fiveg-lint: allow(F001) -- wrong rule\n    {ENV_READ}\n}}\n"
+        );
+        let (f, s) = scan("crates/net/src/x.rs", &other);
+        assert_eq!(s, 0);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "S002");
     }
 
     #[test]
     fn malformed_pragmas_are_l000() {
         for bad in [
-            "// fiveg-lint: allow(U001)\nlet a = 1;\n", // missing reason
+            "// fiveg-lint: allow(S002)\nlet a = 1;\n", // missing reason
             "// fiveg-lint: allow(X999) -- nope\nlet a = 1;\n", // unknown rule
-            "// fiveg-lint: disallow(U001) -- x\nlet a = 1;\n", // bad verb
+            "// fiveg-lint: allow(D001) -- nope\nlet a = 1;\n", // moved to clippy
+            "// fiveg-lint: disallow(S002) -- x\nlet a = 1;\n", // bad verb
         ] {
-            let (f, _) = scan_file(&lib_ctx("crates/net/src/x.rs"), bad);
+            let (f, _) = scan("crates/net/src/x.rs", bad);
             assert_eq!(f.len(), 1, "{bad:?}");
             assert_eq!(f[0].rule, "L000", "{bad:?}");
         }
@@ -574,7 +401,12 @@ mod tests {
 
     #[test]
     fn strings_and_comments_never_match() {
-        let src = "// HashMap Instant::now()\nlet s = \"static mut thread_rng\";\n";
-        assert!(rules_hit("crates/phy/src/x.rs", src).is_empty());
+        let src = format!(
+            "// {ENV_READ}\n// fiveg-lint mentioned in prose is not a pragma\nfn f() {{ let s = \"{}\"; }}\n",
+            ENV_READ.replace('"', "\\\"")
+        );
+        let (f, s) = scan("crates/phy/src/x.rs", &src);
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(s, 0);
     }
 }

@@ -5,20 +5,19 @@
 //! Markers: `//~ RULE [RULE...]` expects those findings on the marker's
 //! own line; `//~^ RULE` on the line above. Fixtures declare the
 //! workspace path they emulate with a `lint-fixture-path:` header so
-//! scoping (sim crate / test file / example) is exercised too. Each
-//! fixture runs through *both* engines — the per-file token scan and
-//! the semantic pass (manifest-less, so same-file taint only).
+//! scoping (library / test file) is exercised too. Each fixture runs
+//! through the semantic pass on its own (manifest-less, so same-file
+//! taint only).
 //!
 //! `fixtures/ws/` holds a miniature workspace (crate directories with
 //! `Cargo.toml` + `src/lib.rs`) exercised through the full
 //! manifest-aware pass: crate-layering (W001, markers as `# //~ W001`
-//! TOML comments), missing-forbid (W002) and cross-crate shard taint
-//! (S001 across a dependency edge). Both `cargo test -p fiveg-lint`
-//! and `fiveg-lint --self-test` run all of this.
+//! TOML comments) and cross-crate shard taint (S001 across a dependency
+//! edge). `cargo test -p fiveg-lint` runs all of this.
 
 use std::path::Path;
 
-use crate::rules::{scan_file, FileCtx, RULES};
+use crate::rules::{FileCtx, RULES};
 use crate::workspace::{analyze, load_manifests, SourceFile};
 
 /// Runs every `.rs` fixture under `fixtures`. `Ok(checked_count)` when
@@ -58,13 +57,11 @@ pub fn run(fixtures: &Path) -> Result<usize, Vec<String>> {
             failures.push(format!("{name}: header path `{emulated}` is not scannable"));
             continue;
         };
-        let (mut findings, _) = scan_file(&ctx, &src);
         let file = SourceFile {
             ctx,
             src: src.clone(),
         };
-        let (semantic, _) = analyze(std::slice::from_ref(&file), &[]);
-        findings.extend(semantic);
+        let (findings, _) = analyze(std::slice::from_ref(&file), &[]);
         let mut got: Vec<(u32, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
         got.sort_unstable();
         let want = expected_markers(&src);
@@ -110,8 +107,8 @@ pub fn run(fixtures: &Path) -> Result<usize, Vec<String>> {
 }
 
 /// Runs the full manifest-aware pass over the miniature fixture
-/// workspace and compares every finding — per-file and semantic —
-/// against the markers in its `.rs` and `Cargo.toml` files.
+/// workspace and compares every finding against the markers in its
+/// `.rs` and `Cargo.toml` files.
 fn run_ws(ws_root: &Path) -> Result<usize, Vec<String>> {
     let manifests = match load_manifests(ws_root) {
         Ok(m) => m,
@@ -127,7 +124,6 @@ fn run_ws(ws_root: &Path) -> Result<usize, Vec<String>> {
         }
     }
     let mut sources = Vec::new();
-    let mut got: Vec<(String, u32, &str)> = Vec::new();
     let mut rs_files = Vec::new();
     collect_ws_rs(ws_root, ws_root, &mut rs_files);
     rs_files.sort();
@@ -141,13 +137,14 @@ fn run_ws(ws_root: &Path) -> Result<usize, Vec<String>> {
         for (line, rule) in expected_markers(&src) {
             want.push((rel.clone(), line, rule));
         }
-        let (findings, _) = scan_file(&ctx, &src);
-        got.extend(findings.into_iter().map(|f| (f.file, f.line, f.rule)));
         sources.push(SourceFile { ctx, src });
     }
     let files = sources.len();
-    let (semantic, _) = analyze(&sources, &manifests);
-    got.extend(semantic.into_iter().map(|f| (f.file, f.line, f.rule)));
+    let (findings, _) = analyze(&sources, &manifests);
+    let mut got: Vec<(String, u32, &str)> = findings
+        .into_iter()
+        .map(|f| (f.file, f.line, f.rule))
+        .collect();
     got.sort_unstable();
     want.sort_unstable();
     if files == 0 {
@@ -231,10 +228,16 @@ mod tests {
 
     #[test]
     fn marker_parsing() {
-        let src = "let a = 1; //~ U001 D002\n//~^ D001\nplain\n//~ Z999\n";
+        let src = "let a = 1; //~ S003 F001\n//~^ S001\nplain\n//~ Z999 U001\n";
         assert_eq!(
             expected_markers(src),
-            vec![(1, "D001"), (1, "D002"), (1, "U001"), (4, "???")]
+            vec![
+                (1, "F001"),
+                (1, "S001"),
+                (1, "S003"),
+                (4, "???"),
+                (4, "???")
+            ]
         );
     }
 }

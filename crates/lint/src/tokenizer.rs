@@ -2,13 +2,12 @@
 //!
 //! `fiveg-lint` owns its lexer the same way `fiveg-obs` owns its JSON
 //! reader: the vendored dependency set has no `syn`/`proc-macro2`, and
-//! the determinism rules only need a faithful token stream — not a
-//! parse tree. The lexer understands everything that could hide a
-//! false positive from a naive grep: line and (nested) block comments,
-//! string / raw-string / byte-string / char literals, lifetimes, and
-//! numeric literals with suffixes. `"HashMap"` inside a string or a
-//! doc comment therefore never trips a rule; only real identifier
-//! tokens do.
+//! the item parser only needs a faithful token stream. The lexer
+//! understands everything that could hide a false positive from a
+//! naive grep: line and (nested) block comments, string / raw-string /
+//! byte-string / char literals, lifetimes, and numeric literals with
+//! suffixes. `"counter_add("` inside a string or a doc comment
+//! therefore never counts as a call; only real identifier tokens do.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,9 @@
 //! The workspace model and the semantic rule families (S/F/W).
 //!
-//! The per-file token rules (D001–D005, U001) catch hazards visible on
-//! one line. The hazards PR 7–9 introduced are *cross-file*: an obs
+//! Hazards visible on one line (unordered maps, wall-clock reads,
+//! library panics, unsafe code, missing docs) are rustc and clippy
+//! lints, configured in the workspace `Cargo.toml` and
+//! `crates/clippy.toml`. The hazards left here are *cross-file*: an obs
 //! counter write buried three calls below a `ShardLogic` handler, a
 //! crate quietly growing a dependency edge that inverts the layering, a
 //! float reduction inside a scoped-thread closure. This module builds a
@@ -24,23 +26,23 @@
 //!   thread count.
 //! * **W001** — crate dependency edges outside the declared layering
 //!   DAG ([`ALLOWED_DEPS`]).
-//! * **W002** — library crates missing `#![forbid(unsafe_code)]`.
-//! * **W003** — `pub` items without a rustdoc comment (ratcheted
-//!   through the baseline, like U001 was).
+//! * **L000** — malformed `// fiveg-lint:` pragmas.
 //!
 //! Call-graph edges are resolved *by name* within a crate and its
 //! declared dependencies — a deliberate over-approximation (no type
-//! information), tamed by the same pragma/baseline machinery as every
-//! other rule. The `obs` and `trace` crates are exempt from S001/S003:
-//! their ambient sinks are the *sanctioned* aggregation channels, and
-//! their shard-invariance is proven end-to-end by the `ci.sh` shard
-//! matrix and trace-determinism stages rather than statically.
+//! information), tamed by per-site pragmas. The `obs` and `trace`
+//! crates are exempt from S001/S003: their ambient sinks are the
+//! *sanctioned* aggregation channels, and their shard-invariance is
+//! proven end-to-end by the `ci.sh` shard matrix and trace-determinism
+//! stages rather than statically.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::parser::{parse_file, FileModel};
-use crate::rules::{file_pragmas, hint_for, test_regions_of, FileCtx, FileKind, Finding};
+use crate::rules::{
+    hint_for, scan_pragmas, suppressed, test_regions_of, FileCtx, FileKind, Finding,
+};
 
 /// The declared crate-layering DAG: for each crate (by `crates/<name>`
 /// directory name), the `fiveg-*` crates its `[dependencies]` section
@@ -51,8 +53,8 @@ use crate::rules::{file_pragmas, hint_for, test_regions_of, FileCtx, FileKind, F
 /// `simcore` is the DES kernel; `geo`/`phy`/`ran`/`net`/`transport`/
 /// `apps`/`energy` are the sim libraries; `scenario` is pure data
 /// model; `campaign` schedules; `core` composes everything; `bench` is
-/// the CLI shell. `lint` sees only `obs` (its JSON reader) — it must
-/// stay buildable before anything else is.
+/// the CLI shell. `lint` depends on nothing, so it stays buildable
+/// before anything else is.
 pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("obs", &[]),
     ("trace", &["obs"]),
@@ -87,7 +89,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         "bench",
         &["core", "campaign", "obs", "trace", "geo", "scenario"],
     ),
-    ("lint", &["obs"]),
+    ("lint", &[]),
 ];
 
 /// Obs write entry points guarded by S001.
@@ -104,11 +106,11 @@ pub struct Dep {
     pub name: String,
     /// 1-based line of the dependency in the manifest.
     pub line: u32,
-    /// Trimmed manifest line (the baseline key).
+    /// Trimmed manifest line.
     pub excerpt: String,
 }
 
-/// One crate manifest, as W001/W002 see it.
+/// One crate manifest, as W001 sees it.
 #[derive(Debug, Clone)]
 pub struct Manifest {
     /// `crates/<name>` directory name.
@@ -212,8 +214,9 @@ impl FileData<'_> {
 }
 
 /// Runs the semantic pass over parsed sources + manifests. Returns
-/// `(findings, suppressed_by_pragma)`; findings are unsorted (the
-/// caller merges them with the per-file scan and sorts once).
+/// `(findings, suppressed_by_pragma)`, findings sorted by (file, line,
+/// rule). Malformed pragmas are L000 findings and cannot themselves be
+/// suppressed.
 pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, usize) {
     let data: Vec<FileData> = files
         .iter()
@@ -242,23 +245,6 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
                     hint: hint_for("W001"),
                 });
             }
-        }
-    }
-
-    // --- W002: forbid(unsafe_code) on every library crate root -------------
-    for m in manifests {
-        let lib_rel = format!("crates/{}/src/lib.rs", m.crate_name);
-        let Some(lib) = data.iter().find(|d| d.ctx.rel_path == lib_rel) else {
-            continue; // bin-only crate
-        };
-        if !lib.model.forbids_unsafe {
-            raw.push(Finding {
-                file: lib_rel,
-                line: 1,
-                rule: "W002",
-                excerpt: lib.excerpt(1),
-                hint: hint_for("W002"),
-            });
         }
     }
 
@@ -405,7 +391,7 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
         }
     }
 
-    // --- S002 / F001 / W003 per file ---------------------------------------
+    // --- S002 / F001 per file ----------------------------------------------
     for d in &data {
         if d.ctx.kind != FileKind::Lib {
             continue;
@@ -436,17 +422,6 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
                 });
             }
         }
-        for p in &d.model.pub_items {
-            if !p.has_doc && !d.in_test(p.line) {
-                raw.push(Finding {
-                    file: d.ctx.rel_path.clone(),
-                    line: p.line,
-                    rule: "W003",
-                    excerpt: d.excerpt(p.line),
-                    hint: hint_for("W003"),
-                });
-            }
-        }
     }
 
     // One finding per (rule, file, line): taint can reach a fn through
@@ -454,26 +429,27 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
     raw.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     raw.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);
 
-    // --- pragma suppression (same contract as the per-file scan) -----------
-    let mut pragmas: BTreeMap<&str, Vec<(u32, Vec<String>)>> = BTreeMap::new();
-    for d in &data {
-        pragmas.insert(d.ctx.rel_path.as_str(), file_pragmas(d.src));
-    }
+    // --- pragmas: L000 for malformed ones, suppression by the rest ---------
+    let mut pragmas = BTreeMap::new();
     let mut findings = Vec::new();
-    let mut suppressed = 0usize;
+    for d in &data {
+        let (ok, malformed) = scan_pragmas(d.ctx, d.src);
+        pragmas.insert(d.ctx.rel_path.as_str(), ok);
+        findings.extend(malformed);
+    }
+    let mut silenced = 0usize;
     for f in raw {
-        let hit = pragmas.get(f.file.as_str()).is_some_and(|ps| {
-            ps.iter().any(|(line, rules)| {
-                (*line == f.line || *line + 1 == f.line) && rules.iter().any(|r| r == f.rule)
-            })
-        });
-        if hit {
-            suppressed += 1;
+        if pragmas
+            .get(f.file.as_str())
+            .is_some_and(|ps| suppressed(ps, f.rule, f.line))
+        {
+            silenced += 1;
         } else {
             findings.push(f);
         }
     }
-    (findings, suppressed)
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    (findings, silenced)
 }
 
 /// True when a static's type tokens imply interior mutability that
@@ -587,21 +563,6 @@ fiveg-core = { workspace = true }
     }
 
     #[test]
-    fn w002_fires_without_forbid() {
-        let m = Manifest::parse("net", "crates/net/Cargo.toml", "[dependencies]\n");
-        let lib = src_file("crates/net/src/lib.rs", "//! Net.\npub mod sim;\n");
-        let (f, _) = analyze(&[lib], &[m]);
-        assert!(rules_at(&f).contains(&("W002", 1)));
-        let m = Manifest::parse("net", "crates/net/Cargo.toml", "[dependencies]\n");
-        let lib = src_file(
-            "crates/net/src/lib.rs",
-            "//! Net.\n#![forbid(unsafe_code)]\npub mod sim;\n",
-        );
-        let (f, _) = analyze(&[lib], &[m]);
-        assert!(!rules_at(&f).iter().any(|&(r, _)| r == "W002"));
-    }
-
-    #[test]
     fn s001_taint_reaches_through_helpers() {
         let src = "
 impl ShardLogic for Node {
@@ -668,22 +629,17 @@ impl ShardLogic for Node {
     }
 
     #[test]
-    fn w003_ratchets_pub_docs() {
-        let src = "/// Doc.\npub fn a() {}\npub fn b() {}\nfn c() {}\n";
-        let (f, _) = analyze(&[src_file("crates/geo/src/fx.rs", src)], &[]);
-        assert_eq!(rules_at(&f), vec![("W003", 3)]);
-    }
-
-    #[test]
     fn pragmas_suppress_semantic_findings() {
         let src = "\
-// fiveg-lint: allow(W003) -- internal-only surface kept pub for benches
-pub fn a() {}
-pub fn b() {}
+fn knobs() {
+    // fiveg-lint: allow(S002) -- read once at start-up
+    let a = std::env::var(\"FIVEG_A\");
+    let b = std::env::var(\"FIVEG_B\");
+}
 ";
         let (f, s) = analyze(&[src_file("crates/geo/src/fx.rs", src)], &[]);
         assert_eq!(s, 1);
-        assert_eq!(rules_at(&f), vec![("W003", 3)]);
+        assert_eq!(rules_at(&f), vec![("S002", 4)]);
     }
 
     #[test]

@@ -1,69 +1,78 @@
-//! Docs-drift check: the DESIGN.md §7 rule table must match
-//! `fiveg_lint::RULES` — the same table `fiveg-lint --rules` prints —
-//! row for row, string for string. Edit either side without the other
-//! and this test names the exact drifted cell.
+//! Docs-drift check: the two DESIGN.md §7 rule tables must match
+//! `fiveg_lint::RULES` and `fiveg_lint::TOOLCHAIN_RULES` — the tables
+//! `fiveg-lint --rules` prints — row for row, string for string. Edit
+//! either side without the other and this test names the exact drifted
+//! cell.
 
-use fiveg_lint::RULES;
+use fiveg_lint::{RULES, TOOLCHAIN_RULES};
 
-/// Extracts `(id, what, hint)` rows from the §7 markdown table.
-fn design_rule_rows(design: &str) -> Vec<(String, String, String)> {
-    let mut rows = Vec::new();
-    for line in design.lines() {
-        let Some(rest) = line.strip_prefix('|') else {
-            continue;
-        };
-        let cells: Vec<&str> = rest.split('|').map(str::trim).collect();
-        if cells.len() < 3 {
-            continue;
-        }
-        let id = cells[0];
-        // Rule ids look like D001/S003/W001 — one uppercase letter,
-        // three digits. Header and separator rows fail this shape.
-        let is_rule = id.len() == 4
-            && id.starts_with(|c: char| c.is_ascii_uppercase())
-            && id[1..].chars().all(|c| c.is_ascii_digit());
-        if is_rule {
-            rows.push((id.to_string(), cells[1].to_string(), cells[2].to_string()));
-        }
+const RULES_HEADER: &str = "| rule | what it catches | fix hint |";
+const TOOLCHAIN_HEADER: &str = "| rule | what it catches | lint | configured in |";
+
+fn design() -> String {
+    let design_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    std::fs::read_to_string(design_path)
+        .unwrap_or_else(|e| panic!("cannot read {design_path}: {e}"))
+}
+
+/// The body rows of the markdown table whose header line is `header`,
+/// each split into trimmed cells.
+fn table_rows(design: &str, header: &str) -> Vec<Vec<String>> {
+    let mut lines = design.lines().skip_while(|l| l.trim() != header);
+    assert!(lines.next().is_some(), "DESIGN.md has no `{header}` table");
+    lines.next(); // the |---| separator
+    lines
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            l.trim()
+                .trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts the table rows equal `want`, naming the first drifted cell.
+fn assert_table(header: &str, want: &[Vec<&str>]) {
+    let rows = table_rows(&design(), header);
+    assert_eq!(
+        rows.len(),
+        want.len(),
+        "DESIGN.md `{header}` table has {} rows, the code has {} — add/remove the row",
+        rows.len(),
+        want.len()
+    );
+    for (row, want) in rows.iter().zip(want) {
+        assert_eq!(
+            row, want,
+            "{}: DESIGN.md row differs from the code (and from `--rules` output)",
+            want[0]
+        );
     }
-    rows
 }
 
 #[test]
 fn design_section_7_table_matches_rules() {
-    let design_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
-    let design = std::fs::read_to_string(design_path)
-        .unwrap_or_else(|e| panic!("cannot read {design_path}: {e}"));
-    let rows = design_rule_rows(&design);
-    assert_eq!(
-        rows.len(),
-        RULES.len(),
-        "DESIGN.md §7 table has {} rule rows, RULES has {} — add/remove the row",
-        rows.len(),
-        RULES.len()
-    );
-    for (row, (id, what, hint)) in rows.iter().zip(RULES) {
-        assert_eq!(
-            &row.0, id,
-            "rule order drifted: DESIGN.md row {} vs RULES {id}",
-            row.0
-        );
-        assert_eq!(
-            &row.1, what,
-            "{id}: DESIGN.md description differs from RULES (and from `--rules` output)"
-        );
-        assert_eq!(
-            &row.2, hint,
-            "{id}: DESIGN.md fix hint differs from RULES (and from `--rules` output)"
-        );
-    }
+    let want: Vec<Vec<&str>> = RULES
+        .iter()
+        .map(|(id, what, hint)| vec![*id, *what, *hint])
+        .collect();
+    assert_table(RULES_HEADER, &want);
+}
+
+#[test]
+fn design_section_7_toolchain_table_matches() {
+    let want: Vec<Vec<&str>> = TOOLCHAIN_RULES
+        .iter()
+        .map(|(id, what, lint, place)| vec![*id, *what, *lint, *place])
+        .collect();
+    assert_table(TOOLCHAIN_HEADER, &want);
 }
 
 #[test]
 fn design_has_section_12() {
-    let design_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
-    let design = std::fs::read_to_string(design_path)
-        .unwrap_or_else(|e| panic!("cannot read {design_path}: {e}"));
+    let design = design();
     assert!(
         design.contains("## 12. Workspace-aware semantic analysis"),
         "DESIGN.md lost §12 (workspace model / rule families / layering DAG)"

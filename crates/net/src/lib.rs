@@ -29,8 +29,7 @@
 //! * [`bufest`] — the classical max-min-delay in-network buffer
 //!   estimator the paper uses for Tab. 3.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bufest;
 pub mod crosstraffic;

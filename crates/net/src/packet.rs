@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub const MSS_BYTES: u32 = 1448;
 
 /// Flow identifier. Flow 0xFFFF_FFFF is reserved for cross-traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowId(pub u32);
 
 impl FlowId {

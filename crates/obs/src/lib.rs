@@ -47,8 +47,7 @@
 //! assert_eq!(snap.deterministic()["demo.tries.le_2"], 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod json;
 pub mod metrics;

@@ -247,10 +247,12 @@ impl MetricsHandle {
             .entry(name)
             .or_default()
             .clone();
-        SpanGuard {
-            stats,
-            started: Instant::now(),
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timers are the one sanctioned wall-clock read; spans never reach artifacts"
+        )]
+        let started = Instant::now();
+        SpanGuard { stats, started }
     }
 
     /// Freezes every instrument into a deterministic snapshot.

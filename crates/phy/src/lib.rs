@@ -25,8 +25,7 @@
 //!   cell (RSRP/RSRQ/SINR/CQI/MCS/bitrate), serving-cell selection; the
 //!   XCAL-Mobile analogue.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod antenna;
 pub mod carrier;

@@ -19,8 +19,7 @@
 //!   5G users get essentially all PRBs around the clock; 4G users get
 //!   40–85 of 100 by day, 95–100 at night).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod events;
 pub mod handoff;

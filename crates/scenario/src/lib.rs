@@ -17,8 +17,7 @@
 //! crate's deterministic JSON reader, keeping scenario bytes →
 //! artifact bytes a closed, reproducible loop.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod emit;
 pub mod parse;

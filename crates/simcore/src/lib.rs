@@ -30,8 +30,7 @@
 //! * [`hash`] — stable FNV-1a hashing for campaign seed derivation and
 //!   artifact fingerprints.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod dist;
 pub mod event;

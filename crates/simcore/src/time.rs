@@ -10,16 +10,34 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// An instant on the simulation clock, in nanoseconds since t = 0.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct SimDuration(u64);
+
+/// Both clock types order by their nanosecond count. The impls are
+/// written out because a derived `PartialOrd` calls `partial_cmp`,
+/// which `crates/clippy.toml` disallows (D002 in DESIGN.md §7).
+macro_rules! nanos_ord {
+    ($($clock:ident),*) => {$(
+        impl PartialOrd for $clock {
+            #[inline]
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for $clock {
+            #[inline]
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&other.0)
+            }
+        }
+    )*};
+}
+nanos_ord!(SimTime, SimDuration);
 
 impl SimTime {
     /// The start of the simulation.

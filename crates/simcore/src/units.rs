@@ -11,32 +11,51 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// Absolute power on the decibel-milliwatt scale.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Dbm(f64);
 
 /// A power *ratio* (gain or loss) in decibels.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Db(f64);
 
 /// Linear power in milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Power(f64);
 
 /// Energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Energy(f64);
 
 /// Carrier or subcarrier frequency in hertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Frequency(f64);
 
 /// Channel bandwidth in hertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Bandwidth(f64);
 
 /// Data rate in bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct BitRate(f64);
+
+/// The comparison operators order each unit by its raw `f64`, exactly
+/// as a derived `PartialOrd` would. Sorting goes through `total_cmp`
+/// on the raw values instead (D002 in DESIGN.md §7).
+macro_rules! float_partial_ord {
+    ($($unit:ident),*) => {$(
+        impl PartialOrd for $unit {
+            #[inline]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "operators only; NaN-safe sorts use total_cmp"
+            )]
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                self.0.partial_cmp(&other.0)
+            }
+        }
+    )*};
+}
+float_partial_ord!(Dbm, Db, Power, Energy, Frequency, Bandwidth, BitRate);
 
 impl Dbm {
     /// Constructs from a dBm value.

@@ -34,7 +34,7 @@ pub const NO_UE: u32 = u32::MAX;
 pub const ROUTER_ORIGIN: u32 = u32::MAX;
 
 /// Event category, used for filtering and ring-buffer bounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Category {
     /// Attach decisions and handoffs (paper Fig. 8 territory).
     Radio,

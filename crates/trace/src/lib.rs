@@ -26,8 +26,7 @@
 //!   superset of any global suffix, the truncated result equals what a
 //!   single global ring would have kept — for any shard partition.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -13,8 +13,7 @@
 //! * [`udp`] — the CBR source used for the UDP baselines (Fig. 7) and
 //!   the loss-versus-load sweep (Fig. 9).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
 pub mod bbr;
 pub mod cc;
