@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate, in stages: formatting and lints across the whole workspace,
 # build, tests, a golden-regression smoke, a benchmark perf gate and
-# determinism checks over both the worker axis (--jobs) and the shard
-# axis (FIVEG_SHARDS). Each stage is timed; on failure the exit message
+# determinism checks across --jobs, the run's one thread count (workers,
+# sweep threads and fleet shards). Each stage is timed; on failure the exit message
 # names the stage that broke. Machine-readable per-stage timings land in
 # target/ci-timings.json, and any stage that exceeds its committed
 # budget (golden/ci-budget.json) prints a soft warning.
@@ -124,6 +124,18 @@ same_fingerprints() {
   done
 }
 
+# spans_chunks LABEL FILE MIN: the fleet artifact FILE must report more
+# than (MIN-1)*64 UEs, i.e. span at least MIN 64-UE chunks, so a run at
+# --jobs >= MIN really runs MIN UE shards.
+spans_chunks() {
+  local label=$1 file=$2 min=$3 ues
+  ues=$(sed -n 's/^  "ues": \([0-9][0-9]*\),$/\1/p' "$file")
+  if (( ${ues:-0} <= (min - 1) * 64 )); then
+    echo "${label}: ${ues:-no} UEs in $file span fewer than ${min} 64-UE chunks" >&2
+    exit 1
+  fi
+}
+
 # vendor/ holds offline subsets of external crates and keeps upstream
 # formatting; everything we author is held to rustfmt. Lint fixtures
 # are deliberate hazard snippets, checked by the fiveg-lint fixture
@@ -132,8 +144,8 @@ stage "rustfmt --check (workspace)"
 find crates tests examples -name '*.rs' -not -path '*/fixtures/*' -print0 \
   | xargs -0 rustfmt --edition 2021 --check
 
-# Determinism linter, before anything expensive: no S001-S003 / F001 /
-# W001 finding and no malformed pragma. On failure fiveg-lint names the
+# Determinism linter, before anything expensive: no S001 / S003 / F001
+# / W001 finding and no malformed pragma. On failure fiveg-lint names the
 # rule id with the most findings and the pragma to use.
 stage "fiveg-lint --check (determinism invariants)"
 cargo run --release -q -p fiveg-lint -- --check
@@ -141,7 +153,7 @@ cargo run --release -q -p fiveg-lint -- --check
 # --all-targets lints test and example code too, as benchmark/check.sh
 # does for the benchmark package. The one-line determinism rules are
 # lints here: crates/clippy.toml (HashMap/HashSet, partial_cmp, wall
-# clock), unsafe_code = "forbid", and unwrap/expect/missing_docs at
+# clock, environment reads), unsafe_code = "forbid", and unwrap/expect/missing_docs at
 # each lib root (DESIGN.md §7).
 stage "cargo clippy --workspace --all-targets"
 cargo clippy --release --workspace --all-targets -- -D warnings
@@ -217,8 +229,9 @@ if [[ "$variants" -ne 12 ]]; then
 fi
 
 # The scenario DSL end-to-end: the committed scenarios (including the
-# fault-injection demo) must reproduce golden/scenario-s2020 at both
-# worker counts, and the paper-equivalent survey scenario must be
+# fault-injection demo) must reproduce golden/scenario-s2020 at 8, 2
+# and 1 workers (as many fleet shards, up to each fleet's chunk count),
+# and the paper-equivalent survey scenario must be
 # byte-identical to the registry's table1 golden.
 stage "scenario golden: repro --scenario vs golden/scenario-s2020"
 SCEN_JOBS=(--scenario golden/scenarios/paper-campus.json
@@ -228,6 +241,8 @@ SCEN_JOBS=(--scenario golden/scenarios/paper-campus.json
            --scenario golden/scenarios/night-sparse.json)
 "${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 8 \
   --out target/ci-scen-j8 --check golden/scenario-s2020 > /dev/null
+"${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 2 \
+  --out target/ci-scen-j2 --check golden/scenario-s2020 > /dev/null
 "${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 1 \
   --out target/ci-scen-j1 --check golden/scenario-s2020 > /dev/null
 cmp target/ci-scen-j8/paper_campus.json golden/quick-s2020/table1.json \
@@ -240,76 +255,55 @@ cmp target/ci-scen-j8/paper_campus.json golden/quick-s2020/table1.json \
 # the host).
 stage "perf gate: repro --bench vs ${BASELINE}"
 rm -rf target/ci-bench-j8 target/ci-bench-j1   # stale artifacts from older schemas
-FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
+"${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
   --bench-check "${BASELINE}" > /dev/null
 
-# Same campaign single-threaded — one worker AND one sweep thread:
-# every artifact byte, every manifest fingerprint and every metrics
-# counter must match the 8-worker/8-sweep-thread run.
+# Same campaign single-threaded — one worker, one sweep thread, one
+# fleet shard: every artifact byte, every manifest fingerprint and
+# every metrics counter must match the --jobs 8 run.
 stage "determinism: --jobs 1 vs --jobs 8"
-FIVEG_SWEEP_THREADS=1 "${REPRO[@]}" --jobs 1 --out target/ci-bench-j1 --bench \
+"${REPRO[@]}" --jobs 1 --out target/ci-bench-j1 --bench \
   --bench-check target/ci-bench-j8/BENCH_0003.json > /dev/null
 same_artifacts "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8
 same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8 json_hash
-
-# The conservative-PDES contract: the full quick campaign plus the
-# committed scenarios must be byte-identical — artifacts, manifest
-# fingerprints, obs counters — for any shard count. Every count runs
-# the one barrier-windowed shard loop: FIVEG_SHARDS=1 on the calling
-# thread, 2 and 8 on as many worker threads. Counter identity rides the
-# --bench-check (exact-match gate); artifact identity is same_artifacts.
-stage "determinism: shard matrix (FIVEG_SHARDS=1/2/8)"
-rm -rf target/ci-shard-s1 target/ci-shard-s2 target/ci-shard-s8 target/ci-shard-x
-FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${SCEN_JOBS[@]}" --jobs 8 \
-  --out target/ci-shard-s1 --bench > /dev/null
-for s in 2 8; do
-  FIVEG_SHARDS=$s FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${SCEN_JOBS[@]}" --jobs 8 \
-    --out "target/ci-shard-s$s" --bench \
-    --bench-check target/ci-shard-s1/BENCH_0003.json > /dev/null
-  same_artifacts "shard matrix (FIVEG_SHARDS=$s)" "target/ci-shard-s$s" target/ci-shard-s1
-  same_fingerprints "shard matrix (FIVEG_SHARDS=$s)" target/ci-shard-s1 "target/ci-shard-s$s" json_hash
-done
-# Cross the shard axis with the worker axis on the cheapest pair: the
-# scenario artifacts of (FIVEG_SHARDS=2, --jobs 1, 1 sweep thread) must
-# match the (FIVEG_SHARDS=8, --jobs 8) run above.
-FIVEG_SHARDS=2 FIVEG_SWEEP_THREADS=1 "${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario \
-  --jobs 1 --out target/ci-shard-x > /dev/null
-same_artifacts "shard matrix (jobs x shards cross)" target/ci-shard-x target/ci-shard-s8
 
 # City smoke: the procedural dense-urban scenario exercises the whole
 # city fast path — generate_city, the tiled spatial index (3x3 tiles
 # cross the 256-building auto-select threshold), the SoA fleet columns
 # and the incremental re-measurement cache — and its artifacts must be
-# byte-identical across shard counts. Counter identity for the city
-# micros (city.sweep.100k, city.attach.*) rides the perf gate above.
-stage "city smoke: dense-urban scenario (FIVEG_SHARDS=1 vs 8)"
-rm -rf target/ci-city-s1 target/ci-city-s8
+# byte-identical between --jobs 1 (one UE shard) and --jobs 8 (one
+# shard per 64-UE chunk, so the fleet must span at least three). Counter
+# identity for the city micros (city.sweep.100k, city.attach.*) rides
+# the perf gate above.
+stage "city smoke: dense-urban scenario (--jobs 1 vs 8)"
+rm -rf target/ci-city-j1 target/ci-city-j8
 CITY_JOBS=(--scenario golden/scenarios/dense-urban-smoke.json)
-FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
-  --jobs 8 --out target/ci-city-s1 > /dev/null
-FIVEG_SHARDS=8 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
-  --jobs 8 --out target/ci-city-s8 > /dev/null
-same_artifacts "city smoke (FIVEG_SHARDS=1 vs 8)" target/ci-city-s1 target/ci-city-s8
-same_fingerprints "city smoke (FIVEG_SHARDS=1 vs 8)" target/ci-city-s1 target/ci-city-s8 json_hash
+"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --out target/ci-city-j1 > /dev/null
+"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 8 --out target/ci-city-j8 > /dev/null
+spans_chunks "city smoke" target/ci-city-j1/dense_urban_smoke.json 3
+same_artifacts "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-j8
+same_fingerprints "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-j8 json_hash
 
 # Trace determinism: the flight recorder's byte contract. A full-mode
-# trace of the dense-urban smoke scenario must be byte-identical —
-# binary columns, sidecar schema and manifest trace fingerprints —
-# between (FIVEG_SHARDS=1, --jobs 1) and (FIVEG_SHARDS=8, --jobs 8),
-# and `trace stats` must reconstruct at least one complete per-UE
-# handoff timeline from it. Trace overhead and event/byte counts ride
-# the perf gate above (trace.full / trace.ring micros).
-stage "trace determinism: dense-urban-smoke --trace=full (shards 1 vs 8)"
-rm -rf target/ci-trace-s1 target/ci-trace-s8
-FIVEG_SHARDS=1 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
-  --jobs 1 --trace=full --out target/ci-trace-s1 > /dev/null
-FIVEG_SHARDS=8 FIVEG_SWEEP_THREADS=8 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario \
-  --jobs 8 --trace=full --out target/ci-trace-s8 > /dev/null
-same_artifacts "trace determinism (shards 1 vs 8)" target/ci-trace-s1 target/ci-trace-s8 \
+# trace of the dense-urban smoke scenario (three UE shards at --jobs 8)
+# must be byte-identical — binary
+# columns, sidecar schema and manifest trace fingerprints — between
+# --jobs 1 and --jobs 8, and `trace stats` must reconstruct at least
+# one complete per-UE handoff timeline from it. Trace overhead and
+# event/byte counts ride the perf gate above (trace.full / trace.ring
+# micros).
+stage "trace determinism: dense-urban-smoke --trace=full (--jobs 1 vs 8)"
+rm -rf target/ci-trace-j1 target/ci-trace-j8
+"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --trace=full \
+  --out target/ci-trace-j1 > /dev/null
+"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 8 --trace=full \
+  --out target/ci-trace-j8 > /dev/null
+spans_chunks "trace determinism" target/ci-trace-j1/dense_urban_smoke.json 3
+same_artifacts "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 \
   '*.trace.bin' '*.trace.json'
-same_fingerprints "trace determinism (shards 1 vs 8)" target/ci-trace-s1 target/ci-trace-s8 trace_hash
+same_fingerprints "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 trace_hash
 cargo run --release -q -p fiveg-trace --bin trace -- \
-  stats target/ci-trace-s1/dense_urban_smoke.trace.bin > target/ci-trace-stats.txt
+  stats target/ci-trace-j1/dense_urban_smoke.trace.bin > target/ci-trace-stats.txt
 grep -q '\[complete\]' target/ci-trace-stats.txt \
   || { echo "trace determinism: stats reconstructs no complete handoff timeline" >&2;
        cat target/ci-trace-stats.txt >&2; exit 1; }

@@ -22,7 +22,8 @@ Options:
   --paper          paper-methodology fidelity (default: quick)
   --out DIR        artifact directory (default: repro-out)
   --seed N         base seed (default: 2020)
-  --jobs N         worker threads (default: all cores; results are
+  --jobs N         threads: concurrent jobs, and each job's sweep threads
+                   and fleet shards (default: all cores; results are
                    byte-identical for any value)
   --only FILTER    run only jobs whose name or section contains FILTER
   --scenario FILE  register a scenario file (fiveg-scenario DSL) as an

@@ -25,7 +25,10 @@ pub struct RunConfig {
     pub base_seed: u64,
     /// Fidelity handed to every job.
     pub fidelity: FidelityLevel,
-    /// Worker threads (≥ 1). Has no effect on results, only wall time.
+    /// Worker threads (≥ 1): units run concurrently on this many
+    /// workers, and each unit's sweeps and fleet shards fan out on as
+    /// many threads ([`JobCtx::threads`]). Has no effect on results,
+    /// only wall time.
     pub workers: usize,
     /// Substring filter over job names/sections (`--only`).
     pub only: Option<String>,
@@ -47,7 +50,8 @@ impl RunConfig {
         }
     }
 
-    /// Sets the worker count (clamped to ≥ 1).
+    /// Sets the run's one thread count (clamped to ≥ 1): the number of
+    /// concurrent units and each unit's sweep threads and fleet shards.
     pub fn workers(mut self, n: usize) -> RunConfig {
         self.workers = n.max(1);
         self
@@ -196,6 +200,7 @@ fn run_unit(job: &dyn Job, cfg: &RunConfig, rep: u32) -> JobResult {
         base_seed: cfg.base_seed,
         fidelity: cfg.fidelity,
         rep,
+        threads: cfg.workers.max(1),
     };
     let max_attempts = 1 + job.retry_budget();
     #[expect(

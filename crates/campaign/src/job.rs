@@ -44,6 +44,10 @@ pub struct JobCtx {
     pub fidelity: FidelityLevel,
     /// Repetition index within the job's seed sweep, `0..reps`.
     pub rep: u32,
+    /// Threads the unit may fan out on: its grid sweeps and its fleet
+    /// shards. The executor sets it to the run's worker count
+    /// ([`crate::RunConfig::workers`]); results never depend on it.
+    pub threads: usize,
 }
 
 /// What a job produces: the human-readable rendering and the JSON

@@ -77,33 +77,29 @@ impl Table1 {
     }
 }
 
-/// Runs the blanket road survey and produces Tab. 1.
-pub fn table1(sc: &Scenario) -> Table1 {
-    table1_with(sc, &RoadSurvey::paper_default())
+/// Runs the blanket road survey and produces Tab. 1, measuring on
+/// `threads` sweep threads (the result does not depend on them).
+pub fn table1(sc: &Scenario, threads: usize) -> Table1 {
+    table1_with(sc, &RoadSurvey::paper_default(), threads)
 }
 
 /// [`table1`] with an explicit survey configuration — the scenario DSL's
 /// `survey` workload runs through here, so a paper-default scenario file
 /// is byte-faithful to the registry's `table1` job.
-pub fn table1_with(sc: &Scenario, survey: &RoadSurvey) -> Table1 {
+pub fn table1_with(sc: &Scenario, survey: &RoadSurvey, threads: usize) -> Table1 {
     let trace = survey.generate(&sc.campus.map);
     // Measure in parallel (order-preserved), then reduce serially —
     // `OnlineStats` accumulation is float-order-sensitive.
-    let measured = par::par_map_with(
-        &trace.points,
-        par::sweep_threads(),
-        MeasureScratch::new,
-        |s, _, p| {
-            (
-                sc.env
-                    .serving_into(p.pos, Tech::Lte, s)
-                    .map(|m| m.rsrp.value()),
-                sc.env
-                    .serving_into(p.pos, Tech::Nr, s)
-                    .map(|m| m.rsrp.value()),
-            )
-        },
-    );
+    let measured = par::par_map_with(&trace.points, threads, MeasureScratch::new, |s, _, p| {
+        (
+            sc.env
+                .serving_into(p.pos, Tech::Lte, s)
+                .map(|m| m.rsrp.value()),
+            sc.env
+                .serving_into(p.pos, Tech::Nr, s)
+                .map(|m| m.rsrp.value()),
+        )
+    });
     let mut s4 = OnlineStats::new();
     let mut s5 = OnlineStats::new();
     for (m4, m5) in measured {
@@ -179,8 +175,9 @@ impl Table2 {
 }
 
 /// Samples `n` random outdoor/indoor mixed locations and buckets RSRP —
-/// the paper sampled 4630 locations along roads.
-pub fn table2(sc: &Scenario, n: usize) -> Table2 {
+/// the paper sampled 4630 locations along roads. Measures on `threads`
+/// sweep threads.
+pub fn table2(sc: &Scenario, n: usize, threads: usize) -> Table2 {
     let mut rng = sc.rng("table2");
     let trace = RoadSurvey::paper_default().generate(&sc.campus.map);
     let mut h4 = Histogram::new(RSRP_EDGES.to_vec());
@@ -201,27 +198,22 @@ pub fn table2(sc: &Scenario, n: usize) -> Table2 {
     let positions: Vec<Point> = (0..n)
         .map(|_| trace.points[rng.index(trace.len())].pos)
         .collect();
-    let measured = par::par_map_with(
-        &positions,
-        par::sweep_threads(),
-        MeasureScratch::new,
-        |s, _, &p| {
-            // One LTE sweep serves both columns: the serving cell is the
-            // first entry, the density-matched 4G column the best cell
-            // among the co-sited eNBs only.
-            let (m4, m4c) = {
-                let all = sc.env.measure_all_into(p, Tech::Lte, s);
-                (
-                    all.first().map(|m| m.rsrp.value()),
-                    all.iter()
-                        .find(|m| m.pci < cosited_max_pci)
-                        .map(|m| m.rsrp.value()),
-                )
-            };
-            let m5 = sc.env.serving_into(p, Tech::Nr, s).map(|m| m.rsrp.value());
-            (m4, m5, m4c)
-        },
-    );
+    let measured = par::par_map_with(&positions, threads, MeasureScratch::new, |s, _, &p| {
+        // One LTE sweep serves both columns: the serving cell is the
+        // first entry, the density-matched 4G column the best cell
+        // among the co-sited eNBs only.
+        let (m4, m4c) = {
+            let all = sc.env.measure_all_into(p, Tech::Lte, s);
+            (
+                all.first().map(|m| m.rsrp.value()),
+                all.iter()
+                    .find(|m| m.pci < cosited_max_pci)
+                    .map(|m| m.rsrp.value()),
+            )
+        };
+        let m5 = sc.env.serving_into(p, Tech::Nr, s).map(|m| m.rsrp.value());
+        (m4, m5, m4c)
+    });
     for (m4, m5, m4c) in measured {
         if let Some(v) = m4 {
             h4.push(v);
@@ -290,19 +282,14 @@ impl Fig2a {
     }
 }
 
-/// Computes the Fig. 2a grid map for 5G.
-pub fn fig2a(sc: &Scenario, step_m: f64) -> Fig2a {
+/// Computes the Fig. 2a grid map for 5G on `threads` sweep threads.
+pub fn fig2a(sc: &Scenario, step_m: f64, threads: usize) -> Fig2a {
     let samples = sc.campus.map.grid_samples(step_m, true);
-    let measured = par::par_map_with(
-        &samples,
-        par::sweep_threads(),
-        MeasureScratch::new,
-        |s, _, &p| {
-            sc.env
-                .serving_into(p, Tech::Nr, s)
-                .map(|m| (p.x, p.y, m.rsrp.value(), m.pci))
-        },
-    );
+    let measured = par::par_map_with(&samples, threads, MeasureScratch::new, |s, _, &p| {
+        sc.env
+            .serving_into(p, Tech::Nr, s)
+            .map(|m| (p.x, p.y, m.rsrp.value(), m.pci))
+    });
     let mut points = Vec::with_capacity(samples.len());
     let mut holes = 0usize;
     for m in measured.into_iter().flatten() {
@@ -356,8 +343,8 @@ impl Fig2b {
     }
 }
 
-/// Computes Fig. 2b for the first NR cell.
-pub fn fig2b(sc: &Scenario) -> Fig2b {
+/// Computes Fig. 2b for the first NR cell on `threads` sweep threads.
+pub fn fig2b(sc: &Scenario, threads: usize) -> Fig2b {
     let env: &RadioEnv = &sc.env;
     // PCI 60 is the first NR cell of every paper deployment; if a
     // variant scenario drops it, degrade to cell 0 instead of aborting
@@ -382,20 +369,16 @@ pub fn fig2b(sc: &Scenario) -> Fig2b {
         }
         y += step;
     }
-    let samples: Vec<(f64, f64, f64)> = par::par_map_with(
-        &grid,
-        par::sweep_threads(),
-        MeasureScratch::new,
-        |s, _, &p| {
+    let samples: Vec<(f64, f64, f64)> =
+        par::par_map_with(&grid, threads, MeasureScratch::new, |s, _, &p| {
             env.measure_pci_into(p, cell.pci, s).map(|m| {
                 let kpi = env.kpi_for(m, p, 1.0);
                 (p.x, p.y, kpi.bitrate.mbps())
             })
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     // Boresight walk until the cell drops out of service (paper: the
     // LoS walk to location A at ≈230 m).
     let az = cell.antenna.azimuth_deg.to_radians();
@@ -563,7 +546,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_scale() {
-        let t = table1(&sc());
+        let t = table1(&sc(), 2);
         assert_eq!(t.cells_4g, 34);
         assert_eq!(t.cells_5g, 13);
         assert!(
@@ -581,7 +564,7 @@ mod tests {
 
     #[test]
     fn table2_reproduces_hole_ordering() {
-        let t = table2(&sc(), 4630);
+        let t = table2(&sc(), 4630, 2);
         let (h4, h5, h4c) = t.holes();
         // The paper's key observations: 5G holes ≫ 4G holes, and the
         // density-matched 4G subset still beats 5G.
@@ -596,7 +579,7 @@ mod tests {
 
     #[test]
     fn fig2a_has_holes_and_renders() {
-        let f = fig2a(&sc(), 25.0);
+        let f = fig2a(&sc(), 25.0, 2);
         assert!(f.points.len() > 200);
         assert!(
             f.hole_fraction > 0.01 && f.hole_fraction < 0.30,
@@ -609,7 +592,7 @@ mod tests {
 
     #[test]
     fn fig2b_radius_near_230m() {
-        let f = fig2b(&sc());
+        let f = fig2b(&sc(), 2);
         assert!(
             (150.0..320.0).contains(&f.boresight_radius_m),
             "radius {}",

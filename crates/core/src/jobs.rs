@@ -51,10 +51,10 @@ macro_rules! jobs {
 
 jobs! {
     // Sec. 3: coverage.
-    job_table1(ctx) => coverage::table1(&scenario(ctx));
-    job_table2(ctx) => coverage::table2(&scenario(ctx), 4630);
-    job_fig2a(ctx) => coverage::fig2a(&scenario(ctx), 20.0);
-    job_fig2b(ctx) => coverage::fig2b(&scenario(ctx));
+    job_table1(ctx) => coverage::table1(&scenario(ctx), ctx.threads);
+    job_table2(ctx) => coverage::table2(&scenario(ctx), 4630, ctx.threads);
+    job_fig2a(ctx) => coverage::fig2a(&scenario(ctx), 20.0, ctx.threads);
+    job_fig2b(ctx) => coverage::fig2b(&scenario(ctx), ctx.threads);
     job_fig3(ctx) => coverage::fig3(&scenario(ctx));
     // Sec. 3.4: hand-off.
     job_fig4(ctx) => handoff::fig4(&scenario(ctx));

@@ -3,7 +3,8 @@
 //! The radio-measurement experiments evaluate thousands of independent
 //! UE positions; this module spreads them over `std::thread::scope`
 //! workers while keeping every observable byte-identical to the serial
-//! run:
+//! run. The caller passes the thread count; campaign jobs pass
+//! `JobCtx::threads`, which is the run's `--jobs`.
 //!
 //! - **Output order** — work is split into fixed-size chunks
 //!   ([`CHUNK`]); workers claim chunk *indices* from an atomic counter
@@ -22,71 +23,19 @@
 //! No external dependencies: plain `std::thread::scope`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Fixed work-chunk size. Must never vary with thread count or host —
 /// per-chunk scratch lifetimes (and thus the `phy.scratch.reuse`
 /// counter) are part of the deterministic-metrics contract.
 pub const CHUNK: usize = 64;
 
-/// Worker count for sweeps: the `FIVEG_SWEEP_THREADS` environment
-/// variable if set to a positive integer, else the machine's available
-/// parallelism. Resolved once per process.
-pub fn sweep_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("FIVEG_SWEEP_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    })
-}
-
-/// Shard count for sharded fleet runs: the `FIVEG_SHARDS` environment
-/// variable if set to a positive integer, else the machine's available
-/// parallelism. Resolved once per process. Every value runs the same
-/// barrier-windowed shard loop (`FIVEG_SHARDS=1` inline on the calling
-/// thread, with no spawn) and yields byte-identical artifacts and obs
-/// counters (the conservative-PDES determinism contract, enforced by
-/// the ci.sh shard-matrix stage).
-pub fn shard_count() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        if let Ok(v) = std::env::var("FIVEG_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    })
-}
-
-/// Maps `f` over `items` on [`sweep_threads`] workers, preserving input
-/// order. `f` receives the item index and the item.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    par_map_threads(items, sweep_threads(), f)
-}
-
-/// [`par_map`] with an explicit thread count (tests and benchmarks).
-pub fn par_map_threads<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    par_map_with(items, threads, || (), |(), i, t| f(i, t))
-}
-
-/// The full form: maps `f` over `items` with a per-chunk state built by
-/// `init` (a scratch buffer, typically), preserving input order for any
-/// `threads`. The state is created at the start of every chunk and
-/// dropped at its end, inside the worker's obs scope, so Drop-flushed
-/// counters are chunk-structured and deterministic.
+/// Maps `f` over `items` with a per-chunk state built by `init` (a
+/// scratch buffer, typically), preserving input order for any
+/// `threads`. `f` receives the state, the item index and the item. The
+/// state is created at the start of every chunk and dropped at its end,
+/// inside the worker's obs scope, so Drop-flushed counters are
+/// chunk-structured and deterministic.
 pub fn par_map_with<T: Sync, R: Send, S>(
     items: &[T],
     threads: usize,
@@ -160,13 +109,21 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 8] {
-            let got = par_map_threads(&items, threads, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 3 + 1
-            });
+            let got = par_map_with(
+                &items,
+                threads,
+                || (),
+                |(), i, &x| {
+                    assert_eq!(i as u64, x);
+                    x * 3 + 1
+                },
+            );
             assert_eq!(got, expect, "threads={threads}");
         }
-        assert_eq!(par_map_threads(&Vec::<u64>::new(), 4, |_, &x| x), vec![]);
+        assert_eq!(
+            par_map_with(&Vec::<u64>::new(), 4, || (), |(), _, &x| x),
+            vec![]
+        );
     }
 
     #[test]
@@ -195,10 +152,15 @@ mod tests {
         for threads in [1, 2, 8] {
             let m = fiveg_obs::MetricsHandle::new();
             fiveg_obs::scoped(&m, || {
-                let _ = par_map_threads(&items, threads, |_, &x| {
-                    fiveg_obs::counter_add("par.test.work", 1);
-                    x
-                });
+                let _ = par_map_with(
+                    &items,
+                    threads,
+                    || (),
+                    |(), _, &x| {
+                        fiveg_obs::counter_add("par.test.work", 1);
+                        x
+                    },
+                );
             });
             totals.push(m.snapshot().counters["par.test.work"]);
         }

@@ -19,11 +19,12 @@
 //! shard engine ([`fiveg_simcore::shard`]): UEs partition into
 //! cell-cluster shards that advance concurrently against a wireline
 //! router shard, with the access path's one-way latency as lookahead.
-//! Artifact bytes and obs counters are independent of `--jobs` *and*
-//! of `FIVEG_SHARDS` — cross-shard ties break on the stable
-//! `(time, shard-id, seq)` key, never on arrival order, and every
-//! shard count runs the engine's one barrier-windowed loop
-//! (`FIVEG_SHARDS=1` is one UE shard plus the router on one thread).
+//! [`ScenarioJob`] runs on as many shards as the run has threads
+//! (`JobCtx::threads`, i.e. `--jobs`), and artifact bytes and obs
+//! counters are independent of that count — cross-shard ties break on
+//! the stable `(time, shard-id, seq)` key, never on arrival order, and
+//! every shard count runs the engine's one barrier-windowed loop (one
+//! shard is one UE shard plus the router on one thread).
 
 use crate::experiments::coverage;
 use crate::report;
@@ -720,7 +721,7 @@ impl UeCells<'_> {
         }
         let hysteresis_db = self.faults.hysteresis_db;
         // Trace context: logical origin = chunk id (invariant under
-        // FIVEG_SHARDS); event time = this Measure event's execution
+        // the shard count); event time = this Measure event's execution
         // time (tick start + delta, also shard-count invariant).
         let trace_on = fiveg_trace::is_active();
         let trace_origin = ue / crate::par::CHUNK as u32;
@@ -1043,24 +1044,14 @@ impl ShardLogic for FleetNode<'_> {
 }
 
 /// Runs a fleet workload against a built scenario. `run_seed` drives
-/// all fleet-private randomness (the per-job derived seed). The shard
-/// count comes from [`crate::par::shard_count`] (`FIVEG_SHARDS`).
-pub fn run_fleet(
-    sc: &Scenario,
-    spec: &ScenarioSpec,
-    fleet: &FleetSpec,
-    run_seed: u64,
-) -> FleetReport {
-    run_fleet_sharded(sc, spec, fleet, run_seed, crate::par::shard_count())
-}
-
-/// [`run_fleet`] with an explicit shard count (tests and benchmarks).
+/// all fleet-private randomness (the per-job derived seed).
 ///
-/// The run partitions into `shards` UE-cluster shards plus a router
-/// shard on the conservative engine; every observable byte (report
-/// floats, obs counters) is identical for any `shards` value. The
-/// engine runs on `shards` threads; `shards = 1` runs its windowed
-/// loop inline on the calling thread.
+/// The run partitions into `shards` UE-cluster shards (at most one per
+/// [`crate::par::CHUNK`] UEs) plus a router shard on the conservative
+/// engine; every observable byte (report floats, obs counters) is
+/// identical for any `shards` value. The engine runs on `shards`
+/// threads; `shards = 1` runs its windowed loop inline on the calling
+/// thread.
 pub fn run_fleet_sharded(
     sc: &Scenario,
     spec: &ScenarioSpec,
@@ -1439,13 +1430,13 @@ impl Job for ScenarioJob {
                     speed_kmh: s.speed_kmh,
                     interval: SimDuration::from_millis(s.interval_ms),
                 };
-                let t = coverage::table1_with(&sc, &survey);
+                let t = coverage::table1_with(&sc, &survey, ctx.threads);
                 let json =
                     serde_json::to_string_pretty(&t).map_err(|e| format!("serialise: {e}"))?;
                 Ok(JobOutput::new(t.to_text(), json))
             }
             WorkloadSpec::Fleet(f) => {
-                let r = run_fleet(&sc, &self.spec, f, ctx.seed);
+                let r = run_fleet_sharded(&sc, &self.spec, f, ctx.seed, ctx.threads);
                 let json =
                     serde_json::to_string_pretty(&r).map_err(|e| format!("serialise: {e}"))?;
                 Ok(JobOutput::new(r.to_text(), json))
@@ -1487,9 +1478,10 @@ mod tests {
             base_seed: 2020,
             fidelity: fiveg_campaign::FidelityLevel::Quick,
             rep: 0,
+            threads: 2,
         };
         let out = job.run(&ctx).expect("runs");
-        let t = coverage::table1(&Scenario::paper(2020));
+        let t = coverage::table1(&Scenario::paper(2020), 1);
         let expected = serde_json::to_string_pretty(&t).expect("serialises");
         assert_eq!(out.json, expected);
     }
@@ -1514,7 +1506,7 @@ mod tests {
             WorkloadSpec::Fleet(f) => f.clone(),
             WorkloadSpec::Survey(_) => unreachable!(),
         };
-        let r = run_fleet(&sc, &spec, &fleet, 7);
+        let r = run_fleet_sharded(&sc, &spec, &fleet, 7, 1);
         assert_eq!(r.ticks, 40);
         assert_eq!(r.ues, 6);
         assert_eq!(r.groups.len(), 1);
@@ -1542,8 +1534,8 @@ mod tests {
             WorkloadSpec::Fleet(f) => f.clone(),
             WorkloadSpec::Survey(_) => unreachable!(),
         };
-        let a = run_fleet(&sc, &spec, &fleet, 99);
-        let b = run_fleet(&sc, &spec, &fleet, 99);
+        let a = run_fleet_sharded(&sc, &spec, &fleet, 99, 1);
+        let b = run_fleet_sharded(&sc, &spec, &fleet, 99, 1);
         assert_eq!(
             serde_json::to_string(&a).expect("json"),
             serde_json::to_string(&b).expect("json")
@@ -1552,8 +1544,8 @@ mod tests {
 
     #[test]
     fn fleet_reports_and_counters_are_shard_count_invariant() {
-        // The PR's non-negotiable guarantee: artifact bytes AND obs
-        // counters are identical for any FIVEG_SHARDS value. Three
+        // The non-negotiable guarantee: artifact bytes AND obs
+        // counters are identical for any shard count. Three
         // groups of 40 UEs = 2 chunks, so 2/3/8 shards exercise both
         // the multi-shard and the clamped (shards > chunks) paths.
         let spec = parse_scenario(
@@ -1615,7 +1607,11 @@ mod tests {
             SC.get_or_init(|| Scenario::paper(2020))
         }
 
-        fn group_strategy(tag: usize) -> impl Strategy<Value = UeGroupSpec> {
+        /// A group of `count` UEs (drawn) with a drawn tech and mobility.
+        fn group_strategy(
+            name: &'static str,
+            count: std::ops::Range<u32>,
+        ) -> impl Strategy<Value = UeGroupSpec> {
             let mobility = prop_oneof![
                 Just(MobilitySpec::Static),
                 Just(MobilitySpec::Waypoint {
@@ -1629,18 +1625,48 @@ mod tests {
                 }),
             ];
             (
-                1u32..5,
+                count,
                 prop_oneof![Just(TechSpec::Lte), Just(TechSpec::Nr)],
                 mobility,
             )
                 .prop_map(move |(count, tech, mobility)| UeGroupSpec {
-                    name: format!("g{tag}"),
+                    name: name.to_string(),
                     count,
                     tech,
                     mobility,
                     arrival: ArrivalSpec::Steady,
                     app: AppSpec::Bulk,
                 })
+        }
+
+        /// Every case carries one crowd of 129..160 UEs, three 64-UE
+        /// chunks, so a 3-shard leg runs three UE shards instead of
+        /// clamping to one.
+        fn crowd_strategy() -> impl Strategy<Value = UeGroupSpec> {
+            group_strategy("crowd", 129..161)
+        }
+
+        /// The fleet spec of one case.
+        fn case_spec(name: &str, groups: Vec<UeGroupSpec>, faults: Vec<FaultSpec>) -> ScenarioSpec {
+            ScenarioSpec {
+                name: name.into(),
+                description: String::new(),
+                campus: fiveg_scenario::CampusSpec::default(),
+                city: None,
+                trace: None,
+                loads: fiveg_scenario::LoadSpec::default(),
+                workload: WorkloadSpec::Fleet(FleetSpec {
+                    duration_s: 12,
+                    tick_ms: 1000,
+                    groups,
+                }),
+                faults,
+            }
+        }
+
+        /// UE chunks of a fleet: the most UE shards it can run on.
+        fn chunks(report: &FleetReport) -> usize {
+            (report.ues as usize).div_ceil(crate::par::CHUNK)
         }
 
         fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
@@ -1671,39 +1697,29 @@ mod tests {
             /// The incremental re-measurement cache is invisible in the
             /// artifact: for random mobility mixes, fault schedules and
             /// seeds, the incremental run's report bytes equal the full
-            /// re-measure oracle's at both the serial and a multi-shard
-            /// count.
+            /// re-measure oracle's at one and at three UE shards.
             #[test]
             fn incremental_equals_full_remeasure(
-                gs in (group_strategy(0), group_strategy(1), proptest::prelude::any::<bool>()),
+                crowd in crowd_strategy(),
+                g in group_strategy("g", 1..5),
+                two in proptest::prelude::any::<bool>(),
                 faults in prop::collection::vec(fault_strategy(), 0..3),
                 run_seed in 0u64..1000,
             ) {
-                let (g0, g1, two) = gs;
-                let mut groups = vec![g0];
+                let mut groups = vec![crowd];
                 if two {
-                    groups.push(g1);
+                    groups.push(g);
                 }
-                let fleet = FleetSpec {
-                    duration_s: 12,
-                    tick_ms: 1000,
-                    groups,
-                };
-                let spec = ScenarioSpec {
-                    name: "oracle".into(),
-                    description: String::new(),
-                    campus: fiveg_scenario::CampusSpec::default(),
-                    city: None,
-                    trace: None,
-                    loads: fiveg_scenario::LoadSpec::default(),
-                    workload: WorkloadSpec::Fleet(fleet.clone()),
-                    faults,
-                };
+                let spec = case_spec("oracle", groups, faults);
                 prop_assert_eq!(spec.validate(), Ok(()));
+                let WorkloadSpec::Fleet(fleet) = &spec.workload else {
+                    unreachable!()
+                };
                 let sc = paper_sc();
                 for shards in [1usize, 3] {
-                    let fast = run_fleet_sharded(sc, &spec, &fleet, run_seed, shards);
-                    let full = run_fleet_full_remeasure(sc, &spec, &fleet, run_seed, shards);
+                    let fast = run_fleet_sharded(sc, &spec, fleet, run_seed, shards);
+                    prop_assert!(chunks(&fast) >= 3, "{} UEs", fast.ues);
+                    let full = run_fleet_full_remeasure(sc, &spec, fleet, run_seed, shards);
                     prop_assert_eq!(
                         serde_json::to_string(&fast).expect("json"),
                         serde_json::to_string(&full).expect("json"),
@@ -1714,46 +1730,37 @@ mod tests {
 
             /// Trace artifacts are shard-count invariant: for random
             /// mobility mixes, fault schedules and seeds, a full-mode
-            /// trace of the same run at 1, 3 and 8 shards produces
-            /// byte-identical binary columns and sidecar.
+            /// trace of the same run at 1, 3 and 8 shards (three UE
+            /// shards at 3 and 8) produces byte-identical binary columns
+            /// and sidecar.
             #[test]
             fn trace_bytes_are_shard_count_invariant(
-                gs in (group_strategy(0), group_strategy(1)),
+                crowd in crowd_strategy(),
+                g in group_strategy("g", 1..5),
                 faults in prop::collection::vec(fault_strategy(), 0..3),
                 run_seed in 0u64..1000,
             ) {
-                let (g0, g1) = gs;
-                let fleet = FleetSpec {
-                    duration_s: 12,
-                    tick_ms: 1000,
-                    groups: vec![g0, g1],
-                };
-                let spec = ScenarioSpec {
-                    name: "traced".into(),
-                    description: String::new(),
-                    campus: fiveg_scenario::CampusSpec::default(),
-                    city: None,
-                    trace: None,
-                    loads: fiveg_scenario::LoadSpec::default(),
-                    workload: WorkloadSpec::Fleet(fleet.clone()),
-                    faults,
-                };
+                let spec = case_spec("traced", vec![crowd, g], faults);
                 prop_assert_eq!(spec.validate(), Ok(()));
+                let WorkloadSpec::Fleet(fleet) = &spec.workload else {
+                    unreachable!()
+                };
                 let sc = paper_sc();
                 let leg = |shards: usize| {
                     let t = fiveg_trace::TraceHandle::new(fiveg_trace::TraceConfig {
                         mode: fiveg_trace::TraceMode::Full,
                         ..Default::default()
                     });
-                    fiveg_trace::scoped(&t, || {
-                        run_fleet_sharded(sc, &spec, &fleet, run_seed, shards)
+                    let r = fiveg_trace::scoped(&t, || {
+                        run_fleet_sharded(sc, &spec, fleet, run_seed, shards)
                     });
-                    t.finish()
+                    (chunks(&r), t.finish())
                 };
-                let base = leg(1);
+                let (n_chunks, base) = leg(1);
+                prop_assert!(n_chunks >= 3, "{} chunks", n_chunks);
                 prop_assert!(base.events > 0, "a traced fleet run must emit events");
                 for shards in [3usize, 8] {
-                    let out = leg(shards);
+                    let (_, out) = leg(shards);
                     prop_assert_eq!(
                         &out.bin, &base.bin,
                         "trace bytes diverge at shards={}", shards
@@ -1830,7 +1837,7 @@ mod tests {
             WorkloadSpec::Fleet(f) => f.clone(),
             WorkloadSpec::Survey(_) => unreachable!(),
         };
-        let r = run_fleet(&sc, &spec, &fleet, 3);
+        let r = run_fleet_sharded(&sc, &spec, &fleet, 3, 1);
         assert!(r.groups[0].web_pages > 0, "{:?}", r.groups);
         assert!(r.groups[0].web_mean_plt_s > 0.0);
     }

@@ -54,20 +54,6 @@ fn untainted_writer() {
     fiveg_obs::counter_add("fixture.setup", 1);
 }
 
-fn scattered_config() -> bool {
-    std::env::var("FIVEG_FIXTURE_KNOB").is_ok() //~ S002
-}
-
-fn sanctioned_config() -> bool {
-    // fiveg-lint: allow(S002) -- fixture: pragma-suppressed env read
-    std::env::var("FIVEG_FIXTURE_OTHER").is_ok()
-}
-
-fn non_fiveg_env() -> bool {
-    // Only the FIVEG_* namespace is governed by S002.
-    std::env::var("PATH").is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     impl ShardLogic for TestOnlyNode {

@@ -6,13 +6,13 @@
 //! `vendor/`) with its own Rust tokenizer ([`tokenizer`]), parses every
 //! file into an item model ([`parser`]), resolves a name-based call
 //! graph and enforces the rules that need that workspace model (see
-//! [`rules::RULES`] and [`workspace`]): S-rules (shard safety:
-//! S001–S003), F-rules (float determinism: F001) and W001 (the declared
+//! [`rules::RULES`] and [`workspace`]): S-rules (shard safety: S001,
+//! S003), F-rules (float determinism: F001) and W001 (the declared
 //! crate-layering DAG).
 //!
 //! The invariants visible on one line (unordered maps, `partial_cmp`,
-//! wall-clock reads, `static mut`, library panics, unsafe code and
-//! missing docs) are rustc and clippy lints configured in
+//! wall-clock reads, `static mut`, environment reads, library panics,
+//! unsafe code and missing docs) are rustc and clippy lints configured in
 //! `crates/clippy.toml`, `[workspace.lints]` and each lib root;
 //! [`rules::TOOLCHAIN_RULES`] maps each old rule id to its lint. No
 //! rule is needed for unseeded RNG: `vendor/rand` has no entropy
@@ -187,7 +187,7 @@ mod tests {
             file: "crates/x/src/a.rs".into(),
             line: 3,
             rule,
-            excerpt: "std::env::var(\"FIVEG_X\")".into(),
+            excerpt: "acc += w(\"x\");".into(),
             hint: "h",
         }
     }
@@ -203,13 +203,13 @@ mod tests {
     #[test]
     fn report_json_is_stable() {
         let report = ScanReport {
-            findings: vec![finding("S002")],
+            findings: vec![finding("F001")],
             suppressed: 1,
             files: 2,
         };
         let one = report_json(&report);
         assert_eq!(one, report_json(&report));
-        assert!(one.contains("\"excerpt\": \"std::env::var(\\\"FIVEG_X\\\")\""));
+        assert!(one.contains("\"excerpt\": \"acc += w(\\\"x\\\");\""));
         let parsed = fiveg_obs::parse_json(&one).expect("valid json");
         assert_eq!(
             parsed

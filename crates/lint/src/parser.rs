@@ -73,15 +73,6 @@ pub struct FloatAccum {
     pub what: &'static str,
 }
 
-/// A `std::env` read of a `FIVEG_*` variable (S002).
-#[derive(Debug, Clone)]
-pub struct EnvRead {
-    /// 1-based line of the `env` identifier.
-    pub line: u32,
-    /// The literal variable name, quotes stripped.
-    pub var: String,
-}
-
 /// Everything the workspace rules need to know about one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileModel {
@@ -89,10 +80,8 @@ pub struct FileModel {
     pub fns: Vec<FnInfo>,
     /// Item-level statics and `thread_local!` declarations.
     pub statics: Vec<StaticInfo>,
-    /// Float accumulations inside `par_map*` / `thread::scope` closures.
+    /// Float accumulations inside `par_map_with` / `thread::scope` closures.
     pub float_par: Vec<FloatAccum>,
-    /// `FIVEG_*` environment reads.
-    pub env_reads: Vec<EnvRead>,
     /// Number of lines in the file (span sanity bound).
     pub lines: u32,
 }
@@ -107,7 +96,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 /// Function names whose argument list is a parallel region: any closure
 /// passed to them runs on multiple workers concurrently.
-const PAR_ENTRYPOINTS: &[&str] = &["par_map", "par_map_threads", "par_map_with"];
+const PAR_ENTRYPOINTS: &[&str] = &["par_map_with"];
 
 /// Parses one file into its fact model. Never panics; unknown syntax
 /// is skipped, not diagnosed.
@@ -387,8 +376,8 @@ impl Parser<'_, '_> {
     }
 
     /// At the `fn` keyword: records the fn and scans its body for call
-    /// sites, screaming-case references, parallel regions, float
-    /// accumulation and env reads.
+    /// sites, screaming-case references, parallel regions and float
+    /// accumulation.
     fn parse_fn(&mut self, i: &mut usize, end: usize, impl_ctx: Option<&ImplCtx>) {
         let fn_line = self.line(*i);
         *i += 1;
@@ -500,7 +489,7 @@ impl Parser<'_, '_> {
                     });
                 }
                 // Parallel region: the balanced argument list of a
-                // `par_map*` call or of `thread::scope`.
+                // `par_map_with` call or of `thread::scope`.
                 let is_par = PAR_ENTRYPOINTS.contains(&name)
                     || (name == "scope"
                         && k >= 2
@@ -520,23 +509,6 @@ impl Parser<'_, '_> {
                         line: t.line,
                     });
                 }
-                // `env::var("FIVEG_...")` / `env::var_os(...)`.
-                if name == "env" && next == ":" && self.text(k + 2) == ":" {
-                    let callee = self.text(k + 3);
-                    if callee.starts_with("var") && self.text(k + 4) == "(" {
-                        if let Some(arg) = self.sig.get(k + 5) {
-                            if arg.kind == TokKind::Str {
-                                let var = arg.text.trim_matches('"');
-                                if var.starts_with("FIVEG_") {
-                                    self.model.env_reads.push(EnvRead {
-                                        line: t.line,
-                                        var: var.to_string(),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
             }
             k += 1;
         }
@@ -549,7 +521,7 @@ impl Parser<'_, '_> {
     }
 
     /// Flags order-dependent float reductions inside one parallel
-    /// region (the argument list of a `par_map*` / `thread::scope`
+    /// region (the argument list of a `par_map_with` / `thread::scope`
     /// call, closures included). `float_vars` carries variables the
     /// enclosing fn bound with a float initializer.
     fn scan_par_region(&mut self, start: usize, end: usize, float_vars: &[String]) {
@@ -735,20 +707,6 @@ fn touch() { TOTAL.fetch_add(1, Ordering::Relaxed); SCRATCH.with(|_| {}); }
             .collect();
         assert!(refs.contains(&"TOTAL"));
         assert!(refs.contains(&"SCRATCH"));
-    }
-
-    #[test]
-    fn env_reads_only_fiveg() {
-        let src = r#"
-fn conf() {
-    let a = std::env::var("FIVEG_SHARDS");
-    let b = std::env::var("PATH");
-    let c = std::env::var_os("FIVEG_TRACE");
-}
-"#;
-        let m = parse_file(src);
-        let vars: Vec<&str> = m.env_reads.iter().map(|e| e.var.as_str()).collect();
-        assert_eq!(vars, vec!["FIVEG_SHARDS", "FIVEG_TRACE"]);
     }
 
     #[test]

@@ -101,18 +101,13 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "ambient writes under the shard engine are worker-ordered; accumulate in per-origin scratch and flush from Drop",
     ),
     (
-        "S002",
-        "FIVEG_* environment read outside core::par / fiveg-campaign",
-        "scattered env reads fork run configuration; read once in core::par or the campaign runner and pass values down",
-    ),
-    (
         "S003",
         "mutable static/thread_local state reachable from a ShardLogic handler",
         "cross-shard shared state orders by worker schedule; key state by logical origin inside the shard instead",
     ),
     (
         "F001",
-        "float accumulation inside a par_map/thread::scope closure",
+        "float accumulation inside a par_map_with/thread::scope closure",
         "float reduction order varies with the thread count; accumulate per chunk and combine in a fixed order after the join",
     ),
     (
@@ -149,6 +144,12 @@ pub const TOOLCHAIN_RULES: &[(&str, &str, &str, &str)] = &[
         "static mut global state",
         "unsafe_code",
         "[workspace.lints.rust]",
+    ),
+    (
+        "S002",
+        "environment-variable reads (std::env::var, var_os, vars, vars_os)",
+        "clippy::disallowed_methods",
+        "crates/clippy.toml",
     ),
     (
         "U001",
@@ -189,7 +190,7 @@ pub type Pragma = (u32, Vec<String>);
 /// Reads a file's pragmas: the well-formed ones, and an L000 finding
 /// for each malformed one.
 ///
-/// `// fiveg-lint: allow(S002) -- reason` silences the listed rules on
+/// `// fiveg-lint: allow(F001) -- reason` silences the listed rules on
 /// the pragma's own line and on the line directly below it, so it works
 /// both as a trailing comment and as a stand-alone line above the
 /// offending statement.
@@ -339,7 +340,13 @@ mod tests {
         analyze(&[file], &[])
     }
 
-    const ENV_READ: &str = "std::env::var(\"FIVEG_X\").is_ok()";
+    /// A float accumulation inside a parallel closure: one F001.
+    const FLOAT_ACC: &str = "acc += 1.0";
+
+    /// `body` as the closure body of a `par_map_with` call.
+    fn par_fn(body: &str) -> String {
+        format!("fn f(xs: &[f64]) {{\n    par_map_with(xs, 2, || (), |_, _, x| {{\n{body}    }});\n}}\n")
+    }
 
     #[test]
     fn classify_kinds() {
@@ -354,14 +361,21 @@ mod tests {
 
     #[test]
     fn pragma_suppresses_same_and_next_line() {
-        let trailing =
-            format!("fn f() -> bool {{\n    {ENV_READ} // fiveg-lint: allow(S002) -- knob\n}}\n");
+        let (f, s) = scan(
+            "crates/net/src/x.rs",
+            &par_fn(&format!("        {FLOAT_ACC};\n")),
+        );
+        assert_eq!(f.len(), 1, "the unsuppressed seed must fire: {f:?}");
+        assert_eq!(s, 0);
+        let trailing = par_fn(&format!(
+            "        {FLOAT_ACC}; // fiveg-lint: allow(F001) -- knob\n"
+        ));
         let (f, s) = scan("crates/net/src/x.rs", &trailing);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(s, 1);
-        let above = format!(
-            "fn f() -> bool {{\n    // fiveg-lint: allow(S002) -- knob\n    {ENV_READ}\n}}\n"
-        );
+        let above = par_fn(&format!(
+            "        // fiveg-lint: allow(F001) -- knob\n        {FLOAT_ACC};\n"
+        ));
         let (f, s) = scan("crates/net/src/x.rs", &above);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(s, 1);
@@ -369,29 +383,30 @@ mod tests {
 
     #[test]
     fn pragma_does_not_blanket_other_rules_or_lines() {
-        let src = format!(
-            "fn f() -> bool {{\n    // fiveg-lint: allow(S002) -- knob\n    {ENV_READ};\n    {ENV_READ}\n}}\n"
-        );
+        let src = par_fn(&format!(
+            "        // fiveg-lint: allow(F001) -- knob\n        {FLOAT_ACC};\n        {FLOAT_ACC};\n"
+        ));
         let (f, s) = scan("crates/net/src/x.rs", &src);
         assert_eq!(s, 1);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 4);
-        let other = format!(
-            "fn f() -> bool {{\n    // fiveg-lint: allow(F001) -- wrong rule\n    {ENV_READ}\n}}\n"
-        );
+        assert_eq!(f[0].line, 5);
+        let other = par_fn(&format!(
+            "        // fiveg-lint: allow(S001) -- wrong rule\n        {FLOAT_ACC};\n"
+        ));
         let (f, s) = scan("crates/net/src/x.rs", &other);
         assert_eq!(s, 0);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "S002");
+        assert_eq!(f[0].rule, "F001");
     }
 
     #[test]
     fn malformed_pragmas_are_l000() {
         for bad in [
-            "// fiveg-lint: allow(S002)\nlet a = 1;\n", // missing reason
+            "// fiveg-lint: allow(F001)\nlet a = 1;\n", // missing reason
             "// fiveg-lint: allow(X999) -- nope\nlet a = 1;\n", // unknown rule
             "// fiveg-lint: allow(D001) -- nope\nlet a = 1;\n", // moved to clippy
-            "// fiveg-lint: disallow(S002) -- x\nlet a = 1;\n", // bad verb
+            "// fiveg-lint: allow(S002) -- nope\nlet a = 1;\n", // moved to clippy
+            "// fiveg-lint: disallow(F001) -- x\nlet a = 1;\n", // bad verb
         ] {
             let (f, _) = scan("crates/net/src/x.rs", bad);
             assert_eq!(f.len(), 1, "{bad:?}");
@@ -402,8 +417,7 @@ mod tests {
     #[test]
     fn strings_and_comments_never_match() {
         let src = format!(
-            "// {ENV_READ}\n// fiveg-lint mentioned in prose is not a pragma\nfn f() {{ let s = \"{}\"; }}\n",
-            ENV_READ.replace('"', "\\\"")
+            "// par_map_with(xs, 2, || (), |_, _, x| {{ {FLOAT_ACC}; }})\n// fiveg-lint mentioned in prose is not a pragma\nfn f() {{ let s = \"par_map_with(xs, 2, || (), |_, _, x| {{ {FLOAT_ACC}; }})\"; }}\n"
         );
         let (f, s) = scan("crates/phy/src/x.rs", &src);
         assert!(f.is_empty(), "{f:?}");

@@ -15,13 +15,11 @@
 //!   `observe`) reachable from an `impl ShardLogic` handler, outside a
 //!   per-origin scratch `Drop` flush. Ambient writes under the shard
 //!   engine execute in worker order; only origin-keyed, chunk-structured
-//!   flushes keep counters byte-identical across `FIVEG_SHARDS`.
-//! * **S002** — `std::env` reads of `FIVEG_*` outside `core::par` (and
-//!   the `campaign` crate). Scattered env reads fork run configuration.
+//!   flushes keep counters byte-identical for any shard count.
 //! * **S003** — mutable `static` / `thread_local!` state referenced
 //!   from shard-handler-reachable code.
 //! * **F001** — float accumulation (`+=`, `fold(0.0, ..)`,
-//!   `sum::<f64>()`, `OnlineStats`) inside `par_map*` /
+//!   `sum::<f64>()`, `OnlineStats`) inside `par_map_with` /
 //!   `std::thread::scope` closures: reduction order varies with the
 //!   thread count.
 //! * **W001** — crate dependency edges outside the declared layering
@@ -33,8 +31,10 @@
 //! information), tamed by per-site pragmas. The `obs` and `trace`
 //! crates are exempt from S001/S003: their ambient sinks are the
 //! *sanctioned* aggregation channels, and their shard-invariance is
-//! proven end-to-end by the `ci.sh` shard matrix and trace-determinism
-//! stages rather than statically.
+//! proven end-to-end by the `ci.sh` `--jobs` determinism, city smoke
+//! and trace-determinism stages rather than statically. S002 (ambient
+//! environment reads) is a clippy `disallowed-methods` entry in
+//! `crates/clippy.toml`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -391,25 +391,10 @@ pub fn analyze(files: &[SourceFile], manifests: &[Manifest]) -> (Vec<Finding>, u
         }
     }
 
-    // --- S002 / F001 per file ----------------------------------------------
+    // --- F001 per file -------------------------------------------------------
     for d in &data {
         if d.ctx.kind != FileKind::Lib {
             continue;
-        }
-        let krate = d.ctx.crate_name.as_deref().unwrap_or("");
-        let env_exempt = krate == "campaign" || d.ctx.rel_path == "crates/core/src/par.rs";
-        if !env_exempt {
-            for e in &d.model.env_reads {
-                if !d.in_test(e.line) {
-                    raw.push(Finding {
-                        file: d.ctx.rel_path.clone(),
-                        line: e.line,
-                        rule: "S002",
-                        excerpt: d.excerpt(e.line),
-                        hint: hint_for("S002"),
-                    });
-                }
-            }
         }
         for fa in &d.model.float_par {
             if !d.in_test(fa.line) {
@@ -617,29 +602,19 @@ impl ShardLogic for Node {
     }
 
     #[test]
-    fn s002_scopes_env_reads() {
-        let src = "fn f() { let v = std::env::var(\"FIVEG_SHARDS\"); }\n";
-        let (f, _) = analyze(&[src_file("crates/net/src/fx.rs", src)], &[]);
-        assert_eq!(rules_at(&f), vec![("S002", 1)]);
-        // core::par and campaign are the sanctioned homes.
-        let (f, _) = analyze(&[src_file("crates/core/src/par.rs", src)], &[]);
-        assert!(f.is_empty());
-        let (f, _) = analyze(&[src_file("crates/campaign/src/fx.rs", src)], &[]);
-        assert!(f.is_empty());
-    }
-
-    #[test]
     fn pragmas_suppress_semantic_findings() {
         let src = "\
-fn knobs() {
-    // fiveg-lint: allow(S002) -- read once at start-up
-    let a = std::env::var(\"FIVEG_A\");
-    let b = std::env::var(\"FIVEG_B\");
+fn sums(xs: &[f64]) {
+    par_map_with(xs, 2, || (), |_, _, x| {
+        // fiveg-lint: allow(F001) -- combined in index order after the join
+        a += 1.0;
+        b += 1.0;
+    });
 }
 ";
         let (f, s) = analyze(&[src_file("crates/geo/src/fx.rs", src)], &[]);
         assert_eq!(s, 1);
-        assert_eq!(rules_at(&f), vec![("S002", 4)]);
+        assert_eq!(rules_at(&f), vec![("F001", 5)]);
     }
 
     #[test]

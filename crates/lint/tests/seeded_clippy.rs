@@ -49,6 +49,12 @@ const CASES: &[Case] = &[
         lints: &["unsafe_code"],
     },
     Case {
+        rule: "S002",
+        package: "seed_s002",
+        body: "/// Seeded.\npub fn knobs() -> usize {\n    usize::from(std::env::var(\"K\").is_ok())\n        + usize::from(std::env::var_os(\"K\").is_some())\n        + std::env::vars().count()\n        + std::env::vars_os().count()\n}\n",
+        lints: &["clippy::disallowed_methods"],
+    },
+    Case {
         rule: "U001",
         package: "seed_u001",
         body: "/// Seeded.\npub fn first(o: Option<u32>, r: Result<u32, ()>) -> u32 {\n    o.unwrap() + r.expect(\"set\")\n}\n",
@@ -277,8 +283,8 @@ fn rendered(out: &Output) -> String {
 }
 
 /// Plants `rule`'s violation and asserts clippy fails on it with every
-/// lint the case names.
-fn assert_rule_enforced(rule: &str) {
+/// lint the case names. Returns clippy's output.
+fn assert_rule_enforced(rule: &str) -> Output {
     let case = CASES
         .iter()
         .find(|c| c.rule == rule)
@@ -296,6 +302,7 @@ fn assert_rule_enforced(rule: &str) {
             rendered(&out)
         );
     }
+    out
 }
 
 #[test]
@@ -333,6 +340,19 @@ fn d003_wall_clock_reads_are_disallowed_methods() {
 #[test]
 fn d004_static_mut_needs_forbidden_unsafe() {
     assert_rule_enforced("D004");
+}
+
+#[test]
+fn s002_env_reads_are_disallowed_methods() {
+    let out = assert_rule_enforced("S002");
+    // Each of the four reads is flagged, not only the first.
+    let text = rendered(&out);
+    for path in ["var", "var_os", "vars", "vars_os"] {
+        assert!(
+            text.contains(&format!("disallowed method `std::env::{path}`")),
+            "S002: clippy did not flag std::env::{path}\n{text}"
+        );
+    }
 }
 
 #[test]

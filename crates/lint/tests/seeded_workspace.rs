@@ -1,5 +1,5 @@
 //! End-to-end checks on a seeded throwaway workspace: every rule id
-//! (S001–S003, F001, W001, L000) fires on a planted violation and
+//! (S001, S003, F001, W001, L000) fires on a planted violation and
 //! `--check` exits 2, driven through the real binary. The rules that
 //! moved to clippy and rustc are seeded in `seeded_clippy.rs`.
 
@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const RULES: &[&str] = &["S001", "S002", "S003", "F001", "W001", "L000"];
+const RULES: &[&str] = &["S001", "S003", "F001", "W001", "L000"];
 
 /// Builds a miniature workspace under `target/tmp` with one planted
 /// violation per rule. Returns its root.
@@ -40,8 +40,8 @@ fn seed_workspace(name: &str) -> PathBuf {
         "[package]\nname = \"fiveg-simcore\"\n\n[dependencies]\n",
     );
     // S001 (obs write in a handler), S003 (mutable static from a
-    // handler), S002 (env read), F001 (float accumulation in a
-    // parallel closure) — all in one library file.
+    // handler) and F001 (float accumulation in a parallel closure) —
+    // all in one library file.
     write(
         "crates/simcore/src/lib.rs",
         "//! Seeded simcore crate.\n\
@@ -53,10 +53,6 @@ fn seed_workspace(name: &str) -> PathBuf {
                  fiveg_obs::counter_add(\"seed.hits\", 1);\n\
                  HITS.fetch_add(1, Ordering::Relaxed);\n\
              }\n\
-         }\n\
-         /// Seeded env read outside core::par / campaign.\n\
-         pub fn knob() -> bool {\n\
-             std::env::var(\"FIVEG_SEEDED_KNOB\").is_ok()\n\
          }\n\
          /// Seeded float accumulation under par_map_with.\n\
          pub fn reduce(xs: &[f64]) -> f64 {\n\

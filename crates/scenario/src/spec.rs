@@ -95,7 +95,8 @@ impl CityDslSpec {
 
 /// Event categories the trace recorder understands, in mask-bit order.
 /// `shard` (physical shard-message events) is opt-in: it is the one
-/// category whose bytes legitimately vary with `FIVEG_SHARDS`.
+/// category whose bytes legitimately vary with the shard count (which
+/// `repro --jobs` sets).
 pub const TRACE_CATEGORIES: &[&str] = &["radio", "fault", "kpi", "cc", "shard"];
 
 /// Trace recording parameters (the `trace` block). Configures the

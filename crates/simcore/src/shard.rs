@@ -479,7 +479,7 @@ impl<E> ShardCtx<'_, E> {
             msg,
         });
         // `shard` trace category: physical ids, opt-in only (the
-        // event stream varies with FIVEG_SHARDS by construction).
+        // event stream varies with the shard count by construction).
         fiveg_trace::emit(
             self.shard as u32,
             &fiveg_trace::TraceEvent::ShardMsgSend {

@@ -19,7 +19,7 @@
 //! **Logical origins.** `origin` is a *logical* stream id, not a
 //! physical shard id: UE events use the UE's chunk index, router-hub
 //! events use [`ROUTER_ORIGIN`], and serial experiment code uses 0.
-//! Logical origins are invariant under `FIVEG_SHARDS`, which is what
+//! Logical origins are invariant under the shard count, which is what
 //! makes the merged `(t_ns, origin, seq)` order — and therefore the
 //! trace bytes — shard-count invariant. The one exception is the
 //! `shard` category (message send/recv), whose events are keyed by

@@ -6,9 +6,9 @@
 //! order and serialised as a fixed-width columnar binary plus a JSON
 //! sidecar schema. The merged order is keyed by **logical** origins
 //! (UE chunk, router hub, serial code), so for the default category
-//! set the trace bytes are invariant under `FIVEG_SHARDS`, `--jobs`
-//! and `FIVEG_SWEEP_THREADS` — the same contract every other artifact
-//! obeys (see DESIGN.md §11).
+//! set the trace bytes are invariant under `--jobs`, which sets the
+//! worker, sweep-thread and shard counts — the same contract every
+//! other artifact obeys (see DESIGN.md §11).
 //!
 //! Like `fiveg-obs`, the API is ambient: instrumented code calls
 //! [`emit`] unconditionally and pays one thread-local read when no

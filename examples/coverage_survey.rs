@@ -8,13 +8,15 @@ use fiveg_core::Scenario;
 
 fn main() {
     let sc = Scenario::paper(2020);
-    let t1 = coverage::table1(&sc);
+    // The sweeps are byte-identical for any thread count.
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let t1 = coverage::table1(&sc, threads);
     print!("{}", t1.to_text());
-    let t2 = coverage::table2(&sc, 4630);
+    let t2 = coverage::table2(&sc, 4630, threads);
     print!("{}", t2.to_text());
-    let map = coverage::fig2a(&sc, 20.0);
+    let map = coverage::fig2a(&sc, 20.0, threads);
     print!("{}", map.to_text());
-    let cell = coverage::fig2b(&sc);
+    let cell = coverage::fig2b(&sc, threads);
     print!("{}", cell.to_text());
     let gap = coverage::fig3(&sc);
     print!("{}", gap.to_text());

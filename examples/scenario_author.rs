@@ -10,7 +10,7 @@ use fiveg_core::scenario_dsl::{
     AppSpec, ArrivalSpec, FaultSpec, FleetSpec, MobilitySpec, ScenarioSpec, TechSpec, UeGroupSpec,
     VideoRes, WorkloadSpec,
 };
-use fiveg_core::scenario_run::{build_scenario, run_fleet};
+use fiveg_core::scenario_run::{build_scenario, run_fleet_sharded};
 
 fn main() {
     // A small fleet: ten walkers doing bulk downloads and three static
@@ -67,12 +67,13 @@ fn main() {
     println!("{}", fiveg_core::scenario_dsl::emit_scenario(&spec));
 
     // Run it: deployment from the base seed, fleet randomness from a
-    // job seed, exactly as the campaign executor would.
+    // job seed, exactly as the campaign executor would. The report is
+    // byte-identical for any shard count; 13 UEs fill one shard.
     let sc = build_scenario(&spec, 2020);
     let WorkloadSpec::Fleet(fleet) = &spec.workload else {
         unreachable!()
     };
-    let report = run_fleet(&sc, &spec, fleet, 42);
+    let report = run_fleet_sharded(&sc, &spec, fleet, 42, 1);
     println!("--- run report ---");
     println!("{}", report.to_text());
 }

@@ -1,6 +1,7 @@
 //! End-to-end campaign guarantees, exercised with the real paper jobs:
 //!
-//! * artifacts are byte-identical whatever the worker count,
+//! * artifacts are byte-identical whatever the worker count, which
+//!   also sets each job's sweep threads and fleet shards,
 //! * a panicking job is retried, reported failed, and never disturbs
 //!   its siblings,
 //! * golden checks accept a blessed run and reject a perturbed one.
@@ -10,6 +11,9 @@ use fiveg_campaign::{
     Registry, RunConfig, RunReport,
 };
 use fiveg_core::jobs::paper_registry;
+use fiveg_core::par::CHUNK;
+use fiveg_core::scenario_dsl::{parse_scenario, WorkloadSpec};
+use fiveg_core::scenario_run::ScenarioJob;
 use std::fs;
 
 /// The cheap end of the suite: model-only jobs that finish in
@@ -101,6 +105,86 @@ fn metrics_counters_are_identical_across_worker_counts() {
         "energy instrumentation missing: {:?}",
         counters.keys().collect::<Vec<_>>()
     );
+}
+
+/// A fleet of 192 UEs, three 64-UE chunks: at 3 workers and up its
+/// job runs on three UE shards.
+const THREE_CHUNK_FLEET: &str = r#"{
+  "name": "three_chunk_fleet",
+  "workload": { "kind": "fleet", "duration_s": 10, "tick_ms": 1000, "groups": [
+    { "name": "walkers", "count": 96, "tech": "nr",
+      "mobility": { "model": "waypoint", "speed_min_kmh": 3, "speed_max_kmh": 12 },
+      "arrival": { "process": "steady" }, "app": { "kind": "bulk" } },
+    { "name": "parked", "count": 96, "tech": "lte",
+      "mobility": { "model": "static" },
+      "arrival": { "process": "steady" },
+      "app": { "kind": "video", "resolution": "1080p", "scene": "static" } } ] },
+  "faults": [ { "kind": "cell_outage", "start_s": 3, "end_s": 7,
+                "pcis": [60, 61, 62, 63, 64, 65] } ]
+}"#;
+
+#[test]
+fn job_ctx_threads_is_the_worker_count() {
+    let mut reg = Registry::new();
+    reg.register(FnJob::new("threads_probe", "test", |ctx| {
+        Ok(JobOutput::new(String::new(), ctx.threads.to_string()))
+    }));
+    for workers in [1, 2, 3, 8] {
+        let report = run(&reg, &RunConfig::new(2020).workers(workers), &mut |_| {});
+        let out = report.results[0].output.as_ref().expect("probe ran");
+        assert_eq!(out.json, workers.to_string(), "workers={workers}");
+    }
+}
+
+#[test]
+fn fleet_job_is_identical_across_worker_and_shard_counts() {
+    let spec = parse_scenario(THREE_CHUNK_FLEET, "mem").expect("parses");
+    assert_eq!(spec.validate(), Ok(()));
+    let WorkloadSpec::Fleet(fleet) = &spec.workload else {
+        panic!("a fleet scenario")
+    };
+    let ues: u32 = fleet.groups.iter().map(|g| g.count).sum();
+    assert!(
+        (ues as usize).div_ceil(CHUNK) >= 3,
+        "{ues} UEs must span three chunks"
+    );
+    let mut reg = Registry::new();
+    reg.register(ScenarioJob::new(spec));
+    // Workers 1 runs one UE shard; 2 runs two; 3 and 8 run three.
+    let runs: Vec<RunReport> = [1, 2, 3, 8]
+        .iter()
+        .map(|&w| run(&reg, &RunConfig::new(2020).workers(w), &mut |_| {}))
+        .collect();
+    let base = &runs[0];
+    assert_eq!(base.failures(), 0);
+    let json = &base.results[0].output.as_ref().expect("fleet ran").json;
+    assert!(
+        json.contains(&format!("\"ues\": {ues}")),
+        "the artifact reports all {ues} UEs"
+    );
+    let counters = base.results[0]
+        .metrics
+        .as_ref()
+        .expect("metrics")
+        .deterministic();
+    assert!(counters.contains_key("shard.events"), "{counters:?}");
+    for (r, w) in runs.iter().zip([1, 2, 3, 8]).skip(1) {
+        assert_eq!(r.failures(), 0, "workers={w}");
+        assert_eq!(artifact_bytes(r), artifact_bytes(base), "workers={w}");
+        assert_eq!(
+            r.results[0]
+                .metrics
+                .as_ref()
+                .expect("metrics")
+                .deterministic(),
+            counters,
+            "workers={w}"
+        );
+        assert_eq!(
+            r.manifest.jobs[0].json_hash, base.manifest.jobs[0].json_hash,
+            "workers={w}"
+        );
+    }
 }
 
 #[test]

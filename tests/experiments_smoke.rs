@@ -7,10 +7,10 @@ use fiveg_core::{Fidelity, Scenario};
 #[test]
 fn coverage_experiments_render() {
     let sc = Scenario::paper(2020);
-    let t1 = coverage::table1(&sc);
+    let t1 = coverage::table1(&sc, 2);
     assert!(serde_json::to_string(&t1).unwrap().len() > 10);
     assert!(t1.to_text().contains("Table 1"));
-    let t2 = coverage::table2(&sc, 800);
+    let t2 = coverage::table2(&sc, 800, 2);
     assert!(t2.to_text().contains("Table 2"));
     let f3 = coverage::fig3(&sc);
     assert!(f3.to_text().contains("Fig. 3"));
