@@ -168,9 +168,11 @@ stage "cargo test (debug profile, debug_assert! active)"
 cargo test -q --workspace
 
 # Release-profile tests for the event kernel and the packet simulator:
-# with debug_assert! compiled out, a past schedule is clamped (and
-# counted as sim.events.clamped) instead of panicking, and only here do
-# the clamp tests and the lane-fallback paths run as users build them.
+# with debug_assert! compiled out, a past schedule is clamped instead of
+# panicking, and only here do the clamp tests and the lane-fallback
+# paths run as users build them. The clamp count reaches
+# sim.events.clamped at two flush sites: NetSim::drop
+# (crates/net/src/sim.rs) and ShardEngine::run (crates/simcore/src/shard.rs).
 stage "cargo test --release (simcore + net, debug_assert! off)"
 cargo test --release -q -p fiveg-simcore -p fiveg-net
 

@@ -323,9 +323,17 @@ pub struct NetSim {
 impl Drop for NetSim {
     /// Flushes per-run totals into the ambient metrics scope (see
     /// `fiveg-obs`): packets forwarded/dropped across all hops, packets
-    /// delivered to receivers, and the reassembly high-watermark. All
-    /// are deterministic functions of the simulation seed.
+    /// delivered to receivers, the reassembly high-watermark, and the
+    /// event queue's totals (clamps only when non-zero). All are
+    /// deterministic functions of the simulation seed.
     fn drop(&mut self) {
+        if self.q.scheduled() > 0 {
+            fiveg_obs::counter_add("sim.events.scheduled", self.q.scheduled());
+            fiveg_obs::counter_add("sim.events.executed", self.q.executed());
+        }
+        if self.q.clamped() > 0 {
+            fiveg_obs::counter_add("sim.events.clamped", self.q.clamped());
+        }
         let forwarded: u64 = self.hops.iter().map(|h| h.stats.forwarded).sum();
         let dropped: u64 = self.hops.iter().map(|h| h.stats.dropped()).sum();
         let delivered: u64 = self

@@ -5,7 +5,8 @@
 //! in `(time, seq)` order: ties on time are broken by insertion order
 //! (FIFO), so simulations that schedule the same events in the same order
 //! always execute them in the same order — a hard requirement for
-//! reproducibility.
+//! reproducibility. A caller merging several sources stamps the seq itself
+//! ([`EventQueue::schedule_keyed`]) and still gets this `(time, seq)` order.
 //!
 //! Besides the binary heap, the queue has FIFO *lanes* (the rustasim
 //! idea of one ring per source, with a heap that keeps only what is out
@@ -78,7 +79,7 @@ impl<E> Ord for HeapEntry<E> {
 /// clock to that event's timestamp. Scheduling an event in the past is a
 /// logic error and panics in debug builds; in release it is clamped to the
 /// current time so the simulation keeps a coherent, monotonic clock, and
-/// counted as `sim.events.clamped`.
+/// counted in [`EventQueue::clamped`].
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     lanes: Vec<VecDeque<HeapEntry<E>>>,
@@ -94,23 +95,6 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<E> Drop for EventQueue<E> {
-    /// Flushes lifetime totals into the ambient metrics scope (see
-    /// `fiveg-obs`): how many events this queue scheduled and executed,
-    /// and — only when any were — how many it clamped into the present.
-    /// Deterministic — all counts depend only on the simulation — and
-    /// free in the hot path, since the queue already tracks them.
-    fn drop(&mut self) {
-        if self.next_seq > 0 || self.popped > 0 {
-            fiveg_obs::counter_add("sim.events.scheduled", self.next_seq);
-            fiveg_obs::counter_add("sim.events.executed", self.popped);
-        }
-        if self.clamped > 0 {
-            fiveg_obs::counter_add("sim.events.clamped", self.clamped);
-        }
     }
 }
 
@@ -154,22 +138,36 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Clamps `at` into the present and assigns the next sequence number.
-    fn stamp(&mut self, at: SimTime) -> Key {
+    /// Total number of events scheduled so far (executed or pending).
+    pub fn scheduled(&self) -> u64 {
+        self.popped + self.len() as u64
+    }
+
+    /// Number of past schedules clamped into the present (release only).
+    pub fn clamped(&self) -> u64 {
+        self.clamped
+    }
+
+    /// Checks `at` against the clock and clamps it into the present.
+    fn clamp(&mut self, at: SimTime) -> SimTime {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let at = if at < self.now {
+        if at < self.now {
             self.clamped += 1;
             self.now
         } else {
             at
-        };
+        }
+    }
+
+    /// Clamps `at` into the present and assigns the next sequence number.
+    fn stamp(&mut self, at: SimTime) -> Key {
         let seq = self.next_seq;
         self.next_seq += 1;
-        (at, seq)
+        (self.clamp(at), seq)
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -179,6 +177,15 @@ impl<E> EventQueue<E> {
         let (at, seq) = self.stamp(at);
         self.heap.push(HeapEntry { at, seq, payload });
         seq
+    }
+
+    /// Schedules `payload` at absolute time `at` under a `seq` stamped by
+    /// the caller, below `u64::MAX` and clear of the seqs the queue
+    /// stamps (the shard engine keys `origin << 40 | local seq`).
+    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, payload: E) {
+        debug_assert!(seq < u64::MAX, "u64::MAX is the empty-queue key");
+        let at = self.clamp(at);
+        self.heap.push(HeapEntry { at, seq, payload });
     }
 
     /// Schedules `payload` at absolute time `at` on FIFO lane `lane`.
@@ -267,13 +274,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Discards all pending events without touching the clock.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.lanes.iter_mut().for_each(VecDeque::clear);
-        self.heads.fill(NONE);
-    }
-
     /// Forces the clock forward to `at` (no-op if `at` is in the past).
     /// Useful for draining idle periods.
     pub fn advance_to(&mut self, at: SimTime) {
@@ -334,16 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_lanes() {
-        let mut q = EventQueue::with_lanes(1);
-        q.schedule_on(0, SimTime::from_millis(1), 1);
-        q.schedule_at(SimTime::from_millis(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn schedule_in_is_relative() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(10), 1);
@@ -372,30 +362,23 @@ mod tests {
     }
 
     /// Release builds clamp past schedules (debug builds panic first) on
-    /// both paths, count them, and flush the count only when non-zero.
+    /// every path and count them.
     #[cfg(not(debug_assertions))]
     #[test]
     fn past_schedules_are_clamped_and_counted() {
-        let metrics = fiveg_obs::MetricsHandle::new();
-        fiveg_obs::scoped(&metrics, || {
-            let mut q = EventQueue::with_lanes(1);
-            q.schedule_at(SimTime::from_millis(10), 0);
-            q.pop();
-            q.schedule_at(SimTime::from_millis(3), 1);
-            q.schedule_on(0, SimTime::from_millis(4), 2);
-            let e = q.pop().unwrap();
-            assert_eq!((e.at, e.payload), (SimTime::from_millis(10), 1));
-            assert_eq!(q.pop().unwrap().at, SimTime::from_millis(10));
-        });
-        let counters = metrics.snapshot().counters;
-        assert_eq!(counters.get("sim.events.clamped"), Some(&2));
-
-        let quiet = fiveg_obs::MetricsHandle::new();
-        fiveg_obs::scoped(&quiet, || {
-            let mut q = EventQueue::new();
-            q.schedule_at(SimTime::from_millis(1), ());
-            q.pop();
-        });
-        assert!(!quiet.snapshot().counters.contains_key("sim.events.clamped"));
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::with_lanes(1);
+        q.schedule_at(ms(10), 0);
+        q.pop();
+        assert_eq!(q.clamped(), 0);
+        q.schedule_at(ms(3), 1);
+        q.schedule_on(0, ms(4), 2);
+        q.schedule_keyed(ms(5), 1 << 40, 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.payload))
+            .collect();
+        assert_eq!(order, [(ms(10), 1), (ms(10), 2), (ms(10), 3)]);
+        assert_eq!(q.clamped(), 3);
+        assert_eq!((q.scheduled(), q.executed()), (4, 4));
     }
 }

@@ -18,6 +18,13 @@
 //!   [`SimDuration`]).
 //! * [`event`] — generic event queue with deterministic FIFO
 //!   tie-breaking: a binary heap plus FIFO lanes for in-order streams.
+//!   Its `(time, seq)` order is the only event order in the workspace:
+//!   the packet simulator stamps seqs through the queue, and the shard
+//!   engine brings origin-packed keys through `schedule_keyed`. The
+//!   queue reports its totals; its owner flushes them as counters.
+//! * [`shard`] — conservative parallel discrete-event engine: one
+//!   [`EventQueue`] per shard, synchronised by barrier-released safe
+//!   windows.
 //! * [`rng`] — seedable ChaCha-based random stream with named substreams.
 //! * [`dist`] — the probability distributions the models need (normal,
 //!   log-normal, exponential, Pareto), implemented on top of [`rng`].

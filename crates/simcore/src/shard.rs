@@ -16,14 +16,17 @@
 //!
 //! Every event carries the key `(time, origin shard, origin seq)`,
 //! where each shard stamps its local schedules *and* its cross-shard
-//! sends from one monotone sequence counter. Per-shard delivery order
-//! is the total order of that key — never arrival order — and
+//! sends from one monotone sequence counter. Each shard waits on an
+//! [`EventQueue`], the packet simulator's queue, keyed
+//! `origin << 40 | seq` ([`EventQueue::schedule_keyed`]), so it pops
+//! in `(time, origin, seq)` order — never arrival order; a key that
+//! would overflow fails with [`ShardError::KeySpace`].
 //! [`ShardEngine::run`] executes one barrier-windowed loop for every
 //! thread count (one thread runs it inline), so a run, its windows
 //! and the error it fails with are bit-identical for any thread count.
 //! The property tests at the bottom of this module pin every shard's
-//! sequence to a reference loop over one merged `(time, origin, seq)`
-//! heap.
+//! sequence to a reference loop over one std heap of
+//! `(time, origin, seq)` tuples.
 //!
 //! ## Deadlock freedom
 //!
@@ -38,14 +41,14 @@
 //! On completion the engine flushes two deterministic counters into
 //! the ambient `fiveg-obs` scope: `shard.events` (events executed,
 //! summed over shards) and `shard.msgs` (cross-shard messages
-//! delivered). Both are integer sums of per-shard totals — merging is
-//! commutative — and are byte-identical for any thread count. Window
+//! delivered), plus `sim.events.clamped` when a release build clamped
+//! a past schedule. All are integer sums of per-shard totals — merging
+//! is commutative — and are byte-identical for any thread count. Window
 //! round counts are too, but depend on the topology, so they are
 //! reported only in [`ShardStats`], never as ambient counters.
 
+use crate::event::{EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
@@ -55,6 +58,14 @@ pub type ShardId = usize;
 
 /// Default bound on undelivered messages per directed link.
 pub const DEFAULT_LINK_CAPACITY: usize = 1 << 16;
+
+/// Width of an event key's local-sequence field: shard `origin`'s
+/// `local`-th stamp is keyed `origin << ORIGIN_SHIFT | local`.
+const ORIGIN_SHIFT: u32 = 40;
+
+/// Most shards a topology may hold, so that no key reaches `u64::MAX`
+/// (the queue's empty-slot key).
+const MAX_SHARDS: usize = (1 << (64 - ORIGIN_SHIFT)) - 1;
 
 /// Construction- or run-time failure of the shard engine.
 ///
@@ -146,6 +157,12 @@ pub enum ShardError {
         /// The link's capacity.
         capacity: usize,
     },
+    /// The `(origin, local seq)` event key overflowed: a topology of
+    /// `2^24` shards or more, or a shard's `2^40`-th stamp.
+    KeySpace {
+        /// The highest shard of the topology, or the stamping shard.
+        shard: ShardId,
+    },
 }
 
 impl fmt::Display for ShardError {
@@ -198,6 +215,11 @@ impl fmt::Display for ShardError {
             ShardError::MailboxOverflow { src, dst, capacity } => write!(
                 f,
                 "link {src}->{dst} exceeded its capacity of {capacity} undelivered messages"
+            ),
+            ShardError::KeySpace { shard } => write!(
+                f,
+                "shard {shard} overflows the event key: at most {MAX_SHARDS} shards of \
+                 2^{ORIGIN_SHIFT} events each"
             ),
         }
     }
@@ -294,10 +316,16 @@ impl TopologyBuilder {
     ///
     /// Rejects zero-lookahead links ([`ShardError::ZeroLookahead`]) —
     /// the deadlock-freedom precondition — as well as out-of-range
-    /// endpoints, self links, duplicates and zero capacities.
+    /// endpoints, self links, duplicates, zero capacities and more
+    /// shards than the event key holds.
     pub fn build(self) -> Result<Topology, ShardError> {
         if self.shards == 0 {
             return Err(ShardError::NoShards);
+        }
+        if self.shards > MAX_SHARDS {
+            return Err(ShardError::KeySpace {
+                shard: self.shards - 1,
+            });
         }
         let mut links: Vec<Option<Link>> = vec![None; self.shards * self.shards];
         let mut min_lookahead = SimDuration::MAX;
@@ -336,38 +364,15 @@ impl TopologyBuilder {
     }
 }
 
-/// A keyed event: the `(at, origin, seq)` triple is the deterministic
-/// total order used everywhere — ties on time break by origin shard,
-/// then by the origin's sequence number, never by arrival order.
-struct Keyed<E> {
-    at: SimTime,
-    origin: ShardId,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Keyed<E> {
-    fn key(&self) -> (SimTime, ShardId, u64) {
-        (self.at, self.origin, self.seq)
+/// Packs `shard`'s next event key, or fails once its local counter
+/// would spill into the next origin's range.
+fn next_key(shard: ShardId, counter: &mut u64) -> Result<u64, ShardError> {
+    if *counter == 1 << ORIGIN_SHIFT {
+        return Err(ShardError::KeySpace { shard });
     }
-}
-
-impl<E> PartialEq for Keyed<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Keyed<E> {}
-impl<E> PartialOrd for Keyed<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Keyed<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest key.
-        other.key().cmp(&self.key())
-    }
+    let key = (shard as u64) << ORIGIN_SHIFT | *counter;
+    *counter += 1;
+    Ok(key)
 }
 
 /// A cross-shard message in flight, stamped with its send time.
@@ -376,7 +381,7 @@ struct Outgoing<E> {
     /// Virtual time of the send, kept for the arrival-time invariant
     /// `msg.at >= sent_at + lookahead` (checked in debug builds).
     sent_at: SimTime,
-    msg: Keyed<E>,
+    msg: ScheduledEvent<E>,
 }
 
 /// The behavior of one shard.
@@ -396,10 +401,9 @@ pub trait ShardLogic: Send {
 /// Scheduling context handed to [`ShardLogic::handle`].
 pub struct ShardCtx<'a, E> {
     shard: ShardId,
-    now: SimTime,
     topo: &'a Topology,
     seq: &'a mut u64,
-    local: &'a mut Vec<Keyed<E>>,
+    queue: &'a mut EventQueue<E>,
     outbox: &'a mut Vec<Outgoing<E>>,
     error: &'a mut Option<ShardError>,
 }
@@ -412,37 +416,27 @@ impl<E> ShardCtx<'_, E> {
 
     /// Current virtual time (the timestamp of the event in flight).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.now()
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = *self.seq;
-        *self.seq += 1;
-        s
+    fn next_key(&mut self) -> Option<u64> {
+        next_key(self.shard, self.seq)
+            .map_err(|e| self.fail(e))
+            .ok()
     }
 
-    /// Schedules a local event at absolute time `at` (clamped to now;
-    /// scheduling into the past is a logic error caught in debug
-    /// builds, mirroring [`crate::EventQueue::schedule_at`]).
+    /// Schedules a local event at absolute time `at` (clamped to now
+    /// and counted as `sim.events.clamped`; scheduling into the past is
+    /// a logic error caught in debug builds, as in [`EventQueue`]).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at} < now {}",
-            self.now
-        );
-        let at = at.max(self.now);
-        let keyed = Keyed {
-            at,
-            origin: self.shard,
-            seq: self.next_seq(),
-            event,
-        };
-        self.local.push(keyed);
+        if let Some(key) = self.next_key() {
+            self.queue.schedule_keyed(at, key, event);
+        }
     }
 
     /// Schedules a local event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
+        self.schedule_at(self.now() + delay, event);
     }
 
     /// Sends `event` to shard `dst`, arriving `delay` after now.
@@ -467,15 +461,16 @@ impl<E> ShardCtx<'_, E> {
             });
             return;
         }
-        let msg = Keyed {
-            at: self.now + delay,
-            origin: self.shard,
-            seq: self.next_seq(),
-            event,
+        let Some(key) = self.next_key() else { return };
+        let now = self.now();
+        let msg = ScheduledEvent {
+            at: now + delay,
+            seq: key,
+            payload: event,
         };
         self.outbox.push(Outgoing {
             dst,
-            sent_at: self.now,
+            sent_at: now,
             msg,
         });
         // `shard` trace category: physical ids, opt-in only (the
@@ -483,7 +478,7 @@ impl<E> ShardCtx<'_, E> {
         fiveg_trace::emit(
             self.shard as u32,
             &fiveg_trace::TraceEvent::ShardMsgSend {
-                t_ns: self.now.as_nanos(),
+                t_ns: now.as_nanos(),
                 src: self.shard as u32,
                 dst: dst as u32,
             },
@@ -501,9 +496,9 @@ impl<E> ShardCtx<'_, E> {
 struct Cell<L: ShardLogic> {
     id: ShardId,
     logic: L,
-    queue: BinaryHeap<Keyed<L::Event>>,
+    queue: EventQueue<L::Event>,
+    /// Local sequence counter behind the shard's event keys.
     seq: u64,
-    executed: u64,
     /// Messages sent in the current window, delivered at its barrier.
     outbox: Vec<Outgoing<L::Event>>,
     /// The first error this shard's handlers raised, or the overflow
@@ -527,7 +522,8 @@ fn deliver<L: ShardLogic>(topo: &Topology, shards: &mut [MutexGuard<'_, Cell<L>>
             debug_assert!(topo
                 .link(src, o.dst)
                 .is_some_and(|l| o.msg.at >= o.sent_at + l.lookahead));
-            shards[o.dst].queue.push(o.msg);
+            let ScheduledEvent { at, seq, payload } = o.msg;
+            shards[o.dst].queue.schedule_keyed(at, seq, payload);
         }
         // `send` queues only on declared links.
         shards[src].error = per_dst.iter().enumerate().find_map(|(dst, &sent)| {
@@ -592,9 +588,8 @@ impl<L: ShardLogic> ShardEngine<L> {
             .map(|(id, logic)| Cell {
                 id,
                 logic,
-                queue: BinaryHeap::new(),
+                queue: EventQueue::new(),
                 seq: 0,
-                executed: 0,
                 outbox: Vec::new(),
                 error: None,
             })
@@ -608,14 +603,8 @@ impl<L: ShardLogic> ShardEngine<L> {
         let Some(cell) = self.cells.get_mut(shard) else {
             return Err(ShardError::UnknownShard { shard, shards });
         };
-        let seq = cell.seq;
-        cell.seq += 1;
-        cell.queue.push(Keyed {
-            at,
-            origin: shard,
-            seq,
-            event,
-        });
+        let key = next_key(shard, &mut cell.seq)?;
+        cell.queue.schedule_keyed(at, key, event);
         Ok(())
     }
 
@@ -628,8 +617,9 @@ impl<L: ShardLogic> ShardEngine<L> {
     /// `threads` workers (clamped to `1..=shards`; one runs inline on
     /// the calling thread) execute every shard's events inside it.
     /// Observable behavior is bit-identical for any `threads`; on
-    /// completion the `shard.events` / `shard.msgs` counters are
-    /// flushed into the ambient `fiveg-obs` scope.
+    /// completion the `shard.events` / `shard.msgs` counters (and a
+    /// non-zero `sim.events.clamped`) are flushed into the ambient
+    /// `fiveg-obs` scope.
     ///
     /// The first window in which a handler fails ends the run with the
     /// error of the lowest failing shard. Only when no handler failed
@@ -658,7 +648,6 @@ impl<L: ShardLogic> ShardEngine<L> {
         }
 
         let worker = || {
-            let mut local: Vec<Keyed<L::Event>> = Vec::new();
             loop {
                 if barrier.wait().is_leader() {
                     let mut shards: Vec<_> = cells.iter().map(lock).collect();
@@ -669,10 +658,7 @@ impl<L: ShardLogic> ShardEngine<L> {
                         msgs.fetch_add(deliver(&topo, &mut shards), MemOrder::Relaxed);
                         failed = shards.iter().any(|c| c.error.is_some());
                     }
-                    let horizon = shards
-                        .iter()
-                        .filter_map(|c| c.queue.peek().map(|k| k.at))
-                        .min();
+                    let horizon = shards.iter().filter_map(|c| c.queue.peek_time()).min();
                     match horizon {
                         Some(h) if !failed => {
                             window_end.store((h + reach).as_nanos(), MemOrder::Relaxed);
@@ -694,32 +680,29 @@ impl<L: ShardLogic> ShardEngine<L> {
                     }
                     let mut cell = lock(&cells[s]);
                     let cell = &mut *cell;
-                    while cell.queue.peek().is_some_and(|k| k.at <= end) {
-                        let Some(k) = cell.queue.pop() else { break };
-                        cell.executed += 1;
-                        if k.origin != cell.id {
+                    while let Some(ev) = cell.queue.pop_until(end) {
+                        let origin = (ev.seq >> ORIGIN_SHIFT) as ShardId;
+                        if origin != cell.id {
                             // Recv is traced at *execution* time,
                             // in the queue's deterministic key order.
                             fiveg_trace::emit(
                                 cell.id as u32,
                                 &fiveg_trace::TraceEvent::ShardMsgRecv {
-                                    t_ns: k.at.as_nanos(),
-                                    src: k.origin as u32,
+                                    t_ns: ev.at.as_nanos(),
+                                    src: origin as u32,
                                     dst: cell.id as u32,
                                 },
                             );
                         }
                         let mut ctx = ShardCtx {
                             shard: cell.id,
-                            now: k.at,
                             topo: &topo,
                             seq: &mut cell.seq,
-                            local: &mut local,
+                            queue: &mut cell.queue,
                             outbox: &mut cell.outbox,
                             error: &mut cell.error,
                         };
-                        cell.logic.handle(&mut ctx, k.at, k.event);
-                        cell.queue.extend(local.drain(..));
+                        cell.logic.handle(&mut ctx, ev.at, ev.payload);
                         if cell.error.is_some() {
                             break;
                         }
@@ -758,14 +741,15 @@ impl<L: ShardLogic> ShardEngine<L> {
             });
         }
 
-        let mut events = 0u64;
+        let (mut events, mut clamped) = (0u64, 0u64);
         let mut logics = Vec::with_capacity(n);
         for cell in cells {
             let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
             if let Some(e) = cell.error {
                 return Err(e);
             }
-            events += cell.executed;
+            events += cell.queue.executed();
+            clamped += cell.queue.clamped();
             logics.push(cell.logic);
         }
         let stats = ShardStats {
@@ -775,6 +759,9 @@ impl<L: ShardLogic> ShardEngine<L> {
         };
         fiveg_obs::counter_add("shard.events", stats.events);
         fiveg_obs::counter_add("shard.msgs", stats.msgs);
+        if clamped > 0 {
+            fiveg_obs::counter_add("sim.events.clamped", clamped);
+        }
         Ok(ShardRun { logics, stats })
     }
 }
@@ -783,6 +770,8 @@ impl<L: ShardLogic> ShardEngine<L> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     use std::time::Duration;
 
     /// A deterministic pseudo-random logic: every event fans out into
@@ -850,46 +839,58 @@ mod tests {
     }
 
     /// The reference the windowed loop is checked against: every
-    /// pending event of every shard in one heap ordered by
-    /// `(at, origin, seq)`, executed one at a time. No capacity,
-    /// failure or trace handling.
+    /// pending event of every shard in one std heap ordered by the
+    /// tuple `(at, origin, key)`, executed one at a time, with the
+    /// payloads and their destinations waiting in a slab. For one
+    /// origin the engine's keys grow with its local counter, so the
+    /// tuple order is `(time, origin, local seq)` whatever the key's bit
+    /// layout: the oracle checks the packing rather than sharing it. No
+    /// capacity, failure or trace handling.
     fn run_merged<L: ShardLogic>(engine: ShardEngine<L>) -> ShardRun<L> {
-        let ShardEngine { topo, mut cells } = engine;
-        let tag = |dst: ShardId, k: Keyed<L::Event>| Keyed {
-            at: k.at,
-            origin: k.origin,
-            seq: k.seq,
-            event: (dst, k.event),
-        };
-        let mut heap = BinaryHeap::new();
-        for cell in &mut cells {
-            let dst = cell.id;
-            heap.extend(
-                std::mem::take(&mut cell.queue)
-                    .into_iter()
-                    .map(|k| tag(dst, k)),
-            );
+        struct Merged<E> {
+            heap: BinaryHeap<Reverse<(SimTime, ShardId, u64, usize)>>,
+            slab: Vec<Option<(ShardId, E)>>,
         }
-        let mut local = Vec::new();
+        impl<E> Merged<E> {
+            fn push(&mut self, at: SimTime, origin: ShardId, key: u64, dst: ShardId, event: E) {
+                self.heap.push(Reverse((at, origin, key, self.slab.len())));
+                self.slab.push(Some((dst, event)));
+            }
+        }
+        let ShardEngine { topo, mut cells } = engine;
+        let mut merged = Merged {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+        };
+        for cell in &mut cells {
+            while let Some(ev) = cell.queue.pop() {
+                merged.push(ev.at, cell.id, ev.seq, cell.id, ev.payload);
+            }
+        }
         let (mut events, mut msgs) = (0u64, 0u64);
-        while let Some(k) = heap.pop() {
-            let (dst, event) = k.event;
+        while let Some(Reverse((at, origin, _, slot))) = merged.heap.pop() {
+            let (dst, event) = merged.slab[slot].take().expect("each slot pops once");
             events += 1;
-            msgs += u64::from(k.origin != dst);
+            msgs += u64::from(origin != dst);
             let cell = &mut cells[dst];
+            let mut scratch = EventQueue::new();
+            scratch.advance_to(at);
             let mut ctx = ShardCtx {
                 shard: dst,
-                now: k.at,
                 topo: &topo,
                 seq: &mut cell.seq,
-                local: &mut local,
+                queue: &mut scratch,
                 outbox: &mut cell.outbox,
                 error: &mut cell.error,
             };
-            cell.logic.handle(&mut ctx, k.at, event);
+            cell.logic.handle(&mut ctx, at, event);
             assert_eq!(cell.error, None, "the reference loop handles no failures");
-            heap.extend(local.drain(..).map(|l| tag(dst, l)));
-            heap.extend(cell.outbox.drain(..).map(|o| tag(o.dst, o.msg)));
+            while let Some(ev) = scratch.pop() {
+                merged.push(ev.at, dst, ev.seq, dst, ev.payload);
+            }
+            for o in cell.outbox.drain(..) {
+                merged.push(o.msg.at, dst, o.msg.seq, o.dst, o.msg.payload);
+            }
         }
         ShardRun {
             logics: cells.into_iter().map(|c| c.logic).collect(),
@@ -956,6 +957,8 @@ mod tests {
                 (reference.events, reference.msgs),
                 "threads={threads}"
             );
+            // The shard queues flush no `sim.events.*` of their own.
+            assert_eq!(c.len(), 2, "threads={threads}: {c:?}");
         }
     }
 
@@ -1011,6 +1014,68 @@ mod tests {
                 .expect_err("zero capacity"),
             ShardError::ZeroCapacity { src: 0, dst: 1 }
         );
+        // Rejected before the adjacency matrix is allocated.
+        assert_eq!(
+            Topology::builder(MAX_SHARDS + 1)
+                .build()
+                .expect_err("origin field overflow"),
+            ShardError::KeySpace { shard: MAX_SHARDS }
+        );
+    }
+
+    #[test]
+    fn a_spent_sequence_counter_fails_instead_of_spilling() {
+        // Shard 0's counter is one stamp from the end of its key range:
+        // the seed takes the last key and the handler's schedule fails
+        // the run rather than take a key in origin 1's range.
+        let topo = Topology::builder(2).build().expect("builds");
+        let counters = (0..2).map(|_| Counter(0)).collect();
+        let mut engine = ShardEngine::new(topo, counters).expect("engine builds");
+        engine.cells[0].seq = (1 << ORIGIN_SHIFT) - 1;
+        engine
+            .seed(0, SimTime::ZERO, 3)
+            .expect("the last key seeds");
+        assert_eq!(
+            engine.seed(0, SimTime::ZERO, 3),
+            Err(ShardError::KeySpace { shard: 0 })
+        );
+        engine
+            .seed(1, SimTime::ZERO, 3)
+            .expect("shard 1 is untouched");
+        assert_eq!(
+            engine.run(1).expect_err("the counter is spent"),
+            ShardError::KeySpace { shard: 0 }
+        );
+    }
+
+    /// Release builds clamp a shard's past schedules (debug builds
+    /// panic first), as NetSim's queue does, and the run flushes their
+    /// sum as `sim.events.clamped`.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn past_shard_schedules_are_clamped_and_counted() {
+        struct Rewind;
+        impl ShardLogic for Rewind {
+            type Event = u64;
+            fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
+                if ev > 0 {
+                    ctx.schedule_at(SimTime::ZERO, ev - 1);
+                }
+            }
+        }
+        for threads in [1, 2] {
+            let m = fiveg_obs::MetricsHandle::new();
+            let run = fiveg_obs::scoped(&m, || {
+                let topo = Topology::builder(2).build().expect("builds");
+                let mut engine = ShardEngine::new(topo, vec![Rewind, Rewind]).expect("builds");
+                engine.seed(0, SimTime::from_micros(5), 3).expect("seeds");
+                engine.seed(1, SimTime::from_micros(5), 2).expect("seeds");
+                engine.run(threads).expect("completes")
+            });
+            assert_eq!(run.stats.events, 7, "threads={threads}");
+            let c = m.snapshot().counters;
+            assert_eq!(c.get("sim.events.clamped"), Some(&5), "threads={threads}");
+        }
     }
 
     /// Stalls its worker for `.2`, then sends to shard `.0` after `.1`.
@@ -1158,18 +1223,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn linkless_topology_runs_each_shard_independently() {
-        struct Counter(u64);
-        impl ShardLogic for Counter {
-            type Event = u64;
-            fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
-                self.0 += 1;
-                if ev > 0 {
-                    ctx.schedule_in(SimDuration::from_micros(1), ev - 1);
-                }
+    /// Counts its events; event `n > 0` schedules `n - 1` a microsecond
+    /// later.
+    struct Counter(u64);
+
+    impl ShardLogic for Counter {
+        type Event = u64;
+        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
+            self.0 += 1;
+            if ev > 0 {
+                ctx.schedule_in(SimDuration::from_micros(1), ev - 1);
             }
         }
+    }
+
+    #[test]
+    fn linkless_topology_runs_each_shard_independently() {
         for threads in [1, 4] {
             let topo = Topology::builder(4).build().expect("builds");
             let mut engine = ShardEngine::new(topo, (0..4).map(|_| Counter(0)).collect())
@@ -1232,7 +1301,10 @@ mod tests {
         // Two senders target the same shard at the same instant; the
         // receiver must log origin 0's burst before origin 1's, each
         // in its origin's send order — regardless of thread count and
-        // regardless of seeding (arrival) order.
+        // regardless of seeding (arrival) order. The receiver's own
+        // event for that instant, scheduled before any burst is
+        // delivered, still logs after them all: origin 2 sorts after
+        // every lower origin (the rule the fleet's Aggregate relies on).
         struct Node {
             burst: Vec<u64>,
             log: Vec<u64>,
@@ -1244,6 +1316,8 @@ mod tests {
                     for &p in &self.burst {
                         ctx.send(2, SimDuration::from_micros(10), p);
                     }
+                } else if ev == u64::MAX - 1 {
+                    ctx.schedule_at(SimTime::from_micros(10), 99);
                 } else {
                     self.log.push(ev);
                 }
@@ -1266,12 +1340,13 @@ mod tests {
             .expect("engine builds");
             // Seed order deliberately puts shard 1 first: arrival
             // order must not matter.
+            engine.seed(2, SimTime::ZERO, u64::MAX - 1).expect("seeds");
             engine.seed(1, SimTime::ZERO, u64::MAX).expect("seeds");
             engine.seed(0, SimTime::ZERO, u64::MAX).expect("seeds");
             let run = engine.run(threads).expect("completes");
             assert_eq!(
                 run.logics[2].log,
-                vec![10, 11, 12, 20, 21],
+                vec![10, 11, 12, 20, 21, 99],
                 "threads={threads}"
             );
             assert_eq!(run.stats.msgs, 5, "threads={threads}");

@@ -12,11 +12,16 @@ use std::collections::BinaryHeap;
 enum QueueOp {
     At(u64),
     On(usize, u64),
+    Keyed(u64),
     Pop,
     PopUntil(u64),
 }
 
 const LANES: usize = 3;
+
+/// First caller-supplied seq of `Keyed` ops: far above the queue's own
+/// stamps, as the shard engine's origin-packed keys are.
+const KEYED_SEQ0: u64 = 1 << 40;
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
@@ -24,6 +29,7 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
         // Small offsets keep lane pushes mostly in order; the occasional
         // one behind its lane's tail must fall back to the heap.
         (0..LANES, 0u64..50).prop_map(|(l, t)| QueueOp::On(l, t)),
+        (0u64..50).prop_map(QueueOp::Keyed),
         Just(QueueOp::Pop),
         (0u64..30).prop_map(QueueOp::PopUntil),
     ]
@@ -42,8 +48,12 @@ impl ReferenceQueue {
     fn schedule(&mut self, at: SimTime, payload: usize) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse((at, seq, payload)));
+        self.schedule_keyed(at, seq, payload);
         seq
+    }
+
+    fn schedule_keyed(&mut self, at: SimTime, seq: u64, payload: usize) {
+        self.heap.push(Reverse((at, seq, payload)));
     }
 
     fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize)> {
@@ -59,12 +69,15 @@ impl ReferenceQueue {
 
 proptest! {
     /// Lanes change where events wait, never the order they pop in:
-    /// any mix of heap and lane schedules, pops and deadline pops gives
-    /// the reference heap's `(at, seq, payload)` sequence.
+    /// any mix of heap, lane and caller-keyed schedules, pops and
+    /// deadline pops gives the reference heap's `(at, seq, payload)`
+    /// sequence.
     #[test]
     fn lanes_pop_in_reference_heap_order(ops in prop::collection::vec(queue_op(), 1..300)) {
         let mut q = EventQueue::with_lanes(LANES);
         let mut reference = ReferenceQueue::default();
+        let mut keyed_seq = KEYED_SEQ0;
+        let mut scheduled = 0;
         let key = |e: fiveg_simcore::ScheduledEvent<usize>| (e.at, e.seq, e.payload);
         for (payload, op) in ops.into_iter().enumerate() {
             let now = q.now();
@@ -78,6 +91,12 @@ proptest! {
                     let at = offset(t);
                     prop_assert_eq!(q.schedule_on(lane, at, payload), reference.schedule(at, payload));
                 }
+                QueueOp::Keyed(t) => {
+                    let at = offset(t);
+                    q.schedule_keyed(at, keyed_seq, payload);
+                    reference.schedule_keyed(at, keyed_seq, payload);
+                    keyed_seq += 1;
+                }
                 QueueOp::Pop => {
                     prop_assert_eq!(q.pop().map(key), reference.pop_until(SimTime::MAX));
                 }
@@ -86,8 +105,12 @@ proptest! {
                     prop_assert_eq!(q.pop_until(deadline).map(key), reference.pop_until(deadline));
                 }
             }
+            if !matches!(op, QueueOp::Pop | QueueOp::PopUntil(_)) {
+                scheduled += 1;
+            }
             prop_assert_eq!(q.len(), reference.heap.len());
             prop_assert_eq!(q.now(), reference.now);
+            prop_assert_eq!(q.scheduled(), scheduled);
         }
         while let Some(expect) = reference.pop_until(SimTime::MAX) {
             prop_assert_eq!(q.pop().map(key), Some(expect));
