@@ -272,15 +272,17 @@ same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-
 # City smoke: the procedural dense-urban scenario exercises the whole
 # city fast path — generate_city, the tiled spatial index (3x3 tiles
 # cross the 256-building auto-select threshold), the SoA fleet columns
-# and the incremental re-measurement cache — and its artifacts must be
-# byte-identical between --jobs 1 (one UE shard) and --jobs 8 (one
-# shard per 64-UE chunk, so the fleet must span at least three). Counter
-# identity for the city micros (city.sweep.100k, city.attach.*) rides
-# the perf gate above.
-stage "city smoke: dense-urban scenario (--jobs 1 vs 8)"
+# and the incremental re-measurement cache. Its artifact must match
+# golden/scenario-s2020 (so a fleet change that is wrong at every shard
+# count fails too) and be byte-identical between --jobs 1 (one UE
+# shard) and --jobs 8 (one shard per 64-UE chunk, so the fleet must
+# span at least three). Counter identity for the city micros
+# (city.sweep.100k, city.attach.*) rides the perf gate above.
+stage "city smoke: dense-urban scenario (golden, --jobs 1 vs 8)"
 rm -rf target/ci-city-j1 target/ci-city-j8
 CITY_JOBS=(--scenario golden/scenarios/dense-urban-smoke.json)
-"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --out target/ci-city-j1 > /dev/null
+"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --out target/ci-city-j1 \
+  --check golden/scenario-s2020 > /dev/null
 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 8 --out target/ci-city-j8 > /dev/null
 spans_chunks "city smoke" target/ci-city-j1/dense_urban_smoke.json 3
 same_artifacts "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-j8

@@ -349,7 +349,7 @@ pub fn fig2b(sc: &Scenario, threads: usize) -> Fig2b {
     // PCI 60 is the first NR cell of every paper deployment; if a
     // variant scenario drops it, degrade to cell 0 instead of aborting
     // the whole campaign.
-    let idx = env.cell_index(60).unwrap_or(0);
+    let idx = env.cell_index(Tech::Nr, 60).unwrap_or(0);
     let cell = env.cells[idx];
     // 20 m grid out to 320 m around the site, as the paper partitioned
     // the neighbourhood of cell 72. Enumerate the grid serially, sweep
@@ -371,7 +371,7 @@ pub fn fig2b(sc: &Scenario, threads: usize) -> Fig2b {
     }
     let samples: Vec<(f64, f64, f64)> =
         par::par_map_with(&grid, threads, MeasureScratch::new, |s, _, &p| {
-            env.measure_pci_into(p, cell.pci, s).map(|m| {
+            env.measure_pci_into(p, cell.tech(), cell.pci, s).map(|m| {
                 let kpi = env.kpi_for(m, p, 1.0);
                 (p.x, p.y, kpi.bitrate.mbps())
             })
@@ -391,7 +391,7 @@ pub fn fig2b(sc: &Scenario, threads: usize) -> Fig2b {
         if !sc.campus.map.bounds.contains(p) {
             break;
         }
-        match env.measure_pci_into(p, cell.pci, &mut scratch) {
+        match env.measure_pci_into(p, cell.tech(), cell.pci, &mut scratch) {
             Some(m) if m.rsrp.value() >= -105.0 => radius = d,
             _ => {}
         }

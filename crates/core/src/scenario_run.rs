@@ -33,7 +33,7 @@ use fiveg_campaign::{Job, JobCtx, JobOutput};
 use fiveg_geo::{Campus, CampusConfig, LinearTransect, Point, RandomWaypoint};
 use fiveg_net::path::{Direction, PaperPathParams};
 use fiveg_net::PathConfig;
-use fiveg_phy::{CellMeasurement, MeasureScratch, RadioEnv, Tech};
+use fiveg_phy::{CellMeasurement, MeasureScratch, RadioEnv, Survey, Tech};
 use fiveg_scenario::{
     AppSpec, ArrivalSpec, FaultSpec, FleetSpec, MobilitySpec, ScenarioSpec, SceneSpec, TechSpec,
     UeGroupSpec, VideoRes, WebCategory, WorkloadSpec,
@@ -299,20 +299,20 @@ struct UeColumns {
     tech: Vec<Tech>,
     /// Position source per slot.
     path: Vec<UePath>,
-    /// Serving-cell measurement per slot.
-    serving: Vec<Option<CellMeasurement>>,
+    /// Serving cell's PCI per slot.
+    serving: Vec<Option<u16>>,
     /// Application state per slot.
     app: Vec<AppState>,
     /// App-private RNG per slot.
     rng: Vec<SimRng>,
     /// Incremental re-measurement cache: the exact position bits the
-    /// cached list was measured at (`None` until first measured).
+    /// cached survey was taken at (`None` until first measured).
     meas_pos: Vec<Option<[u64; 2]>>,
-    /// Cached [`RadioEnv::measure_all_into`] result per slot. The
-    /// measurement is a pure function of `(env, pos, tech)`, so as long
-    /// as the position bits match, replaying the cache is bit-identical
-    /// to re-measuring.
-    meas: Vec<Vec<CellMeasurement>>,
+    /// Cached [`RadioEnv::survey_into`] result per slot. The survey is
+    /// a pure function of `(env, pos, tech)`, so as long as the
+    /// position bits match, replaying the cache is bit-identical to
+    /// re-measuring.
+    meas: Vec<Survey>,
 }
 
 impl UeColumns {
@@ -325,7 +325,7 @@ impl UeColumns {
         self.app.push(ue.app);
         self.rng.push(ue.rng);
         self.meas_pos.push(None);
-        self.meas.push(Vec::new());
+        self.meas.push(Survey::default());
     }
 }
 
@@ -645,7 +645,7 @@ struct UeCells<'a> {
     /// is the full re-measure oracle used by determinism tests.
     incremental: bool,
     /// Measurements served from the per-UE cache instead of re-running
-    /// [`RadioEnv::measure_all_into`].
+    /// [`RadioEnv::survey_into`].
     remeasure_skipped: u64,
     /// Chunk id → measurement scratch, created on first use.
     scratches: BTreeMap<u32, MeasureScratch>,
@@ -672,9 +672,9 @@ impl UeCells<'_> {
         let group = self.ues.group[slot] as usize;
         self.group_active[group] += 1;
         let pos = self.ues.path[slot].at(tick);
-        // Incremental re-measurement: `measure_all_into` is a pure
-        // function of `(env, pos, tech)`, so when the position bits are
-        // unchanged the cached list replays bit-identically. Compare
+        // Incremental re-measurement: `survey_into` is a pure function
+        // of `(env, pos, tech)`, so when the position bits are
+        // unchanged the cached survey replays bit-identically. Compare
         // bits, not floats: `-0.0 == 0.0` yet the two can diverge
         // downstream (atan2 of a signed zero), and a cache must never
         // be *more* tolerant than the function it shadows.
@@ -684,41 +684,38 @@ impl UeCells<'_> {
         } else {
             let chunk = ue / crate::par::CHUNK as u32;
             let scratch = self.scratches.entry(chunk).or_default();
-            let fresh = self
-                .sc
+            self.sc
                 .env
-                .measure_all_into(pos, self.ues.tech[slot], scratch);
-            let cache = &mut self.ues.meas[slot];
-            cache.clear();
-            cache.extend_from_slice(fresh);
+                .survey_into(pos, self.ues.tech[slot], scratch, &mut self.ues.meas[slot]);
             self.ues.meas_pos[slot] = Some(key);
         }
         self.kpi_samples += 1;
+        // Select the three cells the hand-off rule reads, by position
+        // in the survey: the top cell, the serving cell (unless it is
+        // out) and the best cell not in outage — the first matching
+        // entries of the sorted `measure_all` list.
+        let survey = &self.ues.meas[slot];
+        let pci_of = self.sc.env.pcis(survey.tech());
         let serving_prev = self.ues.serving[slot];
         let active = &self.faults;
-        let all = &self.ues.meas[slot];
-        let best = all
-            .iter()
-            .find(|m| !active.outaged.contains(&m.pci))
-            .copied();
-        let top = all.first().copied();
-        let current = serving_prev
-            .filter(|m| !active.outaged.contains(&m.pci))
-            .and_then(|m| all.iter().find(|n| n.pci == m.pci).copied());
-        // Track outage denials: the top-ranked cell exists but is
-        // administratively down.
-        if let Some(top) = top {
-            if active.outaged.contains(&top.pci) {
+        let serving_pci = serving_prev.filter(|p| !active.outaged.contains(p));
+        let (top, current) = survey.top_and_select(|k| Some(pci_of[k]) == serving_pci);
+        let best = match top {
+            Some(t) if active.outaged.contains(&pci_of[t]) => {
+                // Track outage denials: the top-ranked cell exists but
+                // is administratively down.
                 if let Some(fi) = self.spec.faults.iter().position(|f| {
                     let (s, e) = f.window();
-                    matches!(f, FaultSpec::CellOutage { pcis, .. } if pcis.contains(&top.pci))
+                    matches!(f, FaultSpec::CellOutage { pcis, .. } if pcis.contains(&pci_of[t]))
                         && t_s >= s
                         && t_s < e
                 }) {
                     self.fault_impact[fi] += 1;
                 }
+                survey.select(|k| !active.outaged.contains(&pci_of[k]))
             }
-        }
+            t => t,
+        };
         let hysteresis_db = self.faults.hysteresis_db;
         // Trace context: logical origin = chunk id (invariant under
         // the shard count); event time = this Measure event's execution
@@ -739,8 +736,8 @@ impl UeCells<'_> {
                             &fiveg_trace::TraceEvent::Handoff {
                                 t_ns,
                                 ue,
-                                from_pci: serving_prev.map_or(0, |m| u32::from(m.pci)),
-                                to_pci: u32::from(b.pci),
+                                from_pci: serving_prev.map_or(0, u32::from),
+                                to_pci: u32::from(pci_of[b]),
                                 // Forced move, not a margin race.
                                 margin_db: 0.0,
                                 hysteresis_db,
@@ -753,15 +750,16 @@ impl UeCells<'_> {
                         &fiveg_trace::TraceEvent::Attach {
                             t_ns,
                             ue,
-                            pci: u32::from(b.pci),
-                            rsrp_dbm: b.rsrp.value(),
+                            pci: u32::from(pci_of[b]),
+                            rsrp_dbm: survey.rsrp(b).value(),
                         },
                     );
                 }
                 Some(b)
             }
             (Some(c), Some(b)) => {
-                if b.pci != c.pci && b.rsrp.value() > c.rsrp.value() + hysteresis_db {
+                let (b_dbm, c_dbm) = (survey.rsrp(b).value(), survey.rsrp(c).value());
+                if pci_of[b] != pci_of[c] && b_dbm > c_dbm + hysteresis_db {
                     self.group_handoffs[group] += 1;
                     self.total_handoffs += 1;
                     note_storm_handoff(self.spec, t_s, &mut self.fault_impact);
@@ -771,9 +769,9 @@ impl UeCells<'_> {
                             &fiveg_trace::TraceEvent::Handoff {
                                 t_ns,
                                 ue,
-                                from_pci: u32::from(c.pci),
-                                to_pci: u32::from(b.pci),
-                                margin_db: b.rsrp.value() - c.rsrp.value(),
+                                from_pci: u32::from(pci_of[c]),
+                                to_pci: u32::from(pci_of[b]),
+                                margin_db: b_dbm - c_dbm,
                                 hysteresis_db,
                             },
                         );
@@ -786,10 +784,12 @@ impl UeCells<'_> {
             (Some(c), None) => Some(c),
             (None, None) => None,
         };
-        self.ues.serving[slot] = next;
+        self.ues.serving[slot] = next.map(|k| pci_of[k]);
         match next {
-            Some(m) => {
-                if let Some(idx) = self.sc.env.cell_index(m.pci) {
+            Some(k) => {
+                // Only the chosen cell gets RSRQ and SINR.
+                let m = self.sc.env.materialise(survey, k);
+                if let Some(idx) = self.sc.env.cell_index(m.tech, m.pci) {
                     ctx.send(
                         self.router,
                         self.delta,
@@ -1514,6 +1514,20 @@ mod tests {
         // The outage takes down every NR cell for half the run: UEs must
         // have been denied their best cell at least once.
         assert!(r.faults[0].impact > 0, "{:?}", r.faults);
+        // ... and no UE is served during it: only ticks outside
+        // [10, 30) can be in service.
+        let outside: u64 = (0..6)
+            .map(|i| {
+                let arrival = build_ue(&sc, 0, &fleet.groups[0], i, &fleet, 7).arrival_tick;
+                (arrival..40).filter(|t| !(10..30).contains(t)).count() as u64
+            })
+            .sum();
+        assert!(
+            r.groups[0].in_service_ticks <= outside,
+            "{} in-service UE-ticks, {outside} outside the outage",
+            r.groups[0].in_service_ticks
+        );
+        assert!(r.groups[0].in_service_ticks < r.groups[0].active_ue_ticks);
         assert!(!r.to_text().is_empty());
     }
 
@@ -1818,6 +1832,76 @@ mod tests {
             .copied()
             .unwrap_or(0);
         assert!(skipped > 0, "static UEs should skip re-measurement");
+    }
+
+    /// A 5x5 dense-urban city numbers NR cells into the LTE range, so
+    /// PCI 205 names an LTE and an NR cell. An NR UE on PCI 205 must be
+    /// counted (and share PRBs) on the NR cell: a crowd of LTE UEs on
+    /// the LTE cell 205 leaves its bitrate unchanged.
+    #[test]
+    fn nr_attach_on_a_pci_shared_with_lte_counts_on_the_nr_cell() {
+        let city = r#""city": { "preset": "dense_urban", "tiles_x": 5, "tiles_y": 5 }"#;
+        let base = parse_scenario(
+            &format!(r#"{{ "name": "shared_pci", {city}, "workload": {{ "kind": "survey" }} }}"#),
+            "mem",
+        )
+        .expect("parses");
+        let sc = build_scenario(&base, 2020);
+        let env = &sc.env;
+        let (nr, lte) = (
+            env.cell_index(Tech::Nr, 205).expect("NR 205"),
+            env.cell_index(Tech::Lte, 205).expect("LTE 205"),
+        );
+        assert_ne!(nr, lte);
+        // A short transect on the cell's boresight where it serves.
+        let near = |idx: usize, tech: Tech| {
+            let c = &env.cells[idx];
+            let az = c.antenna.azimuth_deg.to_radians();
+            let at = |d: f64| c.pos + Point::new(az.cos(), az.sin()) * d;
+            let serves = |p: Point| env.serving(p, tech).map(|m| m.pci) == Some(205);
+            let d = (4..40)
+                .map(|i| f64::from(i) * 5.0)
+                .find(|&d| serves(at(d)) && serves(at(d + 5.0)))
+                .expect("cell 205 serves somewhere on its boresight");
+            let (from, to) = (at(d), at(d + 5.0));
+            format!(
+                r#""mobility": {{ "model": "transect", "from": [{}, {}], "to": [{}, {}], "speed_kmh": 1 }}"#,
+                from.x, from.y, to.x, to.y
+            )
+        };
+        let nr_group = format!(
+            r#"{{ "name": "nr", "count": 1, "tech": "nr", {},
+                 "arrival": {{ "process": "steady" }}, "app": {{ "kind": "bulk" }} }}"#,
+            near(nr, Tech::Nr)
+        );
+        let lte_group = format!(
+            r#"{{ "name": "lte", "count": 8, "tech": "lte", {},
+                 "arrival": {{ "process": "steady" }}, "app": {{ "kind": "bulk" }} }}"#,
+            near(lte, Tech::Lte)
+        );
+        let run = |groups: &str| {
+            let spec = parse_scenario(
+                &format!(
+                    r#"{{ "name": "shared_pci", {city}, "workload": {{ "kind": "fleet",
+                         "duration_s": 10, "tick_ms": 1000, "groups": [{groups}] }} }}"#
+                ),
+                "mem",
+            )
+            .expect("parses");
+            let WorkloadSpec::Fleet(fleet) = &spec.workload else {
+                unreachable!()
+            };
+            run_fleet_sharded(&sc, &spec, fleet, 7, 1)
+        };
+        let alone = run(&nr_group);
+        let crowded = run(&format!("{nr_group}, {lte_group}"));
+        let (a, c) = (&alone.groups[0], &crowded.groups[0]);
+        assert!(a.in_service_ticks > 0);
+        assert_eq!(a.in_service_ticks, c.in_service_ticks);
+        assert_eq!(a.mean_bitrate_mbps.to_bits(), c.mean_bitrate_mbps.to_bits());
+        // Rated on the NR carrier: faster than any LTE cell can serve.
+        let lte_peak = env.cells[lte].carrier.dl_rate_at_peak_mcs(1.0).mbps();
+        assert!(a.mean_bitrate_mbps > lte_peak, "{a:?}");
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn main() {
         }
     }
     // cell radius check along boresight LoS-ish
-    let idx = env.cell_index(60).unwrap();
+    let idx = env.cell_index(Tech::Nr, 60).unwrap();
     let pos = env.cells[idx].pos;
     println!("gNB site at {pos:?}");
 }

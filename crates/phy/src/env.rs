@@ -157,6 +157,87 @@ struct CellCache {
     wall_db: [f64; 5],
 }
 
+/// What one UE position sees of every cell of one technology, before
+/// any cell is ranked or measured in full: the first of measurement's
+/// three steps (survey, select, materialise).
+///
+/// [`RadioEnv::survey_into`] fills it; [`Survey::select`] picks a cell
+/// by rank; [`RadioEnv::materialise`] turns a picked cell into a
+/// [`CellMeasurement`]. Cells are addressed by their position `k` in
+/// the technology's cell list, the order of [`RadioEnv::pcis`]. A
+/// survey is a pure function of `(env, ue, tech)`, so a caller may keep
+/// one and replay it while the UE does not move.
+#[derive(Debug, Clone)]
+pub struct Survey {
+    tech: Tech,
+    /// RSRP rank per cell (see `rank`).
+    rank: Vec<u64>,
+    rsrp_dbm: Vec<Dbm>,
+    rsrp_mw: Vec<f64>,
+    /// Ground distance mast → UE per cell.
+    d2: Vec<f64>,
+    /// Wideband RSSI per RE (the shared RSRQ denominator).
+    rssi_per_re: f64,
+    /// Sum of every cell's received power weighted by its load.
+    total_loaded: f64,
+    /// Thermal noise per RE at the technology's carrier, linear mW.
+    noise_mw: f64,
+}
+
+impl Default for Survey {
+    fn default() -> Self {
+        Survey {
+            tech: Tech::Nr,
+            rank: Vec::new(),
+            rsrp_dbm: Vec::new(),
+            rsrp_mw: Vec::new(),
+            d2: Vec::new(),
+            rssi_per_re: 0.0,
+            total_loaded: 0.0,
+            noise_mw: 0.0,
+        }
+    }
+}
+
+impl Survey {
+    /// Technology surveyed.
+    pub fn tech(&self) -> Tech {
+        self.tech
+    }
+
+    /// RSRP of the cell at position `k`.
+    pub fn rsrp(&self, k: usize) -> Dbm {
+        self.rsrp_dbm[k]
+    }
+
+    /// The strongest cell among those `pass` accepts: the first entry
+    /// that passes in [`RadioEnv::measure_all_into`]'s sorted list.
+    pub fn select(&self, pass: impl FnMut(usize) -> bool) -> Option<usize> {
+        self.top_and_select(pass).1
+    }
+
+    /// The strongest cell, and the strongest cell `pass` accepts, in
+    /// one pass: `(select(|_| true), select(pass))`. Strict `<` over
+    /// ascending positions keeps the lowest position among equal
+    /// ranks, as the stable sort does.
+    pub fn top_and_select(
+        &self,
+        mut pass: impl FnMut(usize) -> bool,
+    ) -> (Option<usize>, Option<usize>) {
+        let mut top: Option<(u64, usize)> = None;
+        let mut sel: Option<(u64, usize)> = None;
+        for (k, &r) in self.rank.iter().enumerate() {
+            if top.is_none_or(|(b, _)| r < b) {
+                top = Some((r, k));
+            }
+            if sel.is_none_or(|(b, _)| r < b) && pass(k) {
+                sel = Some((r, k));
+            }
+        }
+        (top.map(|(_, k)| k), sel.map(|(_, k)| k))
+    }
+}
+
 /// Reusable buffers + deterministic work counters for the allocation-free
 /// measurement fast path ([`RadioEnv::measure_all_into`]).
 ///
@@ -167,10 +248,8 @@ struct CellCache {
 /// without any plumbing through call sites.
 #[derive(Debug, Default)]
 pub struct MeasureScratch {
-    rsrp_dbm: Vec<Dbm>,
-    rsrp_mw: Vec<f64>,
-    /// Ground distance per cell (same order as the tech's cell list).
-    d2s: Vec<f64>,
+    /// The survey behind the `_into` calls that return measurements.
+    survey: Survey,
     /// One [`rank_key`] per cell: the output order, as integers.
     keys: Vec<u128>,
     /// Already-tested bitmap words for the current ray.
@@ -252,8 +331,11 @@ pub struct RadioEnv {
     cache: Vec<CellCache>,
     /// Cell indices per technology (`[Lte, Nr]`), ascending.
     by_tech: [Vec<usize>; 2],
-    /// First cell index per PCI.
-    pci_index: BTreeMap<u16, usize>,
+    /// PCI per cell per technology, same order as `by_tech`.
+    pcis: [Vec<u16>; 2],
+    /// First cell index per PCI, per technology: LTE and NR cells may
+    /// share a PCI.
+    pci_index: [BTreeMap<u16, usize>; 2],
 }
 
 /// Source of [`EnvId`]s.
@@ -281,16 +363,24 @@ impl Clone for EnvId {
     }
 }
 
-/// Sort key of the cell at position `k` with RSRP `rsrp_dbm`: ascending
-/// keys list descending [`f64::total_cmp`] RSRP, ties by position —
-/// exactly the order of a stable descending `total_cmp` sort, but as
-/// unique integers, so an unstable sort yields it.
-fn rank_key(rsrp_dbm: f64, k: usize) -> u128 {
+/// RSRP order of `rsrp_dbm` as an unsigned integer: ascending ranks
+/// list descending [`f64::total_cmp`] RSRP, so a NaN from a
+/// pathological parameter set orders deterministically instead of
+/// panicking mid-campaign.
+fn rank(rsrp_dbm: f64) -> u64 {
     let b = rsrp_dbm.to_bits();
     // total_cmp as an unsigned order: negatives flip every bit,
     // positives set the sign bit.
     let ascending = if b >> 63 == 1 { !b } else { b | 1 << 63 };
-    (u128::from(!ascending) << 64) | k as u128
+    !ascending
+}
+
+/// Sort key of the cell at position `k` with RSRP rank `rank`:
+/// ascending keys list descending RSRP, ties by position — exactly the
+/// order of a stable descending `total_cmp` sort, but as unique
+/// integers, so an unstable sort yields it.
+fn rank_key(rank: u64, k: usize) -> u128 {
+    (u128::from(rank) << 64) | k as u128
 }
 
 fn tech_slot(tech: Tech) -> usize {
@@ -375,10 +465,13 @@ impl RadioEnv {
                 });
         }
         let mut by_tech: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        let mut pci_index = BTreeMap::new();
+        let mut pcis: [Vec<u16>; 2] = [Vec::new(), Vec::new()];
+        let mut pci_index = [BTreeMap::new(), BTreeMap::new()];
         for (i, c) in cells.iter().enumerate() {
-            by_tech[tech_slot(c.tech())].push(i);
-            pci_index.entry(c.pci).or_insert(i);
+            let t = tech_slot(c.tech());
+            by_tech[t].push(i);
+            pcis[t].push(c.pci);
+            pci_index[t].entry(c.pci).or_insert(i);
         }
         let mut groups: [Vec<TechGroup>; 2] = [Vec::new(), Vec::new()];
         for (t, idxs) in by_tech.iter().enumerate() {
@@ -412,6 +505,7 @@ impl RadioEnv {
             groups,
             cache,
             by_tech,
+            pcis,
             pci_index,
         }
     }
@@ -419,6 +513,11 @@ impl RadioEnv {
     /// Builds the paper's deployment from a generated campus: LTE cells
     /// on every eNB sector (PCIs from 200), NR cells on every gNB sector
     /// (PCIs from 60 — the paper's Fig. 2a labels NR cells 60–79).
+    ///
+    /// A city with more than 140 NR cells numbers some of them into the
+    /// LTE range, so an LTE and an NR cell can share a PCI; every PCI
+    /// lookup therefore takes the technology. Shadowing is seeded by
+    /// PCI, so two such cells also share a shadowing field.
     ///
     /// `lte_load`/`nr_load` are the interference activity factors
     /// (daytime busy-hour defaults: 4G heavily used, 5G nearly empty in
@@ -468,9 +567,15 @@ impl RadioEnv {
         self.by_tech[tech_slot(tech)].len()
     }
 
-    /// Index of the cell with the given PCI (first match, as deployed).
-    pub fn cell_index(&self, pci: u16) -> Option<usize> {
-        self.pci_index.get(&pci).copied()
+    /// Index of the `tech` cell with the given PCI (first match, as
+    /// deployed).
+    pub fn cell_index(&self, tech: Tech, pci: u16) -> Option<usize> {
+        self.pci_index[tech_slot(tech)].get(&pci).copied()
+    }
+
+    /// PCIs of the `tech` cells, in [`Survey`] position order.
+    pub fn pcis(&self, tech: Tech) -> &[u16] {
+        &self.pcis[tech_slot(tech)]
     }
 
     /// Total propagation loss (path loss + antenna + walls + shadowing)
@@ -635,23 +740,77 @@ impl RadioEnv {
 
     /// Allocation-free [`RadioEnv::measure_all`]: fills and returns
     /// `scratch.out` (sorted by descending RSRP), reusing the scratch
-    /// buffers across calls.
+    /// buffers across calls. Survey, sort, then materialise every cell.
     pub fn measure_all_into<'a>(
         &self,
         ue: Point,
         tech: Tech,
         scratch: &'a mut MeasureScratch,
     ) -> &'a [CellMeasurement] {
+        self.with_survey(ue, tech, scratch, |scratch, survey| {
+            // Sorted by descending RSRP through integer keys (see
+            // `rank_key`).
+            scratch.keys.clear();
+            scratch
+                .keys
+                .extend(survey.rank.iter().enumerate().map(|(k, &r)| rank_key(r, k)));
+            scratch.keys.sort_unstable();
+            scratch.out.clear();
+            for &key in &scratch.keys {
+                scratch
+                    .out
+                    .push(self.materialise(survey, key as u64 as usize));
+            }
+        });
+        &scratch.out
+    }
+
+    /// Surveys `ue` into the scratch's own [`Survey`], runs `then` on
+    /// it and puts it back.
+    fn with_survey<R>(
+        &self,
+        ue: Point,
+        tech: Tech,
+        scratch: &mut MeasureScratch,
+        then: impl FnOnce(&mut MeasureScratch, &Survey) -> R,
+    ) -> R {
+        let mut survey = std::mem::take(&mut scratch.survey);
+        self.survey_into(ue, tech, scratch, &mut survey);
+        let r = then(scratch, &survey);
+        scratch.survey = survey;
+        r
+    }
+
+    /// Surveys every cell of `tech` at `ue` into `out`: RSRP, ground
+    /// distance and rank per cell, and the interference totals RSRQ and
+    /// SINR need. Ranks nothing and computes no RSRQ or SINR; see
+    /// [`Survey::select`] and [`RadioEnv::materialise`].
+    pub fn survey_into(
+        &self,
+        ue: Point,
+        tech: Tech,
+        scratch: &mut MeasureScratch,
+        out: &mut Survey,
+    ) {
         if scratch.used {
             scratch.stats.reuses += 1;
         } else {
             scratch.used = true;
         }
         scratch.stats.samples += 1;
-        scratch.out.clear();
+        out.tech = tech;
         let idxs: &[usize] = &self.by_tech[tech_slot(tech)];
+        let n = idxs.len();
+        out.rank.clear();
+        out.rank.resize(n, 0);
+        out.rsrp_dbm.clear();
+        out.rsrp_dbm.resize(n, Dbm::new(0.0));
+        out.rsrp_mw.clear();
+        out.rsrp_mw.resize(n, 0.0);
+        out.d2.clear();
+        out.d2.resize(n, 0.0);
         if idxs.is_empty() {
-            return &scratch.out;
+            return;
         }
         // The ray cache is keyed on the environment and the UE
         // position: the per-technology calls of one sample share it, so
@@ -667,13 +826,6 @@ impl RadioEnv {
                 .resize(self.sites.len(), RaySite::default());
             self.map.buildings_containing_into(ue, &mut scratch.ue_hits);
         }
-        let n = idxs.len();
-        scratch.rsrp_dbm.clear();
-        scratch.rsrp_dbm.resize(n, Dbm::new(0.0));
-        scratch.rsrp_mw.clear();
-        scratch.rsrp_mw.resize(n, 0.0);
-        scratch.d2s.clear();
-        scratch.d2s.resize(n, 0.0);
         // Every shadowing grid shares one lattice (asserted in `new`),
         // so the UE's lattice weights and grid slot are per call.
         let lattice = LatticePoint::new(ue.x, ue.y, self.shadowing[idxs[0]].grid_m)
@@ -722,9 +874,10 @@ impl RadioEnv {
                     .value_db_at(&lattice, sigma, &self.shadow_grids[i])
                     .value();
                 let dbm = Dbm::new(self.cache[i].eirp_dbm - loss);
-                scratch.rsrp_dbm[k] = dbm;
-                scratch.rsrp_mw[k] = dbm.to_milliwatts().milliwatts();
-                scratch.d2s[k] = rs.d2;
+                out.rank[k] = rank(dbm.value());
+                out.rsrp_dbm[k] = dbm;
+                out.rsrp_mw[k] = dbm.to_milliwatts().milliwatts();
+                out.d2[k] = rs.d2;
             }
         }
         let noise_mw = self.cache[idxs[0]].noise_mw;
@@ -736,49 +889,47 @@ impl RadioEnv {
         // makes RSRQ discriminate between cells — RSRQ gaps equal RSRP
         // gaps, as the A3 hand-off rule relies on.
         const RS_ACTIVITY_FLOOR: f64 = 0.2;
-        let rssi_per_re: f64 = idxs
+        out.rssi_per_re = idxs
             .iter()
             .enumerate()
-            .map(|(k2, &i2)| scratch.rsrp_mw[k2] * self.cells[i2].load.max(RS_ACTIVITY_FLOOR))
+            .map(|(k2, &i2)| out.rsrp_mw[k2] * self.cells[i2].load.max(RS_ACTIVITY_FLOOR))
             .sum::<f64>()
             + noise_mw;
         // Data-plane SINR: interference from *loaded* REs of the other
         // cells only (data REs dodge the RS collisions). Computing the
-        // loaded total once and subtracting each cell's own term turns
-        // the old O(cells²) skip-sum into O(cells).
-        let total_loaded: f64 = idxs
+        // loaded total once and subtracting each cell's own term (in
+        // `materialise`) turns the old O(cells²) skip-sum into O(cells).
+        out.total_loaded = idxs
             .iter()
             .enumerate()
-            .map(|(k2, &i2)| scratch.rsrp_mw[k2] * self.cells[i2].load)
+            .map(|(k2, &i2)| out.rsrp_mw[k2] * self.cells[i2].load)
             .sum();
-        // Sorted by descending RSRP through integer keys (see
-        // `rank_key`): a NaN RSRP from a pathological parameter set
-        // sorts deterministically instead of panicking mid-campaign.
-        scratch.keys.clear();
-        scratch.keys.extend(
-            scratch
-                .rsrp_dbm
-                .iter()
-                .enumerate()
-                .map(|(k, d)| rank_key(d.value(), k)),
+        out.noise_mw = noise_mw;
+    }
+
+    /// The full measurement of the cell at position `k` of `survey`
+    /// (a survey of this environment): the only place RSRQ and SINR are
+    /// computed.
+    pub fn materialise(&self, survey: &Survey, k: usize) -> CellMeasurement {
+        let idxs = &self.by_tech[tech_slot(survey.tech)];
+        debug_assert_eq!(
+            idxs.len(),
+            survey.rank.len(),
+            "survey of another environment"
         );
-        scratch.keys.sort_unstable();
-        for &key in &scratch.keys {
-            let k = key as u64 as usize;
-            let i = idxs[k];
-            let interference = total_loaded - scratch.rsrp_mw[k] * self.cells[i].load;
-            let sinr = Db::from_linear((scratch.rsrp_mw[k] / (interference + noise_mw)).max(1e-12));
-            let rsrq = Db::from_linear((scratch.rsrp_mw[k] / (12.0 * rssi_per_re)).max(1e-12));
-            scratch.out.push(CellMeasurement {
-                pci: self.cells[i].pci,
-                tech,
-                rsrp: scratch.rsrp_dbm[k],
-                rsrq,
-                sinr,
-                distance_m: scratch.d2s[k],
-            });
+        let i = idxs[k];
+        let mw = survey.rsrp_mw[k];
+        let interference = survey.total_loaded - mw * self.cells[i].load;
+        let sinr = Db::from_linear((mw / (interference + survey.noise_mw)).max(1e-12));
+        let rsrq = Db::from_linear((mw / (12.0 * survey.rssi_per_re)).max(1e-12));
+        CellMeasurement {
+            pci: self.cells[i].pci,
+            tech: survey.tech,
+            rsrp: survey.rsrp_dbm[k],
+            rsrq,
+            sinr,
+            distance_m: survey.d2[k],
         }
-        &scratch.out
     }
 
     /// Reference implementation of [`RadioEnv::measure_all`]: full
@@ -842,36 +993,43 @@ impl RadioEnv {
         self.serving_into(ue, tech, &mut scratch)
     }
 
-    /// Allocation-free [`RadioEnv::serving`].
+    /// Allocation-free [`RadioEnv::serving`]: survey, select the top
+    /// cell, materialise it.
     pub fn serving_into(
         &self,
         ue: Point,
         tech: Tech,
         scratch: &mut MeasureScratch,
     ) -> Option<CellMeasurement> {
-        self.measure_all_into(ue, tech, scratch).first().copied()
+        self.with_survey(ue, tech, scratch, |_, survey| {
+            survey.select(|_| true).map(|k| self.materialise(survey, k))
+        })
     }
 
-    /// Measurement of one specific cell (by PCI) including interference
-    /// from its co-channel neighbours — used when the UE is locked to a
-    /// cell (the paper's Sec. 3.2 frequency-lock experiment).
-    pub fn measure_pci(&self, ue: Point, pci: u16) -> Option<CellMeasurement> {
+    /// Measurement of one specific `tech` cell (by PCI) including
+    /// interference from its co-channel neighbours — used when the UE is
+    /// locked to a cell (the paper's Sec. 3.2 frequency-lock experiment).
+    pub fn measure_pci(&self, ue: Point, tech: Tech, pci: u16) -> Option<CellMeasurement> {
         let mut scratch = MeasureScratch::new();
-        self.measure_pci_into(ue, pci, &mut scratch)
+        self.measure_pci_into(ue, tech, pci, &mut scratch)
     }
 
-    /// Allocation-free [`RadioEnv::measure_pci`].
+    /// Allocation-free [`RadioEnv::measure_pci`]: survey, select the
+    /// cell, materialise it.
     pub fn measure_pci_into(
         &self,
         ue: Point,
+        tech: Tech,
         pci: u16,
         scratch: &mut MeasureScratch,
     ) -> Option<CellMeasurement> {
-        let tech = self.cells[self.cell_index(pci)?].tech();
-        self.measure_all_into(ue, tech, scratch)
-            .iter()
-            .find(|m| m.pci == pci)
-            .copied()
+        self.cell_index(tech, pci)?;
+        let pcis = self.pcis(tech);
+        self.with_survey(ue, tech, scratch, |_, survey| {
+            survey
+                .select(|k| pcis[k] == pci)
+                .map(|k| self.materialise(survey, k))
+        })
     }
 
     /// Full KPI sample of the serving cell at `ue`.
@@ -898,7 +1056,7 @@ impl RadioEnv {
 
     /// Full KPI sample for a given (already measured) serving cell.
     pub fn kpi_for(&self, serving: CellMeasurement, ue: Point, prb_fraction: f64) -> KpiSample {
-        let Some(idx) = self.cell_index(serving.pci) else {
+        let Some(idx) = self.cell_index(serving.tech, serving.pci) else {
             // Unreachable via `kpi_sample_into` (the measurement came
             // from this env); a foreign PCI degrades to out-of-service
             // instead of panicking mid-campaign.
@@ -938,6 +1096,7 @@ mod tests {
     use super::*;
     use fiveg_geo::CampusConfig;
     use fiveg_simcore::SimRng;
+    use std::collections::BTreeSet;
 
     fn env() -> RadioEnv {
         let campus = Campus::generate(&CampusConfig::default(), &mut SimRng::new(2020));
@@ -949,14 +1108,14 @@ mod tests {
         let e = env();
         assert_eq!(e.num_cells(Tech::Lte), 34);
         assert_eq!(e.num_cells(Tech::Nr), 13);
-        assert!(e.cell_index(60).is_some(), "first NR PCI");
-        assert!(e.cell_index(200).is_some(), "first LTE PCI");
+        assert!(e.cell_index(Tech::Nr, 60).is_some(), "first NR PCI");
+        assert!(e.cell_index(Tech::Lte, 200).is_some(), "first LTE PCI");
     }
 
     #[test]
     fn rsrp_decays_with_distance() {
         let e = env();
-        let idx = e.cell_index(60).unwrap();
+        let idx = e.cell_index(Tech::Nr, 60).unwrap();
         let cell_pos = e.cells[idx].pos;
         let az = e.cells[idx].antenna.azimuth_deg.to_radians();
         let dir = Point::new(az.cos(), az.sin());
@@ -1024,7 +1183,7 @@ mod tests {
             if e.map.is_indoor(outside) {
                 continue;
             }
-            let idx = e.cell_index(60).unwrap();
+            let idx = e.cell_index(Tech::Nr, 60).unwrap();
             let r_in = e.rsrp(idx, c);
             let r_out = e.rsrp(idx, outside);
             total += 1;
@@ -1056,9 +1215,9 @@ mod tests {
     fn measure_pci_finds_locked_cell() {
         let e = env();
         let ue = Point::new(250.0, 460.0);
-        let m = e.measure_pci(ue, 60).unwrap();
+        let m = e.measure_pci(ue, Tech::Nr, 60).unwrap();
         assert_eq!(m.pci, 60);
-        assert!(e.measure_pci(ue, 9999).is_none());
+        assert!(e.measure_pci(ue, Tech::Nr, 9999).is_none());
     }
 
     /// The spatial-indexed, table-driven fast path must be bit-identical
@@ -1124,7 +1283,7 @@ mod tests {
     /// above +inf, hence first) instead of panicking mid-campaign as
     /// the old `partial_cmp(..).expect(..)` did. The integer keys give
     /// exactly the stable `total_cmp` sort's order, ties and signed
-    /// zeros included.
+    /// zeros included, and select picks the first passing entry of it.
     #[test]
     fn nan_rsrp_sorts_deterministically_without_panic() {
         let vals = [
@@ -1146,7 +1305,7 @@ mod tests {
         let mut keys: Vec<u128> = vals
             .iter()
             .enumerate()
-            .map(|(k, &v)| rank_key(v, k))
+            .map(|(k, &v)| rank_key(rank(v), k))
             .collect();
         keys.sort_unstable();
         let keyed: Vec<usize> = keys.iter().map(|&key| key as u64 as usize).collect();
@@ -1154,6 +1313,37 @@ mod tests {
         assert!(vals[keyed[0]].is_nan());
         assert_eq!(keyed[1..6], [7, 5, 11, 6, 3]);
         assert!(vals[keyed[vals.len() - 1]].is_nan());
+
+        // Select picks the first passing entry of that order: the NaN
+        // on top, and on a tie (-80 at 1 and 4, 0.0 at 5 and 11, -60 at
+        // 3 and 10) the lower position, as the stable sort does.
+        let survey = Survey {
+            rank: vals.iter().map(|&v| rank(v)).collect(),
+            ..Survey::default()
+        };
+        let first = |pass: &dyn Fn(usize) -> bool| keyed.iter().copied().find(|&k| pass(k));
+        let filters: [&dyn Fn(usize) -> bool; 7] = [
+            &|_| true,
+            &|k| !vals[k].is_nan(),
+            &|k| vals[k] == -80.0,
+            &|k| vals[k].to_bits() == 0.0f64.to_bits(),
+            &|k| vals[k] == -60.0,
+            &|k| vals[k] < -70.0,
+            &|_| false,
+        ];
+        for pass in filters {
+            assert_eq!(survey.select(pass), first(pass));
+            assert_eq!(survey.top_and_select(pass), (Some(0), first(pass)));
+        }
+        assert_eq!(survey.select(|k| vals[k] == -80.0), Some(1));
+        assert_eq!(survey.select(|k| vals[k] == -60.0), Some(3));
+        assert_eq!(survey.select(|k| k > 0 && !vals[k].is_nan()), Some(7));
+        // A tie at the top goes to the lower position too.
+        let tied = Survey {
+            rank: [-60.0, -70.0, -60.0].map(rank).to_vec(),
+            ..Survey::default()
+        };
+        assert_eq!(tied.top_and_select(|k| k != 0), (Some(0), Some(2)));
     }
 
     fn assert_same_measurements(a: &[CellMeasurement], b: &[CellMeasurement], at: Point) {
@@ -1175,6 +1365,99 @@ mod tests {
         RadioEnv::from_campus(&campus, 0x5eed, 0.5, 0.05)
     }
 
+    /// A 5x5 dense-urban city: 150 NR cells numbered from 60 run into
+    /// the LTE numbering from 200, so PCIs 200..=209 each name one LTE
+    /// and one NR cell.
+    fn colliding_city() -> &'static RadioEnv {
+        static CITY: std::sync::OnceLock<RadioEnv> = std::sync::OnceLock::new();
+        CITY.get_or_init(|| city_env(5))
+    }
+
+    fn same_bits(a: Option<CellMeasurement>, b: Option<CellMeasurement>, at: Point) {
+        assert_eq!(a.is_some(), b.is_some(), "at {at:?}");
+        assert_same_measurements(a.as_slice(), b.as_slice(), at);
+    }
+
+    /// Survey + select + materialise answers every query the fleet asks
+    /// exactly as the first matching entry of the sorted list would:
+    /// the top cell, the best cell outside a random outage set, the
+    /// cell with a given PCI (from either technology's numbering), and
+    /// each cell on its own.
+    fn assert_select_matches_sorted(
+        e: &RadioEnv,
+        ue: Point,
+        tech: Tech,
+        rng: &mut SimRng,
+        scratch: &mut MeasureScratch,
+    ) {
+        let sorted = e.measure_all_into(ue, tech, scratch).to_vec();
+        let mut survey = Survey::default();
+        e.survey_into(ue, tech, scratch, &mut survey);
+        let pcis = e.pcis(tech);
+        let pick = |k: Option<usize>| k.map(|k| e.materialise(&survey, k));
+        same_bits(pick(survey.select(|_| true)), sorted.first().copied(), ue);
+        for (k, &pci) in pcis.iter().enumerate() {
+            let entry = sorted.iter().find(|m| m.pci == pci).copied();
+            same_bits(Some(e.materialise(&survey, k)), entry, ue);
+        }
+        let all_pcis: Vec<u16> = e.cells.iter().map(|c| c.pci).collect();
+        for round in 0..6 {
+            let p = [0.1, 0.5, 0.9][round % 3];
+            let mut outaged: BTreeSet<u16> =
+                pcis.iter().copied().filter(|_| rng.chance(p)).collect();
+            if let Some(top) = sorted.first().filter(|_| round % 2 == 0) {
+                outaged.insert(top.pci);
+            }
+            same_bits(
+                pick(survey.select(|k| !outaged.contains(&pcis[k]))),
+                sorted.iter().find(|m| !outaged.contains(&m.pci)).copied(),
+                ue,
+            );
+            let serving = all_pcis[rng.index(all_pcis.len())];
+            let (top, current) = survey.top_and_select(|k| pcis[k] == serving);
+            same_bits(pick(top), sorted.first().copied(), ue);
+            same_bits(
+                pick(current),
+                sorted.iter().find(|m| m.pci == serving).copied(),
+                ue,
+            );
+        }
+    }
+
+    /// Every PCI lookup takes the technology: on the colliding city each
+    /// cell resolves to itself, and a shared PCI measures and rates the
+    /// cell of the technology asked for.
+    #[test]
+    fn shared_pcis_resolve_per_technology() {
+        let e = colliding_city();
+        let lte = e.pcis(Tech::Lte);
+        let shared: Vec<u16> = e
+            .pcis(Tech::Nr)
+            .iter()
+            .copied()
+            .filter(|p| lte.contains(p))
+            .collect();
+        assert_eq!(shared, (200..=209).collect::<Vec<u16>>());
+        for (i, c) in e.cells.iter().enumerate() {
+            assert_eq!(e.cell_index(c.tech(), c.pci), Some(i), "cell {i}");
+        }
+        let nr = e.cell_index(Tech::Nr, 205).unwrap();
+        let cell = &e.cells[nr];
+        let az = cell.antenna.azimuth_deg.to_radians();
+        let ue = cell.pos + Point::new(az.cos(), az.sin()) * 60.0;
+        let m = e.measure_pci(ue, Tech::Nr, 205).unwrap();
+        assert_eq!((m.pci, m.tech), (205, Tech::Nr));
+        let sorted = e.measure_all(ue, Tech::Nr);
+        same_bits(Some(m), sorted.iter().find(|n| n.pci == 205).copied(), ue);
+        assert_eq!(e.measure_pci(ue, Tech::Lte, 205).unwrap().tech, Tech::Lte);
+        assert!(e.measure_pci(ue, Tech::Lte, 60).is_none());
+        // The KPI comes from the NR carrier, not the LTE cell's.
+        let kpi = e.kpi_for(m, ue, 1.0);
+        assert!(kpi.in_service);
+        let rate = cell.carrier.dl_rate_at_peak_mcs(1.0) * mcs::rate_fraction(m.sinr.value());
+        assert_eq!(kpi.bitrate.bps().to_bits(), rate.bps().to_bits());
+    }
+
     /// The fast path on a city big enough for the tiled index, at
     /// random points (some beyond the shadowing grid's margin, so the
     /// direct-evaluation fallback runs), indoor points and points on or
@@ -1182,13 +1465,18 @@ mod tests {
     #[test]
     fn fast_path_bit_identical_to_naive_on_tiled_city() {
         let e = city_env(3);
+        check_tiled_city(&e, &mut SimRng::new(0x71ED));
+        // The colliding city adds shared PCIs to the select checks.
+        check_tiled_city(colliding_city(), &mut SimRng::new(0x5E1E));
+    }
+
+    fn check_tiled_city(e: &RadioEnv, rng: &mut SimRng) {
         assert!(e.map.buildings.len() >= fiveg_geo::map::TILED_INDEX_THRESHOLD);
         assert!(e
             .map
             .spatial_index()
             .is_some_and(fiveg_geo::MapIndex::is_tiled));
         let b = e.map.bounds;
-        let mut rng = SimRng::new(0x71ED);
         let mut points: Vec<Point> = (0..24)
             .map(|_| {
                 Point::new(
@@ -1215,6 +1503,7 @@ mod tests {
             for tech in [Tech::Lte, Tech::Nr] {
                 let naive = e.measure_all_naive(ue, tech);
                 assert_same_measurements(&naive, e.measure_all_into(ue, tech, &mut scratch), ue);
+                assert_select_matches_sorted(e, ue, tech, rng, &mut scratch);
             }
         }
     }

@@ -38,6 +38,6 @@ pub mod penetration;
 pub use antenna::SectorAntenna;
 pub use carrier::{Carrier, Duplex, Tech};
 pub use cell::CellPhy;
-pub use env::{CellMeasurement, KpiSample, MeasureScratch, RadioEnv};
+pub use env::{CellMeasurement, KpiSample, MeasureScratch, RadioEnv, Survey};
 pub use mcs::{bler, cqi_from_sinr, mcs_from_cqi, spectral_efficiency};
 pub use pathloss::{PropagationParams, ShadowingField};

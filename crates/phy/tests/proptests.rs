@@ -3,8 +3,11 @@
 use fiveg_phy::antenna::{SectorAntenna, VerticalPattern};
 use fiveg_phy::mcs;
 use fiveg_phy::pathloss::{PropagationParams, ShadowingField};
-use fiveg_simcore::Frequency;
+use fiveg_phy::{CellMeasurement, MeasureScratch, RadioEnv, Survey, Tech};
+use fiveg_simcore::{Frequency, SimRng};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 proptest! {
     /// Path loss grows with distance on both branches, and NLoS never
@@ -146,4 +149,92 @@ fn angle_diff_fold_matches_rem_euclid_on_edge_cases() {
     }
     assert!(SectorAntenna::angle_diff(f64::NAN, 0.0).is_nan());
     assert!(SectorAntenna::angle_diff(0.0, f64::NAN).is_nan());
+}
+
+/// A 5x5 dense-urban city: 150 NR cells numbered from 60 run into the
+/// LTE numbering from 200, so PCIs 200..=209 each name one LTE and one
+/// NR cell.
+fn colliding_city() -> &'static RadioEnv {
+    static CITY: OnceLock<RadioEnv> = OnceLock::new();
+    CITY.get_or_init(|| {
+        let mut spec = fiveg_geo::CitySpec::dense_urban();
+        spec.tiles_x = 5;
+        spec.tiles_y = 5;
+        let campus = fiveg_geo::generate_city(&spec, &SimRng::new(2020));
+        RadioEnv::from_campus(&campus, 0x5eed, 0.5, 0.05)
+    })
+}
+
+fn same_measurement(a: Option<CellMeasurement>, b: Option<CellMeasurement>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            x.pci == y.pci
+                && x.tech == y.tech
+                && same_bits(x.rsrp.value(), y.rsrp.value())
+                && same_bits(x.rsrq.value(), y.rsrq.value())
+                && same_bits(x.sinr.value(), y.sinr.value())
+                && same_bits(x.distance_m, y.distance_m)
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Survey, select, materialise on the colliding city: the top cell,
+    /// the best cell outside a random outage set and the cell with a
+    /// given PCI are each the first matching entry of the sorted
+    /// `measure_all_into` list, and every materialised cell equals its
+    /// entry, bit for bit.
+    #[test]
+    fn select_is_the_first_matching_sorted_entry(
+        fx in -0.1f64..1.1,
+        fy in -0.1f64..1.1,
+        nr in any::<bool>(),
+        out_cells in prop::collection::vec(0usize..450, 0..60),
+        top_out in any::<bool>(),
+        serving_cell in 0usize..450,
+    ) {
+        let e = colliding_city();
+        let b = e.map.bounds;
+        let ue = fiveg_geo::Point::new(
+            b.min.x + fx * (b.max.x - b.min.x),
+            b.min.y + fy * (b.max.y - b.min.y),
+        );
+        let tech = if nr { Tech::Nr } else { Tech::Lte };
+        let mut scratch = MeasureScratch::new();
+        let sorted = e.measure_all_into(ue, tech, &mut scratch).to_vec();
+        let mut survey = Survey::default();
+        e.survey_into(ue, tech, &mut scratch, &mut survey);
+        let pcis = e.pcis(tech);
+        let pick = |k: Option<usize>| k.map(|k| e.materialise(&survey, k));
+
+        let mut outaged: BTreeSet<u16> = out_cells
+            .iter()
+            .map(|&i| e.cells[i % e.cells.len()].pci)
+            .collect();
+        if top_out {
+            outaged.extend(sorted.first().map(|m| m.pci));
+        }
+        let serving = e.cells[serving_cell % e.cells.len()].pci;
+        let (top, current) = survey.top_and_select(|k| pcis[k] == serving);
+        prop_assert!(same_measurement(pick(top), sorted.first().copied()));
+        prop_assert!(same_measurement(pick(survey.select(|_| true)), sorted.first().copied()));
+        prop_assert!(same_measurement(
+            pick(current),
+            sorted.iter().find(|m| m.pci == serving).copied()
+        ));
+        prop_assert!(same_measurement(
+            pick(survey.select(|k| !outaged.contains(&pcis[k]))),
+            sorted.iter().find(|m| !outaged.contains(&m.pci)).copied()
+        ));
+        for (k, &pci) in pcis.iter().enumerate() {
+            prop_assert!(same_measurement(
+                Some(e.materialise(&survey, k)),
+                sorted.iter().find(|m| m.pci == pci).copied()
+            ));
+        }
+    }
 }
