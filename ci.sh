@@ -20,7 +20,9 @@ STAGE_SECS=()
 STAGE_STATUS=()
 
 # Records the finished CURRENT_STAGE with the given status, and prints
-# a soft warning when it ran over its committed per-stage budget.
+# a soft warning when it ran over its committed per-stage budget or has
+# none (the stage name is the budget's key, so a renamed stage shows up
+# here instead of silently losing its budget).
 finish_stage() {
   local status=$1 secs=$2
   STAGE_NAMES+=("$CURRENT_STAGE")
@@ -29,7 +31,9 @@ finish_stage() {
   if [[ -f "$BUDGETS" ]]; then
     local budget
     budget=$(sed -n "s|.*\"${CURRENT_STAGE}\": *\([0-9][0-9]*\).*|\1|p" "$BUDGETS" | head -1)
-    if [[ -n "$budget" && "$secs" -gt "$budget" ]]; then
+    if [[ -z "$budget" ]]; then
+      echo "ci: WARNING stage '${CURRENT_STAGE}' has no budget in ${BUDGETS}" >&2
+    elif [[ "$secs" -gt "$budget" ]]; then
       echo "ci: WARNING stage '${CURRENT_STAGE}' took ${secs}s, over its ${budget}s budget" >&2
     fi
   fi
@@ -270,13 +274,14 @@ same_artifacts "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8
 same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8 json_hash
 
 # City smoke: the procedural dense-urban scenario exercises the whole
-# city fast path — generate_city, the tiled spatial index (3x3 tiles
-# cross the 256-building auto-select threshold), the SoA fleet columns
-# and the incremental re-measurement cache. Its artifact must match
-# golden/scenario-s2020 (so a fleet change that is wrong at every shard
-# count fails too) and be byte-identical between --jobs 1 (one UE
-# shard) and --jobs 8 (one shard per 64-UE chunk, so the fleet must
-# span at least three). Counter identity for the city micros
+# city fast path end to end — generate_city, the tiled spatial index
+# (3x3 tiles cross the 256-building auto-select threshold; the geo unit
+# test indexed_queries_match_full_scan holds its queries to full scans),
+# the SoA fleet columns and the incremental re-measurement cache. Its
+# artifact must match golden/scenario-s2020 (so a fleet change that is
+# wrong at every shard count fails too) and be byte-identical between
+# --jobs 1 (one UE shard) and --jobs 8 (one shard per 64-UE chunk, so
+# the fleet must span at least three). Counter identity for the city micros
 # (city.sweep.100k, city.attach.*) rides the perf gate above.
 stage "city smoke: dense-urban scenario (golden, --jobs 1 vs 8)"
 rm -rf target/ci-city-j1 target/ci-city-j8

@@ -15,11 +15,11 @@ use fiveg_simcore::dist::normal;
 use fiveg_simcore::{SimDuration, SimRng, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Video resolutions the paper evaluates (Fig. 18).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Resolution {
     /// 720p panoramic.
     P720,
@@ -69,7 +69,7 @@ impl Resolution {
 
 /// Camera scene dynamics (Fig. 18/19: "dynamic represents constantly
 /// changing the camera's view").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SceneKind {
     /// Tripod-style static scene.
     Static,
@@ -78,7 +78,7 @@ pub enum SceneKind {
 }
 
 /// The measured processing-pipeline latencies (Sec. 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PipelineLatency {
     /// Camera capture + patch splice + render, ms.
     pub capture_splice_render_ms: f64,
@@ -222,7 +222,7 @@ impl Endpoint for VideoSender {
 }
 
 /// A video-telephony session configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VideoSession {
     /// Stream resolution.
     pub resolution: Resolution,
@@ -319,7 +319,7 @@ impl VideoSession {
 }
 
 /// Results of one session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VideoResult {
     /// Configured mean encode rate, Mbps.
     pub offered_mbps: f64,

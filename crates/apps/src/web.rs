@@ -12,10 +12,10 @@ use fiveg_net::NetSim;
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{SimDuration, SimRng, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's five page categories (Fig. 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PageCategory {
     /// Web search result pages.
     Search,
@@ -78,7 +78,7 @@ impl PageCategory {
 }
 
 /// A web page to load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WebPage {
     /// Category (drives the render model).
     pub category: PageCategory,
@@ -99,7 +99,7 @@ impl WebPage {
 
 /// The image-size sweep of Fig. 17 (pages dominated by one image of
 /// 1/2/4/8/16 MB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ImagePage {
     /// Image size, megabytes (the paper sweeps 1–16).
     pub image_mb: u64,
@@ -121,7 +121,7 @@ impl ImagePage {
 }
 
 /// One page-load measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PageLoadResult {
     /// Content downloading time.
     pub download: SimDuration,

@@ -35,7 +35,9 @@ Options:
   --bench          also write a benchmark report (BENCH_0003.json in the
                    artifact directory): per-job wall time, events
                    simulated, events/sec, all deterministic counters and
-                   the phy.sample hot-path microbenchmark
+                   the eight hot-path microbenchmarks (phy.sample,
+                   city.sweep.100k, city.attach.{full,incremental},
+                   shard.fleet.{serial,sharded}, trace.{full,ring})
   --bench-out FILE write the benchmark report to FILE (implies --bench)
   --bench-check FILE
                    compare this run's benchmark report against baseline

@@ -1,6 +1,6 @@
 //! # fiveg-bench
 //!
-//! The benchmark harness: one Criterion bench per experiment family and
+//! The benchmark harness: the bench report and its hot-path micros, and
 //! the `repro` binary that regenerates every table and figure of the
 //! paper as text + JSON artifacts.
 
@@ -16,12 +16,3 @@ pub use report::{
     compare_to_baseline, BenchComparison, BenchJob, BenchReport, BenchTotals, MicroBench,
     BENCH_SCHEMA, THROUGHPUT_WARN_FRACTION,
 };
-
-use std::fs;
-use std::path::Path;
-
-/// Writes an artifact file, creating the output directory.
-pub fn write_artifact(dir: &Path, name: &str, contents: &str) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    fs::write(dir.join(name), contents)
-}

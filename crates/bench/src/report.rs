@@ -4,8 +4,10 @@
 //! A bench report summarises one campaign run per job: deterministic
 //! work counters (events executed, packets forwarded, HARQ tries, …)
 //! plus advisory host timings (wall time, events per second), and — new
-//! in schema 3 — a `micro` section of targeted hot-path microbenchmarks
-//! (currently `phy.sample`: the radio measurement path). The CI perf
+//! in schema 3 — a `micro` section of eight targeted hot-path
+//! microbenchmarks: `phy.sample` (the radio measurement path),
+//! `city.sweep.100k`, `city.attach.{full,incremental}`,
+//! `shard.fleet.{serial,sharded}` and `trace.{full,ring}`. The CI perf
 //! gate compares a fresh report against a committed baseline:
 //!
 //! * **counter drift is a failure** — counters depend only on the seed,

@@ -8,10 +8,10 @@ use fiveg_apps::web::{load_page, ImagePage, PageCategory, WebPage};
 use fiveg_net::path::{Direction, PaperPathParams, PathConfig};
 use fiveg_simcore::{SimDuration, SimRng};
 use fiveg_transport::CcAlgorithm;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fig. 16: PLT per page category, 4G vs 5G, split download/render.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig16 {
     /// `(category, tech, download_s, render_s)` means.
     pub rows: Vec<(String, String, f64, f64)>,
@@ -112,7 +112,7 @@ pub fn fig16(fidelity: Fidelity, seed: u64) -> Fig16 {
 }
 
 /// Fig. 17: PLT vs image size (1–16 MB).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig17 {
     /// `(image MB, tech, download_s, render_s)`.
     pub rows: Vec<(u64, String, f64, f64)>,
@@ -203,7 +203,7 @@ pub fn fig17(seed: u64) -> Fig17 {
 }
 
 /// Fig. 18 + Fig. 19 + Fig. 20: the video-telephony study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VideoStudy {
     /// `(resolution, scene, tech, offered Mbps, received Mbps, freezes,
     /// mean frame delay ms)`.

@@ -7,13 +7,13 @@ use fiveg_geo::mobility::RoadSurvey;
 use fiveg_geo::Point;
 use fiveg_phy::{MeasureScratch, RadioEnv, Tech};
 use fiveg_simcore::{Cdf, Histogram, OnlineStats, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's Tab. 2 RSRP bucket edges, ascending.
 pub const RSRP_EDGES: [f64; 7] = [-140.0, -105.0, -90.0, -80.0, -70.0, -60.0, -40.0];
 
 /// Tab. 1: basic physical info per technology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table1 {
     /// Number of 4G cells.
     pub cells_4g: usize,
@@ -120,7 +120,7 @@ pub fn table1_with(sc: &Scenario, survey: &RoadSurvey, threads: usize) -> Table1
 }
 
 /// Tab. 2: RSRP bucket distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table2 {
     /// Fraction per bucket for 4G (all 13 eNBs).
     pub frac_4g: [f64; 6],
@@ -241,7 +241,7 @@ pub fn table2(sc: &Scenario, n: usize, threads: usize) -> Table2 {
 }
 
 /// Fig. 2a: the campus RSRP map — strongest-cell RSRP on a grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig2a {
     /// Grid spacing, metres.
     pub step_m: f64,
@@ -308,7 +308,7 @@ pub fn fig2a(sc: &Scenario, step_m: f64, threads: usize) -> Fig2a {
 
 /// Fig. 2b: bit-rate contour of a single cell (the paper's cell 72
 /// analogue: the first NR cell), sampled on a 20 m grid around the site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig2b {
     /// The locked cell's PCI.
     pub pci: u16,
@@ -406,7 +406,7 @@ pub fn fig2b(sc: &Scenario, threads: usize) -> Fig2b {
 }
 
 /// Fig. 3: indoor vs outdoor bit-rate CDFs and the relative drop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig3 {
     /// Outdoor bitrates, Mbps, per tech.
     pub outdoor_5g: Vec<f64>,

@@ -9,7 +9,7 @@ use crate::report;
 use crate::scenario::Scenario;
 use fiveg_phy::Tech;
 use fiveg_simcore::Cdf;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Average US DSL downlink the paper compares against, Mbps.
 pub const DSL_BASELINE_MBPS: f64 = 24.0;
@@ -19,7 +19,7 @@ pub const DSL_BASELINE_MBPS: f64 = 24.0;
 pub const CPE_ANTENNA_GAIN_DB: f64 = 8.0;
 
 /// The CPE/DSL comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CpeStudy {
     /// Indoor CPE bitrates across sampled homes, Mbps.
     pub home_rates_mbps: Vec<f64>,

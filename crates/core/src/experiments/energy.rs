@@ -6,10 +6,10 @@ use fiveg_energy::params::RadioModel;
 use fiveg_energy::profile::{app_session_breakdown, energy_per_bit_sweep, AppKind};
 use fiveg_energy::sched::{replay_energy, Strategy, TrafficTrace};
 use fiveg_simcore::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fig. 21: component power per app and tech.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig21 {
     /// `(app, tech, system mW, screen mW, app mW, radio mW)`.
     pub rows: Vec<(String, String, f64, f64, f64, f64)>,
@@ -83,7 +83,7 @@ pub fn fig21(session_secs: u64) -> Fig21 {
 }
 
 /// Fig. 22: energy-per-bit vs transfer duration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig22 {
     /// `(secs, uJ/bit)` for 4G.
     pub lte: Vec<(f64, f64)>,
@@ -135,7 +135,7 @@ pub fn fig22() -> Fig22 {
 }
 
 /// Fig. 23: the pwrStrip power trace for 10 web loads 3 s apart.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig23 {
     /// `(t_s, power_mW)` for the 5G radio.
     pub trace_5g: Vec<(f64, f64)>,
@@ -208,7 +208,7 @@ pub fn fig23() -> Fig23 {
 }
 
 /// Tab. 4: strategy × workload energy matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table4 {
     /// `(workload, strategy, joules)`.
     pub cells: Vec<(String, String, f64)>,

@@ -9,12 +9,12 @@ use fiveg_phy::Tech;
 use fiveg_ran::{HandoffCampaign, HandoffKind, HandoffProcedure, HandoffRecord};
 use fiveg_simcore::{BitRate, Cdf, SimDuration, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Fig. 4: RSRQ evolution of serving + neighbour cells along a transect
 /// crossing two 5G cells.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig4 {
     /// Time-series per PCI: `(pci, Vec<(t_s, rsrq_db)>)`.
     pub series: Vec<(u16, Vec<(f64, f64)>)>,
@@ -87,24 +87,13 @@ pub fn fig4(sc: &Scenario) -> Fig4 {
 }
 
 /// Fig. 5 + Fig. 6: the hand-off campaign outputs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HandoffStudy {
     /// All recorded hand-offs.
     pub records: Vec<HandoffRecord>,
 }
 
 impl HandoffStudy {
-    /// RSRQ gains per kind (Fig. 5 series).
-    pub fn gain_cdf(&self, kind: HandoffKind) -> Cdf {
-        Cdf::from_samples(
-            self.records
-                .iter()
-                .filter(|r| r.kind == kind)
-                .map(|r| r.rsrq_gain().value())
-                .collect(),
-        )
-    }
-
     /// Latency CDF per kind, ms (Fig. 6 series).
     pub fn latency_cdf(&self, kind: HandoffKind) -> Cdf {
         Cdf::from_samples(
@@ -184,7 +173,7 @@ pub fn handoff_study(sc: &Scenario, fidelity: Fidelity) -> HandoffStudy {
 
 /// Fig. 12: normalised TCP throughput drop right after each hand-off
 /// kind, measured by running a BBR flow across a hand-off interruption.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig12 {
     /// Drop samples per kind label.
     pub drops: Vec<(String, Vec<f64>)>,

@@ -5,10 +5,10 @@ use crate::scenario::Fidelity;
 use fiveg_net::servers::{Server, PAPER_SERVERS};
 use fiveg_net::traceroute::{LatencyModel, RatTech};
 use fiveg_simcore::{Cdf, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fig. 13: per-measurement 4G vs 5G RTT pairs over the 80 paths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig13 {
     /// `(server id, rtt_4g_ms, rtt_5g_ms)` per measurement.
     pub pairs: Vec<(u32, f64, f64)>,
@@ -73,7 +73,7 @@ pub fn fig13(fidelity: Fidelity, seed: u64) -> Fig13 {
 }
 
 /// Fig. 14: cumulative RTT per hop on an 8-hop example path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig14 {
     /// Mean cumulative RTT per hop, 4G, ms.
     pub hops_4g: Vec<f64>,
@@ -140,7 +140,7 @@ pub fn fig14(seed: u64, runs: usize) -> Fig14 {
 }
 
 /// Fig. 15: RTT vs geographic path length.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig15 {
     /// `(distance_km, mean rtt 4G, mean rtt 5G)` per server.
     pub rows: Vec<(f64, f64, f64)>,

@@ -11,7 +11,7 @@ use fiveg_ran::prb::DayPeriod;
 use fiveg_simcore::{BitRate, SimDuration, SimRng, SimTime};
 use fiveg_transport::udp::udp_probe;
 use fiveg_transport::{CcAlgorithm, TcpSender};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 fn params_for(tech5g: bool, period: DayPeriod, uplink: bool) -> PaperPathParams {
     match (tech5g, period, uplink) {
@@ -29,7 +29,7 @@ fn params_for(tech5g: bool, period: DayPeriod, uplink: bool) -> PaperPathParams 
 }
 
 /// Fig. 7: UDP baselines and TCP utilisation per protocol and tech.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig7 {
     /// UDP baselines, Mbps: (label, measured).
     pub udp_baselines: Vec<(String, f64)>,
@@ -165,7 +165,7 @@ pub fn fig7(fidelity: Fidelity, seed: u64) -> Fig7 {
 }
 
 /// Fig. 8: cwnd evolution of Cubic vs BBR on the 5G path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig8 {
     /// Cubic `(t_s, cwnd_kB)` samples.
     pub cubic: Vec<(f64, f64)>,
@@ -217,7 +217,7 @@ pub fn fig8(fidelity: Fidelity, seed: u64) -> Fig8 {
 }
 
 /// Fig. 9: UDP loss ratio at fractions of the baseline bandwidth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig9 {
     /// `(fraction, 4G loss, 5G loss)` rows.
     pub rows: Vec<(f64, f64, f64)>,
@@ -287,7 +287,7 @@ pub fn fig9(fidelity: Fidelity, seed: u64) -> Fig9 {
 }
 
 /// Fig. 10: HARQ retransmission distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig10 {
     /// Fraction of blocks needing k+1 attempts, 4G.
     pub attempts_4g: Vec<f64>,
@@ -337,7 +337,7 @@ pub fn fig10(seed: u64, blocks: usize) -> Fig10 {
 }
 
 /// Fig. 11: received sequence numbers around loss episodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig11 {
     /// `(arrival index, sequence number)` for a window of the transfer.
     pub points: Vec<(u64, u64)>,
@@ -423,7 +423,7 @@ pub fn fig11(fidelity: Fidelity, seed: u64) -> Fig11 {
 }
 
 /// Tab. 3: in-network buffer estimation via the max-min delay method.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table3 {
     /// 4G estimates (RAN, wired, whole path), probe packets.
     pub est_4g: BufferEstimate,

@@ -4,13 +4,13 @@ use fiveg_geo::{Campus, CampusConfig};
 use fiveg_phy::RadioEnv;
 use fiveg_ran::prb::DayPeriod;
 use fiveg_simcore::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Experiment fidelity: how long/large each campaign runs.
 ///
 /// `Quick` keeps CI fast; `Paper` matches the paper's methodology more
 /// closely (60 s iperf runs, larger sample counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Fidelity {
     /// Short runs for tests and smoke checks.
     Quick,

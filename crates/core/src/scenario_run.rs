@@ -40,7 +40,7 @@ use fiveg_scenario::{
 };
 use fiveg_simcore::shard::{ShardCtx, ShardEngine, ShardLogic, Topology};
 use fiveg_simcore::{OnlineStats, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Hand-off hysteresis outside storm windows, dB (3GPP-typical A3
@@ -87,7 +87,7 @@ pub fn build_scenario(spec: &ScenarioSpec, base_seed: u64) -> Scenario {
 }
 
 /// Per-group results of a fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GroupReport {
     /// Group name from the scenario file.
     pub name: String,
@@ -119,7 +119,7 @@ pub struct GroupReport {
 }
 
 /// Per-fault-event impact accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultReport {
     /// Fault kind (`cell_outage`/`backhaul_brownout`/`handoff_storm`).
     pub kind: String,
@@ -134,7 +134,7 @@ pub struct FaultReport {
 }
 
 /// The JSON artifact of a fleet scenario run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FleetReport {
     /// Scenario name.
     pub scenario: String,
@@ -1808,11 +1808,7 @@ mod tests {
         let sc = build_scenario(&spec, 2020);
         // 3x3 dense-urban tiles cross the tiled-index threshold, and the
         // site grid scales with the spec: 9 tiles x 4 eNB x 3 sectors.
-        assert!(sc
-            .campus
-            .map
-            .spatial_index()
-            .is_some_and(fiveg_geo::MapIndex::is_tiled));
+        assert!(sc.campus.map.spatial_index().is_tiled());
         assert_eq!(sc.env.num_cells(Tech::Lte), 108);
         assert_eq!(sc.env.num_cells(Tech::Nr), 54);
         let fleet = match &spec.workload {

@@ -11,10 +11,10 @@
 
 use crate::params::RadioModel;
 use fiveg_simcore::{Energy, Power, SimDuration, SimTime, TimeSeries};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One application traffic burst.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Burst {
     /// Arrival time of the data (request issued / frame captured).
     pub at: SimTime,
@@ -26,7 +26,7 @@ pub struct Burst {
 }
 
 /// Radio machine states (for the trace annotation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RadioState {
     /// RRC_IDLE with paging DRX.
     Idle,
@@ -41,7 +41,7 @@ pub enum RadioState {
 }
 
 /// Result of a replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EnergyTrace {
     /// Power samples over time (100 ms grid, like pwrStrip).
     pub series: TimeSeries,

@@ -7,10 +7,10 @@
 //! its energy-per-bit at saturation is ≈¼–⅓ of 4G's (Fig. 22).
 
 use fiveg_simcore::{Power, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// DRX/RRC timer set (paper Tab. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DrxParams {
     /// Paging DRX cycle in RRC_IDLE.
     pub t_idle_cycle: SimDuration,
@@ -68,7 +68,7 @@ impl DrxParams {
 }
 
 /// Radio power draws per state, mW.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RadioPower {
     /// RRC_IDLE average (paging duty cycle folded in).
     pub idle: Power,
@@ -121,7 +121,7 @@ impl RadioPower {
 }
 
 /// A radio model: timers + powers + achievable downlink rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RadioModel {
     /// Human-readable name ("LTE", "NR NSA", ...).
     pub name: &'static str,
@@ -156,7 +156,7 @@ impl RadioModel {
 }
 
 /// Non-radio component power draws (Fig. 21's other bars), mW.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ComponentPower {
     /// Android system baseline (airplane mode, screen off).
     pub system: Power,

@@ -2,11 +2,11 @@
 
 use crate::machine::{Burst, RadioStateMachine};
 use crate::params::{ComponentPower, RadioModel};
-use fiveg_simcore::{Power, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use fiveg_simcore::{Power, SimTime};
+use serde::Serialize;
 
 /// The four daily applications of Fig. 21.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AppKind {
     /// Google-Chrome-style browser.
     Browser,
@@ -103,7 +103,7 @@ impl AppKind {
 }
 
 /// Fig. 21-style session power breakdown, mW averages over the session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerBreakdown {
     /// Android system baseline.
     pub system: Power,
@@ -164,10 +164,6 @@ pub fn energy_per_bit_sweep(radio: &RadioModel, secs: &[f64]) -> Vec<(f64, f64)>
         .map(|&s| (s, energy_per_bit(radio, s)))
         .collect()
 }
-
-/// Unused placeholder to keep the duration import exercised in docs.
-#[doc(hidden)]
-pub fn _doc(_: SimDuration) {}
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 use crate::machine::{Burst, RadioStateMachine};
 use crate::params::RadioModel;
 use fiveg_simcore::{Energy, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The threshold of the dynamic heuristic: "if the instantaneous traffic
 /// intensity ... is approaching 4G's capacity, i.e., 100 Mbps, we switch
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 pub const DYNAMIC_SWITCH_THRESHOLD_MBPS: f64 = 100.0;
 
 /// A power-management strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Strategy {
     /// Everything on the 4G module.
     LteOnly,
@@ -63,7 +63,7 @@ impl Strategy {
 /// flows: bulk transfers ride each radio at its capacity, while the
 /// congested 4G uplink collapses under UHD video (Sec. 5.2's frame
 /// losses), stretching the replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrafficTrace {
     /// Trace name (Tab. 4 column).
     pub name: &'static str,

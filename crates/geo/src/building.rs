@@ -8,10 +8,10 @@
 //! lives in `fiveg-phy`, this module only reports *what* a ray crosses.
 
 use crate::point::{Point, Rect, Segment};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Exterior wall construction material.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Material {
     /// Brick walls — the dominant campus material in the paper.
     Brick,
@@ -37,7 +37,7 @@ impl Material {
 }
 
 /// A building with a rectangular footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Building {
     /// Footprint rectangle.
     pub footprint: Rect,
@@ -80,44 +80,6 @@ impl Building {
     }
 }
 
-/// Result of tracing a ray through a set of buildings.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RayObstruction {
-    /// `(material, walls crossed)` per obstructing building.
-    pub crossings: Vec<(Material, usize)>,
-}
-
-impl RayObstruction {
-    /// Whether the ray is completely unobstructed.
-    pub fn is_los(&self) -> bool {
-        self.crossings.is_empty()
-    }
-
-    /// Total number of walls crossed, across all buildings.
-    pub fn total_walls(&self) -> usize {
-        self.crossings.iter().map(|&(_, n)| n).sum()
-    }
-}
-
-/// Traces `seg` through `buildings`, collecting the walls it crosses.
-///
-/// A building that contains an endpoint contributes its crossings too —
-/// e.g. a receiver indoors behind one exterior wall yields one crossing.
-pub fn trace_ray(buildings: &[Building], seg: Segment) -> RayObstruction {
-    let mut out = RayObstruction::default();
-    for b in buildings {
-        let n = b.wall_crossings(seg);
-        if n > 0 {
-            out.crossings.push((b.material, n));
-        } else if b.contains(seg.a) && b.contains(seg.b) {
-            // Entirely indoors within one building: no exterior wall, but
-            // record the building so LoS is correctly reported false.
-            out.crossings.push((b.material, 0));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,34 +96,35 @@ mod tests {
     fn ray_through_building_crosses_two_walls() {
         let b = building(10.0, 10.0, 10.0, 10.0);
         let ray = Segment::new(Point::new(0.0, 15.0), Point::new(40.0, 15.0));
-        let obs = trace_ray(&[b], ray);
-        assert!(!obs.is_los());
-        assert_eq!(obs.total_walls(), 2);
+        assert!(b.blocks(ray));
+        assert!(b.crosses_walls(ray));
+        assert_eq!(b.wall_crossings(ray), 2);
     }
 
     #[test]
     fn ray_into_building_crosses_one_wall() {
         let b = building(10.0, 10.0, 10.0, 10.0);
         let ray = Segment::new(Point::new(0.0, 15.0), Point::new(15.0, 15.0));
-        let obs = trace_ray(&[b], ray);
-        assert_eq!(obs.total_walls(), 1);
-        assert_eq!(obs.crossings[0].0, Material::Brick);
+        assert!(b.contains(ray.b));
+        assert_eq!(b.wall_crossings(ray), 1);
     }
 
     #[test]
     fn clear_ray_is_los() {
         let b = building(10.0, 10.0, 10.0, 10.0);
         let ray = Segment::new(Point::new(0.0, 0.0), Point::new(40.0, 0.0));
-        assert!(trace_ray(&[b], ray).is_los());
+        assert!(!b.blocks(ray));
+        assert!(!b.crosses_walls(ray));
+        assert_eq!(b.wall_crossings(ray), 0);
     }
 
     #[test]
     fn fully_indoor_ray_not_los_but_no_walls() {
         let b = building(0.0, 0.0, 20.0, 20.0);
         let ray = Segment::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        let obs = trace_ray(&[b], ray);
-        assert!(!obs.is_los());
-        assert_eq!(obs.total_walls(), 0);
+        assert!(b.blocks(ray));
+        assert!(!b.crosses_walls(ray));
+        assert_eq!(b.wall_crossings(ray), 0);
     }
 
     #[test]
@@ -169,8 +132,7 @@ mod tests {
         let b1 = building(10.0, 0.0, 5.0, 30.0);
         let b2 = building(30.0, 0.0, 5.0, 30.0);
         let ray = Segment::new(Point::new(0.0, 15.0), Point::new(50.0, 15.0));
-        let obs = trace_ray(&[b1, b2], ray);
-        assert_eq!(obs.crossings.len(), 2);
-        assert_eq!(obs.total_walls(), 4);
+        assert!(b1.blocks(ray) && b2.blocks(ray));
+        assert_eq!(b1.wall_crossings(ray) + b2.wall_crossings(ray), 4);
     }
 }

@@ -11,11 +11,11 @@ use crate::building::{Building, Material};
 use crate::map::{CampusMap, Road};
 use crate::point::{Point, Rect};
 use fiveg_simcore::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A base-station site: a position plus the boresight azimuth of each
 /// sector (cell) it hosts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Site {
     /// Site position (antenna mast), metres.
     pub pos: Point,
@@ -34,7 +34,7 @@ impl Site {
 ///
 /// Under NSA every gNB co-sits with an eNB (paper Sec. 3.1), but not every
 /// eNB has a 5G companion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SitePlan {
     /// All LTE eNB sites.
     pub enb_sites: Vec<Site>,
@@ -58,7 +58,7 @@ impl SitePlan {
 }
 
 /// Parameters for the campus generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampusConfig {
     /// Campus width (east-west), metres. Paper: 500.
     pub width: f64,
@@ -85,7 +85,7 @@ impl Default for CampusConfig {
 }
 
 /// A generated campus: the map plus the site plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Campus {
     /// The geometric map.
     pub map: CampusMap,

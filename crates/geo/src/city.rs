@@ -21,11 +21,11 @@ use crate::campus::{Campus, Site, SitePlan};
 use crate::map::{CampusMap, Road};
 use crate::point::{Point, Rect};
 use fiveg_simcore::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters for the city generator: a rectangular grid of square
 /// tiles, each carrying the same block grammar and site lattice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CitySpec {
     /// Tiles east-west.
     pub tiles_x: usize,
@@ -374,10 +374,7 @@ mod tests {
         assert!((enb_density - 25.0).abs() < 1e-9, "enb {enb_density}");
         // Big enough to trip the tiled index auto-selection.
         assert!(city.map.buildings.len() > crate::map::TILED_INDEX_THRESHOLD);
-        assert!(city
-            .map
-            .spatial_index()
-            .is_some_and(crate::map::MapIndex::is_tiled));
+        assert!(city.map.spatial_index().is_tiled());
     }
 
     #[test]

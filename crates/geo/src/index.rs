@@ -1,22 +1,23 @@
 //! Uniform-grid spatial index over building footprints.
 //!
-//! Every propagation query ([`CampusMap::is_indoor`], `has_los`, `trace`
-//! and the per-cell wall-crossing loop in `fiveg-phy`) needs the set of
-//! buildings a point or ray can possibly touch. The naive answer — scan
-//! all of them — made each radio sample O(buildings) segment tests. The
-//! index buckets building indices into a uniform grid of
-//! [`CELL_M`]-metre cells, so a query only visits the buildings
-//! registered in the grid cells its point (or the slab-clipped ray)
-//! overlaps.
+//! Every propagation query ([`CampusMap::is_indoor`], the buildings
+//! holding a point, and the blockage scan from a site to a UE in
+//! `fiveg-phy`) needs the set of buildings a point or ray can possibly
+//! touch. The naive answer — scan all of them — made each radio sample
+//! O(buildings) segment tests. The index buckets building indices into
+//! a uniform grid of [`CELL_M`]-metre cells, so a query only visits the
+//! buildings registered in the grid cells its point (or the
+//! slab-clipped ray) overlaps.
 //!
 //! The candidate set is **conservative**: it may contain buildings the
 //! ray misses (the caller re-tests each candidate exactly), but it never
 //! omits one it hits — grid cell ranges are computed from bounding boxes
 //! inflated by [`EPS`] so boundary-grazing rays cannot fall through a
-//! seam. Candidates are always produced in ascending building-index
-//! order, which keeps every scan-order-dependent caller (e.g. the
-//! "last containing building wins" rule in `fiveg-phy`) bit-identical to
-//! the full scan.
+//! seam. The list forms (`candidates_point`, `candidates_segment`)
+//! return candidates in ascending building-index order, which keeps
+//! every scan-order-dependent caller (e.g. the "last containing building
+//! wins" rule in `fiveg-phy`) bit-identical to the full scan; the
+//! streaming `scan_segment_until` visits them in grid-walk order.
 //!
 //! [`CampusMap::is_indoor`]: crate::map::CampusMap::is_indoor
 
@@ -34,10 +35,7 @@ pub const CELL_M: f64 = 40.0;
 pub const EPS: f64 = 1e-6;
 
 /// A uniform grid over the campus bounding box with per-cell lists of
-/// building indices (each list ascending), plus an equivalent bitmap
-/// form (`words_per_cell` `u64`s per grid cell) for the hot ray path:
-/// a segment query ORs one word run per visited grid cell instead of
-/// extending, sorting and deduplicating an index list.
+/// building indices (each list ascending).
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     bounds: Rect,
@@ -45,12 +43,6 @@ pub struct SpatialIndex {
     nx: usize,
     ny: usize,
     cells: Vec<Vec<u32>>,
-    /// Flat bitmap: grid cell `c`'s words at
-    /// `[c * words_per_cell .. (c + 1) * words_per_cell]`, bit `b` of
-    /// word `w` set iff building `w * 64 + b` is registered in the cell.
-    masks: Vec<u64>,
-    words_per_cell: usize,
-    n_buildings: usize,
 }
 
 const NO_CANDIDATES: &[u32] = &[];
@@ -78,17 +70,12 @@ impl SpatialIndex {
         let nx = ((cover.width() / cell_m).ceil() as usize).max(1);
         let ny = ((cover.height() / cell_m).ceil() as usize).max(1);
         let mut cells = vec![Vec::new(); nx * ny];
-        let words_per_cell = buildings.len().div_ceil(64).max(1);
-        let mut masks = vec![0u64; nx * ny * words_per_cell];
         let mut idx = SpatialIndex {
             bounds: cover,
             cell_m,
             nx,
             ny,
             cells: Vec::new(),
-            masks: Vec::new(),
-            words_per_cell,
-            n_buildings: buildings.len(),
         };
         for (bi, b) in buildings.iter().enumerate() {
             let fp = b.footprint.inflate(EPS);
@@ -97,29 +84,11 @@ impl SpatialIndex {
             for iy in iy0..=iy1 {
                 for ix in ix0..=ix1 {
                     cells[iy * nx + ix].push(bi as u32);
-                    masks[(iy * nx + ix) * words_per_cell + bi / 64] |= 1u64 << (bi % 64);
                 }
             }
         }
         idx.cells = cells;
-        idx.masks = masks;
         idx
-    }
-
-    /// Number of `u64` words in a candidate bitmap
-    /// ([`SpatialIndex::candidates_segment_mask`]).
-    pub fn mask_words(&self) -> usize {
-        self.words_per_cell
-    }
-
-    /// Number of indexed buildings.
-    pub fn num_buildings(&self) -> usize {
-        self.n_buildings
-    }
-
-    /// Grid dimensions `(nx, ny)`.
-    pub fn grid_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
     }
 
     /// Grid coordinates of `p`, clamped into the grid.
@@ -142,9 +111,9 @@ impl SpatialIndex {
     }
 
     /// Visits the index of every grid cell the slab-clipped `seg`
-    /// overlaps, stopping early when `visit` returns `true`. All
-    /// segment-candidate forms below share this walk, so their candidate
-    /// sets are identical by construction.
+    /// overlaps, stopping early when `visit` returns `true`. Both
+    /// segment queries below share this walk, so their candidate sets
+    /// are identical by construction.
     #[inline]
     fn for_cells_on_segment(&self, seg: Segment, mut visit: impl FnMut(usize) -> bool) {
         let min_x = seg.a.x.min(seg.b.x) - EPS;
@@ -204,24 +173,6 @@ impl SpatialIndex {
         });
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// Bitmap form of [`SpatialIndex::candidates_segment`]: resizes
-    /// `words` to [`SpatialIndex::mask_words`] and fills it with the
-    /// same candidate set (bit `w * 64 + b` ⇔ index `w * 64 + b` in the
-    /// list form). ORing one word run per visited grid cell replaces the
-    /// extend/sort/dedup of the list form, which dominated ray cost.
-    pub fn candidates_segment_mask(&self, seg: Segment, words: &mut Vec<u64>) {
-        words.clear();
-        words.resize(self.words_per_cell, 0);
-        let wpc = self.words_per_cell;
-        self.for_cells_on_segment(seg, |c| {
-            let run = &self.masks[c * wpc..(c + 1) * wpc];
-            for (acc, &m) in words.iter_mut().zip(run) {
-                *acc |= m;
-            }
-            false
-        });
     }
 
     /// Existence scan: streams candidate building indices to `test` in
@@ -352,14 +303,14 @@ mod tests {
         assert_eq!(cand, vec![0]);
     }
 
-    /// The bitmap candidate form must encode exactly the same set as
-    /// the list form for any ray.
+    /// The streaming scan visits exactly the list-form candidate set
+    /// (after dedup) when its test never fires, and stops at the first
+    /// candidate that does.
     #[test]
-    fn mask_candidates_match_list_candidates() {
+    fn scan_candidates_match_list_candidates() {
         let (bounds, bs) = grid_of_buildings();
         let idx = SpatialIndex::build(bounds, &bs);
         let mut cand = Vec::new();
-        let mut words = Vec::new();
         for k in 0..200u32 {
             let a = Point::new((k as f64 * 37.0) % 500.0, (k as f64 * 91.0) % 920.0);
             let b = Point::new(
@@ -368,16 +319,22 @@ mod tests {
             );
             let seg = Segment::new(a, b);
             idx.candidates_segment(seg, &mut cand);
-            idx.candidates_segment_mask(seg, &mut words);
-            let mut from_mask = Vec::new();
-            for (w, &word) in words.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    from_mask.push((w * 64) as u32 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
+            let mut seen = Vec::new();
+            assert!(!idx.scan_segment_until(seg, |bi| {
+                seen.push(bi);
+                false
+            }));
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(cand, seen, "ray {k}");
+            if let Some(&first) = cand.first() {
+                let mut fired = false;
+                assert!(idx.scan_segment_until(seg, |bi| {
+                    assert!(!fired, "ray {k}: scan went on after a hit");
+                    fired = bi == first;
+                    fired
+                }));
             }
-            assert_eq!(cand, from_mask, "ray {k}");
         }
     }
 

@@ -11,8 +11,8 @@
 //! * [`building`] — building footprints with wall materials and
 //!   segment/footprint intersection tests (wall-crossing counts drive the
 //!   penetration-loss model in `fiveg-phy`).
-//! * [`map`] — the campus map: bounds, buildings, roads, line-of-sight and
-//!   indoor queries.
+//! * [`map`] — the campus map: bounds, buildings, roads, and the indoor
+//!   and ray-blockage queries, answered through the map's spatial index.
 //! * [`index`] — uniform-grid spatial index that prefilters the buildings
 //!   a point or ray can touch, keeping the hot propagation queries
 //!   O(candidates) instead of O(buildings).

@@ -12,10 +12,10 @@
 use crate::map::CampusMap;
 use crate::point::Point;
 use fiveg_simcore::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One sample of a mobility trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TracePoint {
     /// Sample time.
     pub t: SimTime,
@@ -24,7 +24,7 @@ pub struct TracePoint {
 }
 
 /// A timestamped sequence of positions at a fixed sampling interval.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct MobilityTrace {
     /// The samples, in time order.
     pub points: Vec<TracePoint>,

@@ -4,12 +4,12 @@
 //! exact for our purposes; positions are metres east/north of the campus
 //! south-west corner.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 /// A point (or vector) in the campus plane, metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Point {
     /// Metres east of the origin.
     pub x: f64,
@@ -81,7 +81,7 @@ impl fmt::Display for Point {
 }
 
 /// A directed line segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Segment {
     /// Start point.
     pub a: Point,
@@ -136,7 +136,7 @@ impl Segment {
 
 /// An axis-aligned rectangle, used for campus bounds and building
 /// footprints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Rect {
     /// Minimum (south-west) corner.
     pub min: Point,

@@ -1,16 +1,14 @@
 //! Hierarchical (tiled) spatial index for city-scale maps.
 //!
-//! The flat [`SpatialIndex`](crate::index::SpatialIndex) keeps a bitmap
-//! word run per grid cell sized by the *total* building count, so its
-//! memory is O(cells × buildings / 64) — fine for a 48-building campus,
-//! quadratic-ish for a metro with tens of thousands of buildings. This
-//! index keeps a coarse **tile directory** (tiles of
+//! The flat [`SpatialIndex`](crate::index::SpatialIndex) keeps one
+//! candidate list per grid cell over the whole bounding box, so its
+//! memory grows with the map's area, empty parks and rivers included.
+//! This index keeps a coarse **tile directory** (tiles of
 //! [`TILE_CELLS`] × [`TILE_CELLS`] grid cells) where each occupied tile
 //! owns a local uniform grid of per-cell candidate lists and empty
-//! tiles cost nothing. There are no per-cell global bitmaps at all:
-//! memory is O(footprint registrations), and a ray query walks only the
-//! tiles its slab touches, so query cost stays local instead of
-//! O(city).
+//! tiles cost nothing: memory is O(tiles + occupied cells + footprint
+//! registrations), and a ray walk hops over an empty tile's cells at
+//! tile granularity.
 //!
 //! The query contract is identical to the flat index — candidate sets
 //! are **conservative** (false positives possible, never false
@@ -61,7 +59,6 @@ pub struct TiledSpatialIndex {
     /// **Global** building indices, ascending within each cell's run
     /// (buildings register in index order).
     items: Vec<u32>,
-    n_buildings: usize,
 }
 
 const NO_CANDIDATES: &[u32] = &[];
@@ -104,7 +101,6 @@ impl TiledSpatialIndex {
             tile_base: vec![NO_TILE; tx * ty],
             cell_start: Vec::new(),
             items: Vec::new(),
-            n_buildings: buildings.len(),
         };
         // Every (building, tile, cell within the tile) registration, in
         // building order.
@@ -152,18 +148,6 @@ impl TiledSpatialIndex {
         }
         idx.cell_start = start;
         idx
-    }
-
-    /// Number of `u64` words in a candidate bitmap
-    /// ([`TiledSpatialIndex::candidates_segment_mask`]): sized by the
-    /// global building count, like the flat index's.
-    pub fn mask_words(&self) -> usize {
-        self.n_buildings.div_ceil(64).max(1)
-    }
-
-    /// Number of indexed buildings.
-    pub fn num_buildings(&self) -> usize {
-        self.n_buildings
     }
 
     /// Tile-directory dimensions `(tx, ty)` and occupied-tile count.
@@ -283,23 +267,6 @@ impl TiledSpatialIndex {
         out.dedup();
     }
 
-    /// Bitmap form of [`TiledSpatialIndex::candidates_segment`]:
-    /// resizes `words` to [`TiledSpatialIndex::mask_words`] and sets
-    /// one bit per candidate. Unlike the flat index there is no
-    /// precomputed word run per cell — bits are set from the candidate
-    /// lists — so this form is only worthwhile when the caller needs a
-    /// bitmap anyway.
-    pub fn candidates_segment_mask(&self, seg: Segment, words: &mut Vec<u64>) {
-        words.clear();
-        words.resize(self.mask_words(), 0);
-        self.for_cells_on_segment(seg, |run| {
-            for &bi in run {
-                words[bi as usize / 64] |= 1u64 << (bi % 64);
-            }
-            false
-        });
-    }
-
     /// Existence scan: streams candidate building indices to `test` in
     /// grid-walk order (duplicates possible) and stops the walk as soon
     /// as `test` returns `true`. Returns whether it did — same contract
@@ -370,7 +337,6 @@ mod tests {
             let (bounds, bs) = random_city(seed, 1600.0, 120);
             let flat = SpatialIndex::build(bounds, &bs);
             let tiled = TiledSpatialIndex::build(bounds, &bs);
-            assert_eq!(tiled.mask_words(), flat.mask_words());
             let mut rng = SimRng::new(seed ^ 0xbeef);
             let (mut fc, mut tc) = (Vec::new(), Vec::new());
             for _ in 0..300 {
@@ -412,24 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn mask_and_scan_forms_match_list_form() {
+    fn scan_form_matches_list_form() {
         let (bounds, bs) = random_city(11, 1600.0, 120);
         let tiled = TiledSpatialIndex::build(bounds, &bs);
         let mut rng = SimRng::new(0xabcd);
-        let (mut cand, mut words) = (Vec::new(), Vec::new());
+        let mut cand = Vec::new();
         for _ in 0..200 {
             let seg = ray(&mut rng, 1600.0);
             tiled.candidates_segment(seg, &mut cand);
-            tiled.candidates_segment_mask(seg, &mut words);
-            let mut from_mask = Vec::new();
-            for (w, &word) in words.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    from_mask.push((w * 64) as u32 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
-            }
-            assert_eq!(cand, from_mask);
             // The streaming scan visits exactly the candidate set (after
             // dedup) when the test never fires.
             let mut seen = Vec::new();

@@ -1,6 +1,5 @@
 //! Property-based tests for the geometry substrate.
 
-use fiveg_geo::building::{trace_ray, Building, Material};
 use fiveg_geo::mobility::{LinearTransect, RandomWaypoint};
 use fiveg_geo::{CampusMap, Point, Rect, Segment};
 use fiveg_simcore::{SimDuration, SimRng};
@@ -42,23 +41,6 @@ proptest! {
         prop_assume!(!r.contains(a));
         let n = r.crossings(Segment::new(a, r.center()));
         prop_assert!(n >= 1);
-    }
-
-    /// Ray tracing through buildings reports LoS iff nothing blocks.
-    #[test]
-    fn trace_consistent_with_blocks(a in pt(), b in pt()) {
-        let buildings = vec![
-            Building::new(Rect::from_origin_size(Point::new(0.0, 0.0), 200.0, 200.0), Material::Brick, 10.0),
-            Building::new(Rect::from_origin_size(Point::new(400.0, 400.0), 200.0, 200.0), Material::Concrete, 10.0),
-        ];
-        let seg = Segment::new(a, b);
-        let obs = trace_ray(&buildings, seg);
-        let any_block = buildings.iter().any(|bl| bl.blocks(seg));
-        if obs.is_los() {
-            prop_assert!(!any_block || !(buildings.iter().any(|bl| bl.wall_crossings(seg) > 0 || (bl.contains(a) && bl.contains(b)))));
-        } else {
-            prop_assert!(any_block);
-        }
     }
 
     /// Transects start and end exactly at their endpoints and move at

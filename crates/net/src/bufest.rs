@@ -13,7 +13,7 @@
 //! path.
 
 use fiveg_simcore::{BitRate, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The probe packet size the paper assumes, bytes.
 pub const PAPER_PROBE_BYTES: f64 = 60.0;
@@ -35,7 +35,7 @@ pub fn estimate_buffer_pkts(
 }
 
 /// Tab. 3-shaped result: per-segment estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BufferEstimate {
     /// RAN-segment buffer, probe packets.
     pub ran_pkts: f64,

@@ -11,10 +11,10 @@
 
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::BitRate;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cross-traffic configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CrossTraffic {
     /// Index of the hop the traffic is injected at.
     pub hop: usize,

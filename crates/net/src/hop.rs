@@ -4,11 +4,11 @@ use crate::packet::Packet;
 use crate::ratemodel::RateModel;
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Static configuration of one hop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HopConfig {
     /// Human-readable name ("radio", "core", "metro", ...).
     pub name: String,
@@ -53,7 +53,7 @@ impl HopConfig {
 }
 
 /// Runtime statistics of one hop.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct HopStats {
     /// Packets forwarded.
     pub forwarded: u64,
@@ -118,11 +118,6 @@ impl Hop {
             last_exit: SimTime::ZERO,
             stats: HopStats::default(),
         }
-    }
-
-    /// Current queue occupancy, packets.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Serialisation time of `pkt` at the rate in force at `t`, or `None`

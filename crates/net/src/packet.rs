@@ -1,14 +1,14 @@
 //! Packets and flow identity.
 
 use fiveg_simcore::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum segment size used by the data sources, bytes. 1448 = 1500-byte
 /// Ethernet MTU minus IP/TCP headers with timestamps.
 pub const MSS_BYTES: u32 = 1448;
 
 /// Flow identifier. Flow 0xFFFF_FFFF is reserved for cross-traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FlowId(pub u32);
 
 impl FlowId {
@@ -22,7 +22,7 @@ impl FlowId {
 }
 
 /// A simulated packet (data segment or probe).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Packet {
     /// Owning flow.
     pub flow: FlowId,

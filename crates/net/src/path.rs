@@ -20,10 +20,10 @@ use crate::hop::HopConfig;
 use crate::ratemodel::RateModel;
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{BitRate, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which direction the data path carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Direction {
     /// Server → UE.
     Downlink,
@@ -32,7 +32,7 @@ pub enum Direction {
 }
 
 /// A forward data path plus the reverse-channel delay for ACKs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PathConfig {
     /// The hops, in forward order.
     pub hops: Vec<HopConfig>,
@@ -42,7 +42,7 @@ pub struct PathConfig {
 }
 
 /// Knobs of the canonical paper path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PaperPathParams {
     /// Radio-link rate (the UDP baseline), Mbps.
     pub radio_rate_mbps: f64,

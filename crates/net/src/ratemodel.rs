@@ -6,10 +6,10 @@
 //! function over time.
 
 use fiveg_simcore::{BitRate, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A (possibly time-varying) link rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum RateModel {
     /// Constant rate.
     Fixed(BitRate),

@@ -1,10 +1,10 @@
 //! The paper's 20 nationwide SPEEDTEST servers (Tab. 6 / Appendix C),
 //! used as the workload for the end-to-end latency study (Sec. 4.4).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One remote measurement server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Server {
     /// SPEEDTEST server id.
     pub id: u32,

@@ -23,11 +23,11 @@ use crate::hop::{Hop, HopStats, Queued};
 use crate::packet::{FlowId, Packet, MSS_BYTES};
 use crate::path::PathConfig;
 use fiveg_simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Classes of transport timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TimerKind {
     /// Retransmission timeout.
     Rto,
@@ -38,7 +38,7 @@ pub enum TimerKind {
 }
 
 /// Information carried by a (delayed, cumulative) acknowledgement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AckInfo {
     /// Next in-order byte expected by the receiver (cumulative ACK).
     pub cum_ack: u64,
@@ -163,7 +163,7 @@ struct Receiver {
 }
 
 /// Per-flow delivery statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FlowStats {
     /// In-order bytes delivered.
     pub bytes_in_order: u64,

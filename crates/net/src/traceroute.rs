@@ -13,11 +13,11 @@
 use crate::servers::Server;
 use fiveg_simcore::dist::normal;
 use fiveg_simcore::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Technology selector mirroring `fiveg_phy::Tech` without the
 /// dependency (the latency model is analytic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RatTech {
     /// 4G LTE.
     Lte,
@@ -26,7 +26,7 @@ pub enum RatTech {
 }
 
 /// RTT contribution parameters, calibrated to Figs. 13–15.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LatencyModel {
     /// Mean hop-1 (RAN) RTT, ms.
     pub ran_rtt_ms: f64,

@@ -11,10 +11,10 @@
 //!
 //! with a 65° half-power beamwidth and a 30 dB front-to-back floor.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A horizontal sector antenna pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SectorAntenna {
     /// Boresight azimuth, degrees CCW from east.
     pub azimuth_deg: f64,
@@ -87,7 +87,7 @@ impl SectorAntenna {
 /// standing near the mast foot sits far above the lobe and sees heavy
 /// attenuation, which is why measured RSRP right under a site is *not*
 /// the strongest on the map.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VerticalPattern {
     /// Downtilt below the horizon, degrees (positive = down).
     pub tilt_deg: f64,

@@ -5,10 +5,10 @@
 //! (3500–3600 MHz, TDD with a 3:1 downlink:uplink slot ratio, 100 MHz).
 
 use fiveg_simcore::{Bandwidth, BitRate, Dbm, Frequency};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Radio access technology generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Tech {
     /// 4G LTE.
     Lte,
@@ -27,7 +27,7 @@ impl Tech {
 }
 
 /// Duplexing scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Duplex {
     /// Frequency-division duplexing: full bandwidth in each direction.
     Fdd,
@@ -58,7 +58,7 @@ impl Duplex {
 
 /// A carrier configuration — everything the bitrate and measurement
 /// models need to know about the air interface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Carrier {
     /// Technology generation.
     pub tech: Tech,

@@ -3,10 +3,10 @@
 use crate::antenna::{SectorAntenna, VerticalPattern};
 use crate::carrier::{Carrier, Tech};
 use fiveg_geo::Point;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One cell (sector) at the physical layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CellPhy {
     /// Physical cell identifier, as reported by the modem diagnostics.
     pub pci: u16,

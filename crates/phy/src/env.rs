@@ -15,7 +15,7 @@ use fiveg_geo::building::Material;
 use fiveg_geo::point::Segment;
 use fiveg_geo::{Campus, CampusMap, Point};
 use fiveg_simcore::{BitRate, Db, Dbm};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const SERVICE_THRESHOLD: Dbm = Dbm::new(-105.0);
 
 /// Everything measured about one cell at one location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CellMeasurement {
     /// Physical cell id.
     pub pci: u16,
@@ -43,7 +43,7 @@ pub struct CellMeasurement {
 
 /// A full KPI sample for the serving cell at one location — one row of
 /// the measurement dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KpiSample {
     /// Sampled position.
     pub pos: Point,
@@ -83,8 +83,8 @@ fn mat_slot(m: Material) -> usize {
 struct SiteGeom {
     pos: Point,
     /// Bitmap of buildings containing the mast position (the rooftop
-    /// "own building does not obstruct" rule); word layout matches the
-    /// spatial index's candidate masks.
+    /// "own building does not obstruct" rule): building `bi` is bit
+    /// `bi % 64` of word `bi / 64`, over [`CampusMap::mask_words`] words.
     mast_mask: Vec<u64>,
 }
 
@@ -397,8 +397,6 @@ impl RadioEnv {
     /// are precomputed here; `cells` and `params` must not be mutated
     /// afterwards or the caches go stale.
     pub fn new(map: CampusMap, cells: Vec<CellPhy>, params: PropagationParams, seed: u64) -> Self {
-        let mut map = map;
-        map.ensure_index();
         let shadowing: Vec<ShadowingField> = cells
             .iter()
             .map(|c| ShadowingField::new(seed ^ (c.pci as u64).wrapping_mul(0x9e37_79b9)))
@@ -662,22 +660,23 @@ impl RadioEnv {
             }
         }
 
-        let mut blocked = ue_b.is_some();
         let mut walls_ue = 0u32;
         let mut mat = None;
         let mut visited = 0usize;
-        if let Some(bi) = ue_b {
+        // An indoor UE already decides `blocked`.
+        let blocked = if let Some(bi) = ue_b {
             let b = &self.map.buildings[bi as usize];
             visited += 1;
             walls_ue = b.wall_crossings(seg).max(1) as u32;
             mat = Some(b.material);
+            true
         } else {
-            // An indoor UE already decides `blocked`. `words` doubles as
-            // an already-tested bitmap so a footprint spanning several
-            // grid cells is tested once, like the reference scan.
+            // `words` doubles as an already-tested bitmap so a footprint
+            // spanning several grid cells is tested once, like the
+            // reference scan.
             words.clear();
             words.resize(mast.len(), 0);
-            let scanned = self.map.ray_scan_until(seg, |bi| {
+            self.map.ray_scan_until(seg, |bi| {
                 let (w, bit) = (bi as usize / 64, 1u64 << (bi % 64));
                 if (mast[w] | words[w]) & bit != 0 {
                     return false;
@@ -685,24 +684,8 @@ impl RadioEnv {
                 words[w] |= bit;
                 visited += 1;
                 self.map.buildings[bi as usize].crosses_walls(seg)
-            });
-            match scanned {
-                Some(hit) => blocked = hit,
-                None => {
-                    // No spatial index (deserialized map): full scan.
-                    for (bi, b) in self.map.buildings.iter().enumerate() {
-                        if mast[bi / 64] & (1u64 << (bi % 64)) != 0 {
-                            continue;
-                        }
-                        visited += 1;
-                        if b.crosses_walls(seg) {
-                            blocked = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+            })
+        };
         stats.rays += 1;
         stats.pruned += (self.map.buildings.len() - visited) as u64;
         RaySite {
@@ -1472,10 +1455,7 @@ mod tests {
 
     fn check_tiled_city(e: &RadioEnv, rng: &mut SimRng) {
         assert!(e.map.buildings.len() >= fiveg_geo::map::TILED_INDEX_THRESHOLD);
-        assert!(e
-            .map
-            .spatial_index()
-            .is_some_and(fiveg_geo::MapIndex::is_tiled));
+        assert!(e.map.spatial_index().is_tiled());
         let b = e.map.bounds;
         let mut points: Vec<Point> = (0..24)
             .map(|_| {

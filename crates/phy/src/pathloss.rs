@@ -24,7 +24,7 @@
 //! fields.
 
 use fiveg_simcore::{Db, Frequency};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Free-space path loss at distance `d` metres and frequency `f`.
 pub fn free_space_db(d_m: f64, f: Frequency) -> Db {
@@ -34,7 +34,7 @@ pub fn free_space_db(d_m: f64, f: Frequency) -> Db {
 }
 
 /// Parameters of the urban log-distance + clutter model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PropagationParams {
     /// Reference distance, metres.
     pub d0_m: f64,
@@ -131,7 +131,7 @@ impl PropagationParams {
 /// the configured sigma. Correlation length is therefore ≈ the lattice
 /// spacing, in line with the 30–70 m decorrelation distances reported
 /// for urban macro cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ShadowingField {
     seed: u64,
     /// Lattice spacing, metres.

@@ -8,8 +8,12 @@
 //! 1 GHz plus a linear frequency slope, with coefficients in the range
 //! reported by measurement studies (e.g. ITU-R P.2040, Rodriguez et al.
 //! GLOBECOM'13 at 3.5 vs 1.9 GHz).
+//!
+//! [`RadioEnv`](crate::env::RadioEnv) adds this loss only for the
+//! exterior walls of an indoor UE's own building. Buildings between the
+//! site and the UE switch the path loss to its NLoS branch instead of
+//! summing their walls, since the diffracted path around them dominates.
 
-use fiveg_geo::building::RayObstruction;
 use fiveg_geo::Material;
 use fiveg_simcore::{Db, Frequency};
 
@@ -24,19 +28,6 @@ pub fn wall_loss(material: Material, f: Frequency) -> Db {
         Material::Glass => (2.5, 1.1),
     };
     Db::new(base + slope * f.ghz())
-}
-
-/// Total penetration loss of a traced ray: the sum of per-wall losses
-/// over every wall crossed, capped so multi-building traversals do not
-/// produce physically absurd values (beyond ~60 dB the signal is gone
-/// anyway and the indirect/diffracted component dominates).
-pub fn ray_penetration_loss(obstruction: &RayObstruction, f: Frequency) -> Db {
-    let total: f64 = obstruction
-        .crossings
-        .iter()
-        .map(|&(m, n)| wall_loss(m, f).value() * n as f64)
-        .sum();
-    Db::new(total.min(60.0))
 }
 
 #[cfg(test)]
@@ -76,26 +67,5 @@ mod tests {
         let b4 = wall_loss(Material::Brick, f4g()).value();
         assert!((12.0..17.0).contains(&b5), "{b5}");
         assert!((8.0..12.0).contains(&b4), "{b4}");
-    }
-
-    #[test]
-    fn ray_loss_sums_and_caps() {
-        let obs = RayObstruction {
-            crossings: vec![(Material::Brick, 2), (Material::Concrete, 1)],
-        };
-        let expect = 2.0 * wall_loss(Material::Brick, f5g()).value()
-            + wall_loss(Material::Concrete, f5g()).value();
-        assert!((ray_penetration_loss(&obs, f5g()).value() - expect).abs() < 1e-12);
-
-        let many = RayObstruction {
-            crossings: vec![(Material::Concrete, 10)],
-        };
-        assert_eq!(ray_penetration_loss(&many, f5g()).value(), 60.0);
-    }
-
-    #[test]
-    fn clear_ray_no_loss() {
-        let obs = RayObstruction::default();
-        assert_eq!(ray_penetration_loss(&obs, f5g()).value(), 0.0);
     }
 }

@@ -15,10 +15,10 @@
 //! time-to-trigger.
 
 use fiveg_simcore::{Db, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The 3GPP measurement-event taxonomy (paper Tab. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MeasurementEvent {
     /// Serving cell better than a threshold: stop measuring neighbours.
     A1,
@@ -76,7 +76,7 @@ impl MeasurementEvent {
 }
 
 /// A3 trigger configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct A3Config {
     /// Effective neighbour-minus-serving RSRQ gap required, dB
     /// (hysteresis + offsets). Paper: 3 dB for the 5G configuration,

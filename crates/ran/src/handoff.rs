@@ -21,10 +21,10 @@ use crate::signaling::HandoffProcedure;
 use fiveg_geo::mobility::MobilityTrace;
 use fiveg_phy::{MeasureScratch, RadioEnv, Tech};
 use fiveg_simcore::{Db, Dbm, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Classification of a hand-off event, in the paper's Fig. 5/6 naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HandoffKind {
     /// Horizontal 4G→4G (anchor hand-off with no NR leg involved).
     LteToLte,
@@ -54,7 +54,7 @@ impl HandoffKind {
 }
 
 /// One executed hand-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HandoffRecord {
     /// Trigger time.
     pub t: SimTime,

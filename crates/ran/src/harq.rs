@@ -9,10 +9,10 @@
 
 use fiveg_phy::mcs;
 use fiveg_simcore::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// HARQ configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HarqConfig {
     /// Maximum transmission attempts (paper: 32 from PDSCH config).
     pub max_attempts: u32,
@@ -45,7 +45,7 @@ impl HarqConfig {
 }
 
 /// Result of transmitting one transport block through HARQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HarqOutcome {
     /// Number of transmission attempts used (1 = first try succeeded).
     pub attempts: u32,

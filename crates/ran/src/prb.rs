@@ -11,10 +11,10 @@
 
 use fiveg_phy::Tech;
 use fiveg_simcore::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Time-of-day regime for contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DayPeriod {
     /// Busy hours.
     Day,
@@ -23,7 +23,7 @@ pub enum DayPeriod {
 }
 
 /// Draws the PRB share a single saturated user receives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PrbAllocator {
     /// Technology whose contention regime applies.
     pub tech: Tech,

@@ -13,10 +13,10 @@
 
 use fiveg_simcore::dist::Dist;
 use fiveg_simcore::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One signalling exchange within a hand-off procedure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SignalingStep {
     /// Message / phase name (as in the paper's Fig. 24).
     pub name: &'static str,
@@ -38,7 +38,7 @@ impl SignalingStep {
 }
 
 /// A hand-off procedure: an ordered list of signalling steps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HandoffProcedure {
     /// Procedure name.
     pub name: &'static str,

@@ -5,7 +5,7 @@
 //! the exact draw sequence is part of the reproducibility contract.
 
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Standard normal draw via the Marsaglia polar method.
 ///
@@ -50,7 +50,7 @@ pub fn pareto(rng: &mut SimRng, x_min: f64, alpha: f64) -> f64 {
 }
 
 /// A distribution that can be described in configuration and sampled later.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Dist {
     /// Always the same value.
     Constant(f64),

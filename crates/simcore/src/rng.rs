@@ -96,15 +96,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
 }
 
 impl RngCore for SimRng {

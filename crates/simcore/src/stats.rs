@@ -7,10 +7,10 @@
 //! [`Histogram`] (fixed-edge bucket counts, e.g. the paper's Tab. 2 RSRP
 //! buckets).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Running mean/variance/min/max using Welford's algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -101,7 +101,7 @@ impl OnlineStats {
 }
 
 /// Empirical cumulative distribution over a finite sample.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -187,7 +187,7 @@ impl Cdf {
 /// Fixed-edge histogram. Buckets are `[edge[i], edge[i+1])`, with an
 /// implicit underflow bucket below the first edge and overflow bucket at
 /// or above the last.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,

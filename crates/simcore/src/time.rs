@@ -5,16 +5,16 @@
 //! scheduled from the same inputs always compare the same way, which is a
 //! prerequisite for deterministic replay.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// An instant on the simulation clock, in nanoseconds since t = 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 /// Both clock types order by their nanosecond count. The impls are

@@ -6,10 +6,10 @@
 //! resampling and windowed-aggregation helpers.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A monotonic sequence of `(time, value)` samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TimeSeries {
     times: Vec<SimTime>,
     values: Vec<f64>,

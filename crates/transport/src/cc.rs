@@ -2,7 +2,7 @@
 
 use fiveg_net::MSS_BYTES;
 use fiveg_simcore::{BitRate, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything an algorithm learns from one (new-data) ACK.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +49,7 @@ pub trait CongestionControl {
 }
 
 /// The protocols the paper evaluates (Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CcAlgorithm {
     /// Loss-based NewReno.
     Reno,
