@@ -22,7 +22,8 @@ STAGE_STATUS=()
 # Records the finished CURRENT_STAGE with the given status, and prints
 # a soft warning when it ran over its committed per-stage budget or has
 # none (the stage name is the budget's key, so a renamed stage shows up
-# here instead of silently losing its budget).
+# here instead of silently losing its budget; dead_budgets warns about
+# the key it left behind).
 finish_stage() {
   local status=$1 secs=$2
   STAGE_NAMES+=("$CURRENT_STAGE")
@@ -67,6 +68,22 @@ write_timings() {
   } > target/ci-timings.json
 }
 
+# After a green run, which ran every stage: a soft warning for each
+# budget key that names none of them (a deleted or renamed stage).
+dead_budgets() {
+  [[ -f "$BUDGETS" ]] || return 0
+  local key name found
+  while IFS= read -r key; do
+    found=0
+    for name in "${STAGE_NAMES[@]}"; do
+      if [[ "$name" == "$key" ]]; then found=1; fi
+    done
+    if ((found == 0)); then
+      echo "ci: WARNING budget '${key}' in ${BUDGETS} names no stage" >&2
+    fi
+  done < <(sed -n 's|^    "\(.*\)": *[0-9][0-9]*,\{0,1\}$|\1|p' "$BUDGETS")
+}
+
 on_exit() {
   local code=$?
   local now=$SECONDS
@@ -74,6 +91,7 @@ on_exit() {
     finish_stage failed $((now - STAGE_START))
   else
     finish_stage ok $((now - STAGE_START))
+    dead_budgets
   fi
   write_timings
   echo "-- stage times --"
@@ -141,24 +159,16 @@ spans_chunks() {
 }
 
 # vendor/ holds offline subsets of external crates and keeps upstream
-# formatting; everything we author is held to rustfmt. Lint fixtures
-# are deliberate hazard snippets, checked by the fiveg-lint fixture
-# suite under cargo test rather than by rustfmt.
+# formatting; everything we author is held to rustfmt.
 stage "rustfmt --check (workspace)"
-find crates tests examples -name '*.rs' -not -path '*/fixtures/*' -print0 \
-  | xargs -0 rustfmt --edition 2021 --check
-
-# Determinism linter, before anything expensive: no S001 / S003 / F001
-# / W001 finding and no malformed pragma. On failure fiveg-lint names the
-# rule id with the most findings and the pragma to use.
-stage "fiveg-lint --check (determinism invariants)"
-cargo run --release -q -p fiveg-lint -- --check
+find crates tests examples -name '*.rs' -print0 | xargs -0 rustfmt --edition 2021 --check
 
 # --all-targets lints test and example code too, as benchmark/check.sh
-# does for the benchmark package. The one-line determinism rules are
-# lints here: crates/clippy.toml (HashMap/HashSet, partial_cmp, wall
-# clock, environment reads), unsafe_code = "forbid", and unwrap/expect/missing_docs at
-# each lib root (DESIGN.md §7).
+# does for the benchmark package. The determinism rules are lints here
+# (DESIGN.md §7): crates/clippy.toml (HashMap/HashSet, partial_cmp, wall
+# clock, environment reads, shared mutable state), unsafe_code =
+# "forbid", reasons on every suppression, and unwrap/expect/missing_docs
+# at each lib root. The layering DAG is tests/layering.rs.
 stage "cargo clippy --workspace --all-targets"
 cargo clippy --release --workspace --all-targets -- -D warnings
 

@@ -14,6 +14,7 @@ use fiveg_net::{AckInfo, Ctx, Endpoint, NetSim, TimerKind};
 use fiveg_simcore::dist::normal;
 use fiveg_simcore::{SimDuration, SimRng, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
+#[expect(clippy::disallowed_types, reason = "the FrameLog")]
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::Arc;
@@ -115,6 +116,10 @@ struct FrameRecord {
 }
 
 /// Shared frame log written by the sender wrapper.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a frame log shared by the sender wrapper and its receiver hook in one single-threaded run"
+)]
 type FrameLog = Arc<Mutex<Vec<FrameRecord>>>;
 
 /// Endpoint wrapper: a 30 fps frame source feeding a TCP sender.
@@ -257,6 +262,7 @@ impl VideoSession {
             sim.add_cross_traffic(ct);
         }
         let (inner, _report) = TcpSender::new(CcAlgorithm::Cubic, Some(0));
+        #[expect(clippy::disallowed_types, reason = "builds the FrameLog")]
         let frames: FrameLog = Arc::new(Mutex::new(Vec::new()));
         let mean_mbps = self.resolution.mean_mbps(self.scene);
         let sender = VideoSender {

@@ -21,6 +21,10 @@
 //!   `OnlineStats` pushes) serial over the order-preserved results.
 //!
 //! No external dependencies: plain `std::thread::scope`.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the fan-out itself: an atomic chunk-claim counter and one slot per chunk; results come back in input order"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -36,6 +40,21 @@ pub const CHUNK: usize = 64;
 /// state is created at the start of every chunk and dropped at its end,
 /// inside the worker's obs scope, so Drop-flushed counters are
 /// chunk-structured and deterministic.
+///
+/// Reduce the order-preserved results after the call:
+///
+/// ```
+/// let out = fiveg_core::par::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| x * 2.0);
+/// assert_eq!(out.iter().sum::<f64>(), 6.0);
+/// ```
+///
+/// `f` is `Fn + Sync`, so it cannot accumulate across items, whose
+/// order varies with `threads` (F001 of DESIGN.md §7):
+///
+/// ```compile_fail,E0596
+/// let mut total = 0.0f64;
+/// fiveg_core::par::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| total += x);
+/// ```
 pub fn par_map_with<T: Sync, R: Send, S>(
     items: &[T],
     threads: usize,

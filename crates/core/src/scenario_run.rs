@@ -1559,7 +1559,8 @@ mod tests {
     #[test]
     fn fleet_reports_and_counters_are_shard_count_invariant() {
         // The non-negotiable guarantee: artifact bytes AND obs
-        // counters are identical for any shard count. Three
+        // counters, gauges and histograms are identical for any shard
+        // count (spans time the host and are left out). Three
         // groups of 40 UEs = 2 chunks, so 2/3/8 shards exercise both
         // the multi-shard and the clamped (shards > chunks) paths.
         let spec = parse_scenario(
@@ -1593,7 +1594,7 @@ mod tests {
                 let r = fiveg_obs::scoped(&m, || run_fleet_sharded(&sc, &spec, &fleet, 42, s));
                 (
                     serde_json::to_string(&r).expect("json"),
-                    m.snapshot().counters,
+                    m.snapshot().deterministic(),
                 )
             })
             .collect();
@@ -1601,7 +1602,7 @@ mod tests {
             assert_eq!(json, &runs[0].0, "report bytes diverge at shards index {i}");
             assert_eq!(
                 counters, &runs[0].1,
-                "obs counters diverge at shards index {i}"
+                "obs counters, gauges or histograms diverge at shards index {i}"
             );
         }
         assert!(runs[0].1.contains_key("shard.events"));
@@ -1611,13 +1612,13 @@ mod tests {
     mod incremental_oracle {
         use super::*;
         use proptest::prelude::*;
-        use std::sync::OnceLock;
 
         /// The deployment is shared across cases: the property is about
         /// the fleet loop, and rebuilding the radio environment per case
         /// would dominate the test's runtime.
+        #[expect(clippy::disallowed_types, reason = "a read-only fixture built once")]
         fn paper_sc() -> &'static Scenario {
-            static SC: OnceLock<Scenario> = OnceLock::new();
+            static SC: std::sync::OnceLock<Scenario> = std::sync::OnceLock::new();
             SC.get_or_init(|| Scenario::paper(2020))
         }
 

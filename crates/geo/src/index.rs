@@ -13,8 +13,8 @@
 //! ray misses (the caller re-tests each candidate exactly), but it never
 //! omits one it hits — grid cell ranges are computed from bounding boxes
 //! inflated by [`EPS`] so boundary-grazing rays cannot fall through a
-//! seam. The list forms (`candidates_point`, `candidates_segment`)
-//! return candidates in ascending building-index order, which keeps
+//! seam. The list forms (`candidates_point`, and `candidates_segment`
+//! in tests) return candidates in ascending building-index order, which keeps
 //! every scan-order-dependent caller (e.g. the "last containing building
 //! wins" rule in `fiveg-phy`) bit-identical to the full scan; the
 //! streaming `scan_segment_until` visits them in grid-walk order.
@@ -165,6 +165,8 @@ impl SpatialIndex {
     /// Collects into `out` the building indices whose footprint may
     /// touch `seg`, sorted ascending and deduplicated. The set is
     /// conservative (false positives possible, false negatives not).
+    /// Test-only: it is the list form the tests hold to full scans.
+    #[cfg(test)]
     pub fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
         out.clear();
         self.for_cells_on_segment(seg, |c| {

@@ -298,7 +298,8 @@ mod tests {
 
     /// Every indexed query agrees with a full scan over the buildings,
     /// on the flat index (one-building map) and on the tiled index (a
-    /// generated city past [`TILED_INDEX_THRESHOLD`]).
+    /// generated city past [`TILED_INDEX_THRESHOLD`], whole and with
+    /// index tile (1, 1) emptied, so rays hop an empty tile).
     #[test]
     fn indexed_queries_match_full_scan() {
         let city = generate_city(
@@ -311,7 +312,20 @@ mod tests {
         )
         .map;
         assert!(city.buildings.len() >= TILED_INDEX_THRESHOLD);
-        for (m, tiled) in [(simple_map(), false), (city, true)] {
+        let tile_m = crate::tiled::TILE_CELLS as f64 * crate::index::CELL_M;
+        let lo = city.bounds.min + Point::new(tile_m, tile_m);
+        let hi = lo + Point::new(tile_m, tile_m);
+        let outside =
+            |r: Rect| r.max.x < lo.x || r.max.y < lo.y || r.min.x > hi.x || r.min.y > hi.y;
+        let kept: Vec<Building> = city
+            .buildings
+            .iter()
+            .filter(|b| outside(b.footprint.inflate(1.0)))
+            .copied()
+            .collect();
+        assert!(kept.len() < city.buildings.len() && kept.len() >= TILED_INDEX_THRESHOLD);
+        let holed = CampusMap::new(city.bounds, kept, Vec::new());
+        for (m, tiled) in [(simple_map(), false), (city, true), (holed, true)] {
             assert_eq!(m.spatial_index().is_tiled(), tiled);
             let (w, h) = (m.bounds.width(), m.bounds.height());
             // Rays and points run a little past the bounds so the

@@ -46,7 +46,6 @@ pub struct TiledSpatialIndex {
     bounds: Rect,
     cell_m: f64,
     tx: usize,
-    ty: usize,
     /// Global cell-grid dimensions: `tx * TILE_CELLS` × `ty * TILE_CELLS`.
     gnx: usize,
     gny: usize,
@@ -95,7 +94,6 @@ impl TiledSpatialIndex {
             bounds: cover,
             cell_m,
             tx,
-            ty,
             gnx: tx * TILE_CELLS,
             gny: ty * TILE_CELLS,
             tile_base: vec![NO_TILE; tx * ty],
@@ -151,9 +149,10 @@ impl TiledSpatialIndex {
     }
 
     /// Tile-directory dimensions `(tx, ty)` and occupied-tile count.
+    #[cfg(test)]
     pub fn tile_stats(&self) -> (usize, usize, usize) {
         let occupied = self.tile_base.iter().filter(|&&b| b != NO_TILE).count();
-        (self.tx, self.ty, occupied)
+        (self.tx, self.gny / TILE_CELLS, occupied)
     }
 
     /// Grid coordinates of `p` on the global cell grid, clamped in.
@@ -256,7 +255,8 @@ impl TiledSpatialIndex {
 
     /// Collects into `out` the building indices whose footprint may
     /// touch `seg`, sorted ascending and deduplicated. Conservative —
-    /// same contract as [`crate::index::SpatialIndex::candidates_segment`].
+    /// same contract as `SpatialIndex::candidates_segment`. Test-only.
+    #[cfg(test)]
     pub fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
         out.clear();
         self.for_cells_on_segment(seg, |run| {

@@ -48,6 +48,12 @@
 //! ```
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
+// Clippy reports a disallowed item-position macro at the crate root, so
+// the expectation for the one `thread_local!` (`CURRENT`) sits here.
+#![expect(
+    clippy::disallowed_macros,
+    reason = "CURRENT only routes writes to a handle; it holds no metric value"
+)]
 
 pub mod json;
 pub mod metrics;
@@ -57,11 +63,10 @@ pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metrics::{Counter, Histogram, MaxGauge, MetricsHandle, SpanGuard};
 pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 
-use std::cell::RefCell;
-
 thread_local! {
     /// Stack of installed handles; the innermost scope wins.
-    static CURRENT: RefCell<Vec<MetricsHandle>> = const { RefCell::new(Vec::new()) };
+    #[expect(clippy::disallowed_types, reason = "the scope stack only routes writes to a handle; it holds no metric value")]
+    static CURRENT: std::cell::RefCell<Vec<MetricsHandle>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Pops the scope on drop, so a panicking job never leaks its handle

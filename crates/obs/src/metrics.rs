@@ -8,6 +8,11 @@
 //! the seed — while span timers measure host wall time and are advisory
 //! (see `DESIGN.md §Observability`).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the registry is the sanctioned shared sink: u64 atomics whose adds and maxes commute, behind one name map"
+)]
+
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -353,15 +358,18 @@ mod tests {
                 s.spawn(move || {
                     let c = m.counter("shared");
                     let h = m.histogram("obs", &[10, 100]);
+                    let g = m.gauge("peak");
                     for i in 0..1_000u64 {
                         c.inc();
                         h.observe(i % 150);
+                        g.record(i);
                     }
                 });
             }
         });
         let snap = m.snapshot();
         assert_eq!(snap.counters["shared"], 4_000);
+        assert_eq!(snap.gauges["peak"], 999);
         assert_eq!(snap.histograms["obs"].count, 4_000);
         let bucket_total: u64 = snap.histograms["obs"].buckets.iter().sum();
         assert_eq!(bucket_total, 4_000);

@@ -17,6 +17,7 @@ use fiveg_geo::{Campus, CampusMap, Point};
 use fiveg_simcore::{BitRate, Db, Dbm};
 use serde::Serialize;
 use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "the EnvId counter")]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Service threshold: below this RSRP the network cannot sustain a
@@ -339,6 +340,10 @@ pub struct RadioEnv {
 }
 
 /// Source of [`EnvId`]s.
+#[expect(
+    clippy::disallowed_types,
+    reason = "EnvIds are only compared as a ray-cache key; no output reads them"
+)]
 static NEXT_ENV_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Identity of a [`RadioEnv`] for [`MeasureScratch`]'s ray cache. Every
@@ -352,7 +357,6 @@ impl EnvId {
     fn fresh() -> EnvId {
         // `Relaxed`: the counter publishes no other data; only the
         // ids' uniqueness matters.
-        // fiveg-lint: allow(S003) -- ids are only compared as a ray-cache key; no output reads them
         EnvId(NEXT_ENV_ID.fetch_add(1, Ordering::Relaxed))
     }
 }
@@ -1351,6 +1355,7 @@ mod tests {
     /// A 5x5 dense-urban city: 150 NR cells numbered from 60 run into
     /// the LTE numbering from 200, so PCIs 200..=209 each name one LTE
     /// and one NR cell.
+    #[expect(clippy::disallowed_types, reason = "a read-only fixture built once")]
     fn colliding_city() -> &'static RadioEnv {
         static CITY: std::sync::OnceLock<RadioEnv> = std::sync::OnceLock::new();
         CITY.get_or_init(|| city_env(5))

@@ -7,7 +7,6 @@ use fiveg_phy::{CellMeasurement, MeasureScratch, RadioEnv, Survey, Tech};
 use fiveg_simcore::{Frequency, SimRng};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 proptest! {
     /// Path loss grows with distance on both branches, and NLoS never
@@ -154,8 +153,9 @@ fn angle_diff_fold_matches_rem_euclid_on_edge_cases() {
 /// A 5x5 dense-urban city: 150 NR cells numbered from 60 run into the
 /// LTE numbering from 200, so PCIs 200..=209 each name one LTE and one
 /// NR cell.
+#[expect(clippy::disallowed_types, reason = "a read-only fixture built once")]
 fn colliding_city() -> &'static RadioEnv {
-    static CITY: OnceLock<RadioEnv> = OnceLock::new();
+    static CITY: std::sync::OnceLock<RadioEnv> = std::sync::OnceLock::new();
     CITY.get_or_init(|| {
         let mut spec = fiveg_geo::CitySpec::dense_urban();
         spec.tiles_x = 5;

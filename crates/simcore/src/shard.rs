@@ -50,8 +50,11 @@
 use crate::event::{EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+#[expect(clippy::disallowed_types, reason = "ShardEngine::run's barrier loop")]
+use std::sync::{
+    atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder},
+    Barrier, Mutex, MutexGuard, PoisonError,
+};
 
 /// Index of a shard within a [`Topology`] (`0..shards`).
 pub type ShardId = usize;
@@ -626,6 +629,10 @@ impl<L: ShardLogic> ShardEngine<L> {
     /// is a link whose backlog in the window exceeded its capacity
     /// reported, as [`ShardError::MailboxOverflow`] of the lowest
     /// `(src, dst)` link.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the barrier loop: only the leader touches shared state, between barriers, and it walks shards and links in index order"
+    )]
     pub fn run(self, threads: usize) -> Result<ShardRun<L>, ShardError> {
         let ShardEngine { topo, cells } = self;
         let n = topo.shards();

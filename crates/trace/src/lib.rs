@@ -27,9 +27,17 @@
 //!   single global ring would have kept — for any shard partition.
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
+// Clippy reports a disallowed item-position macro at the crate root, so
+// the expectation for the one `thread_local!` (`SCOPE`) sits here.
+#![expect(
+    clippy::disallowed_macros,
+    reason = "SCOPE only routes emits to a sink; it holds no trace row"
+)]
 
 use std::collections::{BTreeMap, VecDeque};
+#[expect(clippy::disallowed_types, reason = "TraceSink's mask mirror")]
 use std::sync::atomic::{AtomicU8, Ordering};
+#[expect(clippy::disallowed_types, reason = "TraceSink's lock")]
 use std::sync::{Arc, Mutex, PoisonError};
 
 pub mod columnar;
@@ -133,6 +141,10 @@ struct Inner {
 /// The per-run trace sink. Shared across threads behind one mutex;
 /// determinism comes from per-origin sequencing plus the final sort,
 /// not from lock-acquisition order.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one run sink: rows are merged in (t_ns, origin, seq) order after the run, so lock order never reaches the trace bytes"
+)]
 pub struct TraceSink {
     inner: Mutex<Inner>,
     /// Lock-free mirror of `cfg.mask` so hot emitters (the shard
@@ -167,6 +179,7 @@ impl Default for TraceHandle {
 impl TraceHandle {
     /// Creates a fresh sink with the given configuration.
     #[must_use]
+    #[expect(clippy::disallowed_types, reason = "builds the TraceSink")]
     pub fn new(cfg: TraceConfig) -> TraceHandle {
         let mask = cfg.mask;
         TraceHandle(Arc::new(TraceSink {
@@ -426,6 +439,7 @@ fn sidecar_json(
 // Ambient scope (mirrors fiveg-obs).
 
 thread_local! {
+    #[expect(clippy::disallowed_types, reason = "SCOPE only routes emits to a sink; it holds no trace row")]
     static SCOPE: std::cell::RefCell<Vec<TraceHandle>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 

@@ -9,6 +9,7 @@
 use crate::cc::{AckSample, CcAlgorithm, CongestionControl};
 use fiveg_net::{AckInfo, Ctx, Endpoint, TimerKind, MSS_BYTES};
 use fiveg_simcore::{BitRate, OnlineStats, SimDuration, SimTime};
+#[expect(clippy::disallowed_types, reason = "the SenderReport handle")]
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -35,6 +36,10 @@ pub struct SenderReport {
 }
 
 /// A TCP sender running one bulk or fixed-size transfer.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a report handle read after a single-threaded run; no other thread writes it"
+)]
 pub struct TcpSender {
     cc: Box<dyn CongestionControl>,
     /// Index into [`CcAlgorithm::ALL`], for trace-event labelling.
@@ -139,6 +144,7 @@ impl TcpSender {
     /// A `limit` of `Some(n)` sends exactly `n` bytes; `None` is an
     /// unbounded bulk flow. Application-paced flows (video frames) start
     /// with `Some(0)` and feed data in via [`TcpSender::extend_limit`].
+    #[expect(clippy::disallowed_types, reason = "hands out the SenderReport handle")]
     pub fn new(alg: CcAlgorithm, limit: Option<u64>) -> (Self, Arc<Mutex<SenderReport>>) {
         let report = Arc::new(Mutex::new(SenderReport::default()));
         (

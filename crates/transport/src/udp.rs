@@ -7,6 +7,7 @@
 
 use fiveg_net::{AckInfo, Ctx, Endpoint, TimerKind, MSS_BYTES};
 use fiveg_simcore::{BitRate, SimDuration, SimTime};
+#[expect(clippy::disallowed_types, reason = "the UdpReport handle")]
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -20,6 +21,10 @@ pub struct UdpReport {
 }
 
 /// A paced CBR datagram source.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a report handle read after a single-threaded run; no other thread writes it"
+)]
 pub struct UdpCbrSender {
     rate: BitRate,
     stop_at: Option<SimTime>,
@@ -29,6 +34,7 @@ pub struct UdpCbrSender {
 
 impl UdpCbrSender {
     /// Creates a CBR source at `rate`, optionally stopping at `stop_at`.
+    #[expect(clippy::disallowed_types, reason = "hands out the UdpReport handle")]
     pub fn new(rate: BitRate, stop_at: Option<SimTime>) -> (Self, Arc<Mutex<UdpReport>>) {
         assert!(rate.bps() > 0.0, "CBR rate must be positive");
         let report = Arc::new(Mutex::new(UdpReport::default()));
