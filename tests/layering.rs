@@ -165,11 +165,32 @@ fn an_undeclared_edge_fails() {
             "{dep}"
         );
     }
-    // Dev-dependencies may cross layers; a crate without a row fails.
-    let net = "[dependencies]\nfiveg-obs = { workspace = true }\n\n[dev-dependencies]\nfiveg-core = { workspace = true }\n";
-    assert!(violations("net", net).is_empty());
+    // A crate without a row fails.
     assert_eq!(
         violations("lint", ""),
         ["crates/lint has no ALLOWED_DEPS row"]
     );
+}
+
+#[test]
+fn manifest_parse_reads_dependencies_only() {
+    // Dev-dependencies may cross layers, so only `[dependencies]` (and
+    // its per-crate tables) count as edges.
+    let net = "\
+[package]
+name = \"fiveg-net\"
+
+[dependencies]
+fiveg-obs = { workspace = true }
+fiveg-simcore.workspace = true
+serde = { workspace = true }
+
+[dependencies.fiveg-trace]
+workspace = true
+
+[dev-dependencies]
+fiveg-core = { workspace = true }
+";
+    assert_eq!(fiveg_deps(net), ["obs", "simcore", "trace"]);
+    assert!(violations("net", net).is_empty());
 }

@@ -394,6 +394,84 @@ fn design_section_7_table_matches_rules() {
     assert_eq!(rows, want, "DESIGN.md §7 rule table vs RULES");
 }
 
+/// The lines of `text` after the line `start`, up to the first line
+/// that starts with `end`.
+fn block<'a>(text: &'a str, start: &str, end: char) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|l| *l != start)
+        .skip(1)
+        .take_while(|l| !l.starts_with(end))
+        .collect()
+}
+
+/// Whether a `crates/clippy.toml` list entry's reason opens with rule
+/// `id` (`reason = "S003/F001: ..."`).
+fn names_rule(entry: &str, id: &str) -> bool {
+    entry
+        .split("reason = \"")
+        .nth(1)
+        .and_then(|r| r.split(':').next())
+        .is_some_and(|ids| ids.split('/').any(|i| i == id))
+}
+
+#[test]
+fn design_section_7_toolchain_table_matches() {
+    // The lint and configured-in cells of the §7 table name the real
+    // configuration: each rule's lints are set where its row says.
+    let repo = repo_root();
+    let clippy_toml = read(&repo.join(CLIPPY_TOML));
+    let manifest = read(&repo.join("Cargo.toml"));
+    let header = lib_root_header();
+    let sets = |table: &str, lint: &str| {
+        let key = format!("{lint} = ");
+        block(&manifest, table, '[')
+            .iter()
+            .any(|l| l.starts_with(&key))
+    };
+    for rule in RULES {
+        for lint in rule.lints {
+            let clippy_lint = lint.strip_prefix("clippy::");
+            let configured = match rule.configured_in {
+                CLIPPY_TOML => clippy_lint.is_some_and(|l| {
+                    let list = format!("{} = [", l.replace('_', "-"));
+                    block(&clippy_toml, &list, ']')
+                        .iter()
+                        .any(|entry| names_rule(entry, rule.id))
+                }),
+                RUST_LINTS => sets(RUST_LINTS, lint),
+                LIB_ROOT => header.contains(lint),
+                "[workspace.lints.clippy], rustc defaults" => match clippy_lint {
+                    Some(l) => sets("[workspace.lints.clippy]", l),
+                    // On by default unless the workspace table sets it.
+                    None => !sets(RUST_LINTS, lint),
+                },
+                other => panic!("{}: unknown configured-in cell `{other}`", rule.id),
+            };
+            assert!(
+                configured,
+                "{}: {lint} is not configured in {}",
+                rule.id, rule.configured_in
+            );
+        }
+    }
+}
+
+#[test]
+fn seeded_cases_match_toolchain_rules() {
+    // Every rule in RULES is planted by exactly one test of this file,
+    // and no test plants a rule RULES lacks.
+    let source = include_str!("seeded_clippy.rs");
+    let mut planted: Vec<&str> = ["assert_rule_enforced(\"", " => \""]
+        .iter()
+        .flat_map(|opener| source.split(opener).skip(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    planted.sort_unstable();
+    let mut ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    assert_eq!(planted, ids, "seeded tests vs RULES");
+}
+
 #[test]
 fn every_crate_opts_into_the_toolchain_rules() {
     // U001 and W003 live at each lib root and unsafe_code in the
