@@ -122,7 +122,7 @@ same_artifacts() {
     for f in "$a"/$pat; do
       [[ -e "$f" ]] || continue
       name=$(basename "$f")
-      [[ "$name" == manifest.json || "$name" == BENCH_0003.json ]] && continue
+      [[ "$name" == manifest.json || "$name" == BENCH_0004.json ]] && continue
       cmp "$f" "$b/$name" \
         || { echo "${label}: artifact $name differs between $a and $b" >&2; exit 1; }
       compared=$((compared + 1))
@@ -264,11 +264,11 @@ SCEN_JOBS=(--scenario golden/scenarios/paper-campus.json
 cmp target/ci-scen-j8/paper_campus.json golden/quick-s2020/table1.json \
   || { echo "scenario: paper_campus.json differs from the table1 golden" >&2; exit 1; }
 
-# Full quick campaign at 8 workers. Counter drift against the committed
-# baseline fails the gate (including the phy.sample and shard.fleet.*
-# microbench counters — the latter embed the sharded-vs-serial report
-# identity); a >25 % events/sec drop only warns (wall time depends on
-# the host).
+# Full quick campaign at 8 workers. Drift in any job's counters against
+# the committed baseline fails the gate; a >25 % events/sec drop only
+# warns (wall time depends on the host). The sweep and fleet layers'
+# counters are pinned by the benchmark stage below (coverage-sweep and
+# fleet-metro in benchmark/expected/seed-2020.json).
 stage "perf gate: repro --bench vs ${BASELINE}"
 rm -rf target/ci-bench-j8 target/ci-bench-j1   # stale artifacts from older schemas
 "${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
@@ -279,7 +279,7 @@ rm -rf target/ci-bench-j8 target/ci-bench-j1   # stale artifacts from older sche
 # every metrics counter must match the --jobs 8 run.
 stage "determinism: --jobs 1 vs --jobs 8"
 "${REPRO[@]}" --jobs 1 --out target/ci-bench-j1 --bench \
-  --bench-check target/ci-bench-j8/BENCH_0003.json > /dev/null
+  --bench-check target/ci-bench-j8/BENCH_0004.json > /dev/null
 same_artifacts "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8
 same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8 json_hash
 
@@ -291,8 +291,9 @@ same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-
 # artifact must match golden/scenario-s2020 (so a fleet change that is
 # wrong at every shard count fails too) and be byte-identical between
 # --jobs 1 (one UE shard) and --jobs 8 (one shard per 64-UE chunk, so
-# the fleet must span at least three). Counter identity for the city micros
-# (city.sweep.100k, city.attach.*) rides the perf gate above.
+# the fleet must span at least three). The tiled-city sweep digest and
+# counters and fleet-metro's city.remeasure.skipped are pinned by the
+# benchmark stage below.
 stage "city smoke: dense-urban scenario (golden, --jobs 1 vs 8)"
 rm -rf target/ci-city-j1 target/ci-city-j8
 CITY_JOBS=(--scenario golden/scenarios/dense-urban-smoke.json)
@@ -305,12 +306,12 @@ same_fingerprints "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-
 
 # Trace determinism: the flight recorder's byte contract. A full-mode
 # trace of the dense-urban smoke scenario (three UE shards at --jobs 8)
-# must be byte-identical — binary
-# columns, sidecar schema and manifest trace fingerprints — between
-# --jobs 1 and --jobs 8, and `trace stats` must reconstruct at least
-# one complete per-UE handoff timeline from it. Trace overhead and
-# event/byte counts ride the perf gate above (trace.full / trace.ring
-# micros).
+# must be byte-identical — binary columns, sidecar and manifest trace
+# fingerprints — between --jobs 1 and --jobs 8, both sidecars must match
+# the committed golden (row count, per-kind counts and the binary's
+# hash, so a dropped or added event fails even when both runs agree),
+# and `trace stats` must reconstruct at least one complete per-UE
+# handoff timeline from it.
 stage "trace determinism: dense-urban-smoke --trace=full (--jobs 1 vs 8)"
 rm -rf target/ci-trace-j1 target/ci-trace-j8
 "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --trace=full \
@@ -321,6 +322,10 @@ spans_chunks "trace determinism" target/ci-trace-j1/dense_urban_smoke.json 3
 same_artifacts "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 \
   '*.trace.bin' '*.trace.json'
 same_fingerprints "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 trace_hash
+for d in target/ci-trace-j1 target/ci-trace-j8; do
+  cmp "$d/dense_urban_smoke.trace.json" golden/scenario-s2020/dense_urban_smoke.trace.json \
+    || { echo "trace determinism: $d sidecar differs from the golden" >&2; exit 1; }
+done
 cargo run --release -q -p fiveg-trace --bin trace -- \
   stats target/ci-trace-j1/dense_urban_smoke.trace.bin > target/ci-trace-stats.txt
 grep -q '\[complete\]' target/ci-trace-stats.txt \

@@ -5,7 +5,7 @@
 //! golden checks live in the library; this binary only parses flags,
 //! streams progress to stderr and sets the exit code.
 
-use fiveg_bench::{compare_to_baseline, BenchReport};
+use fiveg_bench::{compare_to_baseline, BenchReport, BENCH_SCHEMA};
 use fiveg_campaign::{check_run, run, write_golden, write_run, JobEvent, RunConfig};
 use fiveg_core::campaign::FidelityLevel;
 use fiveg_core::jobs::paper_registry;
@@ -32,12 +32,9 @@ Options:
   --check DIR      diff the run's JSON artifacts against golden DIR and
                    exit non-zero on any drift
   --bless DIR      write the run's JSON artifacts to DIR as new goldens
-  --bench          also write a benchmark report (BENCH_0003.json in the
+  --bench          also write a benchmark report (BENCH_0004.json in the
                    artifact directory): per-job wall time, events
-                   simulated, events/sec, all deterministic counters and
-                   the eight hot-path microbenchmarks (phy.sample,
-                   city.sweep.100k, city.attach.{full,incremental},
-                   shard.fleet.{serial,sharded}, trace.{full,ring})
+                   simulated, events/sec and all deterministic counters
   --bench-out FILE write the benchmark report to FILE (implies --bench)
   --bench-check FILE
                    compare this run's benchmark report against baseline
@@ -343,70 +340,11 @@ fn main() -> ExitCode {
     let mut failed = report.failures() > 0;
 
     if cli.bench {
-        let mut bench = BenchReport::from_run(&report);
-        let micro = fiveg_bench::phy_sample_micro(cli.seed);
-        eprintln!(
-            "micro phy.sample: {} samples in {} ms ({} samples/s)",
-            micro.samples, micro.wall_ms, micro.samples_per_sec
-        );
-        bench.micro.insert("phy.sample".to_string(), micro);
-        let (serial, sharded) = fiveg_bench::fleet_shard_micro(cli.seed);
-        eprintln!(
-            "micro shard.fleet: serial {} ms vs sharded {} ms ({} samples; speedup {:.2}x)",
-            serial.wall_ms,
-            sharded.wall_ms,
-            serial.samples,
-            serial.wall_ms as f64 / (sharded.wall_ms.max(1)) as f64
-        );
-        let untraced_ms = sharded.wall_ms;
-        bench.micro.insert("shard.fleet.serial".to_string(), serial);
-        bench
-            .micro
-            .insert("shard.fleet.sharded".to_string(), sharded);
-        let (trace_full, trace_ring) = fiveg_bench::trace_overhead_micro(cli.seed);
-        let overhead = |traced_ms: u64| {
-            100.0 * (traced_ms as f64 - untraced_ms as f64) / (untraced_ms.max(1)) as f64
-        };
-        eprintln!(
-            "micro trace: full {} ms ({:+.1}%) / ring {} ms ({:+.1}%) vs untraced {} ms; {} events, {} / {} bytes",
-            trace_full.wall_ms,
-            overhead(trace_full.wall_ms),
-            trace_ring.wall_ms,
-            overhead(trace_ring.wall_ms),
-            untraced_ms,
-            trace_full.counters.get("trace.events").copied().unwrap_or(0),
-            trace_full.counters.get("trace.bytes").copied().unwrap_or(0),
-            trace_ring.counters.get("trace.bytes").copied().unwrap_or(0),
-        );
-        bench.micro.insert("trace.full".to_string(), trace_full);
-        bench.micro.insert("trace.ring".to_string(), trace_ring);
-        let city = fiveg_bench::city_sweep_micro(cli.seed);
-        eprintln!(
-            "micro city.sweep.100k: {} samples across the tiled 3x3 dense-urban city in {} ms ({} samples/s)",
-            city.samples, city.wall_ms, city.samples_per_sec
-        );
-        bench.micro.insert("city.sweep.100k".to_string(), city);
-        let (full, incremental) = fiveg_bench::city_attach_micro(cli.seed);
-        eprintln!(
-            "micro city.attach: full {} ms vs incremental {} ms ({} of {} re-measurements skipped; speedup {:.2}x)",
-            full.wall_ms,
-            incremental.wall_ms,
-            incremental
-                .counters
-                .get("city.remeasure.skipped")
-                .copied()
-                .unwrap_or(0),
-            incremental.samples,
-            full.wall_ms as f64 / (incremental.wall_ms.max(1)) as f64
-        );
-        bench.micro.insert("city.attach.full".to_string(), full);
-        bench
-            .micro
-            .insert("city.attach.incremental".to_string(), incremental);
+        let bench = BenchReport::from_run(&report);
         let path = cli
             .bench_out
             .clone()
-            .unwrap_or_else(|| cli.out.join("BENCH_0003.json"));
+            .unwrap_or_else(|| cli.out.join(format!("BENCH_{BENCH_SCHEMA:04}.json")));
         if let Err(e) = std::fs::write(&path, bench.to_json()) {
             eprintln!("error: writing bench report to {}: {e}", path.display());
             return ExitCode::from(2);

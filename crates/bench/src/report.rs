@@ -1,14 +1,11 @@
-//! Benchmark reports: the `BENCH_0003.json` schema and the drift
+//! Benchmark reports: the `BENCH_0004.json` schema and the drift
 //! comparator behind `repro --bench` / `--bench-check`.
 //!
 //! A bench report summarises one campaign run per job: deterministic
 //! work counters (events executed, packets forwarded, HARQ tries, …)
-//! plus advisory host timings (wall time, events per second), and — new
-//! in schema 3 — a `micro` section of eight targeted hot-path
-//! microbenchmarks: `phy.sample` (the radio measurement path),
-//! `city.sweep.100k`, `city.attach.{full,incremental}`,
-//! `shard.fleet.{serial,sharded}` and `trace.{full,ring}`. The CI perf
-//! gate compares a fresh report against a committed baseline:
+//! plus advisory host timings (wall time, events per second). Layer
+//! timings outside the campaign are the `benchmark/` workloads' job. The
+//! CI perf gate compares a fresh report against a committed baseline:
 //!
 //! * **counter drift is a failure** — counters depend only on the seed,
 //!   so any change means the simulation itself changed;
@@ -21,8 +18,8 @@ use fiveg_obs::{parse_json, JsonValue};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Schema version of the bench report (the `0003` in `BENCH_0003.json`).
-pub const BENCH_SCHEMA: u32 = 3;
+/// Schema version of the bench report (the `0004` in `BENCH_0004.json`).
+pub const BENCH_SCHEMA: u32 = 4;
 
 /// Relative `events_per_sec` drop that triggers a regression warning.
 pub const THROUGHPUT_WARN_FRACTION: f64 = 0.25;
@@ -51,21 +48,7 @@ pub struct BenchTotals {
     pub events_per_sec: u64,
 }
 
-/// One microbenchmark row: a fixed, seed-deterministic hot-path
-/// workload timed outside the campaign executor.
-#[derive(Debug, Clone, Serialize)]
-pub struct MicroBench {
-    /// Wall time, milliseconds (advisory).
-    pub wall_ms: u64,
-    /// Measurement samples taken (deterministic).
-    pub samples: u64,
-    /// Samples per wall-clock second (advisory).
-    pub samples_per_sec: u64,
-    /// All deterministic counters the workload recorded, sorted by name.
-    pub counters: BTreeMap<String, u64>,
-}
-
-/// The `BENCH_0003.json` document.
+/// The `BENCH_0004.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
     /// Bench schema version.
@@ -78,8 +61,6 @@ pub struct BenchReport {
     pub jobs: BTreeMap<String, BenchJob>,
     /// Whole-run totals.
     pub totals: BenchTotals,
-    /// Hot-path microbenchmarks, keyed by name (e.g. `phy.sample`).
-    pub micro: BTreeMap<String, MicroBench>,
 }
 
 fn bench_job(r: &JobResult) -> Option<BenchJob> {
@@ -126,7 +107,6 @@ impl BenchReport {
                 events,
                 events_per_sec,
             },
-            micro: BTreeMap::new(),
         }
     }
 
@@ -239,68 +219,6 @@ pub fn compare_to_baseline(
         }
     }
 
-    // Microbenchmark section (schema 3). Same rules: counter drift
-    // fails, samples/sec only warns. A baseline that predates the
-    // section cannot gate it — fail loudly so it gets re-blessed rather
-    // than silently skipping the check.
-    match doc.get("micro").and_then(JsonValue::as_object) {
-        None => {
-            if !current.micro.is_empty() {
-                cmp.failures.push(
-                    "baseline has no `micro` section (schema < 3; re-bless golden/bench-baseline.json)"
-                        .to_string(),
-                );
-            }
-        }
-        Some(base_micro) => {
-            for name in base_micro.keys() {
-                if !current.micro.contains_key(name) {
-                    cmp.failures
-                        .push(format!("micro `{name}` in baseline but not in this run"));
-                }
-            }
-            for (name, row) in &current.micro {
-                let Some(base) = base_micro.get(name) else {
-                    cmp.failures.push(format!(
-                        "micro `{name}` not in baseline (re-bless golden/bench-baseline.json)"
-                    ));
-                    continue;
-                };
-                let base_counters = base
-                    .get("counters")
-                    .and_then(JsonValue::as_object)
-                    .ok_or_else(|| format!("baseline micro `{name}` has no `counters` object"))?;
-                for key in base_counters.keys() {
-                    if !row.counters.contains_key(key) {
-                        cmp.failures
-                            .push(format!("micro {name}: counter `{key}` disappeared"));
-                    }
-                }
-                for (key, &val) in &row.counters {
-                    match base_counters.get(key).and_then(JsonValue::as_u64) {
-                        None => cmp
-                            .failures
-                            .push(format!("micro {name}: counter `{key}` not in baseline")),
-                        Some(b) if b != val => cmp.failures.push(format!(
-                            "micro {name}: counter `{key}` drifted {b} -> {val}"
-                        )),
-                        Some(_) => {}
-                    }
-                }
-                if let Some(base_sps) = u64_field(base, "samples_per_sec") {
-                    let sps = row.samples_per_sec;
-                    if base_sps > 0
-                        && (sps as f64) < (base_sps as f64) * (1.0 - THROUGHPUT_WARN_FRACTION)
-                    {
-                        cmp.warnings.push(format!(
-                            "micro {name}: samples/sec fell {base_sps} -> {sps} (>{:.0}% regression; advisory)",
-                            THROUGHPUT_WARN_FRACTION * 100.0
-                        ));
-                    }
-                }
-            }
-        }
-    }
     Ok(cmp)
 }
 
@@ -332,24 +250,7 @@ mod tests {
                 events,
                 events_per_sec: eps,
             },
-            micro: BTreeMap::new(),
         }
-    }
-
-    fn with_micro(mut r: BenchReport, counters: &[(&str, u64)], sps: u64) -> BenchReport {
-        let counters: BTreeMap<String, u64> =
-            counters.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        let samples = counters.get("phy.measure.samples").copied().unwrap_or(0);
-        r.micro.insert(
-            "phy.sample".to_string(),
-            MicroBench {
-                wall_ms: 5,
-                samples,
-                samples_per_sec: sps,
-                counters,
-            },
-        );
-        r
     }
 
     #[test]
@@ -402,55 +303,5 @@ mod tests {
         let r = report_with(&[], 0);
         assert!(compare_to_baseline(&r, "not json").is_err());
         assert!(compare_to_baseline(&r, "{}").is_err());
-    }
-
-    #[test]
-    fn micro_counter_drift_fails() {
-        let base = with_micro(
-            report_with(&[("a", 1)], 5_000),
-            &[("phy.measure.samples", 720), ("phy.rays.traced", 33_840)],
-            9_000,
-        );
-        let ok = compare_to_baseline(&base, &base.to_json()).unwrap();
-        assert!(ok.ok(), "{:?}", ok.failures);
-        let cur = with_micro(
-            report_with(&[("a", 1)], 5_000),
-            &[("phy.measure.samples", 720), ("phy.rays.traced", 33_000)],
-            9_000,
-        );
-        let cmp = compare_to_baseline(&cur, &base.to_json()).unwrap();
-        assert!(!cmp.ok());
-        assert!(
-            cmp.failures[0].contains("phy.rays.traced"),
-            "{:?}",
-            cmp.failures
-        );
-    }
-
-    #[test]
-    fn micro_slowdown_warns_but_passes() {
-        let base = with_micro(report_with(&[("a", 1)], 5_000), &[("x", 1)], 10_000);
-        let cur = with_micro(report_with(&[("a", 1)], 5_000), &[("x", 1)], 1_000);
-        let cmp = compare_to_baseline(&cur, &base.to_json()).unwrap();
-        assert!(cmp.ok(), "{:?}", cmp.failures);
-        assert_eq!(cmp.warnings.len(), 1);
-        assert!(cmp.warnings[0].contains("samples/sec"));
-    }
-
-    #[test]
-    fn pre_micro_baseline_fails_when_run_has_micro() {
-        let base = report_with(&[("a", 1)], 5_000);
-        // Rename the `micro` key away to emulate a schema-2 baseline
-        // document (rename rather than delete keeps the JSON valid).
-        let base_json = base.to_json().replace("\"micro\"", "\"legacy\"");
-        assert!(!base_json.contains("\"micro\""));
-        let cur = with_micro(report_with(&[("a", 1)], 5_000), &[("x", 1)], 1_000);
-        let cmp = compare_to_baseline(&cur, &base_json).unwrap();
-        assert!(!cmp.ok());
-        assert!(cmp.failures[0].contains("re-bless"), "{:?}", cmp.failures);
-        // And a schema-2 baseline with a schema-2 run (no micro) still
-        // passes — the gate only demands what the run produces.
-        let cmp2 = compare_to_baseline(&base, &base_json).unwrap();
-        assert!(cmp2.ok(), "{:?}", cmp2.failures);
     }
 }

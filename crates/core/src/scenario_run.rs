@@ -1065,11 +1065,11 @@ pub fn run_fleet_sharded(
 /// [`run_fleet_sharded`] with incremental re-measurement disabled:
 /// every active UE re-runs the full `measure_all` pass every tick.
 ///
-/// This is the determinism *oracle* for the incremental fast path —
+/// The test-only determinism *oracle* for the incremental fast path:
 /// its report must be byte-identical to [`run_fleet_sharded`]'s for
-/// any scenario — and the slow leg of the `city.attach.incremental`
-/// microbench. Product code should always take [`run_fleet_sharded`].
-pub fn run_fleet_full_remeasure(
+/// any scenario (the `incremental_oracle` tests).
+#[cfg(test)]
+fn run_fleet_full_remeasure(
     sc: &Scenario,
     spec: &ScenarioSpec,
     fleet: &FleetSpec,
@@ -1786,6 +1786,55 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The cache really hits: on a mostly-parked 2x2 dense-urban
+        /// fleet at two shards, the incremental run skips more than half
+        /// of its re-measurements (the parked majority is cache-hot from
+        /// its second active tick on), the full re-measure run skips
+        /// none, and both write the same report bytes.
+        #[test]
+        fn cache_hits_dominate_a_mostly_parked_city_fleet() {
+            let spec = parse_scenario(
+                r#"{
+  "name": "parked_city",
+  "city": { "preset": "dense_urban" },
+  "workload": { "kind": "fleet", "duration_s": 30, "tick_ms": 1000, "groups": [
+    { "name": "walkers", "count": 64, "tech": "nr",
+      "mobility": { "model": "waypoint", "speed_min_kmh": 3, "speed_max_kmh": 10 },
+      "arrival": { "process": "steady" }, "app": { "kind": "bulk" } },
+    { "name": "parked", "count": 128, "tech": "lte",
+      "mobility": { "model": "static" },
+      "arrival": { "process": "steady" },
+      "app": { "kind": "video", "resolution": "1080p", "scene": "static" } } ] }
+}"#,
+                "mem",
+            )
+            .expect("parses");
+            let WorkloadSpec::Fleet(fleet) = &spec.workload else {
+                unreachable!()
+            };
+            let sc = build_scenario(&spec, 2020);
+            let leg = |run: fn(&Scenario, &ScenarioSpec, &FleetSpec, u64, usize) -> FleetReport| {
+                let m = fiveg_obs::MetricsHandle::new();
+                let r = fiveg_obs::scoped(&m, || run(&sc, &spec, fleet, 2020 ^ 0xc17, 2));
+                let counters = m.snapshot().deterministic();
+                let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+                (
+                    serde_json::to_string(&r).expect("json"),
+                    count("scenario.kpi.samples"),
+                    count("city.remeasure.skipped"),
+                )
+            };
+            let (inc_json, samples, skipped) = leg(run_fleet_sharded);
+            let (full_json, full_samples, full_skipped) = leg(run_fleet_full_remeasure);
+            assert_eq!(inc_json, full_json, "incremental vs full report bytes");
+            assert_eq!(samples, full_samples);
+            assert!(
+                skipped * 2 > samples,
+                "cache hits should dominate a mostly-parked fleet: {skipped} of {samples}"
+            );
+            assert_eq!(full_skipped, 0, "the full re-measure run never hits");
         }
     }
 

@@ -574,6 +574,39 @@ mod tests {
         assert_eq!(out.events, 60);
     }
 
+    /// Ring mode counts the same accepted events as full mode into
+    /// `trace.events`, but keeps and encodes fewer `trace.bytes`.
+    #[test]
+    fn ring_mode_counts_every_event_in_fewer_bytes() {
+        let counters = |mode: TraceMode| {
+            let m = fiveg_obs::MetricsHandle::new();
+            fiveg_obs::scoped(&m, || {
+                let h = TraceHandle::new(TraceConfig {
+                    mode,
+                    ring: 5,
+                    ..TraceConfig::default()
+                });
+                for i in 0..20u64 {
+                    for origin in 0..3u32 {
+                        h.emit(origin, &ev(i * 10 + u64::from(origin), origin));
+                    }
+                }
+                h.finish()
+            });
+            m.snapshot().deterministic()
+        };
+        let full = counters(TraceMode::Full);
+        let ring = counters(TraceMode::Ring);
+        assert_eq!(full["trace.events"], 60);
+        assert_eq!(ring["trace.events"], full["trace.events"]);
+        assert!(
+            ring["trace.bytes"] < full["trace.bytes"],
+            "ring {} vs full {} bytes",
+            ring["trace.bytes"],
+            full["trace.bytes"]
+        );
+    }
+
     /// Category mask drops events entirely (no seq consumed, so masked
     /// categories cannot perturb the bytes of unmasked ones).
     #[test]

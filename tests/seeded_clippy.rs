@@ -500,3 +500,68 @@ fn every_crate_opts_into_the_toolchain_rules() {
     }
     assert!(checked >= 10, "found only {checked} crates");
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `thread_local!` invocations in `src`, outside `//` comments.
+fn thread_locals(src: &str) -> usize {
+    src.lines()
+        .map(|line| {
+            let code = line.split("//").next().unwrap_or_default();
+            code.match_indices("thread_local")
+                .filter(|&(i, word)| {
+                    let before = code[..i].chars().next_back();
+                    let after = code[i + word.len()..].trim_start();
+                    !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                        && after.starts_with('!')
+                })
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn thread_locals_stay_at_the_two_expected_crate_roots() {
+    // S003's macro ban is expected once per crate root in obs and
+    // trace (clippy reports item-position macros there), which would
+    // hide a second `thread_local!` in either crate. So count them:
+    // exactly one in each of those roots, none anywhere else.
+    let root = repo_root();
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let mut found: Vec<(String, usize)> = files
+        .iter()
+        .map(|f| {
+            let rel = f.strip_prefix(&root).unwrap_or(f);
+            (rel.display().to_string(), thread_locals(&read(f)))
+        })
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    found.sort();
+    let want = [
+        ("crates/obs/src/lib.rs".to_string(), 1),
+        ("crates/trace/src/lib.rs".to_string(), 1),
+    ];
+    assert_eq!(found, want, "thread_local! sites under crates/*/src");
+    assert_eq!(thread_locals("thread_local! {}\n// thread_local!\n"), 1);
+    assert_eq!(
+        thread_locals("std::thread_local ! {}\nmy_thread_local!()\n"),
+        1
+    );
+}
