@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate, in stages: formatting and lints across the whole workspace,
-# build, tests, a golden-regression smoke, a benchmark perf gate and
-# determinism checks across --jobs, the run's one thread count (workers,
-# sweep threads and fleet shards). Each stage is timed; on failure the exit message
-# names the stage that broke. Machine-readable per-stage timings land in
+# build, tests, golden scenarios, a perf gate that also holds the quick
+# campaign's artifacts to their goldens, and determinism checks across
+# --jobs, the run's one thread count (workers, sweep threads and fleet
+# shards). Each stage is timed; on failure the exit message names the
+# stage that broke. Machine-readable per-stage timings land in
 # target/ci-timings.json, and any stage that exceeds its committed
 # budget (golden/ci-budget.json) prints a soft warning.
 set -euo pipefail
@@ -217,9 +218,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --release --workspace --no-deps -q
 stage "cargo build --release --examples"
 cargo build --release --workspace --examples
 
-stage "golden smoke: repro --only table1 --check"
-"${REPRO[@]}" --only table1 --out target/ci-repro-out --check golden/quick-s2020
-
 # Committed scenario files must parse, validate and stay in canonical
 # form (`scen fmt` is the formatter; drift here means someone edited a
 # file by hand without re-running it).
@@ -266,13 +264,17 @@ cmp target/ci-scen-j8/paper_campus.json golden/quick-s2020/table1.json \
 
 # Full quick campaign at 8 workers. Drift in any job's counters against
 # the committed baseline fails the gate; a >25 % events/sec drop only
-# warns (wall time depends on the host). The sweep and fleet layers'
-# counters are pinned by the benchmark stage below (coverage-sweep and
-# fleet-metro in benchmark/expected/seed-2020.json).
+# warns (wall time depends on the host). Every artifact but fig11's
+# (23 MB; the benchmark's campaign-quick digest pins it) must be
+# byte-identical to its golden in golden/quick-s2020, the packet-DES
+# figures included. The sweep and fleet layers' counters are pinned by
+# the benchmark stage below (coverage-sweep and fleet-metro in
+# benchmark/expected/seed-2020.json).
 stage "perf gate: repro --bench vs ${BASELINE}"
 rm -rf target/ci-bench-j8 target/ci-bench-j1   # stale artifacts from older schemas
 "${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
   --bench-check "${BASELINE}" > /dev/null
+same_artifacts "golden (-j8)" golden/quick-s2020 target/ci-bench-j8
 
 # Same campaign single-threaded — one worker, one sweep thread, one
 # fleet shard: every artifact byte, every manifest fingerprint and

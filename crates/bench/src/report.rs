@@ -159,15 +159,29 @@ fn u64_field(job: &JsonValue, field: &str) -> Option<u64> {
 }
 
 /// Compares `current` against a parsed `baseline` document (the JSON of
-/// an earlier [`BenchReport`]). Counter drift — a job missing on either
-/// side, a counter missing on either side, or any value difference — is
-/// a failure; an `events_per_sec` drop beyond
+/// an earlier [`BenchReport`]). A baseline without a `schema`, or of
+/// another schema than [`BENCH_SCHEMA`], is an error. Counter drift — a
+/// job missing on either side, a counter missing on either side, or any
+/// value difference — is a failure; an `events_per_sec` drop beyond
 /// [`THROUGHPUT_WARN_FRACTION`] is a warning.
 pub fn compare_to_baseline(
     current: &BenchReport,
     baseline_json: &str,
 ) -> Result<BenchComparison, String> {
     let doc = parse_json(baseline_json).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+    match doc.get("schema").and_then(JsonValue::as_u64) {
+        Some(schema) if schema == u64::from(BENCH_SCHEMA) => {}
+        Some(schema) => {
+            return Err(format!(
+                "baseline is bench schema {schema}, this build writes schema {BENCH_SCHEMA}"
+            ))
+        }
+        None => {
+            return Err(format!(
+                "baseline has no numeric `schema`, this build writes schema {BENCH_SCHEMA}"
+            ))
+        }
+    }
     let base_jobs = doc
         .get("jobs")
         .and_then(JsonValue::as_object)
@@ -296,6 +310,20 @@ mod tests {
         cur.jobs.insert("table9".into(), row);
         let cmp = compare_to_baseline(&cur, &base.to_json()).unwrap();
         assert_eq!(cmp.failures.len(), 2, "{:?}", cmp.failures);
+    }
+
+    #[test]
+    fn other_schema_baseline_is_an_error() {
+        let r = report_with(&[("sim.events.executed", 100)], 5_000);
+        let schema3 =
+            r.to_json()
+                .replacen(&format!("\"schema\": {BENCH_SCHEMA},"), "\"schema\": 3,", 1);
+        assert_ne!(schema3, r.to_json());
+        let err = compare_to_baseline(&r, &schema3).unwrap_err();
+        let named = format!("schema {BENCH_SCHEMA}");
+        assert!(err.contains("schema 3") && err.contains(&named), "{err}");
+        let err = compare_to_baseline(&r, r#"{"jobs": {}}"#).unwrap_err();
+        assert!(err.contains("no numeric `schema`"), "{err}");
     }
 
     #[test]

@@ -106,6 +106,12 @@ pub struct Hop {
     pub(crate) last_exit: SimTime,
     /// Statistics.
     pub stats: HopStats,
+    /// Forward-only cursor into a piecewise rate model: how many of its
+    /// points lie at or before the latest lookup time.
+    rate_cursor: usize,
+    /// The latest serialisation time computed, keyed by the rate's bits
+    /// and the packet size.
+    ser_memo: Option<(u64, u32, SimDuration)>,
 }
 
 impl Hop {
@@ -117,12 +123,49 @@ impl Hop {
             busy: false,
             last_exit: SimTime::ZERO,
             stats: HopStats::default(),
+            rate_cursor: 0,
+            ser_memo: None,
         }
     }
 
     /// Serialisation time of `pkt` at the rate in force at `t`, or `None`
     /// during an outage (rate 0).
-    pub fn serialisation_time(&self, pkt: &Packet, t: SimTime) -> Option<SimDuration> {
+    ///
+    /// `t` must not precede the previous call's: the event loop asks at
+    /// its own clock, which never goes back, so the rate lookup is a
+    /// cursor that only moves forward instead of a binary search. Back
+    /// to back packets of one size at one rate (the common case) reuse
+    /// the memoised result instead of a divide and a rounding.
+    pub(crate) fn service_time(&mut self, pkt: &Packet, t: SimTime) -> Option<SimDuration> {
+        let rate = match &self.config.rate {
+            RateModel::Fixed(r) => *r,
+            RateModel::Piecewise(points) => {
+                let mut next = self.rate_cursor;
+                while next < points.len() && points[next].0 <= t {
+                    next += 1;
+                }
+                self.rate_cursor = next;
+                points[next.saturating_sub(1)].1
+            }
+        };
+        if rate.bps() <= 0.0 {
+            return None;
+        }
+        let bits = rate.bps().to_bits();
+        if let Some((memo_bits, memo_size, ser)) = self.ser_memo {
+            if memo_bits == bits && memo_size == pkt.size {
+                return Some(ser);
+            }
+        }
+        let ser = SimDuration::from_secs_f64(rate.secs_for_bits(pkt.bits()));
+        self.ser_memo = Some((bits, pkt.size, ser));
+        Some(ser)
+    }
+
+    /// The lookup `service_time` replaces, kept as its oracle: a binary
+    /// search of the rate model and a divide on every call.
+    #[cfg(test)]
+    fn serialisation_time(&self, pkt: &Packet, t: SimTime) -> Option<SimDuration> {
         let rate = self.config.rate.rate_at(t);
         if rate.bps() <= 0.0 {
             None
@@ -136,7 +179,7 @@ impl Hop {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, MSS_BYTES};
-    use fiveg_simcore::BitRate;
+    use fiveg_simcore::{BitRate, SimRng};
 
     fn pkt() -> Packet {
         Packet {
@@ -151,14 +194,68 @@ mod tests {
     #[test]
     fn serialisation_time_follows_rate() {
         let mut cfg = HopConfig::wired("w", 100.0, SimDuration::from_millis(1), 100);
-        let hop = Hop::new(cfg.clone());
-        let t = hop.serialisation_time(&pkt(), SimTime::ZERO).unwrap();
+        let mut hop = Hop::new(cfg.clone());
+        let t = hop.service_time(&pkt(), SimTime::ZERO).unwrap();
         // 1448 B at 100 Mbps ≈ 115.84 us.
         assert!((t.as_secs_f64() - 1448.0 * 8.0 / 100e6).abs() < 1e-12);
 
         cfg.rate = RateModel::Fixed(BitRate::ZERO);
-        let outage = Hop::new(cfg);
-        assert!(outage.serialisation_time(&pkt(), SimTime::ZERO).is_none());
+        let mut outage = Hop::new(cfg);
+        assert!(outage.service_time(&pkt(), SimTime::ZERO).is_none());
+    }
+
+    /// A random piecewise rate: steps of random length, a third of them
+    /// outages, some sharing an instant, then hand-off outages on top.
+    fn random_rate(rng: &mut SimRng) -> RateModel {
+        let mut points = Vec::new();
+        let mut t = SimTime::from_micros(rng.range_u64(0, 500));
+        for _ in 0..rng.range_u64(1, 40) {
+            let rate = match rng.index(3) {
+                0 => BitRate::ZERO,
+                _ => BitRate::from_mbps(rng.range_f64(0.5, 2_000.0)),
+            };
+            points.push((t, rate));
+            if rng.chance(0.8) {
+                t += SimDuration::from_micros(rng.range_u64(1, 5_000));
+            }
+        }
+        let mut model = RateModel::piecewise(points);
+        for _ in 0..rng.range_u64(0, 3) {
+            let start = SimTime::from_micros(rng.range_u64(0, 100_000));
+            model = model.with_outage(start, SimDuration::from_micros(rng.range_u64(1, 20_000)));
+        }
+        model
+    }
+
+    #[test]
+    fn service_time_matches_a_fresh_lookup_at_non_decreasing_times() {
+        let mut rng = SimRng::new(0x5e7);
+        let sizes = [MSS_BYTES, MSS_BYTES, MSS_BYTES, 40, 1_200, 1];
+        for _ in 0..300 {
+            let mut cfg = HopConfig::wired("r", 1.0, SimDuration::ZERO, 10);
+            cfg.rate = random_rate(&mut rng);
+            let mut hop = Hop::new(cfg);
+            let mut t = SimTime::ZERO;
+            for _ in 0..400 {
+                // Repeats of one instant, small steps and jumps past
+                // several rate points.
+                t += match rng.index(4) {
+                    0 => SimDuration::ZERO,
+                    1 => SimDuration::from_nanos(rng.range_u64(1, 2_000)),
+                    2 => SimDuration::from_micros(rng.range_u64(1, 2_000)),
+                    _ => SimDuration::from_micros(rng.range_u64(1, 40_000)),
+                };
+                let mut p = pkt();
+                p.size = sizes[rng.index(sizes.len())];
+                assert_eq!(
+                    hop.service_time(&p, t),
+                    hop.serialisation_time(&p, t),
+                    "at {t} for {} B over {:?}",
+                    p.size,
+                    hop.config.rate
+                );
+            }
+        }
     }
 
     #[test]

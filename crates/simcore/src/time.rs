@@ -39,6 +39,35 @@ macro_rules! nanos_ord {
 }
 nanos_ord!(SimTime, SimDuration);
 
+/// 2^53: below it every `f64` splits exactly into an integer part that
+/// fits an `i64` and a fraction.
+const EXACT_SPLIT: f64 = 9_007_199_254_740_992.0;
+
+/// Fractional seconds to the nearest nanosecond, ties away from zero;
+/// negative and NaN inputs give 0 and +inf saturates. Bit-for-bit
+/// `(s.max(0.0) * 1e9).round() as u64`, without `f64::round`: the
+/// x86-64 baseline target has no rounding instruction, so that call
+/// goes to a software routine on every time conversion. Below 2^53
+/// both `ns - whole` and the casts are exact, so comparing the
+/// fraction with one half rounds exactly as `round` does (including
+/// 0.49999999999999994, which `(ns + 0.5).floor()` would round up).
+#[inline]
+fn secs_to_nanos(s: f64) -> u64 {
+    round_nanos(s.max(0.0) * 1e9)
+}
+
+/// `ns.round() as u64` for a non-negative or NaN `ns`.
+#[inline]
+fn round_nanos(ns: f64) -> u64 {
+    if ns < EXACT_SPLIT {
+        let whole = ns as i64;
+        let up = ns - whole as f64 >= 0.5;
+        (whole + i64::from(up)) as u64
+    } else {
+        ns.round() as u64
+    }
+}
+
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -68,7 +97,7 @@ impl SimTime {
     /// Builds an instant from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1e9).round() as u64)
+        SimTime(secs_to_nanos(s))
     }
 
     /// Raw nanosecond count.
@@ -127,7 +156,7 @@ impl SimDuration {
     /// Builds a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(secs_to_nanos(s))
     }
 
     /// Builds a duration from fractional milliseconds.
@@ -279,6 +308,91 @@ mod tests {
         assert!((d.as_secs_f64() - 1.5).abs() < 1e-12);
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
+    }
+
+    /// The conversion `secs_to_nanos` replaces, kept as its oracle.
+    fn secs_to_nanos_oracle(s: f64) -> u64 {
+        (s.max(0.0) * 1e9).round() as u64
+    }
+
+    fn assert_rounds_like_oracle(s: f64) {
+        assert_eq!(
+            secs_to_nanos(s),
+            secs_to_nanos_oracle(s),
+            "{s:e} s ({:e} ns)",
+            s * 1e9
+        );
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_edge_cases() {
+        let two52 = EXACT_SPLIT / 2.0;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -1e-9,
+            -3.0,
+            1e-10,
+            1.8446744073709552e10,
+            1e12,
+        ];
+        // Half-ties and their neighbours, in nanoseconds.
+        let mut nanos = vec![];
+        for ns in [0.5, 1.5, 2.5, 0.49999999999999994, 1e6 + 0.5, 12_345.5] {
+            nanos.extend([ns, next_down(ns), next_up(ns)]);
+        }
+        // Around 2^52 (the last binade with a half) and 2^53 (the split's edge).
+        for edge in [two52, EXACT_SPLIT] {
+            let mut v = edge;
+            for _ in 0..4 {
+                v = next_down(v);
+            }
+            for _ in 0..9 {
+                nanos.push(v);
+                v = next_up(v);
+            }
+        }
+        for &ns in &nanos {
+            assert_eq!(round_nanos(ns), ns.round() as u64, "{ns:e} ns");
+            cases.push(ns / 1e9);
+        }
+        for s in cases {
+            assert_rounds_like_oracle(s);
+        }
+        assert_eq!(round_nanos(0.49999999999999994), 0);
+        assert_eq!(secs_to_nanos(f64::NAN), 0);
+        assert_eq!(secs_to_nanos(f64::INFINITY), u64::MAX);
+        assert_eq!(SimDuration::from_secs_f64(2.5e-9).as_nanos(), 3);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_random_inputs() {
+        use rand::RngCore;
+        let mut rng = crate::SimRng::new(0x7ea5);
+        for _ in 0..200_000 {
+            // Random bit patterns cover every binade, sign and NaN payload;
+            // the scaled draws cover the simulator's range densely.
+            assert_rounds_like_oracle(f64::from_bits(rng.next_u64()));
+            let u = rng.f64();
+            assert_rounds_like_oracle(u * 1e-3);
+            assert_rounds_like_oracle(u * 100.0);
+            assert_rounds_like_oracle(u * 1e8);
+            let tie = rng.range_u64(0, 1 << 40) as f64 + 0.5;
+            assert_rounds_like_oracle(tie / 1e9);
+        }
+    }
+
+    fn next_up(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    fn next_down(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() - 1)
     }
 
     #[test]

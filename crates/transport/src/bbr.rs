@@ -255,21 +255,6 @@ impl CongestionControl for Bbr {
         }
     }
 
-    fn debug_state(&self) -> String {
-        format!(
-            "phase={} btlbw={:.1}Mbps rtprop={:.1}ms round={} full_bw={}",
-            self.phase_name(),
-            self.btlbw_bps / 1e6,
-            if self.rtprop == SimDuration::MAX {
-                -1.0
-            } else {
-                self.rtprop.as_millis_f64()
-            },
-            self.round,
-            self.full_bw_reached
-        )
-    }
-
     fn on_loss_event(&mut self, _now: SimTime) {
         // BBR v1 does not react to individual losses; the model (btlbw ×
         // rtprop) already bounds in-flight data.

@@ -42,10 +42,6 @@ pub trait CongestionControl {
     fn on_loss_event(&mut self, now: SimTime);
     /// The retransmission timer expired.
     fn on_rto(&mut self, now: SimTime);
-    /// One-line internal-state dump for traces and debugging.
-    fn debug_state(&self) -> String {
-        String::new()
-    }
 }
 
 /// The protocols the paper evaluates (Fig. 7).

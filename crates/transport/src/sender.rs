@@ -11,6 +11,7 @@ use fiveg_net::{AckInfo, Ctx, Endpoint, TimerKind, MSS_BYTES};
 use fiveg_simcore::{BitRate, OnlineStats, SimDuration, SimTime};
 #[expect(clippy::disallowed_types, reason = "the SenderReport handle")]
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -31,8 +32,6 @@ pub struct SenderReport {
     pub bytes_acked: u64,
     /// When the configured transfer completed, if it did.
     pub finished_at: Option<SimTime>,
-    /// Periodic one-line congestion-control state dumps (debugging).
-    pub cc_debug: Vec<(SimTime, String)>,
 }
 
 /// A TCP sender running one bulk or fixed-size transfer.
@@ -87,9 +86,8 @@ pub struct TcpSender {
     tlp_timer: Option<(u64, u64, u64)>,
     /// Start of the most recently sent new-data segment (the TLP target).
     last_seg: (u64, u32),
-    /// RACK: transmission-time index of outstanding segments,
-    /// `(send time, segment start)`.
-    sent_index: BTreeSet<(SimTime, u64)>,
+    /// RACK: transmission-time index of outstanding segments.
+    sent_index: SentIndex,
     /// RACK: most recent send time among delivered packets.
     rack_ts: SimTime,
 }
@@ -176,7 +174,7 @@ impl TcpSender {
                 last_cwnd_sample: None,
                 tlp_timer: None,
                 last_seg: (0, 0),
-                sent_index: BTreeSet::new(),
+                sent_index: SentIndex::default(),
                 rack_ts: SimTime::ZERO,
             },
             report,
@@ -321,19 +319,7 @@ impl TcpSender {
                 continue;
             }
             let s = s.max(self.snd_una);
-            // Merge with overlapping/adjacent existing ranges: they are
-            // contiguous in key order around the new block.
-            let mut new_s = s;
-            let mut new_e = e;
-            while let Some((&rs, &re)) = self.sacked.range(..=new_e).next_back() {
-                if re < new_s {
-                    break;
-                }
-                self.sack_remove(rs);
-                new_s = new_s.min(rs);
-                new_e = new_e.max(re);
-            }
-            self.sack_insert(new_s, new_e);
+            self.sack_merge(s, e);
             // Cancel marked/queued segments this block just covered. Only
             // segments intersecting [s, e) can have newly become fully
             // SACKed.
@@ -360,8 +346,46 @@ impl TcpSender {
                 break;
             }
         }
-        self.marked = self.marked.split_off(&self.snd_una);
-        self.queued = self.queued.split_off(&self.snd_una);
+        while let Some(entry) = self.marked.first_entry() {
+            if *entry.key() >= self.snd_una {
+                break;
+            }
+            entry.remove();
+        }
+        while self.queued.first().is_some_and(|&seg| seg < self.snd_una) {
+            self.queued.pop_first();
+        }
+    }
+
+    /// Merges the range `[s, e)` into the scoreboard. The ranges stay
+    /// disjoint with a gap between neighbours, so a block that starts
+    /// inside, or at the end of, the highest range touches only that
+    /// range and extends it in place; that is most blocks, since SACKs
+    /// grow the newest range as data keeps arriving above a hole.
+    fn sack_merge(&mut self, s: u64, e: u64) {
+        if let Some(mut last) = self.sacked.last_entry() {
+            if *last.key() <= s && s <= *last.get() {
+                let grown = e.saturating_sub(*last.get());
+                if grown > 0 {
+                    *last.get_mut() = e;
+                    self.sacked_total += grown;
+                }
+                return;
+            }
+        }
+        // Absorb overlapping/adjacent ranges: they are contiguous in key
+        // order around the new block.
+        let mut new_s = s;
+        let mut new_e = e;
+        while let Some((&rs, &re)) = self.sacked.range(..=new_e).next_back() {
+            if re < new_s {
+                break;
+            }
+            self.sack_remove(rs);
+            new_s = new_s.min(rs);
+            new_e = new_e.max(re);
+        }
+        self.sack_insert(new_s, new_e);
     }
 
     /// RACK expiry sweep: pops segments whose transmission is older than
@@ -374,11 +398,7 @@ impl TcpSender {
         let deadline =
             SimTime::from_nanos(self.rack_ts.as_nanos().saturating_sub(reo_wnd.as_nanos()));
         let mut newly = false;
-        while let Some(&(t, seg)) = self.sent_index.iter().next() {
-            if t > deadline {
-                break;
-            }
-            self.sent_index.remove(&(t, seg));
+        while let Some(seg) = self.sent_index.pop_due(deadline) {
             if seg < self.snd_una || seg >= self.snd_nxt {
                 continue; // already acked or never valid
             }
@@ -470,20 +490,7 @@ impl TcpSender {
         };
         if due {
             self.last_cwnd_sample = Some(now);
-            let mut rep = self.report.lock();
-            rep.cwnd_trace.push((now, self.cc.cwnd()));
-            let dbg = format!(
-                "pipe={} cwnd={:.0} rq={} sacked={} raw={} una={} nxt={} {}",
-                self.pipe(),
-                self.cc.cwnd(),
-                self.queued.len(),
-                self.sacked_bytes(),
-                self.snd_nxt - self.snd_una,
-                self.snd_una,
-                self.snd_nxt,
-                self.cc.debug_state()
-            );
-            rep.cc_debug.push((now, dbg));
+            self.report.lock().cwnd_trace.push((now, self.cc.cwnd()));
         }
     }
 
@@ -517,7 +524,7 @@ impl TcpSender {
                     continue;
                 }
                 ctx.send_packet(seq, size, true);
-                self.sent_index.insert((ctx.now(), seq));
+                self.sent_index.insert(ctx.now(), seq);
                 self.report.lock().retransmissions += 1;
             } else {
                 let size = match self.limit {
@@ -525,13 +532,48 @@ impl TcpSender {
                     None => MSS_BYTES,
                 };
                 ctx.send_packet(self.snd_nxt, size, false);
-                self.sent_index.insert((ctx.now(), self.snd_nxt));
+                self.sent_index.insert(ctx.now(), self.snd_nxt);
                 self.last_seg = (self.snd_nxt, size);
                 self.snd_nxt += size as u64;
             }
             if self.rto_timer.is_none() {
                 self.arm_rto(ctx);
             }
+        }
+    }
+}
+
+/// RACK's transmission-time index: `(send time, segment start)` pairs in
+/// ascending order, without duplicates, as a `BTreeSet` would hold them.
+/// Sends happen at the simulation clock, which never goes back, so a new
+/// pair sorts after every pair sent earlier and an insert lands at the
+/// back, or just before the pairs sent at the same instant with a
+/// higher segment start.
+#[derive(Debug, Default)]
+struct SentIndex(VecDeque<(SimTime, u64)>);
+
+impl SentIndex {
+    /// Adds a send of `seg` at `t`; `t` must not precede any held send.
+    fn insert(&mut self, t: SimTime, seg: u64) {
+        debug_assert!(self.0.back().is_none_or(|&(last, _)| last <= t));
+        let key = (t, seg);
+        let mut at = self.0.len();
+        while at > 0 {
+            match self.0[at - 1].cmp(&key) {
+                Ordering::Less => break,
+                Ordering::Equal => return,
+                Ordering::Greater => at -= 1,
+            }
+        }
+        self.0.insert(at, key);
+    }
+
+    /// Removes and returns the segment of the oldest send, if it was sent
+    /// at or before `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<u64> {
+        match self.0.front() {
+            Some(&(t, _)) if t <= deadline => self.0.pop_front().map(|(_, seg)| seg),
+            _ => None,
         }
     }
 }
@@ -864,6 +906,145 @@ mod tests {
             .mean_goodput_until(SimTime::from_secs(5))
             .mbps();
         assert!(goodput > 30.0, "goodput {goodput}");
+    }
+
+    /// The `BTreeSet` that `SentIndex` replaces, kept as its oracle.
+    #[derive(Default)]
+    struct SentIndexOracle(BTreeSet<(SimTime, u64)>);
+
+    impl SentIndexOracle {
+        fn insert(&mut self, t: SimTime, seg: u64) {
+            self.0.insert((t, seg));
+        }
+
+        fn pop_due(&mut self, deadline: SimTime) -> Option<u64> {
+            let &(t, seg) = self.0.iter().next()?;
+            (t <= deadline).then(|| {
+                self.0.remove(&(t, seg));
+                seg
+            })
+        }
+    }
+
+    #[test]
+    fn sent_index_matches_a_btree_set() {
+        let mut rng = fiveg_simcore::SimRng::new(0x5e4d);
+        for _ in 0..200 {
+            let mut fast = SentIndex::default();
+            let mut oracle = SentIndexOracle::default();
+            let mut now = SimTime::ZERO;
+            let mut snd_nxt = 0u64;
+            for _ in 0..500 {
+                // The clock never goes back, but one instant can see new
+                // data, retransmissions of lower segments and repeats.
+                if rng.chance(0.4) {
+                    now += SimDuration::from_micros(rng.range_u64(1, 300));
+                }
+                let seg = match rng.index(3) {
+                    0 => {
+                        snd_nxt += MSS_BYTES as u64;
+                        snd_nxt
+                    }
+                    _ => rng.range_u64(0, snd_nxt / MSS_BYTES as u64 + 1) * MSS_BYTES as u64,
+                };
+                fast.insert(now, seg);
+                oracle.insert(now, seg);
+                if rng.chance(0.3) {
+                    let back = SimDuration::from_micros(rng.range_u64(0, 2_000));
+                    let deadline =
+                        SimTime::from_nanos(now.as_nanos().saturating_sub(back.as_nanos()));
+                    loop {
+                        let got = fast.pop_due(deadline);
+                        assert_eq!(got, oracle.pop_due(deadline), "pop at {deadline}");
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+                assert!(fast.0.iter().eq(oracle.0.iter()));
+            }
+        }
+    }
+
+    /// The scoreboard merge `sack_merge` short-cuts, kept as its oracle.
+    fn sack_merge_oracle(board: &mut BTreeMap<u64, u64>, s: u64, e: u64) {
+        let (mut new_s, mut new_e) = (s, e);
+        while let Some((&rs, &re)) = board.range(..=new_e).next_back() {
+            if re < new_s {
+                break;
+            }
+            board.remove(&rs);
+            new_s = new_s.min(rs);
+            new_e = new_e.max(re);
+        }
+        board.insert(new_s, new_e);
+    }
+
+    #[test]
+    fn sack_merge_matches_the_full_merge() {
+        let mut rng = fiveg_simcore::SimRng::new(0x5ac);
+        for _ in 0..200 {
+            let (mut sender, _) = TcpSender::new(CcAlgorithm::Reno, None);
+            let mut oracle = BTreeMap::new();
+            let mut front = 0u64;
+            for _ in 0..300 {
+                // Blocks mostly grow the newest range, sometimes jump a
+                // hole, fill an older one or repeat.
+                let (s, e) = match rng.index(4) {
+                    0 | 1 => {
+                        let s = front.saturating_sub(rng.range_u64(0, 3_000));
+                        front += rng.range_u64(1, 4_000);
+                        (s, front)
+                    }
+                    2 => {
+                        front += rng.range_u64(1, 10_000);
+                        let s = front;
+                        front += rng.range_u64(1, 3_000);
+                        (s, front)
+                    }
+                    _ => {
+                        let s = rng.range_u64(0, front + 1);
+                        (s, s + rng.range_u64(1, 5_000))
+                    }
+                };
+                sender.sack_merge(s, e);
+                sack_merge_oracle(&mut oracle, s, e);
+                assert_eq!(sender.sacked, oracle, "after [{s}, {e})");
+                let total: u64 = oracle.iter().map(|(s, e)| e - s).sum();
+                assert_eq!(sender.sacked_total, total);
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_matches_split_off() {
+        let mut rng = fiveg_simcore::SimRng::new(0x5b1);
+        let mss = MSS_BYTES as u64;
+        let no_sack = AckInfo {
+            cum_ack: 0,
+            highest_seq: 0,
+            echo_sent_at: SimTime::ZERO,
+            echo_retx: false,
+            delivered_bytes: 0,
+            sack: [(0, 0); 3],
+            sack_len: 0,
+            ooo_bytes: 0,
+        };
+        for _ in 0..500 {
+            let (mut sender, _) = TcpSender::new(CcAlgorithm::Reno, None);
+            for _ in 0..rng.range_u64(0, 40) {
+                let seg = rng.range_u64(0, 60) * mss;
+                sender.marked.insert(seg, rng.range_u64(0, 1 << 20));
+                sender.queued.insert(seg);
+            }
+            // On a segment start, between two, or past them all.
+            sender.snd_una = rng.range_u64(0, 64) * mss + [0, 1, mss - 1][rng.index(3)];
+            let marked = sender.marked.clone().split_off(&sender.snd_una);
+            let queued = sender.queued.clone().split_off(&sender.snd_una);
+            sender.merge_sack(&no_sack);
+            assert_eq!(sender.marked, marked);
+            assert_eq!(sender.queued, queued);
+        }
     }
 
     #[test]
