@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # CI gate, in stages: formatting and lints across the whole workspace,
-# build, tests, golden scenarios, a perf gate that also holds the quick
-# campaign's artifacts to their goldens, and determinism checks across
-# --jobs, the run's one thread count (workers, sweep threads and fleet
-# shards). Each stage is timed; on failure the exit message names the
-# stage that broke. Machine-readable per-stage timings land in
-# target/ci-timings.json, and any stage that exceeds its committed
-# budget (golden/ci-budget.json) prints a soft warning.
+# build, tests, then the byte contract: the golden scenarios and the
+# full quick campaign at several --jobs values (the run's one thread
+# count: workers, sweep threads and fleet shards), each held with
+# `repro --check` to its committed goldens and, for the campaign, with
+# `--bench-check` to the committed counter baseline. Every run is
+# checked against the same committed bytes, so two runs that pass are
+# byte-identical to each other too. Each stage is timed; on failure the
+# exit message names the stage that broke. Machine-readable per-stage
+# timings land in target/ci-timings.json, and any stage that exceeds its
+# committed budget (golden/ci-budget.json) prints a soft warning.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -108,45 +111,6 @@ on_exit() {
 }
 trap on_exit EXIT
 
-# same_artifacts LABEL A B [GLOB...]: every file in A matching a GLOB
-# (default *.json) must be byte-identical to its namesake in B. The
-# manifest and the bench report embed wall times and are skipped; their
-# deterministic parts go through same_fingerprints and --bench-check.
-# Fails when a GLOB matches no file in A.
-same_artifacts() {
-  local label=$1 a=$2 b=$3
-  shift 3
-  (($#)) || set -- '*.json'
-  local pat f name compared
-  for pat in "$@"; do
-    compared=0
-    for f in "$a"/$pat; do
-      [[ -e "$f" ]] || continue
-      name=$(basename "$f")
-      [[ "$name" == manifest.json || "$name" == BENCH_0004.json ]] && continue
-      cmp "$f" "$b/$name" \
-        || { echo "${label}: artifact $name differs between $a and $b" >&2; exit 1; }
-      compared=$((compared + 1))
-    done
-    ((compared > 0)) || { echo "${label}: no $pat artifact in $a" >&2; exit 1; }
-  done
-}
-
-# same_fingerprints LABEL A B KEY...: the manifest lines holding each
-# KEY must be identical in A and B. Fails when A's manifest holds no
-# fingerprint value for a KEY.
-same_fingerprints() {
-  local label=$1 a=$2 b=$3
-  shift 3
-  local key
-  for key in "$@"; do
-    grep -q "\"${key}\": \"" "$a/manifest.json" \
-      || { echo "${label}: no ${key} fingerprint in $a/manifest.json" >&2; exit 1; }
-    diff <(grep "\"${key}\"" "$a/manifest.json") <(grep "\"${key}\"" "$b/manifest.json") \
-      || { echo "${label}: manifest ${key} fingerprints differ between $a and $b" >&2; exit 1; }
-  done
-}
-
 # spans_chunks LABEL FILE MIN: the fleet artifact FILE must report more
 # than (MIN-1)*64 UEs, i.e. span at least MIN 64-UE chunks, so a run at
 # --jobs >= MIN really runs MIN UE shards.
@@ -242,96 +206,63 @@ if [[ "$variants" -ne 12 ]]; then
   exit 1
 fi
 
-# The scenario DSL end-to-end: the committed scenarios (including the
-# fault-injection demo) must reproduce golden/scenario-s2020 at 8, 2
-# and 1 workers (as many fleet shards, up to each fleet's chunk count),
-# and the paper-equivalent survey scenario must be
-# byte-identical to the registry's table1 golden.
+# The scenario DSL end-to-end: the committed scenarios (the
+# fault-injection demo and the procedural dense-urban city included)
+# must reproduce golden/scenario-s2020 at 8, 2 and 1 workers (as many
+# fleet shards, up to each fleet's chunk count; the 192-UE city spans
+# three). The city runs generate_city, the tiled spatial index, the SoA
+# fleet columns and the incremental re-measurement cache end to end; the
+# tiled-city sweep digest and counters and fleet-metro's
+# city.remeasure.skipped are pinned by the benchmark stage below. The
+# paper-equivalent survey scenario's golden must be the registry's
+# table1 golden.
 stage "scenario golden: repro --scenario vs golden/scenario-s2020"
+CITY_JOBS=(--scenario golden/scenarios/dense-urban-smoke.json)
 SCEN_JOBS=(--scenario golden/scenarios/paper-campus.json
            --scenario golden/scenarios/outage-demo.json
            --scenario golden/scenarios/flash-crowd.json
            --scenario golden/scenarios/diurnal-web.json
-           --scenario golden/scenarios/night-sparse.json)
-"${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 8 \
-  --out target/ci-scen-j8 --check golden/scenario-s2020 > /dev/null
-"${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 2 \
-  --out target/ci-scen-j2 --check golden/scenario-s2020 > /dev/null
-"${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs 1 \
-  --out target/ci-scen-j1 --check golden/scenario-s2020 > /dev/null
-cmp target/ci-scen-j8/paper_campus.json golden/quick-s2020/table1.json \
-  || { echo "scenario: paper_campus.json differs from the table1 golden" >&2; exit 1; }
+           --scenario golden/scenarios/night-sparse.json
+           "${CITY_JOBS[@]}")
+for j in 8 2 1; do
+  "${REPRO[@]}" "${SCEN_JOBS[@]}" --only scenario --jobs "$j" \
+    --out "target/ci-scen-j$j" --check golden/scenario-s2020 > /dev/null
+done
+cmp golden/scenario-s2020/paper_campus.json golden/quick-s2020/table1.json \
+  || { echo "scenario: the paper_campus golden differs from the table1 golden" >&2; exit 1; }
 
-# Full quick campaign at 8 workers. Drift in any job's counters against
-# the committed baseline fails the gate; a >25 % events/sec drop only
-# warns (wall time depends on the host). Every artifact but fig11's
-# (23 MB; the benchmark's campaign-quick digest pins it) must be
-# byte-identical to its golden in golden/quick-s2020, the packet-DES
-# figures included. The sweep and fleet layers' counters are pinned by
+# Full quick campaign at 8 workers and at 1 (one worker, one sweep
+# thread, one fleet shard). Every artifact must match golden/quick-s2020
+# (fig11's 23 MB artifact by its hash in json_hash.txt), and every job's
+# counters the committed baseline; a >25 % events/sec drop only warns
+# (wall time depends on the host). A drift names the job, byte offset
+# and JSON key path. The sweep and fleet layers' counters are pinned by
 # the benchmark stage below (coverage-sweep and fleet-metro in
 # benchmark/expected/seed-2020.json).
-stage "perf gate: repro --bench vs ${BASELINE}"
-rm -rf target/ci-bench-j8 target/ci-bench-j1   # stale artifacts from older schemas
-"${REPRO[@]}" --jobs 8 --out target/ci-bench-j8 --bench \
-  --bench-check "${BASELINE}" > /dev/null
-same_artifacts "golden (-j8)" golden/quick-s2020 target/ci-bench-j8
-
-# Same campaign single-threaded — one worker, one sweep thread, one
-# fleet shard: every artifact byte, every manifest fingerprint and
-# every metrics counter must match the --jobs 8 run.
-stage "determinism: --jobs 1 vs --jobs 8"
-"${REPRO[@]}" --jobs 1 --out target/ci-bench-j1 --bench \
-  --bench-check target/ci-bench-j8/BENCH_0004.json > /dev/null
-same_artifacts "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8
-same_fingerprints "determinism (-j1 vs -j8)" target/ci-bench-j1 target/ci-bench-j8 json_hash
-
-# City smoke: the procedural dense-urban scenario exercises the whole
-# city fast path end to end — generate_city, the tiled spatial index
-# (3x3 tiles cross the 256-building auto-select threshold; the geo unit
-# test indexed_queries_match_full_scan holds its queries to full scans),
-# the SoA fleet columns and the incremental re-measurement cache. Its
-# artifact must match golden/scenario-s2020 (so a fleet change that is
-# wrong at every shard count fails too) and be byte-identical between
-# --jobs 1 (one UE shard) and --jobs 8 (one shard per 64-UE chunk, so
-# the fleet must span at least three). The tiled-city sweep digest and
-# counters and fleet-metro's city.remeasure.skipped are pinned by the
-# benchmark stage below.
-stage "city smoke: dense-urban scenario (golden, --jobs 1 vs 8)"
-rm -rf target/ci-city-j1 target/ci-city-j8
-CITY_JOBS=(--scenario golden/scenarios/dense-urban-smoke.json)
-"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --out target/ci-city-j1 \
-  --check golden/scenario-s2020 > /dev/null
-"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 8 --out target/ci-city-j8 > /dev/null
-spans_chunks "city smoke" target/ci-city-j1/dense_urban_smoke.json 3
-same_artifacts "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-j8
-same_fingerprints "city smoke (--jobs 1 vs 8)" target/ci-city-j1 target/ci-city-j8 json_hash
-
-# Trace determinism: the flight recorder's byte contract. A full-mode
-# trace of the dense-urban smoke scenario (three UE shards at --jobs 8)
-# must be byte-identical — binary columns, sidecar and manifest trace
-# fingerprints — between --jobs 1 and --jobs 8, both sidecars must match
-# the committed golden (row count, per-kind counts and the binary's
-# hash, so a dropped or added event fails even when both runs agree),
-# and `trace stats` must reconstruct at least one complete per-UE
-# handoff timeline from it.
-stage "trace determinism: dense-urban-smoke --trace=full (--jobs 1 vs 8)"
-rm -rf target/ci-trace-j1 target/ci-trace-j8
-"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 1 --trace=full \
-  --out target/ci-trace-j1 > /dev/null
-"${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs 8 --trace=full \
-  --out target/ci-trace-j8 > /dev/null
-spans_chunks "trace determinism" target/ci-trace-j1/dense_urban_smoke.json 3
-same_artifacts "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 \
-  '*.trace.bin' '*.trace.json'
-same_fingerprints "trace determinism (--jobs 1 vs 8)" target/ci-trace-j1 target/ci-trace-j8 trace_hash
-for d in target/ci-trace-j1 target/ci-trace-j8; do
-  cmp "$d/dense_urban_smoke.trace.json" golden/scenario-s2020/dense_urban_smoke.trace.json \
-    || { echo "trace determinism: $d sidecar differs from the golden" >&2; exit 1; }
+stage "quick campaign: --jobs 8 and 1 vs golden/quick-s2020 and ${BASELINE}"
+for j in 8 1; do
+  rm -rf "target/ci-quick-j$j"
+  "${REPRO[@]}" --jobs "$j" --out "target/ci-quick-j$j" \
+    --bench-check "${BASELINE}" --check golden/quick-s2020 > /dev/null
 done
+
+# The flight recorder's byte contract: a full-mode trace of the
+# dense-urban smoke scenario (three UE shards at --jobs 8) must match
+# its golden sidecar at --jobs 1 and 8 (row count, per-kind counts and
+# the binary's hash, so a dropped or added event fails), the fleet must
+# span at least three 64-UE chunks, and `trace stats` must reconstruct
+# at least one complete per-UE handoff timeline from the trace.
+stage "trace: dense-urban-smoke --trace=full vs golden (--jobs 1 and 8)"
+for j in 1 8; do
+  rm -rf "target/ci-trace-j$j"
+  "${REPRO[@]}" "${CITY_JOBS[@]}" --only scenario --jobs "$j" --trace=full \
+    --out "target/ci-trace-j$j" --check golden/scenario-s2020 > /dev/null
+done
+spans_chunks "trace" target/ci-trace-j1/dense_urban_smoke.json 3
 cargo run --release -q -p fiveg-trace --bin trace -- \
   stats target/ci-trace-j1/dense_urban_smoke.trace.bin > target/ci-trace-stats.txt
 grep -q '\[complete\]' target/ci-trace-stats.txt \
-  || { echo "trace determinism: stats reconstructs no complete handoff timeline" >&2;
+  || { echo "trace: stats reconstructs no complete handoff timeline" >&2;
        cat target/ci-trace-stats.txt >&2; exit 1; }
 
 # The benchmark (BENCHMARK.json): build it with its own command and run

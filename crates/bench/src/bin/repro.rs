@@ -29,13 +29,13 @@ Options:
   --scenario FILE  register a scenario file (fiveg-scenario DSL) as an
                    extra job in section `scenario`; repeatable. Parse or
                    validation errors exit 2 with a file:line location
-  --check DIR      diff the run's JSON artifacts against golden DIR and
-                   exit non-zero on any drift
-  --bless DIR      write the run's JSON artifacts to DIR as new goldens
+  --check DIR      diff the run's JSON artifacts and trace sidecars
+                   against golden DIR and exit non-zero on any drift
+  --bless DIR      write them to DIR as new goldens; one over 1 MiB is
+                   pinned by its hash in DIR/json_hash.txt instead
   --bench          also write a benchmark report (BENCH_0004.json in the
                    artifact directory): per-job wall time, events
                    simulated, events/sec and all deterministic counters
-  --bench-out FILE write the benchmark report to FILE (implies --bench)
   --bench-check FILE
                    compare this run's benchmark report against baseline
                    FILE (implies --bench): counter drift fails, >25%
@@ -60,7 +60,6 @@ struct Cli {
     check: Option<PathBuf>,
     bless: Option<PathBuf>,
     bench: bool,
-    bench_out: Option<PathBuf>,
     bench_check: Option<PathBuf>,
     trace: Option<fiveg_trace::TraceMode>,
     list: bool,
@@ -81,7 +80,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         check: None,
         bless: None,
         bench: false,
-        bench_out: None,
         bench_check: None,
         trace: None,
         list: false,
@@ -114,10 +112,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--check" => cli.check = Some(PathBuf::from(value("--check")?)),
             "--bless" => cli.bless = Some(PathBuf::from(value("--bless")?)),
             "--bench" => cli.bench = true,
-            "--bench-out" => {
-                cli.bench = true;
-                cli.bench_out = Some(PathBuf::from(value("--bench-out")?));
-            }
             "--bench-check" => {
                 cli.bench = true;
                 cli.bench_check = Some(PathBuf::from(value("--bench-check")?));
@@ -341,10 +335,7 @@ fn main() -> ExitCode {
 
     if cli.bench {
         let bench = BenchReport::from_run(&report);
-        let path = cli
-            .bench_out
-            .clone()
-            .unwrap_or_else(|| cli.out.join(format!("BENCH_{BENCH_SCHEMA:04}.json")));
+        let path = cli.out.join(format!("BENCH_{BENCH_SCHEMA:04}.json"));
         if let Err(e) = std::fs::write(&path, bench.to_json()) {
             eprintln!("error: writing bench report to {}: {e}", path.display());
             return ExitCode::from(2);

@@ -10,6 +10,6 @@
 pub mod report;
 
 pub use report::{
-    compare_to_baseline, BenchComparison, BenchJob, BenchReport, BenchTotals, BENCH_SCHEMA,
+    compare_to_baseline, BenchComparison, BenchReport, BenchTotals, BENCH_SCHEMA,
     THROUGHPUT_WARN_FRACTION,
 };

@@ -5,7 +5,8 @@
 //! work counters (events executed, packets forwarded, HARQ tries, …)
 //! plus advisory host timings (wall time, events per second). Layer
 //! timings outside the campaign are the `benchmark/` workloads' job. The
-//! CI perf gate compares a fresh report against a committed baseline:
+//! CI quick-campaign stage compares a fresh report against a committed
+//! baseline:
 //!
 //! * **counter drift is a failure** — counters depend only on the seed,
 //!   so any change means the simulation itself changed;
@@ -13,7 +14,7 @@
 //!   host, so a slow machine must not fail the build. Only a drop of
 //!   more than [`THROUGHPUT_WARN_FRACTION`] is called out.
 
-use fiveg_campaign::{JobResult, RunReport};
+use fiveg_campaign::{PerfBlock, RunReport};
 use fiveg_obs::{parse_json, JsonValue};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -23,19 +24,6 @@ pub const BENCH_SCHEMA: u32 = 4;
 
 /// Relative `events_per_sec` drop that triggers a regression warning.
 pub const THROUGHPUT_WARN_FRACTION: f64 = 0.25;
-
-/// One job's row in a bench report.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchJob {
-    /// Wall time, milliseconds (advisory).
-    pub wall_ms: u64,
-    /// Simulation events executed (deterministic).
-    pub events: u64,
-    /// Events per wall-clock second (advisory).
-    pub events_per_sec: u64,
-    /// All deterministic counters, sorted by name.
-    pub counters: BTreeMap<String, u64>,
-}
 
 /// Whole-run totals, aggregated over all jobs.
 #[derive(Debug, Clone, Serialize)]
@@ -57,27 +45,11 @@ pub struct BenchReport {
     pub fidelity: String,
     /// Base seed of the run.
     pub base_seed: u64,
-    /// Per-job rows, keyed by artifact stem (`name` or `name.repN`).
-    pub jobs: BTreeMap<String, BenchJob>,
+    /// Per-job rows, keyed by artifact stem (`name` or `name.repN`):
+    /// the manifest's perf block of each successful unit.
+    pub jobs: BTreeMap<String, PerfBlock>,
     /// Whole-run totals.
     pub totals: BenchTotals,
-}
-
-fn bench_job(r: &JobResult) -> Option<BenchJob> {
-    let snap = r.metrics.as_ref()?;
-    let counters = snap.deterministic();
-    let events = counters.get("sim.events.executed").copied().unwrap_or(0);
-    let events_per_sec = if r.wall.as_secs_f64() > 0.0 {
-        (events as f64 / r.wall.as_secs_f64()) as u64
-    } else {
-        0
-    };
-    Some(BenchJob {
-        wall_ms: r.wall.as_millis() as u64,
-        events,
-        events_per_sec,
-        counters,
-    })
 }
 
 impl BenchReport {
@@ -86,7 +58,7 @@ impl BenchReport {
     pub fn from_run(report: &RunReport) -> BenchReport {
         let mut jobs = BTreeMap::new();
         for r in &report.results {
-            if let Some(row) = bench_job(r) {
+            if let Some(row) = PerfBlock::from_result(r) {
                 jobs.insert(r.artifact_stem(), row);
             }
         }
@@ -247,7 +219,7 @@ mod tests {
         let mut jobs = BTreeMap::new();
         jobs.insert(
             "table1".to_string(),
-            BenchJob {
+            PerfBlock {
                 wall_ms: 10,
                 events,
                 events_per_sec: eps,

@@ -32,20 +32,6 @@ pub fn write_run(dir: &Path, report: &RunReport) -> io::Result<usize> {
     Ok(written)
 }
 
-/// Blesses a run as the new golden: writes only the JSON artifacts
-/// (the files `check_run` compares) into `dir`.
-pub fn write_golden(dir: &Path, report: &RunReport) -> io::Result<usize> {
-    fs::create_dir_all(dir)?;
-    let mut written = 0;
-    for r in &report.results {
-        if let Some(out) = &r.output {
-            fs::write(dir.join(format!("{}.json", r.artifact_stem())), &out.json)?;
-            written += 1;
-        }
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +56,7 @@ mod tests {
             "{\"v\":3}"
         );
         assert!(dir.join("manifest.json").exists());
-        let g = write_golden(&dir.join("golden"), &report).unwrap();
+        let g = crate::write_golden(&dir.join("golden"), &report).unwrap();
         assert_eq!(g, 1);
         assert!(dir.join("golden/art.json").exists());
         assert!(!dir.join("golden/art.txt").exists());

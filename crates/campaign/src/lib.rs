@@ -50,9 +50,9 @@ pub mod job;
 pub mod manifest;
 pub mod registry;
 
-pub use artifacts::{write_golden, write_run};
+pub use artifacts::write_run;
 pub use executor::{run, JobEvent, JobResult, JobStatus, RunConfig, RunReport};
-pub use golden::{check_artifacts, check_run, ArtifactCheck, GoldenReport};
+pub use golden::{check_artifacts, check_run, write_golden, ArtifactCheck, GoldenReport};
 pub use job::{derive_seed, FidelityLevel, FnJob, Job, JobCtx, JobOutput};
 pub use manifest::{Manifest, ManifestJob, PerfBlock};
 pub use registry::Registry;

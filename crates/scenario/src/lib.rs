@@ -29,6 +29,6 @@ pub use parse::{parse_scenario, ScenarioError};
 pub use spec::{
     AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, FaultSpec, FleetSpec, LoadSpec, MobilitySpec,
     Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec, VideoRes,
-    WebCategory, WorkloadSpec, TRACE_CATEGORIES,
+    WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M, TRACE_CATEGORIES,
 };
 pub use variants::{expand, parse_family, Axis, FamilySpec};

@@ -10,6 +10,11 @@
 //! interprets a spec into a running scenario; this crate only defines,
 //! parses, validates and emits it.
 
+/// Smallest campus side [`ScenarioSpec::validate`] accepts, metres:
+/// the campus generator places every cell site at least 10 m inside
+/// each edge.
+pub const MIN_CAMPUS_SIDE_M: f64 = 20.0;
+
 /// Campus-generation overrides. Defaults reproduce the paper's campus
 /// (500 × 920 m, 13 eNB sites, 6 co-sited gNB sites).
 #[derive(Debug, Clone, PartialEq)]
@@ -515,8 +520,16 @@ impl ScenarioSpec {
                 self.campus.gnb_sites, self.campus.enb_sites
             ));
         }
-        if self.campus.width_m <= 0.0 || self.campus.height_m <= 0.0 {
-            return Err("campus dimensions must be positive".into());
+        for (key, side) in [
+            ("width_m", self.campus.width_m),
+            ("height_m", self.campus.height_m),
+        ] {
+            let ok = side >= MIN_CAMPUS_SIDE_M; // false on NaN
+            if !ok {
+                return Err(format!(
+                    "campus.{key} ({side}) must be at least {MIN_CAMPUS_SIDE_M} m: cell sites keep 10 m from the campus edge"
+                ));
+            }
         }
         if !(0.0..=1.0).contains(&self.campus.concrete_fraction) {
             return Err("campus.concrete_fraction must be in [0, 1]".into());
