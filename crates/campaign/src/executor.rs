@@ -171,6 +171,9 @@ pub struct RunReport {
     pub results: Vec<JobResult>,
     /// The run manifest (jobs, seeds, durations, artifact hashes).
     pub manifest: Manifest,
+    /// Whether every registry job ran (no `only` filter left one out),
+    /// so a golden check can also report goldens no job produced.
+    pub whole_registry: bool,
     /// Total wall time of the run.
     pub wall: Duration,
 }
@@ -398,6 +401,7 @@ pub fn run(registry: &Registry, cfg: &RunConfig, progress: &mut dyn FnMut(&JobEv
     RunReport {
         results,
         manifest,
+        whole_registry: jobs.len() == registry.jobs().len(),
         wall,
     }
 }

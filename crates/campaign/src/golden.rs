@@ -8,11 +8,14 @@
 //! manifest's `json_hash`). `check_run` diffs a fresh
 //! [`crate::RunReport`] against it: any byte or hash difference,
 //! missing pin, or failed job is drift, and the caller exits non-zero.
-//! `write_golden` blesses a run into the same layout.
+//! A run of the whole registry must also account for every pin: a
+//! golden that no job produced is an orphan. `write_golden` blesses a
+//! run into the same layout.
 
 use crate::executor::RunReport;
+use fiveg_obs::json::key_path_at;
 use fiveg_simcore::hash::{fnv1a64, hex64};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -65,6 +68,13 @@ pub enum ArtifactCheck {
         /// Artifact file name.
         name: String,
     },
+    /// A run of the whole registry produced nothing for this pin.
+    Orphan {
+        /// Pinned artifact file name.
+        name: String,
+        /// Whether the pin is a [`HASH_LIST`] line rather than a file.
+        hashed: bool,
+    },
     /// The job failed, so there is nothing to compare.
     JobFailed {
         /// Job name.
@@ -108,6 +118,14 @@ impl ArtifactCheck {
             } => format!("DRIFT   {name}: hash {actual}, pinned {expected} in {HASH_LIST}"),
             ArtifactCheck::MissingGolden { name } => {
                 format!("MISSING {name}: no golden file or hash (bless the run to add it)")
+            }
+            ArtifactCheck::Orphan { name, hashed } => {
+                let pin = if *hashed {
+                    format!("{HASH_LIST} line")
+                } else {
+                    "golden file".to_string()
+                };
+                format!("ORPHAN  {name}: {pin} that no job produced (delete it)")
             }
             ArtifactCheck::JobFailed { name, error } => {
                 format!("FAILED  {name}: job did not produce an artifact: {error}")
@@ -158,80 +176,6 @@ fn first_diff_offset(expected: &str, actual: &str) -> usize {
         .zip(actual.bytes())
         .position(|(e, a)| e != a)
         .unwrap_or_else(|| expected.len().min(actual.len()))
-}
-
-/// The dotted JSON key path enclosing byte `offset` of `src`, assuming
-/// well-formed JSON (which golden artifacts are): `faults[1].impact`,
-/// or empty at top level. A light structural scan, not a full parser —
-/// it only tracks object keys, array indices and string escapes.
-fn json_key_path_at(src: &str, offset: usize) -> String {
-    enum Frame {
-        Object { key: Option<String> },
-        Array { idx: usize },
-    }
-    let bytes = src.as_bytes();
-    let end = offset.min(bytes.len());
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut i = 0;
-    while i < end {
-        match bytes[i] {
-            b'{' => stack.push(Frame::Object { key: None }),
-            b'[' => stack.push(Frame::Array { idx: 0 }),
-            b'}' | b']' => {
-                stack.pop();
-            }
-            b',' => {
-                if let Some(Frame::Array { idx }) = stack.last_mut() {
-                    *idx += 1;
-                }
-            }
-            b'"' => {
-                // Scan the string body, honouring escapes.
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                // A string followed by `:` names the next value.
-                let mut k = j + 1;
-                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                if k < bytes.len() && bytes[k] == b':' {
-                    if let Some(Frame::Object { key }) = stack.last_mut() {
-                        *key = Some(String::from_utf8_lossy(&bytes[start..j]).into_owned());
-                    }
-                }
-                // If the divergence is inside this string, stop before
-                // skipping past it.
-                if j >= end {
-                    break;
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let mut path = String::new();
-    for frame in &stack {
-        match frame {
-            Frame::Object { key: Some(k) } => {
-                if !path.is_empty() {
-                    path.push('.');
-                }
-                path.push_str(k);
-            }
-            Frame::Object { key: None } => {}
-            Frame::Array { idx } => {
-                path.push_str(&format!("[{idx}]"));
-            }
-        }
-    }
-    path
 }
 
 fn first_diff_line(expected: &str, actual: &str) -> (usize, String, String) {
@@ -327,7 +271,7 @@ pub fn check_artifacts(golden_dir: &Path, produced: &[(String, &str)]) -> io::Re
                     name,
                     line,
                     offset,
-                    key: json_key_path_at(&expected, offset),
+                    key: key_path_at(&expected, offset),
                     expected: e,
                     actual: a,
                 }
@@ -352,10 +296,38 @@ pub fn check_artifacts(golden_dir: &Path, produced: &[(String, &str)]) -> io::Re
 }
 
 /// Checks every artifact a run produced (and flags failed jobs) against
-/// `golden_dir`.
+/// `golden_dir`. When the run covered the whole registry, every
+/// `*.json` golden file and [`HASH_LIST`] line that no unit produced is
+/// an [`ArtifactCheck::Orphan`]; a failed unit's pins are not.
 pub fn check_run(golden_dir: &Path, report: &RunReport) -> io::Result<GoldenReport> {
     let (produced, failed) = produced_artifacts(report);
     let mut rep = check_artifacts(golden_dir, &produced)?;
+    if report.whole_registry {
+        let mut claimed: BTreeSet<String> = produced.into_iter().map(|(name, _)| name).collect();
+        for r in report.results.iter().filter(|r| !r.is_ok()) {
+            let stem = r.artifact_stem();
+            claimed.insert(format!("{stem}.json"));
+            claimed.insert(format!("{stem}.trace.json"));
+        }
+        // Files first, then hash lines, each sorted by name.
+        let mut orphans = BTreeSet::new();
+        for entry in fs::read_dir(golden_dir)? {
+            let name = entry?.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".json") && !claimed.contains(&name) {
+                orphans.insert((false, name));
+            }
+        }
+        for name in read_hash_list(golden_dir)?.into_keys() {
+            if !claimed.contains(&name) {
+                orphans.insert((true, name));
+            }
+        }
+        rep.checks.extend(
+            orphans
+                .into_iter()
+                .map(|(hashed, name)| ArtifactCheck::Orphan { name, hashed }),
+        );
+    }
     rep.checks.extend(failed);
     Ok(rep)
 }
@@ -460,20 +432,20 @@ mod tests {
   ]
 }"#;
         let at = src.find("21").unwrap();
-        assert_eq!(json_key_path_at(src, at), "faults[1].impact");
+        assert_eq!(key_path_at(src, at), "faults[1].impact");
         let at = src.find('1').unwrap();
-        assert_eq!(json_key_path_at(src, at), "top");
-        assert_eq!(json_key_path_at(src, 0), "");
+        assert_eq!(key_path_at(src, at), "top");
+        assert_eq!(key_path_at(src, 0), "");
     }
 
     #[test]
     fn key_path_survives_escapes_and_strings_with_braces() {
         let src = r#"{ "a": "not { a key", "b": "esc \" quote", "c": 5 }"#;
         let at = src.find('5').unwrap();
-        assert_eq!(json_key_path_at(src, at), "c");
+        assert_eq!(key_path_at(src, at), "c");
         // Divergence inside a string value names that value's key.
         let at = src.find("quote").unwrap();
-        assert_eq!(json_key_path_at(src, at), "b");
+        assert_eq!(key_path_at(src, at), "b");
     }
 
     #[test]
@@ -600,6 +572,16 @@ mod tests {
         fs::write(dir.join(HASH_LIST), keep).unwrap();
         let small = one_job_run("art", "{\"v\": 1}".into(), false);
         let big = one_job_run("art", big_json(), false);
+        // The one-job registry is the whole registry, so the kept line,
+        // which no job produced, is an orphan, and nothing else fails.
+        let only_keep_orphaned = |rep: GoldenReport| {
+            let failing: Vec<_> = rep.checks.into_iter().filter(|c| !c.is_ok()).collect();
+            failing
+                == [ArtifactCheck::Orphan {
+                    name: "keep.json".into(),
+                    hashed: true,
+                }]
+        };
 
         write_golden(&dir, &big).unwrap();
         assert!(!dir.join("art.json").exists());
@@ -609,7 +591,7 @@ mod tests {
             list.starts_with("art.json ") && list.ends_with(keep),
             "{list}"
         );
-        assert!(check_run(&dir, &big).unwrap().ok());
+        assert!(only_keep_orphaned(check_run(&dir, &big).unwrap()));
 
         write_golden(&dir, &small).unwrap();
         assert_eq!(
@@ -617,7 +599,7 @@ mod tests {
             "{\"v\": 1}"
         );
         assert_eq!(fs::read_to_string(dir.join(HASH_LIST)).unwrap(), keep);
-        assert!(check_run(&dir, &small).unwrap().ok());
+        assert!(only_keep_orphaned(check_run(&dir, &small).unwrap()));
         // The big run now drifts against the file, located by byte.
         assert!(matches!(
             check_run(&dir, &big).unwrap().checks[0],
@@ -658,6 +640,36 @@ mod tests {
             }
             other => panic!("expected sidecar drift, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn orphans_fail_a_whole_registry_check_only() {
+        let dir = tempdir("orphans");
+        let mut reg = crate::Registry::new();
+        reg.register(Fixed("art", "{}".into()));
+        reg.register(crate::FnJob::new("broken", "test", |_| Err("boom".into())));
+        let whole = crate::run(&reg, &crate::RunConfig::new(1), &mut |_| {});
+        write_golden(&dir, &whole).unwrap();
+        fs::write(dir.join("broken.json"), "{}").unwrap();
+        fs::write(dir.join("fig99.json"), "{}").unwrap();
+        fs::write(dir.join(HASH_LIST), "fig98.json 0123456789abcdef\n").unwrap();
+
+        let rep = check_run(&dir, &whole).unwrap();
+        let failing: Vec<String> = rep
+            .checks
+            .iter()
+            .filter(|c| !c.is_ok())
+            .map(ArtifactCheck::describe)
+            .collect();
+        // A failed job's golden is not an orphan: the job is reported.
+        assert_eq!(failing.len(), 3, "{}", rep.summary());
+        assert!(failing[0].starts_with("ORPHAN  fig99.json: golden file that no job"));
+        assert!(failing[1].starts_with("ORPHAN  fig98.json: json_hash.txt line that no job"));
+        assert!(failing[2].starts_with("FAILED  broken"));
+
+        let only = crate::run(&reg, &crate::RunConfig::new(1).only("art"), &mut |_| {});
+        assert!(check_run(&dir, &only).unwrap().ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

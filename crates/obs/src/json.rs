@@ -1,14 +1,19 @@
-//! A minimal JSON reader.
+//! A minimal JSON reader, plus the string escaper and key-path locator
+//! that go with it.
 //!
 //! The workspace's vendored `serde_json` subset is write-only, but the
 //! benchmark-regression gate must *read* committed baselines
 //! (`golden/bench-baseline.json`) back. This module parses the small,
 //! machine-written JSON this workspace itself emits: objects, arrays,
 //! strings, integers, floats, booleans and null. It is strict about
-//! structure (trailing garbage is an error) and keeps object keys in a
-//! sorted map, matching the writer's stable ordering.
+//! structure (trailing garbage and duplicate keys are errors) and keeps
+//! object keys in a sorted map, matching the writer's stable ordering.
+//! Parsed values carry no source offsets; [`key_path_offset`] and
+//! [`key_path_at`] map between a value's dotted key path and its place
+//! in the text.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +30,7 @@ pub enum JsonValue {
     Str(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object; keys sorted (duplicate keys: last wins).
+    /// An object; keys sorted (a duplicate key is a parse error).
     Object(BTreeMap<String, JsonValue>),
 }
 
@@ -168,7 +173,14 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return Err(JsonError {
+                    offset: key_at,
+                    message: format!("duplicate key `{key}`"),
+                });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -310,6 +322,146 @@ fn unsafe_free_utf8_prefix(bytes: &[u8]) -> &str {
     }
 }
 
+/// Escapes a string's characters into `out` (no surrounding quotes).
+pub fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// One container enclosing a position in a JSON text.
+enum Frame {
+    /// An object, with the key of the member being read.
+    Object(Option<String>),
+    /// An array, with the index of the element being read.
+    Array(usize),
+}
+
+/// Walks well-formed JSON `src` up to byte `end`, keeping the stack of
+/// containers that enclose the position. `at_value(pos, stack)` runs at
+/// each byte offset where a member or element value may start (just
+/// past `:`, `[` or an array's `,`); the walk stops when it returns
+/// true. A light structural scan, not a parser: it tracks only object
+/// keys, array indices and string escapes.
+fn walk(src: &str, end: usize, mut at_value: impl FnMut(usize, &[Frame]) -> bool) -> Vec<Frame> {
+    let bytes = src.as_bytes();
+    let end = end.min(bytes.len());
+    let mut stack = Vec::new();
+    let mut i = 0;
+    while i < end {
+        let value_next = match bytes[i] {
+            b'{' => {
+                stack.push(Frame::Object(None));
+                false
+            }
+            b'[' => {
+                stack.push(Frame::Array(0));
+                true
+            }
+            b'}' | b']' => {
+                stack.pop();
+                false
+            }
+            b',' => match stack.last_mut() {
+                Some(Frame::Array(idx)) => {
+                    *idx += 1;
+                    true
+                }
+                _ => false,
+            },
+            b':' => true,
+            b'"' => {
+                // Scan the string body, honouring escapes.
+                let start = i + 1;
+                let mut j = start;
+                while j < bytes.len() && bytes[j] != b'"' {
+                    if bytes[j] == b'\\' {
+                        j += 1;
+                    }
+                    j += 1;
+                }
+                // A string followed by `:` names the next value.
+                let mut k = j + 1;
+                while k < bytes.len() && bytes[k].is_ascii_whitespace() {
+                    k += 1;
+                }
+                if bytes.get(k) == Some(&b':') {
+                    if let Some(Frame::Object(key)) = stack.last_mut() {
+                        *key = Some(String::from_utf8_lossy(&bytes[start..j]).into_owned());
+                    }
+                }
+                // A position inside this string stops the walk here.
+                if j >= end {
+                    break;
+                }
+                i = j;
+                false
+            }
+            _ => false,
+        };
+        i += 1;
+        if value_next && at_value(i, &stack) {
+            break;
+        }
+    }
+    stack
+}
+
+/// Renders a container stack as a dotted key path.
+fn render(stack: &[Frame]) -> String {
+    let mut path = String::new();
+    for frame in stack {
+        match frame {
+            Frame::Object(Some(k)) => {
+                if !path.is_empty() {
+                    path.push('.');
+                }
+                path.push_str(k);
+            }
+            Frame::Object(None) => {}
+            Frame::Array(idx) => {
+                let _ = write!(path, "[{idx}]");
+            }
+        }
+    }
+    path
+}
+
+/// The dotted key path enclosing byte `offset` of well-formed JSON
+/// `src`: `faults[1].impact`, or empty at top level.
+pub fn key_path_at(src: &str, offset: usize) -> String {
+    render(&walk(src, offset, |_, _| false))
+}
+
+/// Byte offset where the first value at dotted key path `path` (as
+/// [`key_path_at`] renders it, e.g. `workload.groups[1].count`) starts
+/// in well-formed JSON `src`; `None` when no value has that path.
+pub fn key_path_offset(src: &str, path: &str) -> Option<usize> {
+    let mut found = None;
+    walk(src, src.len(), |pos, stack| {
+        if render(stack) != path {
+            return false;
+        }
+        let ws = src.as_bytes()[pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_whitespace())
+            .count();
+        found = Some(pos + ws);
+        true
+    });
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,5 +525,24 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn key_path_offset_finds_the_value_of_that_path_only() {
+        let src = r#"{
+  "count": 0,
+  "groups": [
+    { "name": "a", "count": 12 },
+    { "name": "count", "count": 6 }
+  ]
+}"#;
+        let at = key_path_offset(src, "groups[1].count").unwrap();
+        assert!(src[at..].starts_with("6 }"), "{}", &src[at..]);
+        assert_eq!(key_path_at(src, at), "groups[1].count");
+        let at = key_path_offset(src, "groups[1]").unwrap();
+        assert!(src[at..].starts_with("{ \"name\": \"count\""));
+        assert!(src[key_path_offset(src, "count").unwrap()..].starts_with("0,"));
+        assert_eq!(key_path_offset(src, "groups[2].count"), None);
+        assert_eq!(key_path_offset(src, "name"), None);
     }
 }

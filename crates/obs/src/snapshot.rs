@@ -12,6 +12,7 @@
 //! so equal snapshots produce equal bytes — the property the determinism
 //! CI stage relies on.
 
+use crate::json::escape_into;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -184,23 +185,6 @@ fn write_key(out: &mut String, key: &str) {
     out.push('"');
     escape_into(out, key);
     out.push_str("\":");
-}
-
-/// Escapes a string's characters into `out` (no surrounding quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 fn write_u64_map(out: &mut String, section: &str, map: &BTreeMap<String, u64>) {

@@ -46,13 +46,17 @@ fn truncated_u_escape_is_reported_as_such() {
 }
 
 #[test]
-fn duplicate_keys_last_wins() {
-    // The writers never emit duplicates; if a hand-edited baseline
-    // does, the documented contract is last-wins, deterministically.
-    let v = parse_json(r#"{"a": 1, "b": 2, "a": 3}"#).expect("parses");
-    assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(3));
-    assert_eq!(v.get("b").and_then(JsonValue::as_u64), Some(2));
-    assert_eq!(v.as_object().map(std::collections::BTreeMap::len), Some(2));
+fn duplicate_keys_are_rejected() {
+    // The writers never emit duplicates, so a repeated key is a
+    // hand-edit that would otherwise silently drop one value. The
+    // error points at the second occurrence, at any depth.
+    let e = parse_json(r#"{"a": 1, "b": 2, "a": 3}"#).expect_err("duplicate");
+    assert_eq!(e.offset, 17, "{e}");
+    assert!(e.message.contains("duplicate key `a`"), "{e}");
+    assert_eq!(err_at(r#"[{"x": {"y": 1, "y": 2}}]"#), 16);
+    // The same key in sibling objects is fine.
+    let v = parse_json(r#"[{"a": 1}, {"a": 2}]"#).expect("siblings");
+    assert!(matches!(v, JsonValue::Array(ref items) if items.len() == 2));
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //! are always semantic. Emission is total (no panics) and round-trip
 //! stable: `emit(parse(emit(s))) == emit(s)`.
 
+use fiveg_obs::json::escape_into;
+
 use crate::spec::{
     AppSpec, ArrivalSpec, FaultSpec, MobilitySpec, ScenarioSpec, SurveySpec, UeGroupSpec,
     WorkloadSpec,
@@ -67,23 +69,11 @@ impl Emitter {
     }
 }
 
-/// JSON string literal with the escapes the `fiveg-obs` reader accepts.
+/// JSON string literal, escaped by the `fiveg-obs` writer.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out.push('"');
     out
 }

@@ -8,15 +8,18 @@
 //! of the scenario file rather than a Rust backtrace.
 //!
 //! The `fiveg-obs` reader keeps object keys in a sorted map without
-//! source offsets, so locations for semantic errors are recovered by
-//! scanning the source text for the key token (`"key"` followed by
-//! `:`). Structural errors carry exact byte offsets already.
+//! source offsets, so a semantic error names the dotted key path of
+//! the offending value (`workload.groups[1].count`) and its line is
+//! recovered from that path ([`fiveg_obs::json::key_path_offset`]).
+//! Structural errors, duplicate keys included, carry exact byte
+//! offsets already.
 
 use crate::spec::{
     AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, FaultSpec, FleetSpec, LoadSpec, MobilitySpec,
     Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec, VideoRes,
     WebCategory, WorkloadSpec,
 };
+use fiveg_obs::json::key_path_offset;
 use fiveg_obs::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 
@@ -25,26 +28,32 @@ use std::collections::BTreeMap;
 pub struct ScenarioError {
     /// File the scenario came from (display name, as given).
     pub file: String,
-    /// 1-based line of the offending token (0 = unknown).
+    /// 1-based line of the offending value (0 = unknown).
     pub line: usize,
+    /// Dotted key path of the offending value or object
+    /// (`workload.groups[1].count`); empty at top level.
+    pub path: String,
     /// What went wrong.
     pub message: String,
 }
 
 impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.file)?;
         if self.line > 0 {
-            write!(f, "{}:{}: {}", self.file, self.line, self.message)
-        } else {
-            write!(f, "{}: {}", self.file, self.message)
+            write!(f, ":{}", self.line)?;
         }
+        if !self.path.is_empty() {
+            write!(f, ": {}", self.path)?;
+        }
+        write!(f, ": {}", self.message)
     }
 }
 
 impl std::error::Error for ScenarioError {}
 
 /// 1-based line number of a byte offset in `src`.
-fn line_of_offset(src: &str, offset: usize) -> usize {
+pub(crate) fn line_of_offset(src: &str, offset: usize) -> usize {
     let upto = offset.min(src.len());
     1 + src.as_bytes()[..upto]
         .iter()
@@ -52,48 +61,48 @@ fn line_of_offset(src: &str, offset: usize) -> usize {
         .count()
 }
 
-/// Best-effort 1-based line of the JSON key `key` in `src`: the first
-/// `"key"` token whose next non-whitespace byte is `:`. Falls back to
-/// 0 (unknown) when the key cannot be located.
-fn line_of_key(src: &str, key: &str) -> usize {
-    let needle = format!("\"{key}\"");
-    let bytes = src.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = src[from..].find(&needle) {
-        let at = from + rel;
-        let mut after = at + needle.len();
-        while after < bytes.len() && bytes[after].is_ascii_whitespace() {
-            after += 1;
-        }
-        if bytes.get(after) == Some(&b':') {
-            return line_of_offset(src, at);
-        }
-        from = at + needle.len();
-    }
-    0
-}
-
-/// Shared parse context: the raw source for location recovery.
+/// Shared parse context: the raw source for location recovery, and the
+/// key path of the value being parsed.
 struct Ctx<'a> {
     src: &'a str,
     file: &'a str,
+    path: String,
 }
 
-impl Ctx<'_> {
-    fn err_at_key(&self, key: &str, message: String) -> ScenarioError {
+impl<'a> Ctx<'a> {
+    /// The context of member `key` of this object.
+    fn child(&self, key: &str) -> Ctx<'a> {
+        let path = if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        };
+        Ctx { path, ..*self }
+    }
+
+    /// The context of element `i` of this array.
+    fn item(&self, i: usize) -> Ctx<'a> {
+        Ctx {
+            path: format!("{}[{i}]", self.path),
+            ..*self
+        }
+    }
+
+    /// An error at this context's value, on its line when the path is
+    /// found in the source.
+    fn err(&self, message: String) -> ScenarioError {
         ScenarioError {
             file: self.file.to_string(),
-            line: line_of_key(self.src, key),
+            line: key_path_offset(self.src, &self.path)
+                .map_or(0, |at| line_of_offset(self.src, at)),
+            path: self.path.clone(),
             message,
         }
     }
 
-    fn err(&self, message: String) -> ScenarioError {
-        ScenarioError {
-            file: self.file.to_string(),
-            line: 0,
-            message,
-        }
+    /// An error at member `key` of this object.
+    fn err_at_key(&self, key: &str, message: String) -> ScenarioError {
+        self.child(key).err(message)
     }
 
     /// Rejects keys of `map` not in `allowed` — the strictness rule.
@@ -121,10 +130,9 @@ impl Ctx<'_> {
         &self,
         v: &'v JsonValue,
         what: &str,
-        key: &str,
     ) -> Result<&'v BTreeMap<String, JsonValue>, ScenarioError> {
         v.as_object()
-            .ok_or_else(|| self.err_at_key(key, format!("{what} must be a JSON object")))
+            .ok_or_else(|| self.err(format!("{what} must be a JSON object")))
     }
 
     fn str_field(
@@ -239,7 +247,7 @@ impl Ctx<'_> {
 }
 
 fn parse_campus(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CampusSpec, ScenarioError> {
-    let map = ctx.obj(v, "`campus`", "campus")?;
+    let map = ctx.obj(v, "`campus`")?;
     ctx.check_keys(
         map,
         &[
@@ -262,7 +270,7 @@ fn parse_campus(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CampusSpec, ScenarioErro
 }
 
 fn parse_city(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CityDslSpec, ScenarioError> {
-    let map = ctx.obj(v, "`city`", "city")?;
+    let map = ctx.obj(v, "`city`")?;
     ctx.check_keys(
         map,
         &[
@@ -295,7 +303,7 @@ fn parse_city(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CityDslSpec, ScenarioError
 }
 
 fn parse_trace(ctx: &Ctx<'_>, v: &JsonValue) -> Result<TraceDslSpec, ScenarioError> {
-    let map = ctx.obj(v, "`trace`", "trace")?;
+    let map = ctx.obj(v, "`trace`")?;
     ctx.check_keys(map, &["sample", "ring", "categories"], "`trace`")?;
     let d = TraceDslSpec::default();
     let categories = match map.get("categories") {
@@ -330,7 +338,7 @@ fn parse_trace(ctx: &Ctx<'_>, v: &JsonValue) -> Result<TraceDslSpec, ScenarioErr
 }
 
 fn parse_loads(ctx: &Ctx<'_>, v: &JsonValue) -> Result<LoadSpec, ScenarioError> {
-    let map = ctx.obj(v, "`loads`", "loads")?;
+    let map = ctx.obj(v, "`loads`")?;
     ctx.check_keys(map, &["period", "lte", "nr"], "`loads`")?;
     let period = match self_or_default(ctx.str_field(map, "period")?, "day").as_str() {
         "day" => Period::Day,
@@ -354,7 +362,7 @@ fn self_or_default(v: Option<String>, default: &str) -> String {
 }
 
 fn parse_mobility(ctx: &Ctx<'_>, v: &JsonValue) -> Result<MobilitySpec, ScenarioError> {
-    let map = ctx.obj(v, "`mobility`", "mobility")?;
+    let map = ctx.obj(v, "`mobility`")?;
     let model = ctx.req_str(map, "model", "`mobility`")?;
     match model.as_str() {
         "static" => {
@@ -392,7 +400,7 @@ fn parse_mobility(ctx: &Ctx<'_>, v: &JsonValue) -> Result<MobilitySpec, Scenario
 }
 
 fn parse_arrival(ctx: &Ctx<'_>, v: &JsonValue) -> Result<ArrivalSpec, ScenarioError> {
-    let map = ctx.obj(v, "`arrival`", "arrival")?;
+    let map = ctx.obj(v, "`arrival`")?;
     let process = ctx.req_str(map, "process", "`arrival`")?;
     match process.as_str() {
         "steady" => {
@@ -424,7 +432,7 @@ fn parse_arrival(ctx: &Ctx<'_>, v: &JsonValue) -> Result<ArrivalSpec, ScenarioEr
 }
 
 fn parse_app(ctx: &Ctx<'_>, v: &JsonValue) -> Result<AppSpec, ScenarioError> {
-    let map = ctx.obj(v, "`app`", "app")?;
+    let map = ctx.obj(v, "`app`")?;
     let kind = ctx.req_str(map, "kind", "`app`")?;
     match kind.as_str() {
         "bulk" => {
@@ -489,7 +497,7 @@ fn parse_app(ctx: &Ctx<'_>, v: &JsonValue) -> Result<AppSpec, ScenarioError> {
 }
 
 fn parse_group(ctx: &Ctx<'_>, v: &JsonValue) -> Result<UeGroupSpec, ScenarioError> {
-    let map = ctx.obj(v, "fleet group", "groups")?;
+    let map = ctx.obj(v, "fleet group")?;
     ctx.check_keys(
         map,
         &["name", "count", "tech", "mobility", "arrival", "app"],
@@ -507,18 +515,18 @@ fn parse_group(ctx: &Ctx<'_>, v: &JsonValue) -> Result<UeGroupSpec, ScenarioErro
         }
     };
     let mobility = match map.get("mobility") {
-        Some(v) => parse_mobility(ctx, v)?,
+        Some(v) => parse_mobility(&ctx.child("mobility"), v)?,
         None => MobilitySpec::Waypoint {
             speed_min_kmh: 3.0,
             speed_max_kmh: 10.0,
         },
     };
     let arrival = match map.get("arrival") {
-        Some(v) => parse_arrival(ctx, v)?,
+        Some(v) => parse_arrival(&ctx.child("arrival"), v)?,
         None => ArrivalSpec::Steady,
     };
     let app = match map.get("app") {
-        Some(v) => parse_app(ctx, v)?,
+        Some(v) => parse_app(&ctx.child("app"), v)?,
         None => AppSpec::Bulk,
     };
     Ok(UeGroupSpec {
@@ -532,7 +540,7 @@ fn parse_group(ctx: &Ctx<'_>, v: &JsonValue) -> Result<UeGroupSpec, ScenarioErro
 }
 
 fn parse_workload(ctx: &Ctx<'_>, v: &JsonValue) -> Result<WorkloadSpec, ScenarioError> {
-    let map = ctx.obj(v, "`workload`", "workload")?;
+    let map = ctx.obj(v, "`workload`")?;
     let kind = ctx.req_str(map, "kind", "`workload`")?;
     match kind.as_str() {
         "survey" => {
@@ -559,9 +567,10 @@ fn parse_workload(ctx: &Ctx<'_>, v: &JsonValue) -> Result<WorkloadSpec, Scenario
             let JsonValue::Array(items) = groups_v else {
                 return Err(ctx.err_at_key("groups", "`groups` must be an array".to_string()));
             };
+            let groups_ctx = ctx.child("groups");
             let mut groups = Vec::with_capacity(items.len());
-            for item in items {
-                groups.push(parse_group(ctx, item)?);
+            for (i, item) in items.iter().enumerate() {
+                groups.push(parse_group(&groups_ctx.item(i), item)?);
             }
             Ok(WorkloadSpec::Fleet(FleetSpec {
                 duration_s: ctx.u64_or(map, "duration_s", 120)?,
@@ -577,7 +586,7 @@ fn parse_workload(ctx: &Ctx<'_>, v: &JsonValue) -> Result<WorkloadSpec, Scenario
 }
 
 fn parse_fault(ctx: &Ctx<'_>, v: &JsonValue, idx: usize) -> Result<FaultSpec, ScenarioError> {
-    let map = ctx.obj(v, "fault event", "faults")?;
+    let map = ctx.obj(v, "fault event")?;
     let what = format!("fault[{idx}]");
     let kind = ctx.req_str(map, "kind", &what)?;
     let start_s = ctx.req_f64(map, "start_s", &what)?;
@@ -638,13 +647,19 @@ fn parse_fault(ctx: &Ctx<'_>, v: &JsonValue, idx: usize) -> Result<FaultSpec, Sc
 }
 
 /// Parses a scenario from an already-parsed JSON value. `src`/`file`
-/// feed error locations.
+/// feed error locations, and `path` is the key path of `v` in `src`
+/// (empty for a whole scenario file).
 pub fn scenario_from_value(
     v: &JsonValue,
     src: &str,
     file: &str,
+    path: &str,
 ) -> Result<ScenarioSpec, ScenarioError> {
-    let ctx = Ctx { src, file };
+    let ctx = Ctx {
+        src,
+        file,
+        path: path.to_string(),
+    };
     let map = v
         .as_object()
         .ok_or_else(|| ctx.err("scenario file must be a JSON object".into()))?;
@@ -665,31 +680,32 @@ pub fn scenario_from_value(
     let name = ctx.req_str(map, "name", "scenario")?;
     let description = self_or_default(ctx.str_field(map, "description")?, "");
     let campus = match map.get("campus") {
-        Some(v) => parse_campus(&ctx, v)?,
+        Some(v) => parse_campus(&ctx.child("campus"), v)?,
         None => CampusSpec::default(),
     };
     let city = match map.get("city") {
-        Some(v) => Some(parse_city(&ctx, v)?),
+        Some(v) => Some(parse_city(&ctx.child("city"), v)?),
         None => None,
     };
     let trace = match map.get("trace") {
-        Some(v) => Some(parse_trace(&ctx, v)?),
+        Some(v) => Some(parse_trace(&ctx.child("trace"), v)?),
         None => None,
     };
     let loads = match map.get("loads") {
-        Some(v) => parse_loads(&ctx, v)?,
+        Some(v) => parse_loads(&ctx.child("loads"), v)?,
         None => LoadSpec::default(),
     };
     let workload_v = map
         .get("workload")
         .ok_or_else(|| ctx.err("scenario is missing required key `workload`".into()))?;
-    let workload = parse_workload(&ctx, workload_v)?;
+    let workload = parse_workload(&ctx.child("workload"), workload_v)?;
     let faults = match map.get("faults") {
         None => Vec::new(),
         Some(JsonValue::Array(items)) => {
+            let faults_ctx = ctx.child("faults");
             let mut faults = Vec::with_capacity(items.len());
             for (i, item) in items.iter().enumerate() {
-                faults.push(parse_fault(&ctx, item, i)?);
+                faults.push(parse_fault(&faults_ctx.item(i), item, i)?);
             }
             faults
         }
@@ -716,9 +732,10 @@ pub fn parse_scenario(src: &str, file: &str) -> Result<ScenarioSpec, ScenarioErr
     let v = parse_json(src).map_err(|e| ScenarioError {
         file: file.to_string(),
         line: line_of_offset(src, e.offset),
+        path: String::new(),
         message: e.message,
     })?;
-    scenario_from_value(&v, src, file)
+    scenario_from_value(&v, src, file, "")
 }
 
 #[cfg(test)]
@@ -860,11 +877,26 @@ mod tests {
     }
 
     #[test]
-    fn line_of_key_skips_string_values() {
-        // "survey" appears as a *value* before any key occurrence; the
-        // locator must only match `"key":` shapes.
-        let src = "{\n  \"a\": \"survey\",\n  \"survey\": 1\n}";
-        assert_eq!(line_of_key(src, "survey"), 3);
-        assert_eq!(line_of_key(src, "missing"), 0);
+    fn errors_name_the_key_path_and_its_line() {
+        // Three groups, each with a `count`; break the second one.
+        let src = include_str!("../../../golden/scenarios/outage-demo.json");
+        let bad = src.replacen("\"count\": 6,", "\"count\": \"six\",", 1);
+        assert_ne!(bad, src);
+        let e = parse_scenario(&bad, "outage-demo.json").unwrap_err();
+        assert_eq!(e.path, "workload.groups[1].count", "{e}");
+        assert_eq!(e.line, 37, "{e}");
+        assert_eq!(
+            e.to_string(),
+            "outage-demo.json:37: workload.groups[1].count: \
+             `count` must be a non-negative integer"
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_with_their_line() {
+        let src = "{\n  \"name\": \"x\",\n  \"campus\": { \"width_m\": 500,\n    \"width_m\": 600 },\n  \"workload\": { \"kind\": \"survey\" }\n}";
+        let e = parse_scenario(src, "dup.json").unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("duplicate key `width_m`"), "{e}");
     }
 }

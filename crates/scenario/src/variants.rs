@@ -20,7 +20,7 @@
 //! seed. Expansion is pure data → data; `scen expand` writes each
 //! variant as a canonical scenario file.
 
-use crate::parse::{scenario_from_value, ScenarioError};
+use crate::parse::{line_of_offset, scenario_from_value, ScenarioError};
 use crate::spec::{ScenarioSpec, SurveySpec, WorkloadSpec};
 use fiveg_obs::{parse_json, JsonValue};
 
@@ -218,14 +218,13 @@ pub fn parse_family(src: &str, file: &str) -> Result<FamilySpec, ScenarioError> 
     let err = |message: String| ScenarioError {
         file: file.to_string(),
         line: 0,
+        path: String::new(),
         message,
     };
     let v = parse_json(src).map_err(|e| ScenarioError {
         file: file.to_string(),
-        line: 1 + src.as_bytes()[..e.offset.min(src.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count(),
+        line: line_of_offset(src, e.offset),
+        path: String::new(),
         message: e.message,
     })?;
     let map = v
@@ -241,7 +240,7 @@ pub fn parse_family(src: &str, file: &str) -> Result<FamilySpec, ScenarioError> 
     let base_v = map
         .get("base")
         .ok_or_else(|| err("family file is missing required key `base`".into()))?;
-    let base = scenario_from_value(base_v, src, file)?;
+    let base = scenario_from_value(base_v, src, file, "base")?;
     let axes_v = map
         .get("axes")
         .ok_or_else(|| err("family file is missing required key `axes`".into()))?;

@@ -13,11 +13,16 @@
 //! sojourn times (the paper's Fig. 8-style analysis). `chrome`
 //! converts a span-timer self-profile (`{stem}.trace.spans.json`)
 //! into chrome://tracing trace-event JSON.
+//!
+//! Bad input exits 2 with a message naming the file. Output stops at
+//! the first failed write; a closed pipe (`trace dump | head`) is not
+//! an error.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-use fiveg_obs::JsonValue;
-use fiveg_trace::{decode, ColType, Column, Group, Row, KIND_NAMES, NO_UE};
+use fiveg_obs::json::{escape_into, JsonValue};
+use fiveg_trace::{decode, Group, Row, COLUMNS, KINDS, NO_UE};
 
 const USAGE: &str = "usage:
   trace dump  <stem>[.trace.bin] [--kind NAME] [--ue N] [--group NAME] [--from SEC] [--to SEC] [--limit N]
@@ -32,17 +37,42 @@ fn main() -> ExitCode {
         Some((c, r)) => (c.as_str(), r),
         None => return usage_err("missing subcommand"),
     };
+    let out = &mut io::stdout().lock();
     let res = match cmd {
-        "dump" => cmd_dump(rest),
-        "stats" => cmd_stats(rest),
-        "chrome" => cmd_chrome(rest),
+        "dump" => cmd_dump(rest, out),
+        "stats" => cmd_stats(rest, out),
+        "chrome" => cmd_chrome(rest, out),
         _ => return usage_err(&format!("unknown subcommand `{cmd}`")),
     };
     match res {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) | Err(Fail::Closed) => ExitCode::SUCCESS,
+        Err(Fail::Msg(e)) => {
             eprintln!("trace: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+/// Why a command stopped early.
+enum Fail {
+    /// Bad arguments or input; the message names the file.
+    Msg(String),
+    /// Stdout's reader went away.
+    Closed,
+}
+
+impl From<String> for Fail {
+    fn from(msg: String) -> Fail {
+        Fail::Msg(msg)
+    }
+}
+
+impl From<io::Error> for Fail {
+    fn from(e: io::Error) -> Fail {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Fail::Closed
+        } else {
+            Fail::Msg(format!("stdout: {e}"))
         }
     }
 }
@@ -68,25 +98,15 @@ fn stem_paths(arg: &str) -> (String, String) {
 fn load(arg: &str) -> Result<Loaded, String> {
     let (bin_path, side_path) = stem_paths(arg);
     let bin = std::fs::read(&bin_path).map_err(|e| format!("{bin_path}: {e}"))?;
+    let rows = decode(&bin).map_err(|e| format!("{bin_path}: {e}"))?;
     let side_text = std::fs::read_to_string(&side_path).map_err(|e| format!("{side_path}: {e}"))?;
     let side = fiveg_obs::parse_json(&side_text).map_err(|e| format!("{side_path}: {e}"))?;
-    let columns = sidecar_columns(&side).ok_or_else(|| format!("{side_path}: bad `columns`"))?;
-    let table = decode(&bin, &columns).map_err(|e| format!("{bin_path}: {e}"))?;
-    let rows = table
-        .rows
-        .iter()
-        .map(|r| Row {
-            t_ns: r[0],
-            origin: r[1] as u32,
-            seq: r[2] as u32,
-            kind: r[3] as u8,
-            ue: r[4] as u32,
-            a: r[5] as u32,
-            b: r[6] as u32,
-            v0: f64::from_bits(r[7]),
-            v1: f64::from_bits(r[8]),
-        })
-        .collect();
+    if !columns_match(&side) {
+        return Err(format!(
+            "{side_path}: `columns` is not the trace row layout ({})",
+            COLUMNS.map(|(name, ty)| format!("{name}: {ty}")).join(", ")
+        ));
+    }
     let groups = side
         .get("groups")
         .and_then(|g| match g {
@@ -118,22 +138,20 @@ fn load(arg: &str) -> Result<Loaded, String> {
     })
 }
 
-fn sidecar_columns(side: &JsonValue) -> Option<Vec<Column>> {
-    let JsonValue::Array(cols) = side.get("columns")? else {
-        return None;
+/// Whether the sidecar's `columns` list is [`COLUMNS`].
+fn columns_match(side: &JsonValue) -> bool {
+    let Some(JsonValue::Array(cols)) = side.get("columns") else {
+        return false;
     };
-    cols.iter()
-        .map(|c| {
-            Some(Column {
-                name: c.get("name")?.as_str()?.to_string(),
-                ty: ColType::from_name(c.get("ty")?.as_str()?)?,
-            })
+    cols.len() == COLUMNS.len()
+        && cols.iter().zip(COLUMNS).all(|(c, (name, ty))| {
+            c.get("name").and_then(JsonValue::as_str) == Some(name)
+                && c.get("ty").and_then(JsonValue::as_str) == Some(ty)
         })
-        .collect()
 }
 
 fn kind_name(kind: u8) -> &'static str {
-    KIND_NAMES.get(kind as usize).copied().unwrap_or("?")
+    KINDS.get(kind as usize).map_or("?", |k| k.0)
 }
 
 fn secs(t_ns: u64) -> f64 {
@@ -158,10 +176,10 @@ struct DumpFilter {
     limit: usize,
 }
 
-fn cmd_dump(rest: &[String]) -> Result<(), String> {
+fn cmd_dump(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
     let (target, mut it) = match rest.split_first() {
         Some((t, r)) => (t, r.iter()),
-        None => return Err(format!("dump: missing <stem>\n{USAGE}")),
+        None => return Err(format!("dump: missing <stem>\n{USAGE}").into()),
     };
     let mut f = DumpFilter {
         kind: None,
@@ -180,22 +198,22 @@ fn cmd_dump(rest: &[String]) -> Result<(), String> {
         match flag.as_str() {
             "--kind" => {
                 let v = val("--kind")?;
-                let k = KIND_NAMES.iter().position(|n| *n == v);
+                let k = KINDS.iter().position(|(n, _)| *n == v);
                 f.kind = Some(k.ok_or_else(|| format!("dump: unknown kind `{v}`"))? as u8);
             }
             "--ue" => f.ue = Some(parse_num(&val("--ue")?, "--ue")?),
             "--group" => f.group = Some(val("--group")?),
-            "--from" => f.from_s = parse_f64(&val("--from")?, "--from")?,
-            "--to" => f.to_s = parse_f64(&val("--to")?, "--to")?,
+            "--from" => f.from_s = parse_num(&val("--from")?, "--from")?,
+            "--to" => f.to_s = parse_num(&val("--to")?, "--to")?,
             "--limit" => f.limit = parse_num::<usize>(&val("--limit")?, "--limit")?,
-            other => return Err(format!("dump: unknown flag `{other}`\n{USAGE}")),
+            other => return Err(format!("dump: unknown flag `{other}`\n{USAGE}").into()),
         }
     }
     let loaded = load(target)?;
     let mut shown = 0usize;
     for r in &loaded.rows {
         if shown >= f.limit {
-            println!("... (limit {} reached)", f.limit);
+            writeln!(out, "... (limit {} reached)", f.limit)?;
             break;
         }
         if f.kind.is_some_and(|k| k != r.kind) || f.ue.is_some_and(|u| u != r.ue) {
@@ -210,17 +228,13 @@ fn cmd_dump(rest: &[String]) -> Result<(), String> {
                 continue;
             }
         }
-        println!("{}", render(r, &loaded.groups));
+        writeln!(out, "{}", render(r, &loaded.groups))?;
         shown += 1;
     }
     Ok(())
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("dump: bad {flag} `{s}`"))
-}
-
-fn parse_f64(s: &str, flag: &str) -> Result<f64, String> {
     s.parse().map_err(|_| format!("dump: bad {flag} `{s}`"))
 }
 
@@ -267,17 +281,18 @@ fn render(r: &Row, groups: &[Group]) -> String {
 
 // ------------------------------------------------------------- stats
 
-fn cmd_stats(rest: &[String]) -> Result<(), String> {
+fn cmd_stats(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
     let target = rest
         .first()
         .ok_or_else(|| format!("stats: missing <stem>\n{USAGE}"))?;
     let loaded = load(target)?;
-    println!(
+    writeln!(
+        out,
         "mode {}  sample 1/{}  rows {}",
         loaded.mode,
         loaded.sample,
         loaded.rows.len()
-    );
+    )?;
     let mut counts = [0u64; 9];
     let (mut t_min, mut t_max) = (u64::MAX, 0u64);
     for r in &loaded.rows {
@@ -288,21 +303,20 @@ fn cmd_stats(rest: &[String]) -> Result<(), String> {
         t_max = t_max.max(r.t_ns);
     }
     if !loaded.rows.is_empty() {
-        println!("window {:.3}s .. {:.3}s", secs(t_min), secs(t_max));
+        writeln!(out, "window {:.3}s .. {:.3}s", secs(t_min), secs(t_max))?;
     }
-    for (k, name) in KIND_NAMES.iter().enumerate() {
+    for (k, (name, _)) in KINDS.iter().enumerate() {
         if counts[k] > 0 {
-            println!("  {name:<16} {}", counts[k]);
+            writeln!(out, "  {name:<16} {}", counts[k])?;
         }
     }
-    timelines(&loaded);
-    Ok(())
+    timelines(&loaded, out)
 }
 
 /// Per-UE serving-cell timeline with sojourn times (Fig. 8 style).
 /// A timeline is *complete* when the UE's first radio event is an
 /// attach, so every sojourn has a defined start.
-fn timelines(loaded: &Loaded) {
+fn timelines(loaded: &Loaded, out: &mut impl Write) -> Result<(), Fail> {
     use std::collections::BTreeMap;
     let mut per_ue: BTreeMap<u32, Vec<&Row>> = BTreeMap::new();
     for r in &loaded.rows {
@@ -314,18 +328,19 @@ fn timelines(loaded: &Loaded) {
         .iter()
         .filter(|(_, evs)| evs.iter().any(|r| r.kind == 1))
         .count();
-    println!(
+    writeln!(
+        out,
         "handoff timelines: {} UEs with radio events, {} with handoffs",
         per_ue.len(),
         with_handoffs
-    );
+    )?;
     let mut shown = 0;
     for (ue, evs) in &per_ue {
         if !evs.iter().any(|r| r.kind == 1) {
             continue;
         }
         if shown == 8 {
-            println!("  ... ({} more)", with_handoffs - shown);
+            writeln!(out, "  ... ({} more)", with_handoffs - shown)?;
             break;
         }
         shown += 1;
@@ -357,8 +372,9 @@ fn timelines(loaded: &Loaded) {
                 }
             }
         }
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
+    Ok(())
 }
 
 // ------------------------------------------------------------ chrome
@@ -366,7 +382,7 @@ fn timelines(loaded: &Loaded) {
 /// Converts an obs span self-profile (the `{stem}.trace.spans.json`
 /// artifact, or any obs snapshot JSON with a `spans` section) into
 /// chrome://tracing trace-event JSON on stdout.
-fn cmd_chrome(rest: &[String]) -> Result<(), String> {
+fn cmd_chrome(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
     let path = rest
         .first()
         .ok_or_else(|| format!("chrome: missing <spans.json>\n{USAGE}"))?;
@@ -377,9 +393,8 @@ fn cmd_chrome(rest: &[String]) -> Result<(), String> {
         .and_then(JsonValue::as_object)
         .ok_or_else(|| format!("{path}: no `spans` section"))?;
     // The vendored serde_json has no `json!` macro; the document is
-    // simple enough to assemble by hand (names only need basic
-    // string escaping).
-    let mut out = String::from("{\"traceEvents\":[");
+    // simple enough to assemble by hand.
+    let mut doc = String::from("{\"traceEvents\":[");
     let mut ts = 0.0f64;
     for (i, (name, sp)) in spans.iter().enumerate() {
         let total_ns = sp.get("total_ns").and_then(JsonValue::as_u64).unwrap_or(0);
@@ -387,28 +402,16 @@ fn cmd_chrome(rest: &[String]) -> Result<(), String> {
         let max_ns = sp.get("max_ns").and_then(JsonValue::as_u64).unwrap_or(0);
         let dur_us = total_ns as f64 / 1e3;
         if i > 0 {
-            out.push(',');
+            doc.push(',');
         }
-        out.push_str(&format!(
-            "\n  {{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{ts:.3},\"dur\":{dur_us:.3},\"args\":{{\"count\":{count},\"max_ns\":{max_ns}}}}}",
-            escape_json(name)
+        doc.push_str("\n  {\"name\":\"");
+        escape_into(&mut doc, name);
+        doc.push_str(&format!(
+            "\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{ts:.3},\"dur\":{dur_us:.3},\"args\":{{\"count\":{count},\"max_ns\":{max_ns}}}}}"
         ));
         ts += dur_us;
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}");
-    println!("{out}");
+    doc.push_str("\n],\"displayTimeUnit\":\"ms\"}");
+    writeln!(out, "{doc}")?;
     Ok(())
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

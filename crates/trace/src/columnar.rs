@@ -1,136 +1,84 @@
-//! Generic fixed-width columnar codec.
-//!
-//! A [`Table`] is a list of typed columns plus rows whose cells are
-//! carried as **raw little-endian bit patterns** widened to `u64`.
-//! Keeping cells as bits (rather than an `enum Cell`) makes the codec
-//! trivially deterministic: encoding is a `memcpy`-shaped loop, floats
-//! round-trip exactly (including `-0.0` and NaN payloads), and the
-//! byte-identity contract reduces to integer equality.
+//! The trace binary: [`Row`]s in one fixed column-major layout.
 //!
 //! On-disk layout (all integers little-endian):
 //!
 //! ```text
 //! magic    b"FVTR0001"                      8 bytes
-//! ncols    u32
+//! ncols    u32, always 9
 //! nrows    u64
-//! columns  column-major: for each column, nrows cells at the
-//!          column's fixed width (1/2/4/8 bytes)
+//! columns  column-major: for each column of COLUMNS, nrows cells at
+//!          its width (u8 1, u32 4, u64/f64 8 bytes)
 //! ```
 //!
-//! Column names and types live in the JSON sidecar, not in the binary:
-//! the binary stays a pure cell dump and the sidecar stays the single
-//! self-describing entry point for readers.
+//! Cells are raw bit patterns, so floats round-trip exactly (`-0.0`
+//! and NaN payloads included) and byte identity reduces to integer
+//! equality. The JSON sidecar repeats [`COLUMNS`] so the pair is
+//! self-describing; readers check it against this layout.
 
+use crate::Row;
 use std::fmt;
 
-/// Cell type of one column. Width is fixed per type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ColType {
-    /// 1-byte unsigned cell.
-    U8,
-    /// 2-byte unsigned cell.
-    U16,
-    /// 4-byte unsigned cell.
-    U32,
-    /// 8-byte unsigned cell.
-    U64,
-    /// 8-byte signed cell (stored as its two's-complement bits).
-    I64,
-    /// 8-byte float cell (stored as its IEEE-754 bits).
-    F64,
-}
+/// The row layout as `(name, type)` pairs in encoded order; the
+/// sidecar's `columns` list.
+pub const COLUMNS: [(&str, &str); 9] = [
+    ("t_ns", "u64"),
+    ("origin", "u32"),
+    ("seq", "u32"),
+    ("kind", "u8"),
+    ("ue", "u32"),
+    ("a", "u32"),
+    ("b", "u32"),
+    ("v0", "f64"),
+    ("v1", "f64"),
+];
 
-impl ColType {
-    /// Encoded width in bytes.
-    #[must_use]
-    pub fn width(self) -> usize {
-        match self {
-            ColType::U8 => 1,
-            ColType::U16 => 2,
-            ColType::U32 | ColType::U64 | ColType::I64 | ColType::F64 => match self {
-                ColType::U32 => 4,
-                _ => 8,
-            },
-        }
-    }
+const MAGIC: &[u8; 8] = b"FVTR0001";
+const HEADER: usize = 8 + 4 + 8;
 
-    /// Mask a raw cell down to the bits this type actually stores.
-    /// Encoding then decoding always yields the masked value.
-    #[must_use]
-    pub fn mask(self, raw: u64) -> u64 {
-        match self.width() {
-            1 => raw & 0xff,
-            2 => raw & 0xffff,
-            4 => raw & 0xffff_ffff,
-            _ => raw,
-        }
-    }
-
-    /// Stable lowercase name used in the JSON sidecar.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ColType::U8 => "u8",
-            ColType::U16 => "u16",
-            ColType::U32 => "u32",
-            ColType::U64 => "u64",
-            ColType::I64 => "i64",
-            ColType::F64 => "f64",
-        }
-    }
-
-    /// Inverse of [`ColType::name`].
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<ColType> {
-        Some(match s {
-            "u8" => ColType::U8,
-            "u16" => ColType::U16,
-            "u32" => ColType::U32,
-            "u64" => ColType::U64,
-            "i64" => ColType::I64,
-            "f64" => ColType::F64,
-            _ => return None,
-        })
+fn width(ty: &str) -> usize {
+    match ty {
+        "u8" => 1,
+        "u32" => 4,
+        _ => 8,
     }
 }
 
-/// Schema of one column.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Column {
-    /// Column name as written to the JSON sidecar.
-    pub name: String,
-    /// Cell type (fixes the encoded width).
-    pub ty: ColType,
+/// A row's cells in [`COLUMNS`] order, as bit patterns.
+fn cells(r: &Row) -> [u64; 9] {
+    [
+        r.t_ns,
+        r.origin.into(),
+        r.seq.into(),
+        r.kind.into(),
+        r.ue.into(),
+        r.a.into(),
+        r.b.into(),
+        r.v0.to_bits(),
+        r.v1.to_bits(),
+    ]
 }
 
-/// An in-memory columnar table. `rows[r][c]` is the raw bit pattern of
-/// row `r`, column `c` (use `f64::to_bits` / `from_bits` for floats).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Table {
-    /// Column schema, in encoded order.
-    pub columns: Vec<Column>,
-    /// Row-major cells; each cell is the raw bit pattern for its column.
-    pub rows: Vec<Vec<u64>>,
-}
-
-/// Decode failure with enough context to name the corrupt offset.
+/// Decode failure with enough context to name the corrupt part.
 #[derive(Debug, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer does not start with the `FVTR0001` magic.
     BadMagic,
+    /// The header's column count is not the 9 of [`COLUMNS`].
+    ColumnCount {
+        /// Count stored in the binary header.
+        header: u32,
+    },
+    /// The header claims more rows than any buffer can hold.
+    TooManyRows {
+        /// Row count stored in the binary header.
+        rows: u64,
+    },
     /// The buffer ends before the declared cells do.
     Truncated {
         /// Bytes the header claims.
         need: usize,
         /// Bytes actually present.
         have: usize,
-    },
-    /// Header column count disagrees with the sidecar schema.
-    ColumnCountMismatch {
-        /// Count stored in the binary header.
-        header: u32,
-        /// Count in the schema used to decode.
-        schema: usize,
     },
     /// Bytes remain after the last declared cell.
     TrailingBytes {
@@ -143,71 +91,63 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::BadMagic => write!(f, "bad magic (not a FVTR0001 trace)"),
+            DecodeError::ColumnCount { header } => write!(
+                f,
+                "header says {header} columns, the trace row has {}",
+                COLUMNS.len()
+            ),
+            DecodeError::TooManyRows { rows } => {
+                write!(f, "header claims {rows} rows, more than any buffer holds")
+            }
             DecodeError::Truncated { need, have } => {
                 write!(f, "truncated: need {need} bytes, have {have}")
-            }
-            DecodeError::ColumnCountMismatch { header, schema } => {
-                write!(
-                    f,
-                    "header says {header} columns, sidecar schema has {schema}"
-                )
             }
             DecodeError::TrailingBytes { extra } => write!(f, "{extra} trailing bytes"),
         }
     }
 }
 
-const MAGIC: &[u8; 8] = b"FVTR0001";
-
-/// Serialises a table to the columnar binary format. Cells are masked
-/// to their column width, so `encode(decode(encode(t))) == encode(t)`.
+/// Serialises rows to the trace binary.
 #[must_use]
-pub fn encode(table: &Table) -> Vec<u8> {
-    let ncols = table.columns.len();
-    let nrows = table.rows.len();
-    let body: usize = table.columns.iter().map(|c| c.ty.width() * nrows).sum();
-    let mut out = Vec::with_capacity(8 + 4 + 8 + body);
+pub fn encode(rows: &[Row]) -> Vec<u8> {
+    let row_bytes: usize = COLUMNS.iter().map(|&(_, ty)| width(ty)).sum();
+    let mut out = Vec::with_capacity(HEADER + row_bytes * rows.len());
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&u32::try_from(ncols).unwrap_or(u32::MAX).to_le_bytes());
-    out.extend_from_slice(&(nrows as u64).to_le_bytes());
-    for (ci, col) in table.columns.iter().enumerate() {
-        let w = col.ty.width();
-        for row in &table.rows {
-            let bits = col.ty.mask(row.get(ci).copied().unwrap_or(0));
-            out.extend_from_slice(&bits.to_le_bytes()[..w]);
+    out.extend_from_slice(&(COLUMNS.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+    for (c, &(_, ty)) in COLUMNS.iter().enumerate() {
+        let w = width(ty);
+        for r in rows {
+            out.extend_from_slice(&cells(r)[c].to_le_bytes()[..w]);
         }
     }
     out
 }
 
-fn read_u64(bytes: &[u8], at: usize, w: usize) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..w].copy_from_slice(&bytes[at..at + w]);
-    u64::from_le_bytes(buf)
-}
-
-/// Decodes a columnar binary against a sidecar-provided schema.
-pub fn decode(bytes: &[u8], columns: &[Column]) -> Result<Table, DecodeError> {
-    let header = 8 + 4 + 8;
-    if bytes.len() < header {
+/// Decodes a trace binary, checking its header against the fixed
+/// layout and its length against the header before allocating.
+pub fn decode(bytes: &[u8]) -> Result<Vec<Row>, DecodeError> {
+    if bytes.len() < HEADER {
         return Err(DecodeError::Truncated {
-            need: header,
+            need: HEADER,
             have: bytes.len(),
         });
     }
     if &bytes[..8] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let ncols = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if ncols as usize != columns.len() {
-        return Err(DecodeError::ColumnCountMismatch {
-            header: ncols,
-            schema: columns.len(),
-        });
+    let header = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+    if header as usize != COLUMNS.len() {
+        return Err(DecodeError::ColumnCount { header });
     }
-    let nrows = read_u64(bytes, 12, 8) as usize;
-    let body: usize = columns.iter().map(|c| c.ty.width() * nrows).sum();
-    let need = header + body;
+    let mut count = [0u8; 8];
+    count.copy_from_slice(&bytes[12..HEADER]);
+    let rows = u64::from_le_bytes(count);
+    let row_bytes: usize = COLUMNS.iter().map(|&(_, ty)| width(ty)).sum();
+    let (n, need) = usize::try_from(rows)
+        .ok()
+        .and_then(|n| Some((n, n.checked_mul(row_bytes)?.checked_add(HEADER)?)))
+        .ok_or(DecodeError::TooManyRows { rows })?;
     if bytes.len() < need {
         return Err(DecodeError::Truncated {
             need,
@@ -219,19 +159,32 @@ pub fn decode(bytes: &[u8], columns: &[Column]) -> Result<Table, DecodeError> {
             extra: bytes.len() - need,
         });
     }
-    let mut rows = vec![vec![0u64; columns.len()]; nrows];
-    let mut at = header;
-    for (ci, col) in columns.iter().enumerate() {
-        let w = col.ty.width();
-        for row in &mut rows {
-            row[ci] = read_u64(bytes, at, w);
-            at += w;
-        }
-    }
-    Ok(Table {
-        columns: columns.to_vec(),
-        rows,
-    })
+    let widths = COLUMNS.map(|(_, ty)| width(ty));
+    let mut at = HEADER;
+    let columns = widths.map(|w| {
+        let col = &bytes[at..at + w * n];
+        at += col.len();
+        col
+    });
+    let cell = |c: usize, i: usize| {
+        let w = widths[c];
+        let mut b = [0u8; 8];
+        b[..w].copy_from_slice(&columns[c][i * w..(i + 1) * w]);
+        u64::from_le_bytes(b)
+    };
+    Ok((0..n)
+        .map(|i| Row {
+            t_ns: cell(0, i),
+            origin: cell(1, i) as u32,
+            seq: cell(2, i) as u32,
+            kind: cell(3, i) as u8,
+            ue: cell(4, i) as u32,
+            a: cell(5, i) as u32,
+            b: cell(6, i) as u32,
+            v0: f64::from_bits(cell(7, i)),
+            v1: f64::from_bits(cell(8, i)),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -239,109 +192,134 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn any_coltype() -> impl Strategy<Value = ColType> {
+    /// Float bits that a plain float strategy would rarely draw.
+    fn float_bits() -> impl Strategy<Value = u64> {
         prop_oneof![
-            Just(ColType::U8),
-            Just(ColType::U16),
-            Just(ColType::U32),
-            Just(ColType::U64),
-            Just(ColType::I64),
-            Just(ColType::F64),
+            any::<u64>(),
+            Just((-0.0f64).to_bits()),
+            Just(f64::NAN.to_bits()),
+            Just(0x7ff0_0000_0000_0001),
+            Just(f64::NEG_INFINITY.to_bits()),
         ]
     }
 
-    fn any_table() -> impl Strategy<Value = Table> {
-        // The vendored proptest subset has no `prop_flat_map`, so rows
-        // are generated at the maximum width and truncated to the
-        // schema's column count inside `prop_map`.
-        (
-            prop::collection::vec(any_coltype(), 1..6),
-            prop::collection::vec(prop::collection::vec(any::<u64>(), 6..7), 0..40),
+    fn any_rows() -> impl Strategy<Value = Vec<Row>> {
+        prop::collection::vec(
+            (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                float_bits(),
+                float_bits(),
+            ),
+            0..40,
         )
-            .prop_map(|(tys, wide_rows)| {
-                let ncols = tys.len();
-                Table {
-                    columns: tys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, ty)| Column {
-                            name: format!("c{i}"),
-                            ty: *ty,
-                        })
-                        .collect(),
-                    rows: wide_rows
-                        .into_iter()
-                        .map(|mut r| {
-                            r.truncate(ncols);
-                            r
-                        })
-                        .collect(),
-                }
-            })
+        .prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(t_ns, ids, k, ab, v0, v1)| Row {
+                    t_ns,
+                    origin: ids as u32,
+                    seq: (ids >> 32) as u32,
+                    kind: k as u8,
+                    ue: (k >> 8) as u32,
+                    a: ab as u32,
+                    b: (ab >> 32) as u32,
+                    v0: f64::from_bits(v0),
+                    v1: f64::from_bits(v1),
+                })
+                .collect()
+        })
     }
 
     proptest! {
-        /// Random schema + rows: encode -> decode -> re-encode is
-        /// byte-identical, and decoded cells equal the masked input.
+        /// Random rows, with `-0.0`, NaN and infinity float bits mixed
+        /// in: every cell decodes to its exact bits, and re-encoding
+        /// is byte-identical.
         #[test]
-        fn round_trip_is_byte_identical(t in any_table()) {
-            let bytes = encode(&t);
-            let back = decode(&bytes, &t.columns).expect("decode");
+        fn round_trip_is_byte_identical(rows in any_rows()) {
+            let bytes = encode(&rows);
+            let back = decode(&bytes).expect("decode");
+            prop_assert_eq!(
+                back.iter().map(cells).collect::<Vec<_>>(),
+                rows.iter().map(cells).collect::<Vec<_>>()
+            );
             prop_assert_eq!(&encode(&back), &bytes);
-            for (r, row) in t.rows.iter().enumerate() {
-                for (c, col) in t.columns.iter().enumerate() {
-                    prop_assert_eq!(back.rows[r][c], col.ty.mask(row[c]));
-                }
-            }
         }
     }
 
     #[test]
-    fn errors_name_the_problem() {
-        let t = Table {
-            columns: vec![Column {
-                name: "x".into(),
-                ty: ColType::U32,
-            }],
-            rows: vec![vec![7]],
-        };
-        let bytes = encode(&t);
-        assert_eq!(
-            decode(&bytes[..3], &t.columns),
-            Err(DecodeError::Truncated { need: 20, have: 3 })
-        );
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(decode(&bad, &t.columns), Err(DecodeError::BadMagic));
-        let mut long = bytes.clone();
-        long.push(0);
-        assert_eq!(
-            decode(&long, &t.columns),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        );
-        assert_eq!(
-            decode(&bytes, &[]),
-            Err(DecodeError::ColumnCountMismatch {
-                header: 1,
-                schema: 0
+    fn float_bit_patterns_survive() {
+        let floats = [
+            -0.0f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ];
+        let rows: Vec<Row> = floats
+            .iter()
+            .map(|&v| Row {
+                t_ns: 0,
+                origin: 0,
+                seq: 0,
+                kind: 0,
+                ue: 0,
+                a: 0,
+                b: 0,
+                v0: v,
+                v1: -v,
             })
+            .collect();
+        let back = decode(&encode(&rows)).expect("decode");
+        assert_eq!(
+            back.iter().map(cells).collect::<Vec<_>>(),
+            rows.iter().map(cells).collect::<Vec<_>>()
         );
     }
 
     #[test]
-    fn float_bit_patterns_survive() {
-        let t = Table {
-            columns: vec![Column {
-                name: "v".into(),
-                ty: ColType::F64,
-            }],
-            rows: vec![
-                vec![(-0.0f64).to_bits()],
-                vec![f64::NAN.to_bits()],
-                vec![f64::INFINITY.to_bits()],
-            ],
+    fn errors_name_the_problem() {
+        let row = Row {
+            t_ns: 7,
+            origin: 1,
+            seq: 2,
+            kind: 3,
+            ue: 4,
+            a: 5,
+            b: 6,
+            v0: 0.5,
+            v1: -0.5,
         };
-        let back = decode(&encode(&t), &t.columns).expect("decode");
-        assert_eq!(back.rows, t.rows);
+        let bytes = encode(&[row]);
+        assert_eq!(bytes.len(), HEADER + 45);
+        assert_eq!(
+            decode(&bytes[..3]),
+            Err(DecodeError::Truncated { need: 20, have: 3 })
+        );
+        assert_eq!(
+            decode(&bytes[..30]),
+            Err(DecodeError::Truncated { need: 65, have: 30 })
+        );
+        let mut bad = bytes.clone();
+        bad[0] = b'X';
+        assert_eq!(decode(&bad), Err(DecodeError::BadMagic));
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(decode(&long), Err(DecodeError::TrailingBytes { extra: 1 }));
+        let mut one_col = bytes.clone();
+        one_col[8] = 1;
+        assert_eq!(
+            decode(&one_col),
+            Err(DecodeError::ColumnCount { header: 1 })
+        );
+        // 45 bytes a row times 2^61 rows overflows any usize: an error,
+        // not an allocation.
+        let mut huge = bytes[..HEADER].to_vec();
+        huge[12..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert_eq!(
+            decode(&huge),
+            Err(DecodeError::TooManyRows { rows: 1 << 61 })
+        );
     }
 }

@@ -192,17 +192,18 @@ pub enum TraceEvent {
     },
 }
 
-/// Kind code names, indexed by kind code.
-pub const KIND_NAMES: [&str; 9] = [
-    "attach",
-    "handoff",
-    "cell_outage",
-    "cell_restore",
-    "brownout_cap",
-    "shard_msg_send",
-    "shard_msg_recv",
-    "cc_state",
-    "kpi",
+/// Each kind's name and category, indexed by kind code
+/// ([`TraceEvent::kind`]).
+pub const KINDS: [(&str, Category); 9] = [
+    ("attach", Category::Radio),
+    ("handoff", Category::Radio),
+    ("cell_outage", Category::Fault),
+    ("cell_restore", Category::Fault),
+    ("brownout_cap", Category::Fault),
+    ("shard_msg_send", Category::Shard),
+    ("shard_msg_recv", Category::Shard),
+    ("cc_state", Category::Cc),
+    ("kpi", Category::Kpi),
 ];
 
 impl TraceEvent {
@@ -225,15 +226,7 @@ impl TraceEvent {
     /// Category this event belongs to.
     #[must_use]
     pub fn category(&self) -> Category {
-        match self {
-            TraceEvent::Attach { .. } | TraceEvent::Handoff { .. } => Category::Radio,
-            TraceEvent::CellOutage { .. }
-            | TraceEvent::CellRestore { .. }
-            | TraceEvent::BrownoutCap { .. } => Category::Fault,
-            TraceEvent::ShardMsgSend { .. } | TraceEvent::ShardMsgRecv { .. } => Category::Shard,
-            TraceEvent::CcState { .. } => Category::Cc,
-            TraceEvent::Kpi { .. } => Category::Kpi,
-        }
+        KINDS[usize::from(self.kind())].1
     }
 
     /// Simulation timestamp.
@@ -342,7 +335,7 @@ mod tests {
         let mut kinds: Vec<u8> = evs.iter().map(TraceEvent::kind).collect();
         kinds.sort_unstable();
         assert_eq!(kinds, (0..9).collect::<Vec<u8>>());
-        assert_eq!(KIND_NAMES.len(), 9);
+        assert_eq!(KINDS.len(), 9);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Structured event tracing for the simulator: typed [`TraceEvent`]s
 //! are emitted from the radio / fault / KPI / CC / shard layers into an
 //! ambient per-run sink, then merged in global `(t_ns, origin, seq)`
-//! order and serialised as a fixed-width columnar binary plus a JSON
-//! sidecar schema. The merged order is keyed by **logical** origins
+//! order into [`Row`]s of one fixed 9-column layout ([`COLUMNS`]). The
+//! rows are serialised column-major by [`encode`] into a `.trace.bin`,
+//! next to a JSON sidecar that repeats the layout and carries counts,
+//! groups and the binary's hash; [`decode`] checks a binary against
+//! that layout. The merged order is keyed by **logical** origins
 //! (UE chunk, router hub, serial code), so for the default category
 //! set the trace bytes are invariant under `--jobs`, which sets the
 //! worker, sweep-thread and shard counts — the same contract every
@@ -43,8 +46,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub mod columnar;
 pub mod event;
 
-pub use columnar::{decode, encode, ColType, Column, DecodeError, Table};
-pub use event::{Category, TraceEvent, KIND_NAMES, NO_UE, ROUTER_ORIGIN};
+pub use columnar::{decode, encode, DecodeError, COLUMNS};
+pub use event::{Category, TraceEvent, KINDS, NO_UE, ROUTER_ORIGIN};
 
 /// Capture mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,7 +93,8 @@ impl Default for TraceConfig {
     }
 }
 
-/// One merged trace row; field order mirrors the columnar schema.
+/// One merged trace row; field order is the binary's column order
+/// ([`COLUMNS`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Row {
     /// Simulation time, nanoseconds.
@@ -99,7 +103,7 @@ pub struct Row {
     pub origin: u32,
     /// Per-origin monotone sequence number (the total-order tiebreak).
     pub seq: u32,
-    /// Event kind code (index into [`event::KIND_NAMES`]).
+    /// Event kind code (index into [`KINDS`]).
     pub kind: u8,
     /// UE id column (kind-specific; 0 when unused).
     pub ue: u32,
@@ -277,26 +281,7 @@ impl TraceHandle {
             rows = truncate_per_category(rows, inner.cfg.ring.max(1));
         }
         let events: u64 = inner.counts.iter().sum();
-        let table = Table {
-            columns: schema(),
-            rows: rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.t_ns,
-                        u64::from(r.origin),
-                        u64::from(r.seq),
-                        u64::from(r.kind),
-                        u64::from(r.ue),
-                        u64::from(r.a),
-                        u64::from(r.b),
-                        r.v0.to_bits(),
-                        r.v1.to_bits(),
-                    ]
-                })
-                .collect(),
-        };
-        let bin = encode(&table);
+        let bin = encode(&rows);
         let sidecar = sidecar_json(&inner.cfg, &inner.counts, &inner.groups, &bin, rows.len());
         fiveg_obs::counter_add("trace.events", events);
         fiveg_obs::counter_add("trace.bytes", bin.len() as u64);
@@ -314,8 +299,9 @@ fn truncate_per_category(rows: Vec<Row>, cap: usize) -> Vec<Row> {
     let mut budget: BTreeMap<u8, usize> = BTreeMap::new();
     let mut keep = vec![false; rows.len()];
     for (i, r) in rows.iter().enumerate().rev() {
-        let cat_bit = kind_category_bit(r.kind);
-        let used = budget.entry(cat_bit).or_insert(0);
+        let used = budget
+            .entry(KINDS[usize::from(r.kind)].1.bit())
+            .or_insert(0);
         if *used < cap {
             *used += 1;
             keep[i] = true;
@@ -327,41 +313,8 @@ fn truncate_per_category(rows: Vec<Row>, cap: usize) -> Vec<Row> {
         .collect()
 }
 
-fn kind_category_bit(kind: u8) -> u8 {
-    match kind {
-        0 | 1 => Category::Radio.bit(),
-        2..=4 => Category::Fault.bit(),
-        5 | 6 => Category::Shard.bit(),
-        7 => Category::Cc.bit(),
-        _ => Category::Kpi.bit(),
-    }
-}
-
-/// The fixed 9-column trace schema.
-#[must_use]
-pub fn schema() -> Vec<Column> {
-    [
-        ("t_ns", ColType::U64),
-        ("origin", ColType::U32),
-        ("seq", ColType::U32),
-        ("kind", ColType::U8),
-        ("ue", ColType::U32),
-        ("a", ColType::U32),
-        ("b", ColType::U32),
-        ("v0", ColType::F64),
-        ("v1", ColType::F64),
-    ]
-    .into_iter()
-    .map(|(name, ty)| Column {
-        name: name.to_string(),
-        ty,
-    })
-    .collect()
-}
-
 /// FNV-1a 64-bit (same constants as the campaign manifest hashes).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -371,14 +324,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Lower-hex rendering of a 64-bit hash.
-#[must_use]
-pub fn hex64(h: u64) -> String {
+fn hex64(h: u64) -> String {
     format!("{h:016x}")
 }
 
 #[derive(serde::Serialize)]
 struct SidecarColumn {
-    name: String,
+    name: &'static str,
     ty: &'static str,
 }
 
@@ -413,19 +365,13 @@ fn sidecar_json(
             .filter(|c| cfg.mask & c.bit() != 0)
             .map(Category::name)
             .collect(),
-        columns: schema()
-            .into_iter()
-            .map(|c| SidecarColumn {
-                name: c.name,
-                ty: c.ty.name(),
-            })
-            .collect(),
+        columns: COLUMNS.map(|(name, ty)| SidecarColumn { name, ty }).into(),
         rows: rows as u64,
-        counts: KIND_NAMES
+        counts: KINDS
             .iter()
-            .enumerate()
-            .filter(|&(k, _)| counts[k] > 0)
-            .map(|(k, name)| ((*name).to_string(), counts[k]))
+            .zip(counts)
+            .filter(|&(_, &n)| n > 0)
+            .map(|((name, _), &n)| ((*name).to_string(), n))
             .collect(),
         bin_hash: hex64(fnv1a64(bin)),
         groups: groups.to_vec(),
@@ -564,11 +510,11 @@ mod tests {
             }
         }
         let out = h.finish();
-        let table = decode(&out.bin, &schema()).expect("decode");
-        assert_eq!(table.rows.len(), 5);
+        let rows = decode(&out.bin).expect("decode");
+        assert_eq!(rows.len(), 5);
         // The last 5 events globally: t = 192, 180, 181, 182 ... sorted
         // ascending the kept suffix is t in {181, 182, 190, 191, 192}.
-        let ts: Vec<u64> = table.rows.iter().map(|r| r[0]).collect();
+        let ts: Vec<u64> = rows.iter().map(|r| r.t_ns).collect();
         assert_eq!(ts, vec![181, 182, 190, 191, 192]);
         assert_eq!(out.rows, 5);
         assert_eq!(out.events, 60);
