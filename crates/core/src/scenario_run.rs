@@ -38,7 +38,7 @@ use fiveg_scenario::{
     AppSpec, ArrivalSpec, FaultSpec, FleetSpec, MobilitySpec, ScenarioSpec, SceneSpec, TechSpec,
     UeGroupSpec, VideoRes, WebCategory, WorkloadSpec,
 };
-use fiveg_simcore::shard::{ShardCtx, ShardEngine, ShardLogic, Topology};
+use fiveg_simcore::shard::{ShardCtx, ShardEngine, ShardLogic};
 use fiveg_simcore::{OnlineStats, SimDuration, SimRng, SimTime};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,13 +60,7 @@ pub const DEFAULT_HYSTERESIS_DB: f64 = 3.0;
 /// reproducible across machines and job orders as the paper campus.
 pub fn build_scenario(spec: &ScenarioSpec, base_seed: u64) -> Scenario {
     let campus = if let Some(city) = &spec.city {
-        let Some(city_spec) = city.to_city_spec() else {
-            panic!(
-                "city preset `{}` is unknown; specs must be validated before building",
-                city.preset
-            );
-        };
-        fiveg_geo::generate_city(&city_spec, &SimRng::new(base_seed))
+        fiveg_geo::generate_city(&city.to_city_spec(), &SimRng::new(base_seed))
     } else {
         let cfg = CampusConfig {
             width: spec.campus.width_m,
@@ -582,7 +576,7 @@ fn tick_app(app: &mut AppState, rng: &mut SimRng, bitrate_mbps: f64, tick_s: f64
 /// t + 3δ   UE shard Grant      → tick_app
 /// ```
 ///
-/// with δ the link lookahead (2δ < tick, so tick `t` fully drains
+/// with δ the engine lookahead (2δ < tick, so tick `t` fully drains
 /// before tick `t+1` opens).
 enum FleetEvent {
     /// Router: open tick `tick` and fan out measurement grants.
@@ -636,7 +630,6 @@ struct UeCells<'a> {
     sc: &'a Scenario,
     spec: &'a ScenarioSpec,
     tick_s: f64,
-    delta: SimDuration,
     router: usize,
     /// Struct-of-arrays UE state, ascending by global index.
     ues: UeColumns,
@@ -792,7 +785,6 @@ impl UeCells<'_> {
                 if let Some(idx) = self.sc.env.cell_index(m.tech, m.pci) {
                     ctx.send(
                         self.router,
-                        self.delta,
                         FleetEvent::Attach {
                             ue,
                             cell: idx as u32,
@@ -802,7 +794,7 @@ impl UeCells<'_> {
                     );
                 }
             }
-            None => ctx.send(self.router, self.delta, FleetEvent::Unattached { ue }),
+            None => ctx.send(self.router, FleetEvent::Unattached { ue }),
         }
     }
 
@@ -861,11 +853,7 @@ impl RouterHub<'_> {
         for (ue, arr) in self.arrival_ticks.iter().enumerate() {
             if *arr <= tick {
                 let ue = ue as u32;
-                ctx.send(
-                    self.shard_of(ue),
-                    self.delta,
-                    FleetEvent::Measure { tick, ue },
-                );
+                ctx.send(self.shard_of(ue), FleetEvent::Measure { tick, ue });
             }
         }
         // The router is the highest shard id, so this local event sorts
@@ -975,7 +963,6 @@ impl RouterHub<'_> {
             }
             ctx.send(
                 self.shard_of(ue),
-                self.delta,
                 FleetEvent::Grant {
                     ue,
                     bitrate_mbps: bitrate,
@@ -1003,7 +990,6 @@ impl RouterHub<'_> {
             }
             ctx.send(
                 self.shard_of(ue),
-                self.delta,
                 FleetEvent::Grant {
                     ue,
                     bitrate_mbps: 0.0,
@@ -1115,20 +1101,6 @@ fn run_fleet_impl(
         net_la.min(quarter_tick)
     };
 
-    // Worst-case in-flight per link: one Measure + one Grant per UE per
-    // tick, plus slack.
-    let capacity = n_ues * 4 + 64;
-    let mut builder = Topology::builder(shards + 1);
-    for s in 0..shards {
-        builder = builder
-            .link_with_capacity(s, router_id, delta, capacity)
-            .link_with_capacity(router_id, s, delta, capacity);
-    }
-    let topo = match builder.build() {
-        Ok(t) => t,
-        Err(e) => panic!("fleet shard topology: {e}"),
-    };
-
     if fiveg_trace::is_active() {
         // Annotate the sidecar with the fleet's group → UE-index
         // ranges so the trace CLI can filter by group name.
@@ -1159,7 +1131,6 @@ fn run_fleet_impl(
                 sc,
                 spec,
                 tick_s,
-                delta,
                 router: router_id,
                 ues: shard_ues,
                 incremental,
@@ -1202,7 +1173,7 @@ fn run_fleet_impl(
         },
     }));
 
-    let mut engine = match ShardEngine::new(topo, logics) {
+    let mut engine = match ShardEngine::new(delta, logics) {
         Ok(e) => e,
         Err(e) => panic!("fleet shard engine: {e}"),
     };

@@ -3,13 +3,15 @@
 //! text) must run to completion as a [`ScenarioJob`], at one and at two
 //! threads, with the same artifact bytes. A spec the runner cannot
 //! handle must be rejected at validation, with its spec path, instead
-//! of panicking inside the job.
+//! of panicking inside the job. The generator plants such specs on
+//! purpose (tiny campuses, cities without eNBs, groups without UEs),
+//! and names cells in faults that no deployment has.
 
 use fiveg_core::campaign::{run, JobStatus, Registry, RunConfig};
 use fiveg_core::scenario_dsl::{
-    emit_scenario, parse_scenario, AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, FaultSpec,
-    FleetSpec, LoadSpec, MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec,
-    UeGroupSpec, VideoRes, WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M,
+    emit_scenario, parse_scenario, AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, CityPreset,
+    FaultSpec, FleetSpec, LoadSpec, MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec,
+    TechSpec, UeGroupSpec, VideoRes, WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M,
 };
 use fiveg_core::scenario_run::ScenarioJob;
 use proptest::prelude::*;
@@ -49,8 +51,7 @@ fn city_strategy() -> impl Strategy<Value = Option<CityDslSpec>> {
     )
         .prop_map(
             |(preset, tiles_x, tiles_y, enb_per_tile, gnb, concrete_fraction)| {
-                let preset = ["dense_urban", "rural", "indoor_hotspot"][preset as usize];
-                let mut city = CityDslSpec::from_preset(preset).expect("known preset");
+                let mut city = CityDslSpec::from_preset(CityPreset::ALL[preset as usize]);
                 city.tiles_x = tiles_x;
                 city.tiles_y = tiles_y;
                 city.enb_per_tile = enb_per_tile;
@@ -141,9 +142,10 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
             interval_ms,
         })
     });
-    // Up to 450 UEs, so two threads can mean two 64-UE fleet shards.
+    // Up to 450 UEs, so two threads can mean two 64-UE fleet shards;
+    // one group in ten has no UEs, which validation rejects.
     let group = (
-        (1u32..150),
+        prop_oneof![1 => Just(0u32), 9 => 1u32..150],
         prop::bool::ANY,
         mobility_strategy(),
         arrival_strategy(),
@@ -178,13 +180,19 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
 fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     let window = || ((0.0f64..120.0), (0.001f64..100.0));
     prop_oneof![
-        (window(), prop::collection::vec(0u16..700, 1..5)).prop_map(|((s, d), pcis)| {
-            FaultSpec::CellOutage {
-                start_s: s,
-                end_s: s + d,
-                pcis,
-            }
-        }),
+        // PCIs from the deployments' ranges, and ones past the largest
+        // PCI (1007) that no deployment has.
+        (
+            window(),
+            prop::collection::vec(prop_oneof![3 => 0u16..700, 1 => 1008u16..=u16::MAX], 1..5)
+        )
+            .prop_map(|((s, d), pcis)| {
+                FaultSpec::CellOutage {
+                    start_s: s,
+                    end_s: s + d,
+                    pcis,
+                }
+            }),
         (window(), (0.001f64..1000.0)).prop_map(|((s, d), capacity_mbps)| {
             FaultSpec::BackhaulBrownout {
                 start_s: s,
@@ -220,32 +228,50 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         })
 }
 
+/// The key path the first violation the generator plants is reported
+/// under, in `ScenarioSpec::validate`'s order; `None` when the spec
+/// must pass.
+fn planted_violation(spec: &ScenarioSpec) -> Option<String> {
+    // The campus generator keeps sites 10 m inside each edge.
+    if spec.campus.width_m < MIN_CAMPUS_SIDE_M {
+        return Some("campus.width_m".into());
+    }
+    if spec.campus.height_m < MIN_CAMPUS_SIDE_M {
+        return Some("campus.height_m".into());
+    }
+    if spec.city.as_ref().is_some_and(|c| c.enb_per_tile == 0) {
+        return Some("city: enb_per_tile".into());
+    }
+    match &spec.workload {
+        WorkloadSpec::Fleet(f) => f
+            .groups
+            .iter()
+            .position(|g| g.count == 0)
+            .map(|i| format!("workload.groups[{i}].count")),
+        WorkloadSpec::Survey(_) => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// parse -> validate -> run: a scenario that `scen check` accepts
-    /// completes at one and two threads, byte-identically.
+    /// completes at one and two threads, byte-identically, and one it
+    /// rejects is rejected for the violation the generator planted.
     #[test]
     fn checked_scenarios_run_to_completion(spec in scenario_strategy(), seed in (0u64..10_000)) {
         let text = emit_scenario(&spec);
         // What `scen check` does with a file: parse and validate.
-        let checked = match parse_scenario(&text, "prop.json") {
-            Ok(checked) => checked,
-            Err(e) => {
-                // The campus generator keeps sites 10 m inside each
-                // edge; a smaller campus is rejected by its key.
-                if spec.campus.width_m < MIN_CAMPUS_SIDE_M {
-                    prop_assert!(e.message.contains("campus.width_m"), "{e}");
-                } else if spec.campus.height_m < MIN_CAMPUS_SIDE_M {
-                    prop_assert!(e.message.contains("campus.height_m"), "{e}");
-                }
-                return Ok(());
-            }
-        };
-        prop_assert!(
-            spec.campus.width_m >= MIN_CAMPUS_SIDE_M && spec.campus.height_m >= MIN_CAMPUS_SIDE_M,
-            "a campus smaller than {MIN_CAMPUS_SIDE_M} m passed validation:\n{text}"
-        );
+        let parsed = parse_scenario(&text, "prop.json");
+        if let Some(path) = planted_violation(&spec) {
+            let e = parsed
+                .err()
+                .unwrap_or_else(|| panic!("`{path}` violation passed validation:\n{text}"));
+            prop_assert!(e.message.contains(&path), "expected `{path}`, got {e}");
+            return Ok(());
+        }
+        let checked = parsed
+            .unwrap_or_else(|e| panic!("rejected a spec with no planted violation: {e}\n{text}"));
         let mut outputs = Vec::new();
         for threads in [1, 2] {
             let mut reg = Registry::new();

@@ -23,6 +23,40 @@ use crate::point::{Point, Rect};
 use fiveg_simcore::SimRng;
 use serde::Serialize;
 
+/// A named [`CitySpec`] preset, as scenario files write it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CityPreset {
+    /// [`CitySpec::dense_urban`].
+    DenseUrban,
+    /// [`CitySpec::rural`].
+    Rural,
+    /// [`CitySpec::indoor_hotspot`].
+    IndoorHotspot,
+}
+
+impl CityPreset {
+    /// Every preset.
+    pub const ALL: [CityPreset; 3] = [
+        CityPreset::DenseUrban,
+        CityPreset::Rural,
+        CityPreset::IndoorHotspot,
+    ];
+
+    /// The preset's name: `dense_urban`, `rural` or `indoor_hotspot`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CityPreset::DenseUrban => "dense_urban",
+            CityPreset::Rural => "rural",
+            CityPreset::IndoorHotspot => "indoor_hotspot",
+        }
+    }
+
+    /// The preset called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<CityPreset> {
+        CityPreset::ALL.into_iter().find(|p| p.name() == name)
+    }
+}
+
 /// Parameters for the city generator: a rectangular grid of square
 /// tiles, each carrying the same block grammar and site lattice.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -96,14 +130,12 @@ impl CitySpec {
         }
     }
 
-    /// The preset named `name` (`dense_urban` / `rural` /
-    /// `indoor_hotspot`), if known.
-    pub fn preset(name: &str) -> Option<CitySpec> {
-        match name {
-            "dense_urban" => Some(CitySpec::dense_urban()),
-            "rural" => Some(CitySpec::rural()),
-            "indoor_hotspot" => Some(CitySpec::indoor_hotspot()),
-            _ => None,
+    /// The spec of `preset`.
+    pub fn preset(preset: CityPreset) -> CitySpec {
+        match preset {
+            CityPreset::DenseUrban => CitySpec::dense_urban(),
+            CityPreset::Rural => CitySpec::rural(),
+            CityPreset::IndoorHotspot => CitySpec::indoor_hotspot(),
         }
     }
 
@@ -303,8 +335,10 @@ mod tests {
 
     #[test]
     fn presets_validate_and_generate() {
-        for name in ["dense_urban", "rural", "indoor_hotspot"] {
-            let spec = CitySpec::preset(name).unwrap_or_else(|| panic!("preset {name}"));
+        for preset in CityPreset::ALL {
+            let name = preset.name();
+            assert_eq!(CityPreset::from_name(name), Some(preset));
+            let spec = CitySpec::preset(preset);
             spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
             let city = generate_city(&spec, &SimRng::new(2020));
             let (enb, gnb) = spec.site_counts();
@@ -319,7 +353,7 @@ mod tests {
 
     #[test]
     fn unknown_preset_is_none() {
-        assert!(CitySpec::preset("urban_macro").is_none());
+        assert!(CityPreset::from_name("urban_macro").is_none());
     }
 
     #[test]

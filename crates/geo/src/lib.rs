@@ -39,7 +39,7 @@ pub mod tiled;
 
 pub use building::{Building, Material};
 pub use campus::{Campus, CampusConfig, SitePlan};
-pub use city::{generate_city, CitySpec};
+pub use city::{generate_city, CityPreset, CitySpec};
 pub use index::SpatialIndex;
 pub use map::{CampusMap, MapIndex};
 pub use mobility::{LinearTransect, MobilityTrace, RandomWaypoint, RoadSurvey, TracePoint};

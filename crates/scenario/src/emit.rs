@@ -219,7 +219,7 @@ pub fn emit_scenario(spec: &ScenarioSpec) -> String {
     e.close('}', true);
     if let Some(city) = &spec.city {
         e.open(Some("city"), '{');
-        e.line(&kv_str("preset", &city.preset), true);
+        e.line(&kv_str("preset", city.preset.name()), true);
         e.line(&kv_u64("tiles_x", u64::from(city.tiles_x)), true);
         e.line(&kv_u64("tiles_y", u64::from(city.tiles_y)), true);
         e.line(&kv_u64("enb_per_tile", u64::from(city.enb_per_tile)), true);

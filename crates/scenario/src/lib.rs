@@ -27,8 +27,8 @@ pub mod variants;
 pub use emit::emit_scenario;
 pub use parse::{parse_scenario, ScenarioError};
 pub use spec::{
-    AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, FaultSpec, FleetSpec, LoadSpec, MobilitySpec,
-    Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec, VideoRes,
-    WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M, TRACE_CATEGORIES,
+    AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, CityPreset, FaultSpec, FleetSpec, LoadSpec,
+    MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec,
+    VideoRes, WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M, TRACE_CATEGORIES,
 };
 pub use variants::{expand, parse_family, Axis, FamilySpec};

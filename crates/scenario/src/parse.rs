@@ -15,9 +15,9 @@
 //! offsets already.
 
 use crate::spec::{
-    AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, FaultSpec, FleetSpec, LoadSpec, MobilitySpec,
-    Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec, VideoRes,
-    WebCategory, WorkloadSpec,
+    AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, CityPreset, FaultSpec, FleetSpec, LoadSpec,
+    MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec,
+    VideoRes, WebCategory, WorkloadSpec,
 };
 use fiveg_obs::json::key_path_offset;
 use fiveg_obs::{parse_json, JsonValue};
@@ -53,7 +53,7 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 /// 1-based line number of a byte offset in `src`.
-pub(crate) fn line_of_offset(src: &str, offset: usize) -> usize {
+fn line_of_offset(src: &str, offset: usize) -> usize {
     let upto = offset.min(src.len());
     1 + src.as_bytes()[..upto]
         .iter()
@@ -61,17 +61,36 @@ pub(crate) fn line_of_offset(src: &str, offset: usize) -> usize {
         .count()
 }
 
+/// Parses `src` as JSON; a syntax error carries its line.
+pub(crate) fn parse_source(src: &str, file: &str) -> Result<JsonValue, ScenarioError> {
+    parse_json(src).map_err(|e| ScenarioError {
+        file: file.to_string(),
+        line: line_of_offset(src, e.offset),
+        path: String::new(),
+        message: e.message,
+    })
+}
+
 /// Shared parse context: the raw source for location recovery, and the
 /// key path of the value being parsed.
-struct Ctx<'a> {
+pub(crate) struct Ctx<'a> {
     src: &'a str,
     file: &'a str,
     path: String,
 }
 
 impl<'a> Ctx<'a> {
+    /// The context of the whole file.
+    pub(crate) fn root(src: &'a str, file: &'a str) -> Ctx<'a> {
+        Ctx {
+            src,
+            file,
+            path: String::new(),
+        }
+    }
+
     /// The context of member `key` of this object.
-    fn child(&self, key: &str) -> Ctx<'a> {
+    pub(crate) fn child(&self, key: &str) -> Ctx<'a> {
         let path = if self.path.is_empty() {
             key.to_string()
         } else {
@@ -81,7 +100,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The context of element `i` of this array.
-    fn item(&self, i: usize) -> Ctx<'a> {
+    pub(crate) fn item(&self, i: usize) -> Ctx<'a> {
         Ctx {
             path: format!("{}[{i}]", self.path),
             ..*self
@@ -90,7 +109,7 @@ impl<'a> Ctx<'a> {
 
     /// An error at this context's value, on its line when the path is
     /// found in the source.
-    fn err(&self, message: String) -> ScenarioError {
+    pub(crate) fn err(&self, message: String) -> ScenarioError {
         ScenarioError {
             file: self.file.to_string(),
             line: key_path_offset(self.src, &self.path)
@@ -101,12 +120,12 @@ impl<'a> Ctx<'a> {
     }
 
     /// An error at member `key` of this object.
-    fn err_at_key(&self, key: &str, message: String) -> ScenarioError {
+    pub(crate) fn err_at_key(&self, key: &str, message: String) -> ScenarioError {
         self.child(key).err(message)
     }
 
     /// Rejects keys of `map` not in `allowed` — the strictness rule.
-    fn check_keys(
+    pub(crate) fn check_keys(
         &self,
         map: &BTreeMap<String, JsonValue>,
         allowed: &[&str],
@@ -126,7 +145,7 @@ impl<'a> Ctx<'a> {
         Ok(())
     }
 
-    fn obj<'v>(
+    pub(crate) fn obj<'v>(
         &self,
         v: &'v JsonValue,
         what: &str,
@@ -149,7 +168,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn req_str(
+    pub(crate) fn req_str(
         &self,
         map: &BTreeMap<String, JsonValue>,
         key: &str,
@@ -283,15 +302,14 @@ fn parse_city(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CityDslSpec, ScenarioError
         ],
         "`city`",
     )?;
-    let preset = ctx.req_str(map, "preset", "`city`")?;
-    let d = CityDslSpec::from_preset(&preset).ok_or_else(|| {
+    let name = ctx.req_str(map, "preset", "`city`")?;
+    let preset = CityPreset::from_name(&name).ok_or_else(|| {
         ctx.err_at_key(
             "preset",
-            format!(
-                "unknown city preset `{preset}` (expected dense_urban, rural or indoor_hotspot)"
-            ),
+            format!("unknown city preset `{name}` (expected dense_urban, rural or indoor_hotspot)"),
         )
     })?;
+    let d = CityDslSpec::from_preset(preset);
     Ok(CityDslSpec {
         preset,
         tiles_x: ctx.u32_or(map, "tiles_x", d.tiles_x)?,
@@ -729,13 +747,7 @@ pub fn scenario_from_value(
 /// Parses a scenario file's text. `file` is the display name used in
 /// error locations (typically the path).
 pub fn parse_scenario(src: &str, file: &str) -> Result<ScenarioSpec, ScenarioError> {
-    let v = parse_json(src).map_err(|e| ScenarioError {
-        file: file.to_string(),
-        line: line_of_offset(src, e.offset),
-        path: String::new(),
-        message: e.message,
-    })?;
-    scenario_from_value(&v, src, file, "")
+    scenario_from_value(&parse_source(src, file)?, src, file, "")
 }
 
 #[cfg(test)]

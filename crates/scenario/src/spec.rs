@@ -10,6 +10,8 @@
 //! interprets a spec into a running scenario; this crate only defines,
 //! parses, validates and emits it.
 
+pub use fiveg_geo::CityPreset;
+
 /// Smallest campus side [`ScenarioSpec::validate`] accepts, metres:
 /// the campus generator places every cell site at least 10 m inside
 /// each edge.
@@ -51,9 +53,8 @@ impl Default for CampusSpec {
 /// emission is total.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityDslSpec {
-    /// Generator preset supplying the tile grammar: `dense_urban`,
-    /// `rural` or `indoor_hotspot`.
-    pub preset: String,
+    /// Generator preset supplying the tile grammar.
+    pub preset: CityPreset,
     /// Tiles east-west.
     pub tiles_x: u32,
     /// Tiles north-south.
@@ -67,34 +68,31 @@ pub struct CityDslSpec {
 }
 
 impl CityDslSpec {
-    /// The spec with every field at the preset's defaults, or `None`
-    /// for an unknown preset name.
-    pub fn from_preset(preset: &str) -> Option<CityDslSpec> {
-        let base = fiveg_geo::CitySpec::preset(preset)?;
-        Some(CityDslSpec {
-            preset: preset.to_string(),
+    /// The spec with every field at the preset's defaults.
+    pub fn from_preset(preset: CityPreset) -> CityDslSpec {
+        let base = fiveg_geo::CitySpec::preset(preset);
+        CityDslSpec {
+            preset,
             tiles_x: base.tiles_x as u32,
             tiles_y: base.tiles_y as u32,
             enb_per_tile: base.enb_per_tile as u32,
             gnb_per_tile: base.gnb_per_tile as u32,
             concrete_fraction: base.concrete_fraction,
-        })
+        }
     }
 
     /// Resolves to the generator's [`fiveg_geo::CitySpec`]: the preset
     /// supplies the tile grammar (tile size, block lattice, heights),
     /// this spec overrides the swept densities.
-    ///
-    /// `None` for an unknown preset ([`ScenarioSpec::validate`]
-    /// rejects those).
-    pub fn to_city_spec(&self) -> Option<fiveg_geo::CitySpec> {
-        let mut spec = fiveg_geo::CitySpec::preset(&self.preset)?;
-        spec.tiles_x = self.tiles_x as usize;
-        spec.tiles_y = self.tiles_y as usize;
-        spec.enb_per_tile = self.enb_per_tile as usize;
-        spec.gnb_per_tile = self.gnb_per_tile as usize;
-        spec.concrete_fraction = self.concrete_fraction;
-        Some(spec)
+    pub fn to_city_spec(&self) -> fiveg_geo::CitySpec {
+        fiveg_geo::CitySpec {
+            tiles_x: self.tiles_x as usize,
+            tiles_y: self.tiles_y as usize,
+            enb_per_tile: self.enb_per_tile as usize,
+            gnb_per_tile: self.gnb_per_tile as usize,
+            concrete_fraction: self.concrete_fraction,
+            ..fiveg_geo::CitySpec::preset(self.preset)
+        }
     }
 }
 
@@ -535,13 +533,9 @@ impl ScenarioSpec {
             return Err("campus.concrete_fraction must be in [0, 1]".into());
         }
         if let Some(city) = &self.city {
-            let Some(spec) = city.to_city_spec() else {
-                return Err(format!(
-                    "city.preset `{}` is unknown (expected dense_urban, rural or indoor_hotspot)",
-                    city.preset
-                ));
-            };
-            spec.validate().map_err(|e| format!("city: {e}"))?;
+            city.to_city_spec()
+                .validate()
+                .map_err(|e| format!("city: {e}"))?;
         }
         if let Some(t) = &self.trace {
             if t.sample == 0 {
@@ -591,7 +585,7 @@ impl ScenarioSpec {
                     return Err("fleet needs at least one UE group".into());
                 }
                 let mut seen: Vec<&str> = Vec::new();
-                for g in &f.groups {
+                for (i, g) in f.groups.iter().enumerate() {
                     if g.name.is_empty() {
                         return Err("group name must be non-empty".into());
                     }
@@ -600,7 +594,10 @@ impl ScenarioSpec {
                     }
                     seen.push(&g.name);
                     if g.count == 0 {
-                        return Err(format!("group `{}` has zero UEs", g.name));
+                        return Err(format!(
+                            "workload.groups[{i}].count: group `{}` has zero UEs",
+                            g.name
+                        ));
                     }
                     match &g.mobility {
                         MobilitySpec::Waypoint {

@@ -20,9 +20,9 @@
 //! seed. Expansion is pure data → data; `scen expand` writes each
 //! variant as a canonical scenario file.
 
-use crate::parse::{line_of_offset, scenario_from_value, ScenarioError};
+use crate::parse::{parse_source, scenario_from_value, Ctx, ScenarioError};
 use crate::spec::{ScenarioSpec, SurveySpec, WorkloadSpec};
-use fiveg_obs::{parse_json, JsonValue};
+use fiveg_obs::JsonValue;
 
 /// One sweep axis: a parameter path and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,76 +213,51 @@ pub fn expand(family: &FamilySpec) -> Result<Vec<ScenarioSpec>, String> {
     Ok(out)
 }
 
-/// Parses a family file. `file` is the display name for errors.
+/// Parses a family file. `file` is the display name for errors, which
+/// carry the key path and line of the offending value.
 pub fn parse_family(src: &str, file: &str) -> Result<FamilySpec, ScenarioError> {
-    let err = |message: String| ScenarioError {
-        file: file.to_string(),
-        line: 0,
-        path: String::new(),
-        message,
-    };
-    let v = parse_json(src).map_err(|e| ScenarioError {
-        file: file.to_string(),
-        line: line_of_offset(src, e.offset),
-        path: String::new(),
-        message: e.message,
-    })?;
-    let map = v
-        .as_object()
-        .ok_or_else(|| err("family file must be a JSON object".into()))?;
-    for key in map.keys() {
-        if key != "base" && key != "axes" {
-            return Err(err(format!(
-                "unknown key `{key}` in family file (allowed: base, axes)"
-            )));
-        }
-    }
+    let v = parse_source(src, file)?;
+    let ctx = Ctx::root(src, file);
+    let map = ctx.obj(&v, "family file")?;
+    ctx.check_keys(map, &["base", "axes"], "family file")?;
     let base_v = map
         .get("base")
-        .ok_or_else(|| err("family file is missing required key `base`".into()))?;
+        .ok_or_else(|| ctx.err("family file is missing required key `base`".into()))?;
     let base = scenario_from_value(base_v, src, file, "base")?;
     let axes_v = map
         .get("axes")
-        .ok_or_else(|| err("family file is missing required key `axes`".into()))?;
+        .ok_or_else(|| ctx.err("family file is missing required key `axes`".into()))?;
+    let axes_ctx = ctx.child("axes");
     let JsonValue::Array(items) = axes_v else {
-        return Err(err("`axes` must be an array".into()));
+        return Err(axes_ctx.err("`axes` must be an array".into()));
     };
     let mut axes = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let amap = item
-            .as_object()
-            .ok_or_else(|| err(format!("axes[{i}] must be an object")))?;
-        for key in amap.keys() {
-            if key != "path" && key != "values" {
-                return Err(err(format!(
-                    "unknown key `{key}` in axes[{i}] (allowed: path, values)"
-                )));
-            }
-        }
-        let path = amap
-            .get("path")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| err(format!("axes[{i}] needs a string `path`")))?
-            .to_string();
+        let actx = axes_ctx.item(i);
+        let amap = actx.obj(item, "an axis")?;
+        actx.check_keys(amap, &["path", "values"], "an axis")?;
+        let path = actx.req_str(amap, "path", "an axis")?;
         if !PATHS.contains(&path.as_str()) {
-            return Err(err(format!(
-                "axes[{i}]: unknown sweep path `{path}` (known: {})",
-                PATHS.join(", ")
-            )));
+            return Err(actx.err_at_key(
+                "path",
+                format!("unknown sweep path `{path}` (known: {})", PATHS.join(", ")),
+            ));
         }
         let values_v = amap
             .get("values")
-            .ok_or_else(|| err(format!("axes[{i}] needs a `values` array")))?;
+            .ok_or_else(|| actx.err("an axis is missing required key `values`".into()))?;
+        let vctx = actx.child("values");
         let JsonValue::Array(value_items) = values_v else {
-            return Err(err(format!("axes[{i}].values must be an array")));
+            return Err(vctx.err("`values` must be an array".into()));
         };
-        let mut values = Vec::with_capacity(value_items.len());
-        for v in value_items {
-            values.push(
+        let values = value_items
+            .iter()
+            .enumerate()
+            .map(|(k, v)| {
                 v.as_f64()
-                    .ok_or_else(|| err(format!("axes[{i}].values must all be numbers")))?,
-            );
-        }
+                    .ok_or_else(|| vctx.item(k).err("sweep values must be numbers".into()))
+            })
+            .collect::<Result<_, _>>()?;
         axes.push(Axis { path, values });
     }
     Ok(FamilySpec { base, axes })
@@ -398,6 +373,18 @@ mod tests {
                        "axes": [], "extra": 1 }"#;
         let e = parse_family(src, "fam.json").unwrap_err();
         assert!(e.message.contains("unknown key `extra`"), "{e}");
+    }
+
+    #[test]
+    fn axis_errors_carry_their_key_path_and_line() {
+        let good = include_str!("../../../golden/scenarios/families/gnb-density.json");
+        let bad = good.replacen("\"values\": [4,", "\"values\": [\"x\", 4,", 1);
+        assert_ne!(bad, good, "the fixture changed shape");
+        let line = 1 + bad[..bad.find("\"x\"").unwrap()].matches('\n').count();
+        let e = parse_family(&bad, "fam-bad.json").unwrap_err();
+        assert_eq!(e.path, "axes[0].values[0]", "{e}");
+        assert_eq!(e.line, line, "{e}");
+        assert!(e.message.contains("must be numbers"), "{e}");
     }
 
     #[test]

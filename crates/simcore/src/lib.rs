@@ -23,8 +23,8 @@
 //!   engine brings origin-packed keys through `schedule_keyed`. The
 //!   queue reports its totals; its owner flushes them as counters.
 //! * [`shard`] — conservative parallel discrete-event engine: one
-//!   [`EventQueue`] per shard, synchronised by barrier-released safe
-//!   windows.
+//!   [`EventQueue`] per shard, every message one lookahead long, and
+//!   barrier-released safe windows one lookahead wide.
 //! * [`rng`] — seedable ChaCha-based random stream with named substreams.
 //! * [`dist`] — the probability distributions the models need (normal,
 //!   log-normal, exponential, Pareto), implemented on top of [`rng`].
@@ -51,9 +51,7 @@ pub mod units;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
-pub use shard::{
-    ShardCtx, ShardEngine, ShardError, ShardId, ShardLogic, ShardRun, ShardStats, Topology,
-};
+pub use shard::{ShardCtx, ShardEngine, ShardError, ShardId, ShardLogic, ShardRun, ShardStats};
 pub use stats::{Cdf, Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::TimeSeries;

@@ -1,16 +1,16 @@
 //! Conservative parallel discrete-event sharding (PDES).
 //!
-//! A simulation is partitioned into **shards** — e.g. a gNB cell plus
-//! its attached UEs, or a wireline router — that advance concurrently
-//! under *conservative* synchronization: a shard may only execute
-//! events inside the current **safe window** `[h, h + W - 1 ns]`,
-//! where `h` is the earliest pending event and `W` the minimum
-//! **lookahead** (one-way link latency) declared by any cross-shard
-//! link. A message sent at time `t ≥ h` over a link with lookahead
-//! `L ≥ W` arrives no earlier than `t + L ≥ h + W`, past the window, so
-//! every message is delivered at a barrier *before* any shard enters
-//! the window that could observe it — no shard ever receives an event
-//! in its past, and no rollback machinery is needed.
+//! A simulation is partitioned into **shards** — in the fleet runner,
+//! UE clusters plus one wireline router — that advance concurrently
+//! under *conservative* synchronization. Any shard may send to any
+//! other, and every message takes the engine's one **lookahead** `L`
+//! (the one-way latency between shards). A shard may only execute
+//! events inside the current **safe window** `[h, h + L - 1 ns]`,
+//! where `h` is the earliest pending event. A message sent at time
+//! `t ≥ h` arrives at `t + L ≥ h + L`, past the window, so every
+//! message is delivered at a barrier *before* any shard enters the
+//! window that could observe it — no shard ever receives an event in
+//! its past, and no rollback machinery is needed.
 //!
 //! ## Determinism
 //!
@@ -31,10 +31,10 @@
 //! ## Deadlock freedom
 //!
 //! Conservative synchronization deadlocks iff a window can have zero
-//! width, which is why [`TopologyBuilder::build`] rejects any link
-//! with zero lookahead up front with [`ShardError::ZeroLookahead`].
-//! Each round the shard holding the globally earliest event always
-//! executes at least one event, so virtual time strictly advances.
+//! width, which is why [`ShardEngine::new`] rejects a zero lookahead
+//! up front with [`ShardError::ZeroLookahead`]. Each round the shard
+//! holding the globally earliest event always executes at least one
+//! event, so virtual time strictly advances.
 //!
 //! ## Observability
 //!
@@ -44,8 +44,9 @@
 //! delivered), plus `sim.events.clamped` when a release build clamped
 //! a past schedule. All are integer sums of per-shard totals — merging
 //! is commutative — and are byte-identical for any thread count. Window
-//! round counts are too, but depend on the topology, so they are
-//! reported only in [`ShardStats`], never as ambient counters.
+//! round counts are too, but they measure the synchronizer rather than
+//! the model, so they are reported only in [`ShardStats`], never as
+//! ambient counters.
 
 use crate::event::{EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
@@ -56,17 +57,14 @@ use std::sync::{
     Barrier, Mutex, MutexGuard, PoisonError,
 };
 
-/// Index of a shard within a [`Topology`] (`0..shards`).
+/// Index of a shard within a [`ShardEngine`] (`0..shards`).
 pub type ShardId = usize;
-
-/// Default bound on undelivered messages per directed link.
-pub const DEFAULT_LINK_CAPACITY: usize = 1 << 16;
 
 /// Width of an event key's local-sequence field: shard `origin`'s
 /// `local`-th stamp is keyed `origin << ORIGIN_SHIFT | local`.
 const ORIGIN_SHIFT: u32 = 40;
 
-/// Most shards a topology may hold, so that no key reaches `u64::MAX`
+/// Most shards an engine may hold, so that no key reaches `u64::MAX`
 /// (the queue's empty-slot key).
 const MAX_SHARDS: usize = (1 << (64 - ORIGIN_SHIFT)) - 1;
 
@@ -76,94 +74,24 @@ const MAX_SHARDS: usize = (1 << (64 - ORIGIN_SHIFT)) - 1;
 /// identically for any thread count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// A topology needs at least one shard.
-    NoShards,
-    /// A link endpoint names a shard outside `0..shards`.
-    BadEndpoint {
-        /// Link source shard.
-        src: ShardId,
-        /// Link destination shard.
-        dst: ShardId,
-        /// Number of shards in the topology.
-        shards: usize,
-    },
-    /// A shard cannot link to itself (local events need no link).
-    SelfLink {
-        /// The offending shard.
-        shard: ShardId,
-    },
-    /// The same directed link was declared twice.
-    DuplicateLink {
-        /// Link source shard.
-        src: ShardId,
-        /// Link destination shard.
-        dst: ShardId,
-    },
-    /// A link declared zero lookahead, which would make the safe
+    /// The engine was given zero lookahead, which would make the safe
     /// window empty and deadlock conservative synchronization.
-    ZeroLookahead {
-        /// Link source shard.
-        src: ShardId,
-        /// Link destination shard.
+    ZeroLookahead,
+    /// A seed named a shard outside `0..shards`, or a send named one
+    /// or its own shard (a shard's own events go through
+    /// [`ShardCtx::schedule_at`]).
+    BadTarget {
+        /// The sending shard; `None` for a seed.
+        src: Option<ShardId>,
+        /// The shard the event was aimed at.
         dst: ShardId,
-    },
-    /// A link declared a zero message capacity.
-    ZeroCapacity {
-        /// Link source shard.
-        src: ShardId,
-        /// Link destination shard.
-        dst: ShardId,
-    },
-    /// The logic count handed to [`ShardEngine::new`] does not match
-    /// the topology's shard count.
-    LogicCount {
-        /// Shards in the topology.
-        expected: usize,
-        /// Logics provided.
-        got: usize,
-    },
-    /// An event was seeded on (or sent to) a shard outside the
-    /// topology.
-    UnknownShard {
-        /// The offending shard index.
-        shard: ShardId,
-        /// Number of shards in the topology.
+        /// Number of shards in the engine.
         shards: usize,
     },
-    /// [`ShardCtx::send`] targeted a pair with no declared link.
-    UnknownLink {
-        /// Sending shard.
-        src: ShardId,
-        /// Destination shard.
-        dst: ShardId,
-    },
-    /// [`ShardCtx::send`] used a delay below the link's lookahead,
-    /// which would let a message land inside an already-released safe
-    /// window.
-    LookaheadViolated {
-        /// Sending shard.
-        src: ShardId,
-        /// Destination shard.
-        dst: ShardId,
-        /// The delay the sender asked for.
-        delay: SimDuration,
-        /// The lookahead the link declared.
-        lookahead: SimDuration,
-    },
-    /// More undelivered messages accumulated on a link than its
-    /// declared capacity (the bounded-channel guarantee).
-    MailboxOverflow {
-        /// Sending shard.
-        src: ShardId,
-        /// Destination shard.
-        dst: ShardId,
-        /// The link's capacity.
-        capacity: usize,
-    },
-    /// The `(origin, local seq)` event key overflowed: a topology of
+    /// The `(origin, local seq)` event key overflowed: an engine of
     /// `2^24` shards or more, or a shard's `2^40`-th stamp.
     KeySpace {
-        /// The highest shard of the topology, or the stamping shard.
+        /// The highest shard of the engine, or the stamping shard.
         shard: ShardId,
     },
 }
@@ -171,53 +99,24 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardError::NoShards => write!(f, "a shard topology needs at least one shard"),
-            ShardError::BadEndpoint { src, dst, shards } => write!(
+            ShardError::ZeroLookahead => write!(
                 f,
-                "link {src}->{dst} names a shard outside the topology (shards 0..{shards})"
+                "zero lookahead: shards could never release a safe window and conservative \
+                 synchronization would deadlock; give the one-way latency between shards"
             ),
-            ShardError::SelfLink { shard } => write!(
-                f,
-                "shard {shard} links to itself; local events need no link"
-            ),
-            ShardError::DuplicateLink { src, dst } => {
-                write!(f, "link {src}->{dst} declared twice")
-            }
-            ShardError::ZeroLookahead { src, dst } => write!(
-                f,
-                "link {src}->{dst} declares zero lookahead: adjacent shards could never \
-                 release a safe window and conservative synchronization would deadlock; \
-                 declare the link's one-way latency"
-            ),
-            ShardError::ZeroCapacity { src, dst } => {
-                write!(f, "link {src}->{dst} declares zero message capacity")
-            }
-            ShardError::LogicCount { expected, got } => write!(
-                f,
-                "topology has {expected} shards but {got} shard logics were provided"
-            ),
-            ShardError::UnknownShard { shard, shards } => {
-                write!(
-                    f,
-                    "shard {shard} is outside the topology (shards 0..{shards})"
-                )
-            }
-            ShardError::UnknownLink { src, dst } => {
-                write!(f, "shard {src} sent to shard {dst} without a declared link")
-            }
-            ShardError::LookaheadViolated {
-                src,
+            ShardError::BadTarget {
+                src: None,
                 dst,
-                delay,
-                lookahead,
+                shards,
+            } => write!(f, "seed on shard {dst}, outside shards 0..{shards}"),
+            ShardError::BadTarget {
+                src: Some(src),
+                dst,
+                shards,
             } => write!(
                 f,
-                "shard {src} sent to shard {dst} with delay {delay} below the link's \
-                 lookahead {lookahead}"
-            ),
-            ShardError::MailboxOverflow { src, dst, capacity } => write!(
-                f,
-                "link {src}->{dst} exceeded its capacity of {capacity} undelivered messages"
+                "shard {src} sent to shard {dst}: a send needs another shard of 0..{shards} \
+                 (local events go through schedule_at)"
             ),
             ShardError::KeySpace { shard } => write!(
                 f,
@@ -230,143 +129,6 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One directed cross-shard link.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    lookahead: SimDuration,
-    capacity: usize,
-}
-
-/// A validated shard graph: shard count plus directed links, each
-/// carrying a positive lookahead (its one-way latency) and a bound on
-/// undelivered messages.
-#[derive(Debug, Clone)]
-pub struct Topology {
-    shards: usize,
-    /// Dense `src * shards + dst` adjacency.
-    links: Vec<Option<Link>>,
-    /// Minimum lookahead over all links; [`SimDuration::MAX`] when the
-    /// topology has no links (one unbounded window).
-    min_lookahead: SimDuration,
-}
-
-impl Topology {
-    /// Starts building a topology over `shards` shards.
-    pub fn builder(shards: usize) -> TopologyBuilder {
-        TopologyBuilder {
-            shards,
-            links: Vec::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The declared lookahead of `src -> dst`, if linked.
-    pub fn lookahead(&self, src: ShardId, dst: ShardId) -> Option<SimDuration> {
-        self.link(src, dst).map(|l| l.lookahead)
-    }
-
-    /// The safe-window width: minimum lookahead over all links, or
-    /// [`SimDuration::MAX`] for a link-free topology.
-    pub fn min_lookahead(&self) -> SimDuration {
-        self.min_lookahead
-    }
-
-    fn link(&self, src: ShardId, dst: ShardId) -> Option<Link> {
-        if src < self.shards && dst < self.shards {
-            self.links[src * self.shards + dst]
-        } else {
-            None
-        }
-    }
-}
-
-/// Builder for [`Topology`]; all validation happens in [`build`].
-///
-/// [`build`]: TopologyBuilder::build
-#[derive(Debug)]
-pub struct TopologyBuilder {
-    shards: usize,
-    links: Vec<(ShardId, ShardId, SimDuration, usize)>,
-}
-
-impl TopologyBuilder {
-    /// Declares a directed link `src -> dst` whose one-way latency is
-    /// `lookahead`, with the default message capacity.
-    #[must_use]
-    pub fn link(self, src: ShardId, dst: ShardId, lookahead: SimDuration) -> Self {
-        self.link_with_capacity(src, dst, lookahead, DEFAULT_LINK_CAPACITY)
-    }
-
-    /// Declares a directed link with an explicit bound on undelivered
-    /// messages.
-    #[must_use]
-    pub fn link_with_capacity(
-        mut self,
-        src: ShardId,
-        dst: ShardId,
-        lookahead: SimDuration,
-        capacity: usize,
-    ) -> Self {
-        self.links.push((src, dst, lookahead, capacity));
-        self
-    }
-
-    /// Validates and freezes the topology.
-    ///
-    /// Rejects zero-lookahead links ([`ShardError::ZeroLookahead`]) —
-    /// the deadlock-freedom precondition — as well as out-of-range
-    /// endpoints, self links, duplicates, zero capacities and more
-    /// shards than the event key holds.
-    pub fn build(self) -> Result<Topology, ShardError> {
-        if self.shards == 0 {
-            return Err(ShardError::NoShards);
-        }
-        if self.shards > MAX_SHARDS {
-            return Err(ShardError::KeySpace {
-                shard: self.shards - 1,
-            });
-        }
-        let mut links: Vec<Option<Link>> = vec![None; self.shards * self.shards];
-        let mut min_lookahead = SimDuration::MAX;
-        for (src, dst, lookahead, capacity) in self.links {
-            if src >= self.shards || dst >= self.shards {
-                return Err(ShardError::BadEndpoint {
-                    src,
-                    dst,
-                    shards: self.shards,
-                });
-            }
-            if src == dst {
-                return Err(ShardError::SelfLink { shard: src });
-            }
-            if lookahead.is_zero() {
-                return Err(ShardError::ZeroLookahead { src, dst });
-            }
-            if capacity == 0 {
-                return Err(ShardError::ZeroCapacity { src, dst });
-            }
-            let slot = &mut links[src * self.shards + dst];
-            if slot.is_some() {
-                return Err(ShardError::DuplicateLink { src, dst });
-            }
-            *slot = Some(Link {
-                lookahead,
-                capacity,
-            });
-            min_lookahead = min_lookahead.min(lookahead);
-        }
-        Ok(Topology {
-            shards: self.shards,
-            links,
-            min_lookahead,
-        })
-    }
-}
-
 /// Packs `shard`'s next event key, or fails once its local counter
 /// would spill into the next origin's range.
 fn next_key(shard: ShardId, counter: &mut u64) -> Result<u64, ShardError> {
@@ -376,15 +138,6 @@ fn next_key(shard: ShardId, counter: &mut u64) -> Result<u64, ShardError> {
     let key = (shard as u64) << ORIGIN_SHIFT | *counter;
     *counter += 1;
     Ok(key)
-}
-
-/// A cross-shard message in flight, stamped with its send time.
-struct Outgoing<E> {
-    dst: ShardId,
-    /// Virtual time of the send, kept for the arrival-time invariant
-    /// `msg.at >= sent_at + lookahead` (checked in debug builds).
-    sent_at: SimTime,
-    msg: ScheduledEvent<E>,
 }
 
 /// The behavior of one shard.
@@ -404,19 +157,16 @@ pub trait ShardLogic: Send {
 /// Scheduling context handed to [`ShardLogic::handle`].
 pub struct ShardCtx<'a, E> {
     shard: ShardId,
-    topo: &'a Topology,
+    shards: usize,
+    lookahead: SimDuration,
     seq: &'a mut u64,
     queue: &'a mut EventQueue<E>,
-    outbox: &'a mut Vec<Outgoing<E>>,
+    /// Messages sent in the current window, with their destinations.
+    outbox: &'a mut Vec<(ShardId, ScheduledEvent<E>)>,
     error: &'a mut Option<ShardError>,
 }
 
 impl<E> ShardCtx<'_, E> {
-    /// The shard this context belongs to.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
     /// Current virtual time (the timestamp of the event in flight).
     pub fn now(&self) -> SimTime {
         self.queue.now()
@@ -437,45 +187,28 @@ impl<E> ShardCtx<'_, E> {
         }
     }
 
-    /// Schedules a local event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now() + delay, event);
-    }
-
-    /// Sends `event` to shard `dst`, arriving `delay` after now.
+    /// Sends `event` to shard `dst`, arriving one lookahead after now.
     ///
-    /// The pair must be linked and `delay` must be at least the link's
-    /// declared lookahead; a violation records a [`ShardError`] that
-    /// deterministically aborts the run.
-    pub fn send(&mut self, dst: ShardId, delay: SimDuration, event: E) {
-        let Some(link) = self.topo.link(self.shard, dst) else {
-            self.fail(ShardError::UnknownLink {
-                src: self.shard,
+    /// `dst` must be another shard of the engine; a bad target records
+    /// a [`ShardError::BadTarget`] that deterministically aborts the
+    /// run.
+    pub fn send(&mut self, dst: ShardId, event: E) {
+        if dst >= self.shards || dst == self.shard {
+            self.fail(ShardError::BadTarget {
+                src: Some(self.shard),
                 dst,
-            });
-            return;
-        };
-        if delay < link.lookahead {
-            self.fail(ShardError::LookaheadViolated {
-                src: self.shard,
-                dst,
-                delay,
-                lookahead: link.lookahead,
+                shards: self.shards,
             });
             return;
         }
         let Some(key) = self.next_key() else { return };
         let now = self.now();
         let msg = ScheduledEvent {
-            at: now + delay,
+            at: now + self.lookahead,
             seq: key,
             payload: event,
         };
-        self.outbox.push(Outgoing {
-            dst,
-            sent_at: now,
-            msg,
-        });
+        self.outbox.push((dst, msg));
         // `shard` trace category: physical ids, opt-in only (the
         // event stream varies with the shard count by construction).
         fiveg_trace::emit(
@@ -503,36 +236,22 @@ struct Cell<L: ShardLogic> {
     /// Local sequence counter behind the shard's event keys.
     seq: u64,
     /// Messages sent in the current window, delivered at its barrier.
-    outbox: Vec<Outgoing<L::Event>>,
-    /// The first error this shard's handlers raised, or the overflow
-    /// of one of its links; it ends the run at the next barrier.
+    outbox: Vec<(ShardId, ScheduledEvent<L::Event>)>,
+    /// The first error this shard's handlers raised; it ends the run
+    /// at the next barrier.
     error: Option<ShardError>,
 }
 
 /// Leader only, at a barrier: moves every shard's outbox into the
-/// destination queues and returns how many messages moved. A link
-/// whose backlog in the window exceeds its capacity fails its source
-/// shard with [`ShardError::MailboxOverflow`], lowest `dst` first.
-fn deliver<L: ShardLogic>(topo: &Topology, shards: &mut [MutexGuard<'_, Cell<L>>]) -> u64 {
+/// destination queues and returns how many messages moved.
+fn deliver<L: ShardLogic>(shards: &mut [MutexGuard<'_, Cell<L>>]) -> u64 {
     let mut moved = 0;
-    let mut per_dst: Vec<usize> = vec![0; shards.len()];
     for src in 0..shards.len() {
         let mut outbox = std::mem::take(&mut shards[src].outbox);
         moved += outbox.len() as u64;
-        per_dst.fill(0);
-        for o in outbox.drain(..) {
-            per_dst[o.dst] += 1;
-            debug_assert!(topo
-                .link(src, o.dst)
-                .is_some_and(|l| o.msg.at >= o.sent_at + l.lookahead));
-            let ScheduledEvent { at, seq, payload } = o.msg;
-            shards[o.dst].queue.schedule_keyed(at, seq, payload);
+        for (dst, ScheduledEvent { at, seq, payload }) in outbox.drain(..) {
+            shards[dst].queue.schedule_keyed(at, seq, payload);
         }
-        // `send` queues only on declared links.
-        shards[src].error = per_dst.iter().enumerate().find_map(|(dst, &sent)| {
-            let capacity = topo.link(src, dst)?.capacity;
-            (sent > capacity).then_some(ShardError::MailboxOverflow { src, dst, capacity })
-        });
         shards[src].outbox = outbox;
     }
     moved
@@ -545,9 +264,9 @@ pub struct ShardStats {
     pub events: u64,
     /// Cross-shard messages delivered. Thread-count invariant.
     pub msgs: u64,
-    /// Safe windows released. Thread-count invariant, but a function
-    /// of the topology (and so of a fleet's shard count) — informational
-    /// only, never an obs counter.
+    /// Safe windows released. Thread-count invariant, but a measure of
+    /// the synchronizer rather than the model — informational only,
+    /// never an obs counter.
     pub rounds: u64,
 }
 
@@ -569,20 +288,28 @@ impl<L> fmt::Debug for ShardRun<L> {
     }
 }
 
-/// A conservative parallel discrete-event engine over a [`Topology`].
+/// A conservative parallel discrete-event engine in which every
+/// message takes one lookahead.
 pub struct ShardEngine<L: ShardLogic> {
-    topo: Topology,
+    lookahead: SimDuration,
     cells: Vec<Cell<L>>,
 }
 
 impl<L: ShardLogic> ShardEngine<L> {
-    /// Creates an engine from a topology and one logic per shard
-    /// (`logics[i]` drives shard `i`).
-    pub fn new(topo: Topology, logics: Vec<L>) -> Result<Self, ShardError> {
-        if logics.len() != topo.shards() {
-            return Err(ShardError::LogicCount {
-                expected: topo.shards(),
-                got: logics.len(),
+    /// Creates an engine of one shard per logic (`logics[i]` drives
+    /// shard `i`) whose messages all arrive `lookahead` after their
+    /// send.
+    ///
+    /// Rejects a zero lookahead ([`ShardError::ZeroLookahead`]) — the
+    /// deadlock-freedom precondition — and more shards than the event
+    /// key holds ([`ShardError::KeySpace`]).
+    pub fn new(lookahead: SimDuration, logics: Vec<L>) -> Result<Self, ShardError> {
+        if lookahead.is_zero() {
+            return Err(ShardError::ZeroLookahead);
+        }
+        if logics.len() > MAX_SHARDS {
+            return Err(ShardError::KeySpace {
+                shard: logics.len() - 1,
             });
         }
         let cells = logics
@@ -597,14 +324,18 @@ impl<L: ShardLogic> ShardEngine<L> {
                 error: None,
             })
             .collect();
-        Ok(ShardEngine { topo, cells })
+        Ok(ShardEngine { lookahead, cells })
     }
 
     /// Seeds an initial event on `shard` at absolute time `at`.
     pub fn seed(&mut self, shard: ShardId, at: SimTime, event: L::Event) -> Result<(), ShardError> {
-        let shards = self.topo.shards();
+        let shards = self.cells.len();
         let Some(cell) = self.cells.get_mut(shard) else {
-            return Err(ShardError::UnknownShard { shard, shards });
+            return Err(ShardError::BadTarget {
+                src: None,
+                dst: shard,
+                shards,
+            });
         };
         let key = next_key(shard, &mut cell.seq)?;
         cell.queue.schedule_keyed(at, key, event);
@@ -616,7 +347,7 @@ impl<L: ShardLogic> ShardEngine<L> {
     ///
     /// Every thread count runs the same loop: each round a leader
     /// delivers the last window's messages and releases the safe window
-    /// `[h, h + W - 1 ns]` from the earliest pending time `h`, and
+    /// `[h, h + L - 1 ns]` from the earliest pending time `h`, and
     /// `threads` workers (clamped to `1..=shards`; one runs inline on
     /// the calling thread) execute every shard's events inside it.
     /// Observable behavior is bit-identical for any `threads`; on
@@ -625,22 +356,19 @@ impl<L: ShardLogic> ShardEngine<L> {
     /// `fiveg-obs` scope.
     ///
     /// The first window in which a handler fails ends the run with the
-    /// error of the lowest failing shard. Only when no handler failed
-    /// is a link whose backlog in the window exceeded its capacity
-    /// reported, as [`ShardError::MailboxOverflow`] of the lowest
-    /// `(src, dst)` link.
+    /// error of the lowest failing shard.
     #[expect(
         clippy::disallowed_types,
-        reason = "the barrier loop: only the leader touches shared state, between barriers, and it walks shards and links in index order"
+        reason = "the barrier loop: only the leader touches shared state, between barriers, and it walks shards in index order"
     )]
     pub fn run(self, threads: usize) -> Result<ShardRun<L>, ShardError> {
-        let ShardEngine { topo, cells } = self;
-        let n = topo.shards();
-        let threads = threads.clamp(1, n);
-        // Inclusive window reach `W - 1 ns` (zero lookahead never
-        // builds): a send at `s >= h` lands at `>= h + W`, outside the
+        let ShardEngine { lookahead, cells } = self;
+        let n = cells.len();
+        let threads = threads.clamp(1, n.max(1));
+        // Inclusive window reach `L - 1 ns` (zero lookahead never
+        // builds): a send at `s >= h` lands at `>= h + L`, outside the
         // window, and a horizon at `SimTime::MAX` still executes.
-        let reach = topo.min_lookahead() - SimDuration::from_nanos(1);
+        let reach = lookahead - SimDuration::from_nanos(1);
 
         let cells: Vec<Mutex<Cell<L>>> = cells.into_iter().map(Mutex::new).collect();
         let barrier = Barrier::new(threads);
@@ -658,12 +386,10 @@ impl<L: ShardLogic> ShardEngine<L> {
             loop {
                 if barrier.wait().is_leader() {
                     let mut shards: Vec<_> = cells.iter().map(lock).collect();
-                    // A handler failure ends the run before delivery,
-                    // so an overflow is reported only without one.
-                    let mut failed = shards.iter().any(|c| c.error.is_some());
+                    // A handler failure ends the run before delivery.
+                    let failed = shards.iter().any(|c| c.error.is_some());
                     if !failed {
-                        msgs.fetch_add(deliver(&topo, &mut shards), MemOrder::Relaxed);
-                        failed = shards.iter().any(|c| c.error.is_some());
+                        msgs.fetch_add(deliver(&mut shards), MemOrder::Relaxed);
                     }
                     let horizon = shards.iter().filter_map(|c| c.queue.peek_time()).min();
                     match horizon {
@@ -703,7 +429,8 @@ impl<L: ShardLogic> ShardEngine<L> {
                         }
                         let mut ctx = ShardCtx {
                             shard: cell.id,
-                            topo: &topo,
+                            shards: n,
+                            lookahead,
                             seq: &mut cell.seq,
                             queue: &mut cell.queue,
                             outbox: &mut cell.outbox,
@@ -782,15 +509,16 @@ mod tests {
     use std::time::Duration;
 
     /// A deterministic pseudo-random logic: every event fans out into
-    /// local schedules and cross-shard sends derived from a stable
+    /// local schedules and sends to other shards derived from a stable
     /// hash of (shard, time, payload), and logs its delivery order.
     /// The fan-out exceeds one event, so each shard runs until its
-    /// budget is spent. Every delay is whole microseconds and a third of
-    /// the sends take exactly the link's lookahead, so messages often
-    /// land on a window's edge and tie with events already there.
+    /// budget is spent. Every delay and the lookahead are whole
+    /// microseconds, and every send lands one lookahead ahead — on the
+    /// edge of the window it was sent in — so messages often tie with
+    /// events already there.
     struct Chaos {
         id: ShardId,
-        out_links: Vec<(ShardId, SimDuration)>,
+        shards: usize,
         budget: u64,
         log: Vec<(u64, u64)>,
     }
@@ -807,42 +535,28 @@ mod tests {
             let h =
                 crate::hash::fnv1a64(format!("{}:{}:{event}", self.id, at.as_nanos()).as_bytes());
             if !h.is_multiple_of(3) {
-                ctx.schedule_in(SimDuration::from_micros(1 + h % 50), h ^ 1);
+                ctx.schedule_at(at + SimDuration::from_micros(1 + h % 50), h ^ 1);
             }
-            if h.is_multiple_of(2) && !self.out_links.is_empty() {
-                let (dst, lookahead) = self.out_links[(h as usize >> 8) % self.out_links.len()];
-                let extra = SimDuration::from_micros(h % 3);
-                ctx.send(dst, lookahead + extra, h ^ 2);
+            if h.is_multiple_of(2) && self.shards > 1 {
+                // Any shard but this one.
+                let hop = 1 + (h as usize >> 8) % (self.shards - 1);
+                ctx.send((self.id + hop) % self.shards, h ^ 2);
             }
         }
     }
 
-    /// Builds a random strongly-messaging topology plus Chaos logics.
-    fn random_setup(shards: usize, seed: u64) -> (Topology, Vec<Chaos>) {
-        let mut rng = SimRng::new(seed);
-        let mut builder = Topology::builder(shards);
-        let mut out: Vec<Vec<(ShardId, SimDuration)>> = vec![Vec::new(); shards];
-        for (src, out_links) in out.iter_mut().enumerate() {
-            for dst in 0..shards {
-                if src != dst && rng.chance(0.6) {
-                    let la = SimDuration::from_micros(rng.range_u64(1, 20));
-                    builder = builder.link(src, dst, la);
-                    out_links.push((dst, la));
-                }
-            }
-        }
-        let topo = builder.build().expect("valid random topology");
-        let logics = out
-            .into_iter()
-            .enumerate()
-            .map(|(id, out_links)| Chaos {
+    /// A random lookahead plus one Chaos logic per shard.
+    fn random_setup(shards: usize, seed: u64) -> (SimDuration, Vec<Chaos>) {
+        let lookahead = SimDuration::from_micros(SimRng::new(seed).range_u64(1, 20));
+        let logics = (0..shards)
+            .map(|id| Chaos {
                 id,
-                out_links,
+                shards,
                 budget: 400,
                 log: Vec::new(),
             })
             .collect();
-        (topo, logics)
+        (lookahead, logics)
     }
 
     /// The reference the windowed loop is checked against: every
@@ -852,7 +566,7 @@ mod tests {
     /// origin the engine's keys grow with its local counter, so the
     /// tuple order is `(time, origin, local seq)` whatever the key's bit
     /// layout: the oracle checks the packing rather than sharing it. No
-    /// capacity, failure or trace handling.
+    /// window, failure or trace handling.
     fn run_merged<L: ShardLogic>(engine: ShardEngine<L>) -> ShardRun<L> {
         struct Merged<E> {
             heap: BinaryHeap<Reverse<(SimTime, ShardId, u64, usize)>>,
@@ -864,7 +578,11 @@ mod tests {
                 self.slab.push(Some((dst, event)));
             }
         }
-        let ShardEngine { topo, mut cells } = engine;
+        let ShardEngine {
+            lookahead,
+            mut cells,
+        } = engine;
+        let shards = cells.len();
         let mut merged = Merged {
             heap: BinaryHeap::new(),
             slab: Vec::new(),
@@ -884,7 +602,8 @@ mod tests {
             scratch.advance_to(at);
             let mut ctx = ShardCtx {
                 shard: dst,
-                topo: &topo,
+                shards,
+                lookahead,
                 seq: &mut cell.seq,
                 queue: &mut scratch,
                 outbox: &mut cell.outbox,
@@ -895,8 +614,8 @@ mod tests {
             while let Some(ev) = scratch.pop() {
                 merged.push(ev.at, dst, ev.seq, dst, ev.payload);
             }
-            for o in cell.outbox.drain(..) {
-                merged.push(o.msg.at, dst, o.msg.seq, o.dst, o.msg.payload);
+            for (to, msg) in cell.outbox.drain(..) {
+                merged.push(msg.at, dst, msg.seq, to, msg.payload);
             }
         }
         ShardRun {
@@ -916,8 +635,8 @@ mod tests {
         seed: u64,
         threads: Option<usize>,
     ) -> (Vec<Vec<(u64, u64)>>, ShardStats) {
-        let (topo, logics) = random_setup(shards, seed);
-        let mut engine = ShardEngine::new(topo, logics).expect("engine builds");
+        let (lookahead, logics) = random_setup(shards, seed);
+        let mut engine = ShardEngine::new(lookahead, logics).expect("engine builds");
         for s in 0..shards {
             engine
                 .seed(s, SimTime::from_micros(s as u64), s as u64)
@@ -932,10 +651,10 @@ mod tests {
 
     #[test]
     fn sharded_equals_serial_for_random_topologies() {
-        // The determinism property: for random topologies and
-        // lookaheads, every shard delivers the same events in the
-        // same order as the merged-heap reference, for any thread
-        // count, and the windows released do not depend on it.
+        // The determinism property: for random lookaheads and message
+        // patterns, every shard delivers the same events in the same
+        // order as the merged-heap reference, for any thread count,
+        // and the windows released do not depend on it.
         for shards in [1, 2, 3, 8] {
             for seed in 0..6u64 {
                 let (ref_logs, ref_stats) = run_setup(shards, seed, None);
@@ -971,62 +690,54 @@ mod tests {
 
     #[test]
     fn zero_lookahead_adjacent_shards_are_rejected_at_construction() {
-        let err = Topology::builder(3)
-            .link(0, 1, SimDuration::from_micros(5))
-            .link(1, 2, SimDuration::ZERO)
-            .build()
-            .expect_err("zero lookahead must not build");
-        assert_eq!(err, ShardError::ZeroLookahead { src: 1, dst: 2 });
+        let Err(err) = ShardEngine::new(SimDuration::ZERO, vec![Counter(0), Counter(0)]) else {
+            panic!("zero lookahead must not build");
+        };
+        assert_eq!(err, ShardError::ZeroLookahead);
         let msg = err.to_string();
         assert!(msg.contains("zero lookahead"), "unclear error: {msg}");
         assert!(msg.contains("deadlock"), "unclear error: {msg}");
     }
 
+    /// Never schedules or sends.
+    #[derive(Clone)]
+    struct Idle;
+
+    impl ShardLogic for Idle {
+        type Event = u64;
+        fn handle(&mut self, _ctx: &mut ShardCtx<'_, u64>, _at: SimTime, _ev: u64) {}
+    }
+
     #[test]
-    fn builder_rejects_malformed_topologies() {
+    fn new_and_seed_reject_out_of_range_shards() {
+        let la = SimDuration::from_micros(1);
+        // Rejected before any shard state is allocated (`Idle` is
+        // zero-sized, so the logics themselves take no memory).
+        let Err(err) = ShardEngine::new(la, vec![Idle; MAX_SHARDS + 1]) else {
+            panic!("origin field overflow must not build");
+        };
+        assert_eq!(err, ShardError::KeySpace { shard: MAX_SHARDS });
+        let mut engine = ShardEngine::new(la, vec![Idle, Idle]).expect("builds");
+        let err = ShardError::BadTarget {
+            src: None,
+            dst: 2,
+            shards: 2,
+        };
+        assert_eq!(engine.seed(2, SimTime::ZERO, 0), Err(err.clone()));
+        assert_eq!(err.to_string(), "seed on shard 2, outside shards 0..2");
+        // An engine of no shards has nothing to run.
+        let run = ShardEngine::new(la, Vec::<Idle>::new())
+            .expect("builds")
+            .run(4)
+            .expect("completes");
+        assert!(run.logics.is_empty());
         assert_eq!(
-            Topology::builder(0).build().expect_err("no shards"),
-            ShardError::NoShards
-        );
-        assert_eq!(
-            Topology::builder(2)
-                .link(0, 5, SimDuration::from_micros(1))
-                .build()
-                .expect_err("bad endpoint"),
-            ShardError::BadEndpoint {
-                src: 0,
-                dst: 5,
-                shards: 2
+            run.stats,
+            ShardStats {
+                events: 0,
+                msgs: 0,
+                rounds: 0
             }
-        );
-        assert_eq!(
-            Topology::builder(2)
-                .link(1, 1, SimDuration::from_micros(1))
-                .build()
-                .expect_err("self link"),
-            ShardError::SelfLink { shard: 1 }
-        );
-        assert_eq!(
-            Topology::builder(2)
-                .link(0, 1, SimDuration::from_micros(1))
-                .link(0, 1, SimDuration::from_micros(2))
-                .build()
-                .expect_err("duplicate"),
-            ShardError::DuplicateLink { src: 0, dst: 1 }
-        );
-        assert_eq!(
-            Topology::builder(2)
-                .link_with_capacity(0, 1, SimDuration::from_micros(1), 0)
-                .build()
-                .expect_err("zero capacity"),
-            ShardError::ZeroCapacity { src: 0, dst: 1 }
-        );
-        // Rejected before the adjacency matrix is allocated.
-        assert_eq!(
-            Topology::builder(MAX_SHARDS + 1)
-                .build()
-                .expect_err("origin field overflow"),
-            ShardError::KeySpace { shard: MAX_SHARDS }
         );
     }
 
@@ -1035,9 +746,9 @@ mod tests {
         // Shard 0's counter is one stamp from the end of its key range:
         // the seed takes the last key and the handler's schedule fails
         // the run rather than take a key in origin 1's range.
-        let topo = Topology::builder(2).build().expect("builds");
         let counters = (0..2).map(|_| Counter(0)).collect();
-        let mut engine = ShardEngine::new(topo, counters).expect("engine builds");
+        let mut engine =
+            ShardEngine::new(SimDuration::from_micros(1), counters).expect("engine builds");
         engine.cells[0].seq = (1 << ORIGIN_SHIFT) - 1;
         engine
             .seed(0, SimTime::ZERO, 3)
@@ -1073,8 +784,9 @@ mod tests {
         for threads in [1, 2] {
             let m = fiveg_obs::MetricsHandle::new();
             let run = fiveg_obs::scoped(&m, || {
-                let topo = Topology::builder(2).build().expect("builds");
-                let mut engine = ShardEngine::new(topo, vec![Rewind, Rewind]).expect("builds");
+                let mut engine =
+                    ShardEngine::new(SimDuration::from_micros(1), vec![Rewind, Rewind])
+                        .expect("builds");
                 engine.seed(0, SimTime::from_micros(5), 3).expect("seeds");
                 engine.seed(1, SimTime::from_micros(5), 2).expect("seeds");
                 engine.run(threads).expect("completes")
@@ -1085,26 +797,22 @@ mod tests {
         }
     }
 
-    /// Stalls its worker for `.2`, then sends to shard `.0` after `.1`.
-    struct Sender(ShardId, SimDuration, Duration);
+    /// Stalls its worker for `.1`, then sends to shard `.0`.
+    struct Sender(ShardId, Duration);
 
     impl ShardLogic for Sender {
         type Event = u64;
         fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, _ev: u64) {
-            std::thread::sleep(self.2);
-            ctx.send(self.0, self.1, 0);
+            std::thread::sleep(self.1);
+            ctx.send(self.0, 0);
         }
     }
 
     /// Seeds `senders[s]` at time zero for every `s` in `seeded` and
     /// returns the error the run ends with.
-    fn sender_error(
-        topo: Topology,
-        senders: Vec<Sender>,
-        seeded: &[ShardId],
-        threads: usize,
-    ) -> ShardError {
-        let mut engine = ShardEngine::new(topo, senders).expect("engine builds");
+    fn sender_error(senders: Vec<Sender>, seeded: &[ShardId], threads: usize) -> ShardError {
+        let mut engine =
+            ShardEngine::new(SimDuration::from_micros(1), senders).expect("engine builds");
         for &s in seeded {
             engine.seed(s, SimTime::ZERO, 0).expect("seeds");
         }
@@ -1112,47 +820,50 @@ mod tests {
     }
 
     #[test]
-    fn send_without_link_and_lookahead_violations_abort() {
-        let topo = || {
-            Topology::builder(2)
-                .link(1, 0, SimDuration::from_micros(5))
-                .build()
-                .expect("builds")
-        };
-        let senders = || {
-            vec![
-                Sender(1, SimDuration::from_secs(1), Duration::ZERO),
-                Sender(0, SimDuration::from_nanos(1), Duration::ZERO),
-            ]
-        };
+    fn sends_to_self_or_outside_the_engine_abort() {
+        let senders = || vec![Sender(0, Duration::ZERO), Sender(2, Duration::ZERO)];
         for threads in [1, 2] {
-            // Shard 0 has no link at all.
-            let err = sender_error(topo(), senders(), &[0], threads);
-            assert_eq!(err, ShardError::UnknownLink { src: 0, dst: 1 });
-            // Shard 1 sends below the declared lookahead.
-            let err = sender_error(topo(), senders(), &[1], threads);
-            assert!(
-                matches!(err, ShardError::LookaheadViolated { src: 1, dst: 0, .. }),
-                "{err}"
+            // Shard 0 sends to itself.
+            let err = sender_error(senders(), &[0], threads);
+            assert_eq!(
+                err,
+                ShardError::BadTarget {
+                    src: Some(0),
+                    dst: 0,
+                    shards: 2
+                }
+            );
+            assert!(err.to_string().contains("schedule_at"), "{err}");
+            // Shard 1 sends past the last shard.
+            assert_eq!(
+                sender_error(senders(), &[1], threads),
+                ShardError::BadTarget {
+                    src: Some(1),
+                    dst: 2,
+                    shards: 2
+                }
             );
         }
     }
 
     #[test]
     fn same_window_failures_resolve_to_the_lowest_shard() {
-        // Shards 1 and 2 both send on a missing link in the first
+        // Shards 1 and 2 both send past the last shard in the first
         // window. Shard 1 stalls before it sends, so with several
         // threads shard 2 fails first in wall time; the run must still
         // report shard 1's error.
         for threads in [1, 2, 3] {
             for attempt in 0..5 {
                 let senders = [0, 5, 0]
-                    .map(|ms| Sender(0, SimDuration::from_micros(1), Duration::from_millis(ms)))
+                    .map(|ms| Sender(3, Duration::from_millis(ms)))
                     .into();
-                let topo = Topology::builder(3).build().expect("builds");
                 assert_eq!(
-                    sender_error(topo, senders, &[1, 2], threads),
-                    ShardError::UnknownLink { src: 1, dst: 0 },
+                    sender_error(senders, &[1, 2], threads),
+                    ShardError::BadTarget {
+                        src: Some(1),
+                        dst: 3,
+                        shards: 3
+                    },
                     "threads={threads} attempt={attempt}"
                 );
             }
@@ -1167,18 +878,15 @@ mod tests {
         for threads in [1, 2] {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let topo = Topology::builder(2)
-                    .link(0, 1, SimDuration::from_micros(5))
-                    .build()
-                    .expect("builds");
                 let idle = |id| Chaos {
                     id,
-                    out_links: Vec::new(),
+                    shards: 2,
                     budget: 0,
                     log: Vec::new(),
                 };
                 let mut engine =
-                    ShardEngine::new(topo, vec![idle(0), idle(1)]).expect("engine builds");
+                    ShardEngine::new(SimDuration::from_micros(5), vec![idle(0), idle(1)])
+                        .expect("engine builds");
                 engine.seed(0, SimTime::ZERO, 0).expect("seeds");
                 engine.seed(1, SimTime::MAX, 1).expect("seeds");
                 let _ = tx.send(engine.run(threads));
@@ -1196,60 +904,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_links_overflow_deterministically() {
-        // Shard 0 sends three messages in one window on a link that
-        // holds two. When shard 2 also sends on a missing link in that
-        // window, its handler error takes precedence over the overflow.
-        let topo = || {
-            Topology::builder(3)
-                .link_with_capacity(0, 1, SimDuration::from_micros(10), 2)
-                .build()
-                .expect("builds")
-        };
-        let senders = || {
-            (0..3)
-                .map(|_| Sender(1, SimDuration::from_micros(10), Duration::ZERO))
-                .collect()
-        };
-        for threads in [1, 2, 3] {
-            assert_eq!(
-                sender_error(topo(), senders(), &[0, 0, 0], threads),
-                ShardError::MailboxOverflow {
-                    src: 0,
-                    dst: 1,
-                    capacity: 2
-                },
-                "threads={threads}"
-            );
-            assert_eq!(
-                sender_error(topo(), senders(), &[0, 0, 0, 2], threads),
-                ShardError::UnknownLink { src: 2, dst: 1 },
-                "threads={threads}"
-            );
-        }
-    }
-
     /// Counts its events; event `n > 0` schedules `n - 1` a microsecond
     /// later.
     struct Counter(u64);
 
     impl ShardLogic for Counter {
         type Event = u64;
-        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
+        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, at: SimTime, ev: u64) {
             self.0 += 1;
             if ev > 0 {
-                ctx.schedule_in(SimDuration::from_micros(1), ev - 1);
+                ctx.schedule_at(at + SimDuration::from_micros(1), ev - 1);
             }
         }
     }
 
     #[test]
-    fn linkless_topology_runs_each_shard_independently() {
+    fn shards_that_never_send_run_independently() {
         for threads in [1, 4] {
-            let topo = Topology::builder(4).build().expect("builds");
-            let mut engine = ShardEngine::new(topo, (0..4).map(|_| Counter(0)).collect())
-                .expect("engine builds");
+            let mut engine = ShardEngine::new(
+                SimDuration::from_micros(1),
+                (0..4).map(|_| Counter(0)).collect(),
+            )
+            .expect("engine builds");
             for s in 0..4 {
                 engine.seed(s, SimTime::ZERO, 9).expect("seeds");
             }
@@ -1263,39 +939,30 @@ mod tests {
     #[test]
     fn ring_of_shards_makes_progress() {
         // Deadlock-freedom smoke: a message circulating a ring of
-        // shards with heterogeneous lookaheads terminates.
+        // shards terminates.
         struct Ring {
             hops_left: u64,
             next: ShardId,
-            lookahead: SimDuration,
         }
         impl ShardLogic for Ring {
             type Event = u64;
             fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
                 if ev > 0 {
                     self.hops_left = ev;
-                    ctx.send(self.next, self.lookahead, ev - 1);
+                    ctx.send(self.next, ev - 1);
                 }
             }
         }
         for threads in [1, 3] {
             let n = 5;
-            let mut builder = Topology::builder(n);
-            let mut lookaheads = Vec::new();
-            for s in 0..n {
-                let la = SimDuration::from_micros(1 + (s as u64 * 7) % 13);
-                builder = builder.link(s, (s + 1) % n, la);
-                lookaheads.push(la);
-            }
-            let topo = builder.build().expect("builds");
             let logics = (0..n)
                 .map(|s| Ring {
                     hops_left: 0,
                     next: (s + 1) % n,
-                    lookahead: lookaheads[s],
                 })
                 .collect();
-            let mut engine = ShardEngine::new(topo, logics).expect("engine builds");
+            let mut engine =
+                ShardEngine::new(SimDuration::from_micros(7), logics).expect("engine builds");
             engine.seed(0, SimTime::ZERO, 100).expect("seeds");
             let run = engine.run(threads).expect("completes");
             assert_eq!(run.stats.events, 101, "threads={threads}");
@@ -1321,7 +988,7 @@ mod tests {
             fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
                 if ev == u64::MAX {
                     for &p in &self.burst {
-                        ctx.send(2, SimDuration::from_micros(10), p);
+                        ctx.send(2, p);
                     }
                 } else if ev == u64::MAX - 1 {
                     ctx.schedule_at(SimTime::from_micros(10), 99);
@@ -1331,17 +998,12 @@ mod tests {
             }
         }
         for threads in [1, 2, 3] {
-            let topo = Topology::builder(3)
-                .link(0, 2, SimDuration::from_micros(10))
-                .link(1, 2, SimDuration::from_micros(10))
-                .build()
-                .expect("builds");
             let node = |burst: Vec<u64>| Node {
                 burst,
                 log: Vec::new(),
             };
             let mut engine = ShardEngine::new(
-                topo,
+                SimDuration::from_micros(10),
                 vec![node(vec![10, 11, 12]), node(vec![20, 21]), node(vec![])],
             )
             .expect("engine builds");
