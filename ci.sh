@@ -269,7 +269,8 @@ grep -q '\[complete\]' target/ci-trace-stats.txt \
 # every workload for 2 s at seed 2020. Its oracle is the only gate on
 # the tiled-city coverage-sweep digests and on the phy.* counters of the
 # sweep and the fleet round (benchmark/expected/seed-2020.json), so the
-# last line of each run must report "correct":true and "failed":0.
+# last line of each run must report "correct":true and "failed":0, and
+# campaign-quick's peak_rss_mb must stay under a 31 MB ceiling.
 stage "benchmark: every workload 2 s at seed 2020 (correct, failed 0)"
 mapfile -t BENCH_CMD < <(python3 -c \
   'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
@@ -285,3 +286,13 @@ for w in "${BENCH_WORKLOADS[@]}"; do
     exit 1
   fi
 done
+# The quick campaign's peak memory is set by fig11's 23 MB JSON string
+# (about 28 MB peak), as fig11 holds only its loss bursts. A
+# per-arrival vector held beside the string again (about 36 MB) fails.
+python3 -c '
+import json, sys
+log, ceiling = sys.argv[1], float(sys.argv[2])
+rss = json.loads(open(log).read().splitlines()[-1])["metrics"]["peak_rss_mb"]["value"]
+if rss > ceiling:
+    sys.exit(f"benchmark: campaign-quick peak_rss_mb {rss} MB is over its {ceiling} MB ceiling")
+' target/ci-benchmark-campaign-quick.log 31

@@ -5,7 +5,7 @@ use crate::report;
 use crate::scenario::Fidelity;
 use fiveg_net::bufest::{estimate_buffer_pkts, paper_capacity, BufferEstimate, PAPER_PROBE_BYTES};
 use fiveg_net::path::{Direction, PaperPathParams, PathConfig};
-use fiveg_net::{NetSim, MSS_BYTES};
+use fiveg_net::{FlowId, NetSim, MSS_BYTES};
 use fiveg_ran::harq::{attempts_histogram, HarqConfig};
 use fiveg_ran::prb::DayPeriod;
 use fiveg_simcore::{BitRate, SimDuration, SimRng, SimTime};
@@ -337,15 +337,60 @@ pub fn fig10(seed: u64, blocks: usize) -> Fig10 {
 }
 
 /// Fig. 11: received sequence numbers around loss episodes.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The artifact lists every arrival of the transfer as an `(arrival
+/// index, sequence number)` pair under `points`. The stream is one UDP
+/// flow on a FIFO path, so arrivals never reorder: arrival `i` carries
+/// sequence number `i` plus the packets missing in every burst that
+/// starts at or before `i`. `Fig11` therefore keeps only the arrival
+/// count and the bursts, and its [`Serialize`] writes `points` from
+/// them ([`Fig11::points`]), byte for byte the array an explicit pair
+/// list would give.
+#[derive(Debug, Clone)]
 pub struct Fig11 {
-    /// `(arrival index, sequence number)` for a window of the transfer.
-    pub points: Vec<(u64, u64)>,
-    /// Detected loss-burst episodes: `(start index, missing packets)`.
+    /// Number of packets received, in arrival order.
+    pub arrivals: u64,
+    /// Detected loss-burst episodes: `(start index, missing packets)`,
+    /// ascending by start index.
     pub bursts: Vec<(u64, u64)>,
 }
 
 impl Fig11 {
+    /// Builds the figure from the receiver's sequence-number log (bytes,
+    /// in arrival order, every one a multiple of the MSS).
+    fn from_log(log: &[u64]) -> Fig11 {
+        let mss = MSS_BYTES as u64;
+        let mut bursts = Vec::new();
+        let mut expected = 0u64;
+        let mut missing = 0u64;
+        for (i, &seq) in log.iter().enumerate() {
+            if seq > expected {
+                let n = (seq - expected) / mss;
+                bursts.push((i as u64, n));
+                missing += n;
+            }
+            debug_assert_eq!(seq / mss, i as u64 + missing, "arrival {i} out of order");
+            expected = seq + mss;
+        }
+        Fig11 {
+            arrivals: log.len() as u64,
+            bursts,
+        }
+    }
+
+    /// Every `(arrival index, sequence number)` of the transfer, in
+    /// arrival order, derived from `bursts`.
+    pub fn points(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut bursts = self.bursts.iter().peekable();
+        let mut missing = 0u64;
+        (0..self.arrivals).map(move |i| {
+            if let Some(&(_, n)) = bursts.next_if(|&&(start, _)| start == i) {
+                missing += n;
+            }
+            (i, i + missing)
+        })
+    }
+
     /// Renders a summary.
     pub fn to_text(&self) -> String {
         let total_lost: u64 = self.bursts.iter().map(|&(_, n)| n).sum();
@@ -353,11 +398,35 @@ impl Fig11 {
             "== Fig. 11: 5G loss pattern ==\n{} received packets inspected, \
              {} loss episodes, {} packets lost, largest burst {}\n\
              (paper: losses are bursty — intermittent buffer overflow)\n",
-            self.points.len(),
+            self.arrivals,
             self.bursts.len(),
             total_lost,
             self.bursts.iter().map(|&(_, n)| n).max().unwrap_or(0),
         )
+    }
+}
+
+/// Fig. 11's `points` array, written from the bursts.
+struct Points<'a>(&'a Fig11);
+
+impl Serialize for Points<'_> {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        let mut seq = s.seq();
+        for p in self.0.points() {
+            seq.element(&p);
+        }
+        seq.end();
+    }
+}
+
+/// Manual impl (instead of derive) so `points` is written from the
+/// bursts instead of being held as a per-arrival vector.
+impl Serialize for Fig11 {
+    fn serialize(&self, s: &mut serde::Serializer) {
+        let mut map = s.map();
+        map.entry("points", &Points(self));
+        map.entry("bursts", &self.bursts);
+        map.end();
     }
 }
 
@@ -370,6 +439,12 @@ impl Fig11 {
 /// hop — the overflow drops land on *consecutive* sequence numbers:
 /// the paper's bursty-loss signature.
 pub fn fig11(fidelity: Fidelity, seed: u64) -> Fig11 {
+    let (sim, flow) = fig11_transfer(fidelity, seed);
+    Fig11::from_log(&sim.flow_stats(flow).seq_log)
+}
+
+/// Fig. 11's transfer, run to its end: the simulator and the logged flow.
+fn fig11_transfer(fidelity: Fidelity, seed: u64) -> (NetSim, FlowId) {
     let p = PaperPathParams::nr_day();
     let mut path = PathConfig::paper(&p, Direction::Downlink);
     let mut fade_rng = SimRng::new(seed ^ 0xf1611);
@@ -407,19 +482,7 @@ pub fn fig11(fidelity: Fidelity, seed: u64) -> Fig11 {
     );
     let flow = sim.add_flow(Box::new(sender), false, true);
     sim.run_until(SimTime::ZERO + dur + SimDuration::from_secs(1));
-    let log = &sim.flow_stats(flow).seq_log;
-    let mss = MSS_BYTES as u64;
-    let mut points = Vec::with_capacity(log.len());
-    let mut bursts = Vec::new();
-    let mut expected = 0u64;
-    for (i, &seq) in log.iter().enumerate() {
-        points.push((i as u64, seq / mss));
-        if seq > expected {
-            bursts.push((i as u64, (seq - expected) / mss));
-        }
-        expected = seq + mss;
-    }
-    Fig11 { points, bursts }
+    (sim, flow)
 }
 
 /// Tab. 3: in-network buffer estimation via the max-min delay method.
@@ -613,10 +676,69 @@ mod tests {
     #[test]
     fn fig11_losses_are_bursty() {
         let f = fig11(Fidelity::Quick, 11);
-        assert!(!f.points.is_empty());
+        assert!(f.arrivals > 0);
         assert!(!f.bursts.is_empty(), "expected loss episodes");
         let largest = f.bursts.iter().map(|&(_, n)| n).max().unwrap();
         assert!(largest >= 5, "largest burst only {largest} packets");
+    }
+
+    /// The explicit-pair builder `Fig11` replaced: one `(index, seq /
+    /// MSS)` pair per arrival, and a burst wherever the log skips ahead.
+    #[derive(Serialize)]
+    struct Fig11Pairs {
+        points: Vec<(u64, u64)>,
+        bursts: Vec<(u64, u64)>,
+    }
+
+    fn fig11_pairs(log: &[u64]) -> Fig11Pairs {
+        let mss = MSS_BYTES as u64;
+        let mut points = Vec::with_capacity(log.len());
+        let mut bursts = Vec::new();
+        let mut expected = 0u64;
+        for (i, &seq) in log.iter().enumerate() {
+            points.push((i as u64, seq / mss));
+            if seq > expected {
+                bursts.push((i as u64, (seq - expected) / mss));
+            }
+            expected = seq + mss;
+        }
+        Fig11Pairs { points, bursts }
+    }
+
+    /// `Fig11` writes the same pretty and compact JSON as the explicit
+    /// pair list, and every arrival satisfies the full-transfer identity
+    /// `seq / MSS == i + Σ missing` over the bursts up to it.
+    #[test]
+    fn fig11_points_from_bursts_match_explicit_pairs() {
+        let mss = MSS_BYTES as u64;
+        for seed in [2020, 7, 99] {
+            let (sim, flow) = fig11_transfer(Fidelity::Quick, seed);
+            let log = &sim.flow_stats(flow).seq_log;
+            let f = Fig11::from_log(log);
+            let oracle = fig11_pairs(log);
+            assert!(!f.bursts.is_empty(), "seed {seed}: no loss bursts");
+            assert_eq!(f.arrivals, log.len() as u64);
+            assert_eq!(
+                serde_json::to_string_pretty(&f).unwrap(),
+                serde_json::to_string_pretty(&oracle).unwrap(),
+                "seed {seed}: pretty JSON differs"
+            );
+            assert_eq!(
+                serde_json::to_string(&f).unwrap(),
+                serde_json::to_string(&oracle).unwrap(),
+                "seed {seed}: compact JSON differs"
+            );
+            let mut bursts = f.bursts.iter().peekable();
+            let mut missing = 0;
+            for (i, &seq) in log.iter().enumerate() {
+                let i = i as u64;
+                while let Some(&(_, n)) = bursts.next_if(|&&(start, _)| start <= i) {
+                    missing += n;
+                }
+                assert_eq!(seq % mss, 0, "seed {seed}: arrival {i} off the MSS grid");
+                assert_eq!(seq / mss, i + missing, "seed {seed}: arrival {i}");
+            }
+        }
     }
 
     #[test]

@@ -229,25 +229,25 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
 }
 
 /// The key path the first violation the generator plants is reported
-/// under, in `ScenarioSpec::validate`'s order; `None` when the spec
-/// must pass.
-fn planted_violation(spec: &ScenarioSpec) -> Option<String> {
+/// under, in `ScenarioSpec::validate`'s order, and a phrase its message
+/// holds; `None` when the spec must pass.
+fn planted_violation(spec: &ScenarioSpec) -> Option<(String, &'static str)> {
     // The campus generator keeps sites 10 m inside each edge.
     if spec.campus.width_m < MIN_CAMPUS_SIDE_M {
-        return Some("campus.width_m".into());
+        return Some(("campus.width_m".into(), "width_m"));
     }
     if spec.campus.height_m < MIN_CAMPUS_SIDE_M {
-        return Some("campus.height_m".into());
+        return Some(("campus.height_m".into(), "height_m"));
     }
     if spec.city.as_ref().is_some_and(|c| c.enb_per_tile == 0) {
-        return Some("city: enb_per_tile".into());
+        return Some(("city".into(), "enb_per_tile"));
     }
     match &spec.workload {
         WorkloadSpec::Fleet(f) => f
             .groups
             .iter()
             .position(|g| g.count == 0)
-            .map(|i| format!("workload.groups[{i}].count")),
+            .map(|i| (format!("workload.groups[{i}].count"), "zero UEs")),
         WorkloadSpec::Survey(_) => None,
     }
 }
@@ -263,11 +263,14 @@ proptest! {
         let text = emit_scenario(&spec);
         // What `scen check` does with a file: parse and validate.
         let parsed = parse_scenario(&text, "prop.json");
-        if let Some(path) = planted_violation(&spec) {
+        if let Some((path, phrase)) = planted_violation(&spec) {
             let e = parsed
                 .err()
                 .unwrap_or_else(|| panic!("`{path}` violation passed validation:\n{text}"));
-            prop_assert!(e.message.contains(&path), "expected `{path}`, got {e}");
+            prop_assert!(
+                e.path == path && e.message.contains(phrase),
+                "expected `{path}` ({phrase}), got {e}"
+            );
             return Ok(());
         }
         let checked = parsed

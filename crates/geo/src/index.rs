@@ -47,6 +47,17 @@ pub struct SpatialIndex {
 
 const NO_CANDIDATES: &[u32] = &[];
 
+/// Cell of an axis of `n` cells holding offset `v`, in cells from the
+/// axis origin: `floor(v)` clamped into `0..n`, without a `floor` call
+/// (the x86-64 baseline has no rounding instruction, so `f64::floor` is
+/// a library call there). A float-to-int cast truncates toward zero and
+/// saturates: it is `floor` for every `v >= 0`, and sends negatives and
+/// NaN to 0, as the clamp would.
+#[inline]
+pub(crate) fn grid_cell(v: f64, n: usize) -> usize {
+    (v as usize).min(n - 1)
+}
+
 impl SpatialIndex {
     /// Builds the index over `buildings`. `bounds` is a hint; the grid
     /// is extended to cover any footprint that sticks out of it, so the
@@ -93,11 +104,19 @@ impl SpatialIndex {
 
     /// Grid coordinates of `p`, clamped into the grid.
     fn cell_floor(&self, p: Point) -> (usize, usize) {
-        let ix = ((p.x - self.bounds.min.x) / self.cell_m).floor();
-        let iy = ((p.y - self.bounds.min.y) / self.cell_m).floor();
-        let ix = (ix.max(0.0) as usize).min(self.nx - 1);
-        let iy = (iy.max(0.0) as usize).min(self.ny - 1);
-        (ix, iy)
+        (self.cell_x(p.x), self.cell_y(p.y))
+    }
+
+    /// Grid column of `x`, clamped into the grid.
+    #[inline]
+    fn cell_x(&self, x: f64) -> usize {
+        grid_cell((x - self.bounds.min.x) / self.cell_m, self.nx)
+    }
+
+    /// Grid row of `y`, clamped into the grid.
+    #[inline]
+    fn cell_y(&self, y: f64) -> usize {
+        grid_cell((y - self.bounds.min.y) / self.cell_m, self.ny)
     }
 
     /// Building indices whose footprint may contain `p` (ascending).
@@ -129,8 +148,8 @@ impl SpatialIndex {
         {
             return;
         }
-        let (ix0, _) = self.cell_floor(Point::new(min_x, min_y));
-        let (ix1, _) = self.cell_floor(Point::new(max_x, max_y));
+        let ix0 = self.cell_x(min_x);
+        let ix1 = self.cell_x(max_x);
         let dx = seg.b.x - seg.a.x;
         for ix in ix0..=ix1 {
             // Clip the segment's parameter range to this column's x-slab
@@ -152,8 +171,8 @@ impl SpatialIndex {
             let yb = seg.a.y + (seg.b.y - seg.a.y) * t1;
             let y_lo = ya.min(yb).max(min_y);
             let y_hi = ya.max(yb).min(max_y);
-            let (_, iy0) = self.cell_floor(Point::new(0.0, y_lo - EPS));
-            let (_, iy1) = self.cell_floor(Point::new(0.0, y_hi + EPS));
+            let iy0 = self.cell_y(y_lo - EPS);
+            let iy1 = self.cell_y(y_hi + EPS);
             for iy in iy0..=iy1 {
                 if visit(iy * self.nx + ix) {
                     return;
@@ -204,6 +223,42 @@ impl SpatialIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `grid_cell` is the clamped `floor` it replaces, bit for bit, on
+    /// every class of `f64`: NaN, signed zeros and infinities, negative
+    /// values, exact cell edges and their neighbours, subnormals and
+    /// values past the last cell.
+    #[test]
+    fn grid_cell_matches_clamped_floor() {
+        let floor_form = |v: f64, n: usize| (v.floor().max(0.0) as usize).min(n - 1);
+        let mut values = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+            -0.5,
+            1e-300,
+        ];
+        for k in -3..=70 {
+            let edge = f64::from(k);
+            values.extend([edge, edge.next_down(), edge.next_up(), edge + 0.5]);
+        }
+        for n in [1, 2, 7, 64] {
+            for &v in &values {
+                assert_eq!(grid_cell(v, n), floor_form(v, n), "v = {v:e}, n = {n}");
+            }
+        }
+    }
     use crate::building::Material;
 
     fn building(x: f64, y: f64, w: f64, h: f64) -> Building {

@@ -19,7 +19,7 @@
 //! hit results on generated cities.
 
 use crate::building::Building;
-use crate::index::{CELL_M, EPS};
+use crate::index::{grid_cell, CELL_M, EPS};
 use crate::point::{Point, Rect, Segment};
 
 /// Grid cells per tile edge: tiles are `TILE_CELLS × CELL_M` = 320 m
@@ -157,11 +157,19 @@ impl TiledSpatialIndex {
 
     /// Grid coordinates of `p` on the global cell grid, clamped in.
     fn cell_floor(&self, p: Point) -> (usize, usize) {
-        let ix = ((p.x - self.bounds.min.x) / self.cell_m).floor();
-        let iy = ((p.y - self.bounds.min.y) / self.cell_m).floor();
-        let ix = (ix.max(0.0) as usize).min(self.gnx - 1);
-        let iy = (iy.max(0.0) as usize).min(self.gny - 1);
-        (ix, iy)
+        (self.cell_x(p.x), self.cell_y(p.y))
+    }
+
+    /// Global grid column of `x`, clamped in.
+    #[inline]
+    fn cell_x(&self, x: f64) -> usize {
+        grid_cell((x - self.bounds.min.x) / self.cell_m, self.gnx)
+    }
+
+    /// Global grid row of `y`, clamped in.
+    #[inline]
+    fn cell_y(&self, y: f64) -> usize {
+        grid_cell((y - self.bounds.min.y) / self.cell_m, self.gny)
     }
 
     /// Directory index of the tile holding global cell `(ix, iy)`.
@@ -215,8 +223,8 @@ impl TiledSpatialIndex {
         {
             return;
         }
-        let (ix0, _) = self.cell_floor(Point::new(min_x, min_y));
-        let (ix1, _) = self.cell_floor(Point::new(max_x, max_y));
+        let ix0 = self.cell_x(min_x);
+        let ix1 = self.cell_x(max_x);
         let dx = seg.b.x - seg.a.x;
         for ix in ix0..=ix1 {
             let slab_lo = self.bounds.min.x + ix as f64 * self.cell_m - EPS;
@@ -235,8 +243,8 @@ impl TiledSpatialIndex {
             let yb = seg.a.y + (seg.b.y - seg.a.y) * t1;
             let y_lo = ya.min(yb).max(min_y);
             let y_hi = ya.max(yb).min(max_y);
-            let (_, iy0) = self.cell_floor(Point::new(0.0, y_lo - EPS));
-            let (_, iy1) = self.cell_floor(Point::new(0.0, y_hi + EPS));
+            let iy0 = self.cell_y(y_lo - EPS);
+            let iy1 = self.cell_y(y_hi + EPS);
             let mut iy = iy0;
             while iy <= iy1 {
                 // Empty tile: hop straight past its remaining cell rows.

@@ -407,20 +407,15 @@ impl RadioEnv {
             .collect();
         // Evaluating one shadowing query costs four lattice Gaussians
         // (two hashes + ln/sqrt/cos each); pre-evaluating the lattice
-        // over the campus (plus a walk-off margin) replaces that with
-        // loads. The cached values ARE the gaussian_at outputs, so fast
-        // and naive paths stay bit-identical.
-        const SHADOW_MARGIN_M: f64 = 200.0;
+        // over the map replaces that with loads. The grid holds the +1
+        // corners of every point inside the bounds; a point outside
+        // them (a UE walking off the map) evaluates its corners
+        // directly. The cached values ARE the gaussian_at outputs, so
+        // both paths give the same bits.
+        let b = map.bounds;
         let shadow_grids: Vec<ShadowGrid> = shadowing
             .iter()
-            .map(|f| {
-                f.grid_for(
-                    map.bounds.min.x - SHADOW_MARGIN_M,
-                    map.bounds.min.y - SHADOW_MARGIN_M,
-                    map.bounds.max.x + SHADOW_MARGIN_M,
-                    map.bounds.max.y + SHADOW_MARGIN_M,
-                )
-            })
+            .map(|f| f.grid_for(b.min.x, b.min.y, b.max.x, b.max.y))
             .collect();
         assert!(
             shadow_grids.windows(2).all(|w| w[0].same_extent(&w[1])),
@@ -1446,8 +1441,55 @@ mod tests {
         assert_eq!(kpi.bitrate.bps().to_bits(), rate.bps().to_bits());
     }
 
+    /// The shadowing grid spans exactly the map: every point on the
+    /// bounds reads its lattice corners from the grid, a point far
+    /// enough outside evaluates them directly, and both paths measure
+    /// the same bits as the naive reference.
+    #[test]
+    fn shadow_grid_covers_the_bounds_and_falls_back_outside() {
+        for e in [env(), city_env(2)] {
+            let b = e.map.bounds;
+            let (mid_x, mid_y) = ((b.min.x + b.max.x) / 2.0, (b.min.y + b.max.y) / 2.0);
+            // Outward unit steps from one point on each edge and each corner.
+            let anchors = [
+                (Point::new(b.min.x, mid_y), (-1.0, 0.0)),
+                (Point::new(b.max.x, mid_y), (1.0, 0.0)),
+                (Point::new(mid_x, b.min.y), (0.0, -1.0)),
+                (Point::new(mid_x, b.max.y), (0.0, 1.0)),
+                (b.min, (-1.0, -1.0)),
+                (b.max, (1.0, 1.0)),
+                (Point::new(b.min.x, b.max.y), (-1.0, 1.0)),
+                (Point::new(b.max.x, b.min.y), (1.0, -1.0)),
+            ];
+            let grid_m = e.shadowing[0].grid_m;
+            let located =
+                |p: Point| LatticePoint::new(p.x, p.y, grid_m).in_grid(&e.shadow_grids[0]);
+            let mut scratch = MeasureScratch::new();
+            let mut direct = 0;
+            for (edge, (dx, dy)) in anchors {
+                assert!(
+                    located(edge).cached(),
+                    "{edge:?} on the bounds is off the grid"
+                );
+                for out in [0.0, 10.0, 199.0, 250.0] {
+                    let ue = edge + Point::new(dx * out, dy * out);
+                    direct += usize::from(!located(ue).cached());
+                    for tech in [Tech::Lte, Tech::Nr] {
+                        let naive = e.measure_all_naive(ue, tech);
+                        assert_same_measurements(
+                            &naive,
+                            e.measure_all_into(ue, tech, &mut scratch),
+                            ue,
+                        );
+                    }
+                }
+            }
+            assert!(direct > 0, "no point outside the bounds fell back");
+        }
+    }
+
     /// The fast path on a city big enough for the tiled index, at
-    /// random points (some beyond the shadowing grid's margin, so the
+    /// random points (some outside the map, so the shadowing grid's
     /// direct-evaluation fallback runs), indoor points and points on or
     /// within a metre of a mast.
     #[test]

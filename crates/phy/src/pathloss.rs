@@ -287,6 +287,13 @@ impl LatticePoint {
         self
     }
 
+    /// Whether [`LatticePoint::in_grid`] found all four corners in the
+    /// grid (else they are evaluated directly).
+    #[cfg(test)]
+    pub(crate) fn cached(&self) -> bool {
+        self.slot.is_some()
+    }
+
     /// Normalised bilinear combination of the four corner values.
     fn interpolate(&self, v: [f64; 4]) -> f64 {
         let w = &self.w;

@@ -108,11 +108,18 @@ impl<'a> Ctx<'a> {
     }
 
     /// An error at this context's value, on its line when the path is
-    /// found in the source.
+    /// found in the source, else on the line of its nearest enclosing
+    /// value that is (a defaulted key has no line of its own).
     pub(crate) fn err(&self, message: String) -> ScenarioError {
+        let mut enclosing = std::iter::successors(Some(self.path.as_str()), |p| {
+            p.rfind(['.', '['])
+                .map(|end| &p[..end])
+                .filter(|p| !p.is_empty())
+        });
         ScenarioError {
             file: self.file.to_string(),
-            line: key_path_offset(self.src, &self.path)
+            line: enclosing
+                .find_map(|p| key_path_offset(self.src, p))
                 .map_or(0, |at| line_of_offset(self.src, at)),
             path: self.path.clone(),
             message,
@@ -739,8 +746,10 @@ pub fn scenario_from_value(
         workload,
         faults,
     };
-    spec.validate()
-        .map_err(|message| ctx.err(format!("invalid scenario: {message}")))?;
+    spec.validate().map_err(|e| {
+        ctx.child(&e.path)
+            .err(format!("invalid scenario: {}", e.message))
+    })?;
     Ok(spec)
 }
 
@@ -902,6 +911,26 @@ mod tests {
             "outage-demo.json:37: workload.groups[1].count: \
              `count` must be a non-negative integer"
         );
+    }
+
+    /// A semantic error found after parsing names the offending key and
+    /// its line, like a parse error does.
+    #[test]
+    fn validation_errors_name_the_key_path_and_its_line() {
+        let src = "{\n  \"name\": \"x\",\n  \"workload\": { \"kind\": \"fleet\",\n    \"groups\": [\n      { \"name\": \"a\",\n        \"count\": 0 } ] }\n}";
+        let e = parse_scenario(src, "zero.json").unwrap_err();
+        assert_eq!(e.path, "workload.groups[0].count", "{e}");
+        assert_eq!(e.line, 6, "{e}");
+        assert_eq!(
+            e.to_string(),
+            "zero.json:6: workload.groups[0].count: invalid scenario: group `a` has zero UEs"
+        );
+        // A defaulted key has no line of its own: the error sits on the
+        // line of the value that encloses it.
+        let src = "{\n  \"name\": \"x\",\n  \"campus\": {\n    \"enb_sites\": 2 },\n  \"workload\": { \"kind\": \"survey\" }\n}";
+        let e = parse_scenario(src, "sites.json").unwrap_err();
+        assert_eq!(e.path, "campus.gnb_sites", "{e}");
+        assert_eq!(e.line, 3, "{e}");
     }
 
     #[test]

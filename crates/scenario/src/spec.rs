@@ -497,26 +497,59 @@ pub struct ScenarioSpec {
     pub faults: Vec<FaultSpec>,
 }
 
+/// A [`ScenarioSpec::validate`] failure: the dotted key path of the
+/// offending value in the scenario (`workload.groups[0].count`, or
+/// `campus` for a rule across its keys) and what is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// Key path of the offending value, relative to the scenario.
+    pub path: String,
+    /// What is wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.path, self.message)
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// A [`SpecError`] at `path`.
+fn invalid(path: impl Into<String>, message: impl Into<String>) -> Result<(), SpecError> {
+    Err(SpecError {
+        path: path.into(),
+        message: message.into(),
+    })
+}
+
 impl ScenarioSpec {
     /// Semantic validation beyond what parsing enforces. Returns the
-    /// first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    /// first violated invariant, at the key path of its value.
+    pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty()
             || !self
                 .name
                 .bytes()
                 .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
         {
-            return Err(format!(
-                "name `{}` must be non-empty and match [a-z0-9_]+",
-                self.name
-            ));
+            return invalid(
+                "name",
+                format!(
+                    "name `{}` must be non-empty and match [a-z0-9_]+",
+                    self.name
+                ),
+            );
         }
         if self.campus.gnb_sites > self.campus.enb_sites {
-            return Err(format!(
-                "campus.gnb_sites ({}) must be <= campus.enb_sites ({}): every gNB co-sits with an eNB",
-                self.campus.gnb_sites, self.campus.enb_sites
-            ));
+            return invalid(
+                "campus.gnb_sites",
+                format!(
+                    "gnb_sites ({}) must be <= enb_sites ({}): every gNB co-sits with an eNB",
+                    self.campus.gnb_sites, self.campus.enb_sites
+                ),
+            );
         }
         for (key, side) in [
             ("width_m", self.campus.width_m),
@@ -524,80 +557,88 @@ impl ScenarioSpec {
         ] {
             let ok = side >= MIN_CAMPUS_SIDE_M; // false on NaN
             if !ok {
-                return Err(format!(
-                    "campus.{key} ({side}) must be at least {MIN_CAMPUS_SIDE_M} m: cell sites keep 10 m from the campus edge"
-                ));
+                return invalid(
+                    format!("campus.{key}"),
+                    format!(
+                        "{key} ({side}) must be at least {MIN_CAMPUS_SIDE_M} m: cell sites keep 10 m from the campus edge"
+                    ),
+                );
             }
         }
         if !(0.0..=1.0).contains(&self.campus.concrete_fraction) {
-            return Err("campus.concrete_fraction must be in [0, 1]".into());
+            return invalid("campus.concrete_fraction", "must be in [0, 1]");
         }
         if let Some(city) = &self.city {
-            city.to_city_spec()
-                .validate()
-                .map_err(|e| format!("city: {e}"))?;
+            if let Err(e) = city.to_city_spec().validate() {
+                return invalid("city", e);
+            }
         }
         if let Some(t) = &self.trace {
             if t.sample == 0 {
-                return Err("trace.sample must be at least 1".into());
+                return invalid("trace.sample", "must be at least 1");
             }
             if t.ring == 0 {
-                return Err("trace.ring must be at least 1".into());
+                return invalid("trace.ring", "must be at least 1");
             }
             if t.categories.is_empty() {
-                return Err("trace.categories must name at least one category".into());
+                return invalid("trace.categories", "must name at least one category");
             }
             let mut seen: Vec<&str> = Vec::new();
-            for c in &t.categories {
+            for (k, c) in t.categories.iter().enumerate() {
+                let path = format!("trace.categories[{k}]");
                 if !TRACE_CATEGORIES.contains(&c.as_str()) {
-                    return Err(format!(
-                        "trace.categories: unknown category `{c}` (expected {})",
-                        TRACE_CATEGORIES.join(", ")
-                    ));
+                    return invalid(
+                        path,
+                        format!(
+                            "unknown category `{c}` (expected {})",
+                            TRACE_CATEGORIES.join(", ")
+                        ),
+                    );
                 }
                 if seen.contains(&c.as_str()) {
-                    return Err(format!("trace.categories: duplicate category `{c}`"));
+                    return invalid(path, format!("duplicate category `{c}`"));
                 }
                 seen.push(c);
             }
         }
         let (lte, nr) = self.loads.resolve();
         if !(0.0..=1.0).contains(&lte) || !(0.0..=1.0).contains(&nr) {
-            return Err("loads must be in [0, 1]".into());
+            return invalid("loads", "loads must be in [0, 1]");
         }
         match &self.workload {
             WorkloadSpec::Survey(s) => {
                 if s.speed_kmh <= 0.0 {
-                    return Err("survey speed_kmh must be positive".into());
+                    return invalid("workload.speed_kmh", "survey speed_kmh must be positive");
                 }
                 if s.interval_ms == 0 {
-                    return Err("survey interval_ms must be positive".into());
+                    return invalid(
+                        "workload.interval_ms",
+                        "survey interval_ms must be positive",
+                    );
                 }
             }
             WorkloadSpec::Fleet(f) => {
                 if f.duration_s == 0 {
-                    return Err("fleet duration_s must be positive".into());
+                    return invalid("workload.duration_s", "fleet duration_s must be positive");
                 }
                 if f.tick_ms == 0 {
-                    return Err("fleet tick_ms must be positive".into());
+                    return invalid("workload.tick_ms", "fleet tick_ms must be positive");
                 }
                 if f.groups.is_empty() {
-                    return Err("fleet needs at least one UE group".into());
+                    return invalid("workload.groups", "fleet needs at least one UE group");
                 }
                 let mut seen: Vec<&str> = Vec::new();
                 for (i, g) in f.groups.iter().enumerate() {
+                    let at = |key: &str| format!("workload.groups[{i}].{key}");
                     if g.name.is_empty() {
-                        return Err("group name must be non-empty".into());
+                        return invalid(at("name"), "group name must be non-empty");
                     }
                     if seen.contains(&g.name.as_str()) {
-                        return Err(format!("duplicate group name `{}`", g.name));
+                        return invalid(at("name"), format!("duplicate group name `{}`", g.name));
                     }
                     seen.push(&g.name);
                     if g.count == 0 {
-                        return Err(format!(
-                            "workload.groups[{i}].count: group `{}` has zero UEs",
-                            g.name
-                        ));
+                        return invalid(at("count"), format!("group `{}` has zero UEs", g.name));
                     }
                     match &g.mobility {
                         MobilitySpec::Waypoint {
@@ -605,18 +646,21 @@ impl ScenarioSpec {
                             speed_max_kmh,
                         } => {
                             if !(*speed_min_kmh > 0.0 && speed_max_kmh >= speed_min_kmh) {
-                                return Err(format!(
-                                    "group `{}`: waypoint speed range [{speed_min_kmh}, {speed_max_kmh}] is invalid",
-                                    g.name
-                                ));
+                                return invalid(
+                                    at("mobility"),
+                                    format!(
+                                        "group `{}`: waypoint speed range [{speed_min_kmh}, {speed_max_kmh}] is invalid",
+                                        g.name
+                                    ),
+                                );
                             }
                         }
                         MobilitySpec::Transect { speed_kmh, .. } => {
                             if *speed_kmh <= 0.0 {
-                                return Err(format!(
-                                    "group `{}`: transect speed must be positive",
-                                    g.name
-                                ));
+                                return invalid(
+                                    at("mobility.speed_kmh"),
+                                    format!("group `{}`: transect speed must be positive", g.name),
+                                );
                             }
                         }
                         MobilitySpec::Static => {}
@@ -624,19 +668,25 @@ impl ScenarioSpec {
                     match &g.arrival {
                         ArrivalSpec::Diurnal { peak_frac } => {
                             if !(0.0..=1.0).contains(peak_frac) {
-                                return Err(format!(
-                                    "group `{}`: diurnal peak_frac must be in [0, 1]",
-                                    g.name
-                                ));
+                                return invalid(
+                                    at("arrival.peak_frac"),
+                                    format!(
+                                        "group `{}`: diurnal peak_frac must be in [0, 1]",
+                                        g.name
+                                    ),
+                                );
                             }
                         }
                         ArrivalSpec::FlashCrowd { at_s, spread_s } => {
                             let ok = *at_s >= 0.0 && *spread_s > 0.0; // false on NaN
                             if !ok {
-                                return Err(format!(
-                                    "group `{}`: flash_crowd needs at_s >= 0 and spread_s > 0",
-                                    g.name
-                                ));
+                                return invalid(
+                                    at("arrival"),
+                                    format!(
+                                        "group `{}`: flash_crowd needs at_s >= 0 and spread_s > 0",
+                                        g.name
+                                    ),
+                                );
                             }
                         }
                         ArrivalSpec::Steady => {}
@@ -644,41 +694,50 @@ impl ScenarioSpec {
                     if let AppSpec::Web { think_s, .. } = &g.app {
                         let ok = *think_s >= 0.0; // false on NaN
                         if !ok {
-                            return Err(format!("group `{}`: web think_s must be >= 0", g.name));
+                            return invalid(
+                                at("app.think_s"),
+                                format!("group `{}`: web think_s must be >= 0", g.name),
+                            );
                         }
                     }
                 }
             }
         }
         for (i, fault) in self.faults.iter().enumerate() {
+            let at = |key: &str| format!("faults[{i}].{key}");
             let (start, end) = fault.window();
             let well_formed = start >= 0.0 && end > start; // false on NaN
             if !well_formed {
-                return Err(format!(
-                    "fault[{i}] ({}) window [{start}, {end}) is invalid: needs 0 <= start < end",
-                    fault.kind()
-                ));
+                return invalid(
+                    format!("faults[{i}]"),
+                    format!(
+                        "{} window [{start}, {end}) is invalid: needs 0 <= start < end",
+                        fault.kind()
+                    ),
+                );
             }
             match fault {
                 FaultSpec::CellOutage { pcis, .. } => {
                     if pcis.is_empty() {
-                        return Err(format!("fault[{i}] (cell_outage) lists no PCIs"));
+                        return invalid(at("pcis"), "cell_outage lists no PCIs");
                     }
                 }
                 FaultSpec::BackhaulBrownout { capacity_mbps, .. } => {
                     let ok = *capacity_mbps > 0.0; // false on NaN
                     if !ok {
-                        return Err(format!(
-                            "fault[{i}] (backhaul_brownout) capacity_mbps must be positive"
-                        ));
+                        return invalid(
+                            at("capacity_mbps"),
+                            "backhaul_brownout capacity_mbps must be positive",
+                        );
                     }
                 }
                 FaultSpec::HandoffStorm { hysteresis_db, .. } => {
                     let ok = *hysteresis_db >= 0.0; // false on NaN
                     if !ok {
-                        return Err(format!(
-                            "fault[{i}] (handoff_storm) hysteresis_db must be >= 0"
-                        ));
+                        return invalid(
+                            at("hysteresis_db"),
+                            "handoff_storm hysteresis_db must be >= 0",
+                        );
                     }
                 }
             }
@@ -725,7 +784,7 @@ mod tests {
         assert!(s.validate().is_err());
         let mut s = minimal();
         s.campus.gnb_sites = 99;
-        assert!(s.validate().unwrap_err().contains("gnb_sites"));
+        assert_eq!(s.validate().unwrap_err().path, "campus.gnb_sites");
     }
 
     #[test]
@@ -736,7 +795,9 @@ mod tests {
             end_s: 10.0,
             pcis: vec![60],
         });
-        assert!(s.validate().unwrap_err().contains("window"));
+        let e = s.validate().unwrap_err();
+        assert_eq!(e.path, "faults[0]");
+        assert!(e.message.contains("window"), "{e}");
     }
 
     #[test]
@@ -754,6 +815,8 @@ mod tests {
             end_s: 1.0,
             pcis: vec![],
         });
-        assert!(s.validate().unwrap_err().contains("no PCIs"));
+        let e = s.validate().unwrap_err();
+        assert_eq!(e.path, "faults[0].pcis");
+        assert!(e.message.contains("no PCIs"), "{e}");
     }
 }
