@@ -265,6 +265,13 @@ grep -q '\[complete\]' target/ci-trace-stats.txt \
   || { echo "trace: stats reconstructs no complete handoff timeline" >&2;
        cat target/ci-trace-stats.txt >&2; exit 1; }
 
+# The benchmark package is a workspace of its own, so the stages above
+# neither format, lint nor test it. Its check script does: rustfmt,
+# clippy -D warnings over every target, and its tests (drift, smoke,
+# stats, timed), all built against the crates' current API.
+stage "benchmark/check.sh: rustfmt, clippy, tests of the benchmark package"
+benchmark/check.sh
+
 # The benchmark (BENCHMARK.json): build it with its own command and run
 # every workload for 2 s at seed 2020. Its oracle is the only gate on
 # the tiled-city coverage-sweep digests and on the phy.* counters of the

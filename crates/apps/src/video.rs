@@ -11,8 +11,7 @@
 
 use fiveg_net::path::PathConfig;
 use fiveg_net::{AckInfo, Ctx, Endpoint, NetSim, TimerKind};
-use fiveg_simcore::dist::normal;
-use fiveg_simcore::{SimDuration, SimRng, SimTime};
+use fiveg_simcore::{normal, SimDuration, SimRng, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
 #[expect(clippy::disallowed_types, reason = "the FrameLog")]
 use parking_lot::Mutex;
@@ -254,7 +253,7 @@ impl VideoSession {
     pub fn run(
         &self,
         path: PathConfig,
-        cross: Option<fiveg_net::crosstraffic::CrossTraffic>,
+        cross: Option<fiveg_net::CrossTraffic>,
         seed: u64,
     ) -> VideoResult {
         let mut sim = NetSim::new(path, seed);

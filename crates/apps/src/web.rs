@@ -9,8 +9,7 @@
 
 use fiveg_net::path::PathConfig;
 use fiveg_net::NetSim;
-use fiveg_simcore::dist::Dist;
-use fiveg_simcore::{SimDuration, SimRng, SimTime};
+use fiveg_simcore::{Dist, SimDuration, SimRng, SimTime};
 use fiveg_transport::{CcAlgorithm, TcpSender};
 use serde::Serialize;
 
@@ -131,7 +130,8 @@ pub struct PageLoadResult {
 
 impl PageLoadResult {
     /// Total page-load time.
-    pub fn plt(&self) -> SimDuration {
+    #[cfg(test)]
+    fn plt(&self) -> SimDuration {
         self.download + self.render
     }
 }
@@ -143,7 +143,7 @@ impl PageLoadResult {
 pub fn load_page(
     page: WebPage,
     path: PathConfig,
-    cross: Option<fiveg_net::crosstraffic::CrossTraffic>,
+    cross: Option<fiveg_net::CrossTraffic>,
     alg: CcAlgorithm,
     render_seconds: f64,
     seed: u64,

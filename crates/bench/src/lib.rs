@@ -7,9 +7,6 @@
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
-pub mod report;
+mod report;
 
-pub use report::{
-    compare_to_baseline, BenchComparison, BenchReport, BenchTotals, BENCH_SCHEMA,
-    THROUGHPUT_WARN_FRACTION,
-};
+pub use report::{compare_to_baseline, BenchComparison, BenchReport, BenchTotals, BENCH_SCHEMA};

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 pub const BENCH_SCHEMA: u32 = 4;
 
 /// Relative `events_per_sec` drop that triggers a regression warning.
-pub const THROUGHPUT_WARN_FRACTION: f64 = 0.25;
+const THROUGHPUT_WARN_FRACTION: f64 = 0.25;
 
 /// Whole-run totals, aggregated over all jobs.
 #[derive(Debug, Clone, Serialize)]
@@ -134,8 +134,8 @@ fn u64_field(job: &JsonValue, field: &str) -> Option<u64> {
 /// an earlier [`BenchReport`]). A baseline without a `schema`, or of
 /// another schema than [`BENCH_SCHEMA`], is an error. Counter drift — a
 /// job missing on either side, a counter missing on either side, or any
-/// value difference — is a failure; an `events_per_sec` drop beyond
-/// [`THROUGHPUT_WARN_FRACTION`] is a warning.
+/// value difference — is a failure; an `events_per_sec` drop of more
+/// than 25 % is a warning.
 pub fn compare_to_baseline(
     current: &BenchReport,
     baseline_json: &str,

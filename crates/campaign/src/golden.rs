@@ -21,11 +21,11 @@ use std::io;
 use std::path::Path;
 
 /// Largest artifact that [`write_golden`] commits as a file; a larger
-/// one is pinned by its hash in [`HASH_LIST`].
+/// one is pinned by its hash in `json_hash.txt`.
 pub const MAX_GOLDEN_FILE_BYTES: usize = 1 << 20;
 
 /// File in a golden directory that pins the artifacts over
-/// [`MAX_GOLDEN_FILE_BYTES`]: one `<name> <hex>` line each (16 lowercase
+/// `MAX_GOLDEN_FILE_BYTES` (1 MiB): one `<name> <hex>` line each (16 lowercase
 /// hex digits), sorted by name.
 pub const HASH_LIST: &str = "json_hash.txt";
 
@@ -58,7 +58,7 @@ pub enum ArtifactCheck {
     HashDrift {
         /// Artifact file name.
         name: String,
-        /// The pinned hash from the golden directory's [`HASH_LIST`].
+        /// The pinned hash from the golden directory's `json_hash.txt`.
         expected: String,
         /// The hash of the freshly produced bytes.
         actual: String,
@@ -72,7 +72,7 @@ pub enum ArtifactCheck {
     Orphan {
         /// Pinned artifact file name.
         name: String,
-        /// Whether the pin is a [`HASH_LIST`] line rather than a file.
+        /// Whether the pin is a `json_hash.txt` line rather than a file.
         hashed: bool,
     },
     /// The job failed, so there is nothing to compare.
@@ -190,7 +190,7 @@ fn first_diff_line(expected: &str, actual: &str) -> (usize, String, String) {
     (n + 1, e, a)
 }
 
-/// Reads `dir`'s [`HASH_LIST`] as `name -> hex`; empty when the file
+/// Reads `dir`'s `json_hash.txt` as `name -> hex`; empty when the file
 /// does not exist.
 fn read_hash_list(dir: &Path) -> io::Result<BTreeMap<String, String>> {
     let path = dir.join(HASH_LIST);
@@ -252,7 +252,7 @@ fn produced_artifacts(report: &RunReport) -> (Vec<(String, &str)>, Vec<ArtifactC
 }
 
 /// Checks `(file_name, produced_bytes)` pairs against `golden_dir`: a
-/// golden file is compared byte for byte, else a [`HASH_LIST`] pin by
+/// golden file is compared byte for byte, else a `json_hash.txt` pin by
 /// hash, else the artifact has no golden.
 pub fn check_artifacts(golden_dir: &Path, produced: &[(String, &str)]) -> io::Result<GoldenReport> {
     let hashes = read_hash_list(golden_dir)?;
@@ -297,7 +297,7 @@ pub fn check_artifacts(golden_dir: &Path, produced: &[(String, &str)]) -> io::Re
 
 /// Checks every artifact a run produced (and flags failed jobs) against
 /// `golden_dir`. When the run covered the whole registry, every
-/// `*.json` golden file and [`HASH_LIST`] line that no unit produced is
+/// `*.json` golden file and `json_hash.txt` line that no unit produced is
 /// an [`ArtifactCheck::Orphan`]; a failed unit's pins are not.
 pub fn check_run(golden_dir: &Path, report: &RunReport) -> io::Result<GoldenReport> {
     let (produced, failed) = produced_artifacts(report);
@@ -334,8 +334,8 @@ pub fn check_run(golden_dir: &Path, report: &RunReport) -> io::Result<GoldenRepo
 
 /// Blesses a run as the new golden in `dir` (created if needed): each
 /// artifact `check_run` compares is pinned as a file, or by hash when
-/// it is larger than [`MAX_GOLDEN_FILE_BYTES`]. A pin of the other kind
-/// for the same name is removed, and the other [`HASH_LIST`] lines are
+/// it is larger than `MAX_GOLDEN_FILE_BYTES` (1 MiB). A pin of the other kind
+/// for the same name is removed, and the other `json_hash.txt` lines are
 /// kept. Returns the number of artifacts pinned.
 pub fn write_golden(dir: &Path, report: &RunReport) -> io::Result<usize> {
     fs::create_dir_all(dir)?;

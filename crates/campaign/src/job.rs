@@ -104,7 +104,7 @@ pub struct FnJob {
 }
 
 impl FnJob {
-    /// Single-rep job with the default retry budget.
+    /// Single-rep job with the default retry budget of one retry.
     pub fn new(
         name: &'static str,
         section: &'static str,
@@ -120,14 +120,16 @@ impl FnJob {
     }
 
     /// Sets the number of seed-sweep repetitions.
-    pub fn with_reps(mut self, reps: u32) -> FnJob {
+    #[cfg(test)]
+    pub(crate) fn with_reps(mut self, reps: u32) -> FnJob {
         assert!(reps >= 1, "a job needs at least one rep");
         self.reps = reps;
         self
     }
 
     /// Sets the per-unit retry budget.
-    pub fn with_retry_budget(mut self, retries: u32) -> FnJob {
+    #[cfg(test)]
+    pub(crate) fn with_retry_budget(mut self, retries: u32) -> FnJob {
         self.retry_budget = retries;
         self
     }

@@ -6,25 +6,26 @@
 //!
 //! The subsystem has three layers:
 //!
-//! * **Job registry** ([`job`], [`registry`]) — every experiment is a
+//! * **Job registry** ([`Job`], [`Registry`]) — every experiment is a
 //!   named [`Job`] (name, paper section, fidelity knobs) returning a
 //!   [`JobOutput`] (human text + JSON artifact). The full paper suite
 //!   becomes *data* that can be listed, filtered and sharded.
-//! * **Deterministic parallel executor** ([`executor`]) — a plain
+//! * **Deterministic parallel executor** ([`run`], [`RunConfig`]) — a plain
 //!   `std::thread` worker pool (no async runtime, per DESIGN.md §4).
 //!   Each `(job, rep)` unit derives its RNG seed by stable-hashing
 //!   `(base_seed, job_name, rep)`, so artifacts are byte-identical for
 //!   any worker count or scheduling order. Panicking jobs are isolated
 //!   with `catch_unwind` and a per-job retry budget instead of killing
 //!   the run.
-//! * **Observability + regression** ([`manifest`], [`golden`],
-//!   [`artifacts`]) — per-job status/wall-time progress events, a run
-//!   `manifest.json` (jobs, seeds, durations, artifact hashes), and a
-//!   golden-check mode that diffs fresh JSON artifacts against committed
-//!   outputs and reports drift.
+//! * **Observability + regression** ([`JobEvent`], [`Manifest`],
+//!   [`check_run`], [`write_golden`], [`write_run`]) — per-job
+//!   status/wall-time progress events, a run `manifest.json` (jobs,
+//!   seeds, durations, artifact hashes), and a golden-check mode that
+//!   diffs fresh JSON artifacts against committed outputs and reports
+//!   drift.
 //!
 //! The `repro` binary in `fiveg-bench` is a thin CLI over this crate;
-//! `fiveg-core::jobs` registers the paper suite.
+//! `fiveg_core::jobs` registers the paper suite.
 //!
 //! ## Example
 //!
@@ -43,16 +44,16 @@
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
-pub mod artifacts;
-pub mod executor;
-pub mod golden;
-pub mod job;
-pub mod manifest;
-pub mod registry;
+mod artifacts;
+mod executor;
+mod golden;
+mod job;
+mod manifest;
+mod registry;
 
 pub use artifacts::write_run;
 pub use executor::{run, JobEvent, JobResult, JobStatus, RunConfig, RunReport};
-pub use golden::{check_artifacts, check_run, write_golden, ArtifactCheck, GoldenReport};
+pub use golden::{check_run, write_golden, ArtifactCheck, GoldenReport};
 pub use job::{derive_seed, FidelityLevel, FnJob, Job, JobCtx, JobOutput};
 pub use manifest::{Manifest, ManifestJob, PerfBlock};
 pub use registry::Registry;

@@ -3,8 +3,10 @@
 
 use crate::report;
 use crate::scenario::Fidelity;
-use fiveg_apps::video::{PipelineLatency, Resolution, SceneKind, VideoSession};
-use fiveg_apps::web::{load_page, ImagePage, PageCategory, WebPage};
+use fiveg_apps::{
+    load_page, ImagePage, PageCategory, PipelineLatency, Resolution, SceneKind, VideoSession,
+    WebPage,
+};
 use fiveg_net::path::{Direction, PaperPathParams, PathConfig};
 use fiveg_simcore::{SimDuration, SimRng};
 use fiveg_transport::CcAlgorithm;
@@ -187,7 +189,7 @@ pub fn fig17(seed: u64) -> Fig17 {
                 seed ^ mb,
                 deadline,
             )
-            .unwrap_or(fiveg_apps::web::PageLoadResult {
+            .unwrap_or(fiveg_apps::PageLoadResult {
                 download: deadline,
                 render: SimDuration::from_secs_f64(ip.render_seconds()),
             });

@@ -3,8 +3,7 @@
 use crate::par;
 use crate::report;
 use crate::scenario::Scenario;
-use fiveg_geo::mobility::RoadSurvey;
-use fiveg_geo::Point;
+use fiveg_geo::{Point, RoadSurvey};
 use fiveg_phy::{MeasureScratch, RadioEnv, Tech};
 use fiveg_simcore::{Cdf, Histogram, OnlineStats, SimRng};
 use serde::Serialize;
@@ -134,7 +133,8 @@ pub struct Table2 {
 
 impl Table2 {
     /// Coverage-hole fraction (RSRP < −105 dBm), per column.
-    pub fn holes(&self) -> (f64, f64, f64) {
+    #[cfg(test)]
+    fn holes(&self) -> (f64, f64, f64) {
         (self.frac_4g[0], self.frac_5g[0], self.frac_4g_cosited[0])
     }
 

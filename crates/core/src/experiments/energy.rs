@@ -1,10 +1,10 @@
 //! Energy experiments: Fig. 21, Fig. 22, Fig. 23, Tab. 4.
 
 use crate::report;
-use fiveg_energy::machine::{Burst, RadioStateMachine};
-use fiveg_energy::params::RadioModel;
-use fiveg_energy::profile::{app_session_breakdown, energy_per_bit_sweep, AppKind};
-use fiveg_energy::sched::{replay_energy, Strategy, TrafficTrace};
+use fiveg_energy::{
+    app_session_breakdown, energy_per_bit_sweep, replay_energy, AppKind, Burst, RadioModel,
+    RadioStateMachine, Strategy, TrafficTrace,
+};
 use fiveg_simcore::SimTime;
 use serde::Serialize;
 
@@ -187,7 +187,7 @@ pub fn fig23() -> Fig23 {
         let last_active = tr
             .intervals
             .iter()
-            .filter(|(s, ..)| *s == fiveg_energy::machine::RadioState::Active)
+            .filter(|(s, ..)| *s == fiveg_energy::RadioState::Active)
             .map(|&(_, _, e)| e)
             .max()
             // A burst schedule with no Active interval (empty replay)

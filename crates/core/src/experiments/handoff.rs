@@ -2,7 +2,7 @@
 
 use crate::report;
 use crate::scenario::{Fidelity, Scenario};
-use fiveg_geo::mobility::{LinearTransect, RandomWaypoint};
+use fiveg_geo::{LinearTransect, RandomWaypoint};
 use fiveg_net::path::{Direction, PaperPathParams, PathConfig};
 use fiveg_net::{NetSim, RateModel};
 use fiveg_phy::Tech;

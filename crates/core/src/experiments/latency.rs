@@ -2,9 +2,8 @@
 
 use crate::report;
 use crate::scenario::Fidelity;
-use fiveg_net::servers::{Server, PAPER_SERVERS};
-use fiveg_net::traceroute::{LatencyModel, RatTech};
-use fiveg_simcore::{Cdf, SimRng};
+use fiveg_net::{LatencyModel, RatTech, Server, PAPER_SERVERS};
+use fiveg_simcore::SimRng;
 use serde::Serialize;
 
 /// Fig. 13: per-measurement 4G vs 5G RTT pairs over the 80 paths.
@@ -213,17 +212,18 @@ pub fn fig15(fidelity: Fidelity, seed: u64) -> Fig15 {
     Fig15 { rows }
 }
 
-/// Convenience: the RTT CDFs behind Fig. 13 (handy for plotting).
-pub fn fig13_cdfs(f: &Fig13) -> (Cdf, Cdf) {
-    (
-        Cdf::from_samples(f.pairs.iter().map(|&(_, r4, _)| r4).collect()),
-        Cdf::from_samples(f.pairs.iter().map(|&(_, _, r5)| r5).collect()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiveg_simcore::Cdf;
+
+    /// Convenience: the RTT CDFs behind Fig. 13 (handy for plotting).
+    fn fig13_cdfs(f: &Fig13) -> (Cdf, Cdf) {
+        (
+            Cdf::from_samples(f.pairs.iter().map(|&(_, r4, _)| r4).collect()),
+            Cdf::from_samples(f.pairs.iter().map(|&(_, _, r5)| r5).collect()),
+        )
+    }
 
     #[test]
     fn fig13_means_match_paper() {

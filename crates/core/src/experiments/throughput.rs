@@ -3,11 +3,12 @@
 
 use crate::report;
 use crate::scenario::Fidelity;
-use fiveg_net::bufest::{estimate_buffer_pkts, paper_capacity, BufferEstimate, PAPER_PROBE_BYTES};
 use fiveg_net::path::{Direction, PaperPathParams, PathConfig};
-use fiveg_net::{FlowId, NetSim, MSS_BYTES};
-use fiveg_ran::harq::{attempts_histogram, HarqConfig};
-use fiveg_ran::prb::DayPeriod;
+use fiveg_net::{
+    estimate_buffer_pkts, paper_capacity, BufferEstimate, FlowId, NetSim, MSS_BYTES,
+    PAPER_PROBE_BYTES,
+};
+use fiveg_ran::{attempts_histogram, DayPeriod, HarqConfig};
 use fiveg_simcore::{BitRate, SimDuration, SimRng, SimTime};
 use fiveg_transport::udp::udp_probe;
 use fiveg_transport::{CcAlgorithm, TcpSender};
@@ -328,8 +329,8 @@ pub fn fig10(seed: u64, blocks: usize) -> Fig10 {
     let mut rng = SimRng::new(seed).substream("fig10");
     // Operating SINRs: exactly at the link-adaptation point for 4G
     // (≈10 % initial BLER), 1 dB of headroom for the lightly-loaded 5G.
-    let sinr_4g = fiveg_phy::mcs::CQI_SINR_THRESHOLD_DB[10];
-    let sinr_5g = fiveg_phy::mcs::CQI_SINR_THRESHOLD_DB[12] + 1.0;
+    let sinr_4g = fiveg_phy::CQI_SINR_THRESHOLD_DB[10];
+    let sinr_5g = fiveg_phy::CQI_SINR_THRESHOLD_DB[12] + 1.0;
     Fig10 {
         attempts_4g: attempts_histogram(sinr_4g, &HarqConfig::paper_lte(), blocks, &mut rng),
         attempts_5g: attempts_histogram(sinr_5g, &HarqConfig::paper_nr(), blocks, &mut rng),
@@ -471,7 +472,7 @@ fn fig11_transfer(fidelity: Fidelity, seed: u64) -> (NetSim, FlowId) {
         t_ms += dur;
     }
     let radio = path.radio_hop_index();
-    path.hops[radio].rate = fiveg_net::ratemodel::RateModel::piecewise(points);
+    path.hops[radio].rate = fiveg_net::RateModel::piecewise(points);
     let cross = path.paper_cross_traffic();
     let mut sim = NetSim::new(path, seed);
     sim.add_cross_traffic(cross);

@@ -44,7 +44,7 @@ pub const CHUNK: usize = 64;
 /// Reduce the order-preserved results after the call:
 ///
 /// ```
-/// let out = fiveg_core::par::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| x * 2.0);
+/// let out = fiveg_core::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| x * 2.0);
 /// assert_eq!(out.iter().sum::<f64>(), 6.0);
 /// ```
 ///
@@ -53,7 +53,7 @@ pub const CHUNK: usize = 64;
 ///
 /// ```compile_fail,E0596
 /// let mut total = 0.0f64;
-/// fiveg_core::par::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| total += x);
+/// fiveg_core::par_map_with(&[1.0f64, 2.0], 2, || (), |(), _, x| total += x);
 /// ```
 pub fn par_map_with<T: Sync, R: Send, S>(
     items: &[T],

@@ -2,7 +2,7 @@
 
 use fiveg_geo::{Campus, CampusConfig};
 use fiveg_phy::RadioEnv;
-use fiveg_ran::prb::DayPeriod;
+use fiveg_ran::DayPeriod;
 use fiveg_simcore::SimRng;
 use serde::Serialize;
 

@@ -4,7 +4,7 @@
 //! a running simulation:
 //!
 //! * `survey` workloads run the Sec. 3.1 blanket road survey through
-//!   [`coverage::table1_with`] — a paper-default scenario file is
+//!   the coverage survey behind [`crate::table1`] — a paper-default scenario file is
 //!   byte-faithful to the registry's `table1` job.
 //! * `fleet` workloads tick a UE population (mobility + arrival + app
 //!   mix per group) against the shared [`RadioEnv`], with PRB sharing
@@ -16,7 +16,7 @@
 //! the same network as every registry job; all fleet-private
 //! randomness (waypoints, arrivals, page sizes) derives from the
 //! per-job seed. The fleet tick loop runs on the conservative-PDES
-//! shard engine ([`fiveg_simcore::shard`]): UEs partition into
+//! shard engine ([`fiveg_simcore::ShardEngine`]): UEs partition into
 //! cell-cluster shards that advance concurrently against a wireline
 //! router shard, with the access path's one-way latency as lookahead.
 //! [`ScenarioJob`] runs on as many shards as the run has threads
@@ -38,8 +38,7 @@ use fiveg_scenario::{
     AppSpec, ArrivalSpec, FaultSpec, FleetSpec, MobilitySpec, ScenarioSpec, SceneSpec, TechSpec,
     UeGroupSpec, VideoRes, WebCategory, WorkloadSpec,
 };
-use fiveg_simcore::shard::{ShardCtx, ShardEngine, ShardLogic};
-use fiveg_simcore::{OnlineStats, SimDuration, SimRng, SimTime};
+use fiveg_simcore::{OnlineStats, ShardCtx, ShardEngine, ShardLogic, SimDuration, SimRng, SimTime};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1048,23 +1047,6 @@ pub fn run_fleet_sharded(
     run_fleet_impl(sc, spec, fleet, run_seed, shards, true)
 }
 
-/// [`run_fleet_sharded`] with incremental re-measurement disabled:
-/// every active UE re-runs the full `measure_all` pass every tick.
-///
-/// The test-only determinism *oracle* for the incremental fast path:
-/// its report must be byte-identical to [`run_fleet_sharded`]'s for
-/// any scenario (the `incremental_oracle` tests).
-#[cfg(test)]
-fn run_fleet_full_remeasure(
-    sc: &Scenario,
-    spec: &ScenarioSpec,
-    fleet: &FleetSpec,
-    run_seed: u64,
-    shards: usize,
-) -> FleetReport {
-    run_fleet_impl(sc, spec, fleet, run_seed, shards, false)
-}
-
 fn run_fleet_impl(
     sc: &Scenario,
     spec: &ScenarioSpec,
@@ -1354,7 +1336,7 @@ fn brownout_index(spec: &ScenarioSpec, t_s: f64) -> Option<usize> {
 /// The deployment builds from the campaign's base seed, the workload's
 /// private randomness from the per-unit derived seed — the same split
 /// the registry jobs use. Survey workloads serialise a
-/// [`coverage::Table1`]; fleet workloads a [`FleetReport`].
+/// [`crate::Table1`]; fleet workloads a [`FleetReport`].
 pub struct ScenarioJob {
     spec: ScenarioSpec,
 }
@@ -1421,6 +1403,22 @@ mod tests {
     use super::*;
     use fiveg_campaign::derive_seed;
     use fiveg_scenario::parse_scenario;
+
+    /// [`run_fleet_sharded`] with incremental re-measurement disabled:
+    /// every active UE re-runs the full `measure_all` pass every tick.
+    ///
+    /// The test-only determinism *oracle* for the incremental fast path:
+    /// its report must be byte-identical to [`run_fleet_sharded`]'s for
+    /// any scenario (the `incremental_oracle` tests).
+    fn run_fleet_full_remeasure(
+        sc: &Scenario,
+        spec: &ScenarioSpec,
+        fleet: &FleetSpec,
+        run_seed: u64,
+        shards: usize,
+    ) -> FleetReport {
+        run_fleet_impl(sc, spec, fleet, run_seed, shards, false)
+    }
 
     fn paper_survey_spec() -> ScenarioSpec {
         parse_scenario(
@@ -1829,7 +1827,7 @@ mod tests {
         let sc = build_scenario(&spec, 2020);
         // 3x3 dense-urban tiles cross the tiled-index threshold, and the
         // site grid scales with the spec: 9 tiles x 4 eNB x 3 sectors.
-        assert!(sc.campus.map.spatial_index().is_tiled());
+        assert!(sc.campus.map.buildings.len() >= fiveg_geo::TILED_INDEX_THRESHOLD);
         assert_eq!(sc.env.num_cells(Tech::Lte), 108);
         assert_eq!(sc.env.num_cells(Tech::Nr), 54);
         let fleet = match &spec.workload {
@@ -1875,7 +1873,10 @@ mod tests {
             let c = &env.cells[idx];
             let az = c.antenna.azimuth_deg.to_radians();
             let at = |d: f64| c.pos + Point::new(az.cos(), az.sin()) * d;
-            let serves = |p: Point| env.serving(p, tech).map(|m| m.pci) == Some(205);
+            let serves = |p: Point| {
+                let m = env.serving_into(p, tech, &mut MeasureScratch::new());
+                m.map(|m| m.pci) == Some(205)
+            };
             let d = (4..40)
                 .map(|i| f64::from(i) * 5.0)
                 .find(|&d| serves(at(d)) && serves(at(d + 5.0)))

@@ -122,7 +122,8 @@ impl PowerBreakdown {
     }
 
     /// The radio's share of the total.
-    pub fn radio_share(&self) -> f64 {
+    #[cfg(test)]
+    fn radio_share(&self) -> f64 {
         self.radio.milliwatts() / self.total().milliwatts()
     }
 }

@@ -175,23 +175,23 @@ pub fn replay_energy(trace: &TrafficTrace, strategy: Strategy) -> Energy {
     }
 }
 
-/// Runs the full Tab. 4 matrix: `result[trace][strategy]` in joules.
-pub fn table4_matrix() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
-    TrafficTrace::paper_all()
-        .iter()
-        .map(|tr| {
-            let row = Strategy::ALL
-                .iter()
-                .map(|&s| (s.label(), replay_energy(tr, s).joules()))
-                .collect();
-            (tr.name, row)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the full Tab. 4 matrix: `result[trace][strategy]` in joules.
+    fn table4_matrix() -> Vec<(&'static str, Vec<(&'static str, f64)>)> {
+        TrafficTrace::paper_all()
+            .iter()
+            .map(|tr| {
+                let row = Strategy::ALL
+                    .iter()
+                    .map(|&s| (s.label(), replay_energy(tr, s).joules()))
+                    .collect();
+                (tr.name, row)
+            })
+            .collect()
+    }
 
     fn energy(trace: &TrafficTrace, s: Strategy) -> f64 {
         replay_energy(trace, s).joules()

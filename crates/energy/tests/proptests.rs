@@ -1,8 +1,8 @@
 //! Property-based tests for the energy state machine.
 
-use fiveg_energy::machine::{Burst, RadioStateMachine};
-use fiveg_energy::params::RadioModel;
-use fiveg_energy::sched::{replay_energy, Strategy as SchedStrategy, TrafficTrace};
+use fiveg_energy::{
+    replay_energy, Burst, RadioModel, RadioStateMachine, Strategy as SchedStrategy, TrafficTrace,
+};
 use fiveg_simcore::SimTime;
 use proptest::prelude::*;
 

@@ -75,7 +75,8 @@ impl Building {
     }
 
     /// Whether the ray touches the building at all (blocks line of sight).
-    pub fn blocks(&self, seg: Segment) -> bool {
+    #[cfg(test)]
+    pub(crate) fn blocks(&self, seg: Segment) -> bool {
         self.footprint.intersects_segment(seg)
     }
 }

@@ -47,12 +47,14 @@ pub struct SitePlan {
 
 impl SitePlan {
     /// Total number of 4G cells.
-    pub fn num_enb_cells(&self) -> usize {
+    #[cfg(test)]
+    fn num_enb_cells(&self) -> usize {
         self.enb_sites.iter().map(Site::num_sectors).sum()
     }
 
     /// Total number of 5G cells.
-    pub fn num_gnb_cells(&self) -> usize {
+    #[cfg(test)]
+    fn num_gnb_cells(&self) -> usize {
         self.gnb_sites.iter().map(Site::num_sectors).sum()
     }
 }
@@ -111,7 +113,8 @@ impl Campus {
     }
 
     /// Generates the paper's campus with the default configuration.
-    pub fn paper_campus(rng: &mut SimRng) -> Campus {
+    #[cfg(test)]
+    fn paper_campus(rng: &mut SimRng) -> Campus {
         Campus::generate(&CampusConfig::default(), rng)
     }
 

@@ -148,7 +148,8 @@ impl CitySpec {
     }
 
     /// Total site counts `(enb, gnb)`.
-    pub fn site_counts(&self) -> (usize, usize) {
+    #[cfg(test)]
+    fn site_counts(&self) -> (usize, usize) {
         let tiles = self.tiles_x * self.tiles_y;
         (self.enb_per_tile * tiles, self.gnb_per_tile * tiles)
     }

@@ -186,7 +186,7 @@ impl SpatialIndex {
     /// conservative (false positives possible, false negatives not).
     /// Test-only: it is the list form the tests hold to full scans.
     #[cfg(test)]
-    pub fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
+    pub(crate) fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
         out.clear();
         self.for_cells_on_segment(seg, |c| {
             out.extend_from_slice(&self.cells[c]);

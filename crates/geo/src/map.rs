@@ -46,7 +46,8 @@ impl MapIndex {
     }
 
     /// Whether this is the tiled form.
-    pub fn is_tiled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_tiled(&self) -> bool {
         matches!(self, MapIndex::Tiled(_))
     }
 
@@ -152,7 +153,8 @@ impl CampusMap {
     }
 
     /// The spatial index.
-    pub fn spatial_index(&self) -> &MapIndex {
+    #[cfg(test)]
+    pub(crate) fn spatial_index(&self) -> &MapIndex {
         &self.index
     }
 
@@ -192,7 +194,8 @@ impl CampusMap {
     }
 
     /// Total road length, metres.
-    pub fn total_road_length(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_road_length(&self) -> f64 {
         self.roads.iter().map(Road::length).sum()
     }
 

@@ -50,7 +50,8 @@ impl MobilityTrace {
     }
 
     /// Total path length, metres.
-    pub fn path_length(&self) -> f64 {
+    #[cfg(test)]
+    fn path_length(&self) -> f64 {
         self.points
             .windows(2)
             .map(|w| w[0].pos.distance(w[1].pos))
@@ -172,7 +173,8 @@ pub struct RandomWaypoint {
 
 impl RandomWaypoint {
     /// The paper's hand-off campaign profile: 3–10 km/h for 80 minutes.
-    pub fn paper_handoff_campaign() -> Self {
+    #[cfg(test)]
+    fn paper_handoff_campaign() -> Self {
         RandomWaypoint {
             speed_min_kmh: 3.0,
             speed_max_kmh: 10.0,

@@ -187,7 +187,8 @@ impl Rect {
     }
 
     /// Whether `p` lies strictly inside.
-    pub fn contains_strict(self, p: Point) -> bool {
+    #[cfg(test)]
+    fn contains_strict(self, p: Point) -> bool {
         p.x > self.min.x && p.x < self.max.x && p.y > self.min.y && p.y < self.max.y
     }
 
@@ -229,7 +230,8 @@ impl Rect {
     }
 
     /// Whether the segment passes through (or touches) the rectangle.
-    pub fn intersects_segment(self, seg: Segment) -> bool {
+    #[cfg(test)]
+    pub(crate) fn intersects_segment(self, seg: Segment) -> bool {
         self.contains(seg.a) || self.contains(seg.b) || self.is_crossed_by(seg)
     }
 

@@ -35,7 +35,7 @@ const TILE_AREA: usize = TILE_CELLS * TILE_CELLS;
 const NO_TILE: u32 = u32::MAX;
 
 /// A two-level spatial index: a `tx × ty` directory of tiles over a
-/// conceptual uniform grid of [`CELL_M`]-metre cells (the same geometry
+/// conceptual uniform grid of `CELL_M`-metre cells (the same geometry
 /// as the flat index, so the slab walk is shared logic). The candidate
 /// lists of occupied tiles are stored flat, in compressed-row form:
 /// occupied tile `t`'s local cell `c` lists
@@ -150,7 +150,7 @@ impl TiledSpatialIndex {
 
     /// Tile-directory dimensions `(tx, ty)` and occupied-tile count.
     #[cfg(test)]
-    pub fn tile_stats(&self) -> (usize, usize, usize) {
+    fn tile_stats(&self) -> (usize, usize, usize) {
         let occupied = self.tile_base.iter().filter(|&&b| b != NO_TILE).count();
         (self.tx, self.gny / TILE_CELLS, occupied)
     }
@@ -265,7 +265,7 @@ impl TiledSpatialIndex {
     /// touch `seg`, sorted ascending and deduplicated. Conservative —
     /// same contract as `SpatialIndex::candidates_segment`. Test-only.
     #[cfg(test)]
-    pub fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
+    pub(crate) fn candidates_segment(&self, seg: Segment, out: &mut Vec<u32>) {
         out.clear();
         self.for_cells_on_segment(seg, |run| {
             out.extend_from_slice(run);

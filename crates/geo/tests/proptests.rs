@@ -1,7 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use fiveg_geo::mobility::{LinearTransect, RandomWaypoint};
-use fiveg_geo::{CampusMap, Point, Rect, Segment};
+use fiveg_geo::{CampusMap, LinearTransect, Point, RandomWaypoint, Rect, Segment};
 use fiveg_simcore::{SimDuration, SimRng};
 use proptest::prelude::*;
 
@@ -70,7 +69,7 @@ proptest! {
         let map = CampusMap::new(
             Rect::from_origin_size(Point::new(0.0, 0.0), 400.0, 400.0),
             vec![],
-            vec![fiveg_geo::map::Road::new(vec![Point::new(0.0, 0.0), Point::new(400.0, 0.0)])],
+            vec![fiveg_geo::Road::new(vec![Point::new(0.0, 0.0), Point::new(400.0, 0.0)])],
         );
         let mut rng = SimRng::new(seed);
         let tr = RandomWaypoint {
@@ -91,10 +90,12 @@ proptest! {
     /// paper's cell counts for any seed.
     #[test]
     fn campus_invariants(seed in any::<u64>()) {
-        use fiveg_geo::{Campus, CampusConfig};
+        use fiveg_geo::{Campus, CampusConfig, Site};
         let c = Campus::generate(&CampusConfig::default(), &mut SimRng::new(seed));
-        prop_assert_eq!(c.plan.num_enb_cells(), 34);
-        prop_assert_eq!(c.plan.num_gnb_cells(), 13);
+        let enb_cells: usize = c.plan.enb_sites.iter().map(Site::num_sectors).sum();
+        let gnb_cells: usize = c.plan.gnb_sites.iter().map(Site::num_sectors).sum();
+        prop_assert_eq!(enb_cells, 34);
+        prop_assert_eq!(gnb_cells, 13);
         for (g, &e) in c.plan.gnb_sites.iter().zip(&c.plan.gnb_cosite) {
             prop_assert!(g.pos.distance(c.plan.enb_sites[e].pos) < 1e-9);
         }

@@ -48,7 +48,8 @@ pub struct BufferEstimate {
 impl BufferEstimate {
     /// Builds the estimate from per-segment min/max RTT observations
     /// using the paper's assumptions (1 Gbps, 60 B probes).
-    pub fn from_rtt_spreads(
+    #[cfg(test)]
+    fn from_rtt_spreads(
         ran: (SimDuration, SimDuration),
         wired: (SimDuration, SimDuration),
     ) -> Self {
@@ -63,7 +64,8 @@ impl BufferEstimate {
     }
 
     /// The paper's published Tab. 3 values for reference.
-    pub fn paper_table3(tech_is_nr: bool) -> BufferEstimate {
+    #[cfg(test)]
+    fn paper_table3(tech_is_nr: bool) -> BufferEstimate {
         if tech_is_nr {
             BufferEstimate {
                 ran_pkts: 2586.0,

@@ -2,8 +2,7 @@
 
 use crate::packet::Packet;
 use crate::ratemodel::RateModel;
-use fiveg_simcore::dist::Dist;
-use fiveg_simcore::{SimDuration, SimTime};
+use fiveg_simcore::{Dist, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
 

@@ -18,8 +18,7 @@
 use crate::crosstraffic::CrossTraffic;
 use crate::hop::HopConfig;
 use crate::ratemodel::RateModel;
-use fiveg_simcore::dist::Dist;
-use fiveg_simcore::{BitRate, SimDuration};
+use fiveg_simcore::{BitRate, Dist, SimDuration};
 use serde::Serialize;
 
 /// Which direction the data path carries.

@@ -56,7 +56,12 @@ impl RateModel {
 
     /// Inserts an outage (rate 0) of `duration` starting at `start` into
     /// a copy of this model — used to model hand-off interruptions.
-    pub fn with_outage(&self, start: SimTime, duration: fiveg_simcore::SimDuration) -> RateModel {
+    #[cfg(test)]
+    pub(crate) fn with_outage(
+        &self,
+        start: SimTime,
+        duration: fiveg_simcore::SimDuration,
+    ) -> RateModel {
         let resume = start + duration;
         let resume_rate = self.rate_at(resume);
         let mut points: Vec<(SimTime, BitRate)> = match self {
@@ -75,6 +80,7 @@ impl RateModel {
 mod tests {
     use super::*;
     use fiveg_simcore::SimDuration;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -133,5 +139,20 @@ mod tests {
             (ms(10), BitRate::from_mbps(1.0)),
             (ms(5), BitRate::from_mbps(2.0)),
         ]);
+    }
+
+    proptest! {
+        /// An outage inserted into any rate model yields zero rate inside
+        /// the window and restores afterwards.
+        #[test]
+        fn outage_window(start in 0u64..5_000, dur in 1u64..2_000, rate in 1.0f64..500.0) {
+            let m = RateModel::Fixed(BitRate::from_mbps(rate))
+                .with_outage(SimTime::from_millis(start), SimDuration::from_millis(dur));
+            prop_assert_eq!(m.rate_at(SimTime::from_millis(start)).bps(), 0.0);
+            let inside = start + dur / 2;
+            prop_assert_eq!(m.rate_at(SimTime::from_millis(inside)).bps(), 0.0);
+            let after = start + dur;
+            prop_assert!((m.rate_at(SimTime::from_millis(after)).mbps() - rate).abs() < 1e-9);
+        }
     }
 }

@@ -184,19 +184,19 @@ pub const PAPER_SERVERS: [Server; 20] = [
     },
 ];
 
-/// Great-circle distance between two (lat, lon) points, km (haversine).
-pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
-    let r = 6371.0;
-    let (p1, p2) = (lat1.to_radians(), lat2.to_radians());
-    let dp = (lat2 - lat1).to_radians();
-    let dl = (lon2 - lon1).to_radians();
-    let a = (dp / 2.0).sin().powi(2) + p1.cos() * p2.cos() * (dl / 2.0).sin().powi(2);
-    2.0 * r * a.sqrt().atan2((1.0 - a).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Great-circle distance between two (lat, lon) points, km (haversine).
+    fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
+        let r = 6371.0;
+        let (p1, p2) = (lat1.to_radians(), lat2.to_radians());
+        let dp = (lat2 - lat1).to_radians();
+        let dl = (lon2 - lon1).to_radians();
+        let a = (dp / 2.0).sin().powi(2) + p1.cos() * p2.cos() * (dl / 2.0).sin().powi(2);
+        2.0 * r * a.sqrt().atan2((1.0 - a).sqrt())
+    }
 
     /// The paper's campus is at BUPT, Beijing (≈39.96 N, 116.35 E).
     const CAMPUS: (f64, f64) = (39.9608, 116.3526);

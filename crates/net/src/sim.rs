@@ -991,7 +991,7 @@ mod tests {
     #[test]
     fn cross_traffic_congests_shared_hop() {
         use crate::crosstraffic::CrossTraffic;
-        use fiveg_simcore::dist::Dist;
+        use fiveg_simcore::Dist;
         // A 10 Mbps hop with 8 Mbps cross traffic always on: our CBR-ish
         // blast must see queueing and drops.
         let mut sim = NetSim::new(one_hop_path(10.0, 50), 6);

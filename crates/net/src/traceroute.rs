@@ -11,8 +11,7 @@
 //!   length (Fig. 15), reaching 82.35 ms average 5G RTT at 2500 km.
 
 use crate::servers::Server;
-use fiveg_simcore::dist::normal;
-use fiveg_simcore::SimRng;
+use fiveg_simcore::{normal, SimRng};
 use serde::Serialize;
 
 /// Technology selector mirroring `fiveg_phy::Tech` without the

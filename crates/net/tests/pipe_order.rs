@@ -10,14 +10,12 @@
 //! single-heap event queue the lanes replaced; any drift means the pop
 //! order changed.
 
-use fiveg_net::crosstraffic::CrossTraffic;
-use fiveg_net::hop::HopConfig;
-use fiveg_net::ratemodel::RateModel;
-use fiveg_net::sim::{AckInfo, Ctx, Endpoint, TimerKind};
-use fiveg_net::{NetSim, PathConfig, MSS_BYTES};
-use fiveg_simcore::dist::Dist;
+use fiveg_net::{
+    AckInfo, CrossTraffic, Ctx, Endpoint, HopConfig, NetSim, PathConfig, RateModel, TimerKind,
+    MSS_BYTES,
+};
 use fiveg_simcore::hash::{fnv1a64_extend, hex64, FNV_OFFSET};
-use fiveg_simcore::{BitRate, SimDuration, SimTime};
+use fiveg_simcore::{BitRate, Dist, SimDuration, SimTime};
 use rand::Rng;
 use std::fmt::Write;
 

@@ -1,9 +1,8 @@
 //! Property-based tests for the packet-level network simulator.
 
-use fiveg_net::hop::HopConfig;
-use fiveg_net::ratemodel::RateModel;
-use fiveg_net::sim::{AckInfo, Ctx, Endpoint, TimerKind};
-use fiveg_net::{NetSim, PathConfig, MSS_BYTES};
+use fiveg_net::{
+    AckInfo, Ctx, Endpoint, HopConfig, NetSim, PathConfig, RateModel, TimerKind, MSS_BYTES,
+};
 use fiveg_simcore::{BitRate, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -98,18 +97,5 @@ proptest! {
         if let Some(nc) = model.next_change_after(t) {
             prop_assert!(nc > t);
         }
-    }
-
-    /// An outage inserted into any rate model yields zero rate inside
-    /// the window and restores afterwards.
-    #[test]
-    fn outage_window(start in 0u64..5_000, dur in 1u64..2_000, rate in 1.0f64..500.0) {
-        let m = RateModel::Fixed(BitRate::from_mbps(rate))
-            .with_outage(SimTime::from_millis(start), SimDuration::from_millis(dur));
-        prop_assert_eq!(m.rate_at(SimTime::from_millis(start)).bps(), 0.0);
-        let inside = start + dur / 2;
-        prop_assert_eq!(m.rate_at(SimTime::from_millis(inside)).bps(), 0.0);
-        let after = start + dur;
-        prop_assert!((m.rate_at(SimTime::from_millis(after)).mbps() - rate).abs() < 1e-9);
     }
 }

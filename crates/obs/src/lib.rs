@@ -56,8 +56,8 @@
 )]
 
 pub mod json;
-pub mod metrics;
-pub mod snapshot;
+mod metrics;
+mod snapshot;
 
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metrics::{Counter, Histogram, MaxGauge, MetricsHandle, SpanGuard};

@@ -24,11 +24,6 @@ use std::time::Instant;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Increments by `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -300,7 +295,7 @@ mod tests {
         let m = MetricsHandle::new();
         let a = m.counter("x");
         let b = m.counter("x");
-        a.inc();
+        a.add(1);
         b.add(4);
         assert_eq!(m.counter("x").get(), 5);
         assert_eq!(m.counter("y").get(), 0);
@@ -360,7 +355,7 @@ mod tests {
                     let h = m.histogram("obs", &[10, 100]);
                     let g = m.gauge("peak");
                     for i in 0..1_000u64 {
-                        c.inc();
+                        c.add(1);
                         h.observe(i % 150);
                         g.record(i);
                     }

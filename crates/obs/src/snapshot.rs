@@ -219,7 +219,7 @@ mod tests {
     fn sample() -> Snapshot {
         let m = MetricsHandle::new();
         m.counter("b.two").add(2);
-        m.counter("a.one").inc();
+        m.counter("a.one").add(1);
         m.gauge("depth").record(7);
         m.histogram("h", &[1, 10]).observe(5);
         drop(m.span("t"));

@@ -76,7 +76,8 @@ impl SectorAntenna {
     }
 
     /// Whether an azimuth is within the half-power field of view.
-    pub fn in_fov(&self, towards_deg: f64) -> bool {
+    #[cfg(test)]
+    fn in_fov(&self, towards_deg: f64) -> bool {
         Self::angle_diff(towards_deg, self.azimuth_deg) <= self.beamwidth_deg / 2.0
     }
 }

@@ -40,7 +40,8 @@ pub enum Duplex {
 
 impl Duplex {
     /// Fraction of airtime available to the downlink.
-    pub fn dl_share(self) -> f64 {
+    #[cfg(test)]
+    fn dl_share(self) -> f64 {
         match self {
             Duplex::Fdd => 1.0,
             Duplex::Tdd { dl_fraction } => dl_fraction,
@@ -48,7 +49,8 @@ impl Duplex {
     }
 
     /// Fraction of airtime available to the uplink.
-    pub fn ul_share(self) -> f64 {
+    #[cfg(test)]
+    fn ul_share(self) -> f64 {
         match self {
             Duplex::Fdd => 1.0,
             Duplex::Tdd { dl_fraction } => 1.0 - dl_fraction,
@@ -154,7 +156,8 @@ impl Carrier {
     /// duplex share and a single-layer/lower-order penalty. Calibrated to
     /// the paper's UL baselines (5G ≈130 Mbps of a 900 Mbps DL; 4G
     /// ≈100 Mbps night of a 200 Mbps DL).
-    pub fn max_phy_ul(&self) -> BitRate {
+    #[cfg(test)]
+    fn max_phy_ul(&self) -> BitRate {
         let dir_ratio = self.duplex.ul_share() / self.duplex.dl_share();
         let layer_penalty = match self.tech {
             Tech::Lte => 0.55, // 1 UL layer, 16QAM-heavy

@@ -11,9 +11,7 @@ use crate::cell::CellPhy;
 use crate::mcs;
 use crate::pathloss::{LatticePoint, PropagationParams, ShadowGrid, ShadowingField};
 use crate::penetration::wall_loss;
-use fiveg_geo::building::Material;
-use fiveg_geo::point::Segment;
-use fiveg_geo::{Campus, CampusMap, Point};
+use fiveg_geo::{Campus, CampusMap, Material, Point, Segment};
 use fiveg_simcore::{BitRate, Db, Dbm};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -704,25 +702,19 @@ impl RadioEnv {
             - self.total_loss_db(idx, ue)
     }
 
-    /// Measures every cell of `tech` at `ue`, with mutual co-channel
-    /// interference, sorted by descending RSRP.
-    ///
-    /// Convenience wrapper over [`RadioEnv::measure_all_into`] that
-    /// builds (and throws away) a fresh [`MeasureScratch`] per call, so
-    /// it is **test-only / cold-path**: fine in unit tests, examples
-    /// and one-shot calibration sweeps, but anything called per UE per
-    /// tick (fleet runs, city sweeps, handoff traces) must hold a
-    /// persistent scratch and use the `_into` form — the per-call
-    /// allocations dominate at 100k-UE scale.
-    pub fn measure_all(&self, ue: Point, tech: Tech) -> Vec<CellMeasurement> {
+    /// [`RadioEnv::measure_all_into`] with a fresh [`MeasureScratch`],
+    /// as an owned list.
+    #[cfg(test)]
+    fn measure_all(&self, ue: Point, tech: Tech) -> Vec<CellMeasurement> {
         let mut scratch = MeasureScratch::new();
         self.measure_all_into(ue, tech, &mut scratch);
         std::mem::take(&mut scratch.out)
     }
 
-    /// Allocation-free [`RadioEnv::measure_all`]: fills and returns
-    /// `scratch.out` (sorted by descending RSRP), reusing the scratch
-    /// buffers across calls. Survey, sort, then materialise every cell.
+    /// Measures every cell of `tech` at `ue`, with mutual co-channel
+    /// interference: fills and returns `scratch.out` (sorted by
+    /// descending RSRP), reusing the scratch buffers across calls.
+    /// Survey, sort, then materialise every cell.
     pub fn measure_all_into<'a>(
         &self,
         ue: Point,
@@ -969,14 +961,15 @@ impl RadioEnv {
         out
     }
 
-    /// The strongest cell of `tech` at `ue`, if any exist.
-    pub fn serving(&self, ue: Point, tech: Tech) -> Option<CellMeasurement> {
+    /// [`RadioEnv::serving_into`] with a fresh [`MeasureScratch`].
+    #[cfg(test)]
+    fn serving(&self, ue: Point, tech: Tech) -> Option<CellMeasurement> {
         let mut scratch = MeasureScratch::new();
         self.serving_into(ue, tech, &mut scratch)
     }
 
-    /// Allocation-free [`RadioEnv::serving`]: survey, select the top
-    /// cell, materialise it.
+    /// The strongest cell of `tech` at `ue`, if any exist: survey, select
+    /// the top cell, materialise it.
     pub fn serving_into(
         &self,
         ue: Point,
@@ -988,16 +981,17 @@ impl RadioEnv {
         })
     }
 
-    /// Measurement of one specific `tech` cell (by PCI) including
-    /// interference from its co-channel neighbours — used when the UE is
-    /// locked to a cell (the paper's Sec. 3.2 frequency-lock experiment).
-    pub fn measure_pci(&self, ue: Point, tech: Tech, pci: u16) -> Option<CellMeasurement> {
+    /// [`RadioEnv::measure_pci_into`] with a fresh [`MeasureScratch`].
+    #[cfg(test)]
+    fn measure_pci(&self, ue: Point, tech: Tech, pci: u16) -> Option<CellMeasurement> {
         let mut scratch = MeasureScratch::new();
         self.measure_pci_into(ue, tech, pci, &mut scratch)
     }
 
-    /// Allocation-free [`RadioEnv::measure_pci`]: survey, select the
-    /// cell, materialise it.
+    /// Measurement of one specific `tech` cell (by PCI) including
+    /// interference from its co-channel neighbours — used when the UE is
+    /// locked to a cell (the paper's Sec. 3.2 frequency-lock experiment):
+    /// survey, select the cell, materialise it.
     pub fn measure_pci_into(
         &self,
         ue: Point,
@@ -1501,8 +1495,8 @@ mod tests {
     }
 
     fn check_tiled_city(e: &RadioEnv, rng: &mut SimRng) {
-        assert!(e.map.buildings.len() >= fiveg_geo::map::TILED_INDEX_THRESHOLD);
-        assert!(e.map.spatial_index().is_tiled());
+        // At or above the threshold the map's index is the tiled form.
+        assert!(e.map.buildings.len() >= fiveg_geo::TILED_INDEX_THRESHOLD);
         let b = e.map.bounds;
         let mut points: Vec<Point> = (0..24)
             .map(|_| {

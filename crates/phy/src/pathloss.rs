@@ -217,7 +217,7 @@ impl ShadowingField {
     }
 
     /// [`ShadowingField::value_db`] at a point located once with
-    /// [`LatticePoint::new`] (and [`LatticePoint::in_grid`]): the
+    /// `LatticePoint::new` (and `LatticePoint::in_grid`): the
     /// lattice Gaussians come from `grid` when the point's corners lie
     /// inside it, else from direct evaluation. Same arithmetic, same
     /// bits — the Gaussian evaluation (two hashes, `ln`, `sqrt`, `cos`

@@ -1,9 +1,9 @@
 //! Property-based tests for the radio physical layer.
 
-use fiveg_phy::antenna::{SectorAntenna, VerticalPattern};
-use fiveg_phy::mcs;
-use fiveg_phy::pathloss::{PropagationParams, ShadowingField};
-use fiveg_phy::{CellMeasurement, MeasureScratch, RadioEnv, Survey, Tech};
+use fiveg_phy::{
+    bler, cqi_from_sinr, rate_fraction, spectral_efficiency, CellMeasurement, MeasureScratch,
+    PropagationParams, RadioEnv, SectorAntenna, ShadowingField, Survey, Tech, VerticalPattern,
+};
 use fiveg_simcore::{Frequency, SimRng};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -14,7 +14,7 @@ proptest! {
     #[test]
     fn pathloss_monotone(d1 in 1.0f64..2000.0, d2 in 1.0f64..2000.0, ghz in 0.7f64..6.0) {
         let p = PropagationParams::default_urban();
-        let f = Frequency::from_ghz(ghz);
+        let f = Frequency::from_hz(ghz * 1e9);
         let (lo, hi) = if d1 < d2 { (d1, d2) } else { (d2, d1) };
         prop_assert!(p.loss_los(hi, f).value() >= p.loss_los(lo, f).value());
         prop_assert!(p.loss_nlos(hi, f).value() >= p.loss_nlos(lo, f).value());
@@ -27,8 +27,8 @@ proptest! {
         let p = PropagationParams::default_urban();
         let (lo, hi) = if f1 < f2 { (f1, f2) } else { (f2, f1) };
         prop_assert!(
-            p.loss_los(d, Frequency::from_ghz(hi)).value()
-                >= p.loss_los(d, Frequency::from_ghz(lo)).value()
+            p.loss_los(d, Frequency::from_hz(hi * 1e9)).value()
+                >= p.loss_los(d, Frequency::from_hz(lo * 1e9)).value()
         );
     }
 
@@ -55,18 +55,18 @@ proptest! {
     #[test]
     fn link_adaptation_monotone(s1 in -20.0f64..40.0, s2 in -20.0f64..40.0) {
         let (lo, hi) = if s1 < s2 { (s1, s2) } else { (s2, s1) };
-        prop_assert!(mcs::cqi_from_sinr(hi) >= mcs::cqi_from_sinr(lo));
-        prop_assert!(mcs::spectral_efficiency(hi) >= mcs::spectral_efficiency(lo));
-        let rf = mcs::rate_fraction(s1);
+        prop_assert!(cqi_from_sinr(hi) >= cqi_from_sinr(lo));
+        prop_assert!(spectral_efficiency(hi) >= spectral_efficiency(lo));
+        let rf = rate_fraction(s1);
         prop_assert!((0.0..=1.0).contains(&rf));
     }
 
     /// BLER is a valid probability, decreasing in SINR for every MCS.
     #[test]
     fn bler_valid(mcs_idx in 0u8..=27, s in -30.0f64..50.0) {
-        let b = mcs::bler(s, mcs_idx);
+        let b = bler(s, mcs_idx);
         prop_assert!((0.0..=1.0).contains(&b));
-        prop_assert!(mcs::bler(s + 1.0, mcs_idx) <= b + 1e-12);
+        prop_assert!(bler(s + 1.0, mcs_idx) <= b + 1e-12);
     }
 
     /// Shadowing is deterministic per position and bounded in practice.

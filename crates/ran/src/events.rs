@@ -41,7 +41,8 @@ pub enum MeasurementEvent {
 impl MeasurementEvent {
     /// Share of each event type among reported events in the paper's
     /// campaign (Sec. 3.4). A4 and B2 were not observed.
-    pub fn paper_share(self) -> f64 {
+    #[cfg(test)]
+    fn paper_share(self) -> f64 {
         match self {
             MeasurementEvent::A1 => 0.2198,
             MeasurementEvent::A2 => 0.0018,

@@ -18,7 +18,7 @@
 
 use crate::events::{A3Config, A3Tracker};
 use crate::signaling::HandoffProcedure;
-use fiveg_geo::mobility::MobilityTrace;
+use fiveg_geo::MobilityTrace;
 use fiveg_phy::{MeasureScratch, RadioEnv, Tech};
 use fiveg_simcore::{Db, Dbm, SimDuration, SimRng, SimTime};
 use serde::Serialize;
@@ -48,7 +48,8 @@ impl HandoffKind {
     }
 
     /// Whether this is a horizontal (same-RAT) hand-off.
-    pub fn is_horizontal(self) -> bool {
+    #[cfg(test)]
+    fn is_horizontal(self) -> bool {
         matches!(self, HandoffKind::LteToLte | HandoffKind::NrToNr)
     }
 }
@@ -383,8 +384,7 @@ impl HandoffCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_geo::mobility::RandomWaypoint;
-    use fiveg_geo::{Campus, CampusConfig};
+    use fiveg_geo::{Campus, CampusConfig, RandomWaypoint};
 
     fn env() -> RadioEnv {
         let campus = Campus::generate(&CampusConfig::default(), &mut SimRng::new(2020));

@@ -7,7 +7,7 @@
 //! That behaviour falls out of link adaptation: the scheduler operates at
 //! ≈10 % initial BLER and each retransmission adds combining gain.
 
-use fiveg_phy::mcs;
+use fiveg_phy::{bler, select_mcs};
 use fiveg_simcore::{SimDuration, SimRng};
 use serde::Serialize;
 
@@ -55,7 +55,8 @@ pub struct HarqOutcome {
 
 impl HarqOutcome {
     /// Extra MAC-layer delay caused by retransmissions.
-    pub fn extra_delay(&self, cfg: &HarqConfig) -> SimDuration {
+    #[cfg(test)]
+    fn extra_delay(&self, cfg: &HarqConfig) -> SimDuration {
         SimDuration::from_nanos(
             cfg.retx_delay.as_nanos() * (self.attempts.saturating_sub(1)) as u64,
         )
@@ -66,12 +67,12 @@ impl HarqOutcome {
 /// drawing per-attempt success from the BLER model with chase-combining
 /// gain on retransmissions.
 pub fn transmit_block(sinr_db: f64, cfg: &HarqConfig, rng: &mut SimRng) -> HarqOutcome {
-    let mcs_idx = mcs::select_mcs(sinr_db);
+    let mcs_idx = select_mcs(sinr_db);
     let mut attempts = 0;
     while attempts < cfg.max_attempts {
         attempts += 1;
         let effective_sinr = sinr_db + cfg.combining_gain_db * (attempts - 1) as f64;
-        let p_fail = mcs::bler(effective_sinr, mcs_idx);
+        let p_fail = bler(effective_sinr, mcs_idx);
         if !rng.chance(p_fail) {
             let out = HarqOutcome {
                 attempts,
@@ -125,7 +126,7 @@ mod tests {
         let cfg = HarqConfig::paper_nr();
         // Exactly at a CQI threshold the selected MCS's requirement
         // equals the SINR (no quantisation margin).
-        let sinr = fiveg_phy::mcs::CQI_SINR_THRESHOLD_DB[10];
+        let sinr = fiveg_phy::CQI_SINR_THRESHOLD_DB[10];
         let h = attempts_histogram(sinr, &cfg, 50_000, &mut rng);
         assert!((h[0] - 0.9).abs() < 0.02, "first-try {}", h[0]);
     }
@@ -136,7 +137,7 @@ mod tests {
         // far below the 32 ceiling.
         let mut rng = SimRng::new(2);
         let cfg = HarqConfig::paper_nr();
-        let sinr = fiveg_phy::mcs::CQI_SINR_THRESHOLD_DB[10];
+        let sinr = fiveg_phy::CQI_SINR_THRESHOLD_DB[10];
         for _ in 0..50_000 {
             let o = transmit_block(sinr, &cfg, &mut rng);
             assert!(o.delivered);
@@ -149,7 +150,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let cfg = HarqConfig::paper_nr();
         // 2 dB of margin above the MCS-12 operating point vs none.
-        let base = fiveg_phy::mcs::mcs_sinr_requirement_db(12);
+        let base = fiveg_phy::mcs_sinr_requirement_db(12);
         let tight = attempts_histogram(base, &cfg, 20_000, &mut rng);
         // CQI quantisation: halfway between MCS-12 and MCS-13 thresholds
         // still selects MCS 12, with extra margin.

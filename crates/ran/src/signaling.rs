@@ -11,8 +11,7 @@
 //! Each procedure is a list of [`SignalingStep`]s with per-step latency
 //! distributions; the step means sum to the paper's Fig. 6 averages.
 
-use fiveg_simcore::dist::Dist;
-use fiveg_simcore::{SimDuration, SimRng};
+use fiveg_simcore::{Dist, SimDuration, SimRng};
 use serde::Serialize;
 
 /// One signalling exchange within a hand-off procedure.
@@ -114,7 +113,8 @@ impl HandoffProcedure {
     }
 
     /// Mean total latency (sum of step means), milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_latency_ms(&self) -> f64 {
         self.steps.iter().map(|s| s.latency_ms.mean()).sum()
     }
 
@@ -125,22 +125,22 @@ impl HandoffProcedure {
     }
 }
 
-/// Convenience: samples the latency of the procedure matching a
-/// `(from_is_nr, to_is_nr)` pair.
-pub fn handoff_latency(from_nr: bool, to_nr: bool, rng: &mut SimRng) -> SimDuration {
-    let proc = match (from_nr, to_nr) {
-        (false, false) => HandoffProcedure::lte_to_lte(),
-        (true, true) => HandoffProcedure::nr_to_nr(),
-        (false, true) => HandoffProcedure::lte_to_nr(),
-        (true, false) => HandoffProcedure::nr_to_lte(),
-    };
-    proc.sample_latency(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fiveg_simcore::OnlineStats;
+
+    /// Convenience: samples the latency of the procedure matching a
+    /// `(from_is_nr, to_is_nr)` pair.
+    fn handoff_latency(from_nr: bool, to_nr: bool, rng: &mut SimRng) -> SimDuration {
+        let proc = match (from_nr, to_nr) {
+            (false, false) => HandoffProcedure::lte_to_lte(),
+            (true, true) => HandoffProcedure::nr_to_nr(),
+            (false, true) => HandoffProcedure::lte_to_nr(),
+            (true, false) => HandoffProcedure::nr_to_lte(),
+        };
+        proc.sample_latency(rng)
+    }
 
     #[test]
     fn means_match_figure6() {

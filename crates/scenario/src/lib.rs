@@ -6,7 +6,8 @@
 //! ([`ScenarioSpec`]), a strict parser built on the `fiveg-obs` JSON
 //! reader ([`parse_scenario`], unknown keys rejected with `file:line`
 //! locations), a canonical emitter ([`emit_scenario`], byte-stable
-//! round trips), and a grid/sweep variant generator ([`variants`]).
+//! round trips), and a grid/sweep variant generator ([`expand`] over a
+//! [`FamilySpec`] read by [`parse_family`]).
 //!
 //! `fiveg-core` interprets a parsed spec into a running simulation;
 //! `fiveg-campaign` schedules scenario files as jobs next to the
@@ -19,10 +20,10 @@
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
-pub mod emit;
-pub mod parse;
-pub mod spec;
-pub mod variants;
+mod emit;
+mod parse;
+mod spec;
+mod variants;
 
 pub use emit::emit_scenario;
 pub use parse::{parse_scenario, ScenarioError};

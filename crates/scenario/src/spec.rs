@@ -47,7 +47,7 @@ impl Default for CampusSpec {
 
 /// Procedural-city generation parameters (the `city` block). When
 /// present the scenario runs on a generated metro city
-/// ([`fiveg_geo::city`]) instead of the single campus block, and the
+/// ([`fiveg_geo::generate_city`]) instead of the single campus block, and the
 /// `campus` block is ignored. All fields are concrete after parsing —
 /// missing keys resolve against the named preset — so canonical
 /// emission is total.

@@ -215,11 +215,6 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, payload: E) -> u64 {
-        self.schedule_at(self.now + delay, payload)
-    }
-
     /// The earliest pending event's key and where it waits: `None` for
     /// the heap, `Some(lane)` for a lane.
     fn next_source(&self) -> Option<(Key, Option<usize>)> {
@@ -286,7 +281,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -331,16 +325,6 @@ mod tests {
             ["lane1@5", "lane0@10", "heap@10", "lane1@10", "lane0@15", "lane0@20"]
         );
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(10), 1);
-        q.pop();
-        q.schedule_in(SimDuration::from_millis(5), 2);
-        let e = q.pop().unwrap();
-        assert_eq!(e.at, SimTime::from_millis(15));
     }
 
     #[test]

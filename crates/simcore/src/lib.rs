@@ -12,43 +12,45 @@
 //! virtual clock, and nothing in the hot path allocates beyond the event
 //! queue itself.
 //!
-//! Modules:
+//! The API:
 //!
-//! * [`time`] — nanosecond-resolution virtual clock ([`SimTime`],
-//!   [`SimDuration`]).
-//! * [`event`] — generic event queue with deterministic FIFO
+//! * [`SimTime`], [`SimDuration`] — the nanosecond-resolution virtual
+//!   clock.
+//! * [`EventQueue`] — generic event queue with deterministic FIFO
 //!   tie-breaking: a binary heap plus FIFO lanes for in-order streams.
 //!   Its `(time, seq)` order is the only event order in the workspace:
 //!   the packet simulator stamps seqs through the queue, and the shard
 //!   engine brings origin-packed keys through `schedule_keyed`. The
 //!   queue reports its totals; its owner flushes them as counters.
-//! * [`shard`] — conservative parallel discrete-event engine: one
+//! * [`ShardEngine`] — conservative parallel discrete-event engine: one
 //!   [`EventQueue`] per shard, every message one lookahead long, and
-//!   barrier-released safe windows one lookahead wide.
-//! * [`rng`] — seedable ChaCha-based random stream with named substreams.
-//! * [`dist`] — the probability distributions the models need (normal,
-//!   log-normal, exponential, Pareto), implemented on top of [`rng`].
-//! * [`stats`] — online statistics, histograms and empirical CDFs used to
-//!   aggregate measurement campaigns.
-//! * [`units`] — strongly-typed radio/network units (dBm, dB, Hz, bit/s,
-//!   mW, J) with explicit, documented conversions.
-//! * [`trace`] — lightweight time-series recorders for KPI and power
-//!   traces.
+//!   barrier-released safe windows one lookahead wide. Shard code
+//!   implements [`ShardLogic`] and sends through [`ShardCtx`].
+//! * [`SimRng`] — seedable ChaCha-based random stream with named
+//!   substreams, and [`Dist`] with [`normal`], the distributions the
+//!   models draw from (normal, log-normal, exponential, Pareto).
+//! * [`OnlineStats`], [`Histogram`], [`Cdf`] — online statistics,
+//!   histograms and empirical CDFs that aggregate measurement campaigns.
+//! * [`Dbm`], [`Db`], [`Frequency`], [`Bandwidth`], [`BitRate`],
+//!   [`Power`], [`Energy`] — strongly-typed radio/network units with
+//!   explicit, documented conversions.
+//! * [`TimeSeries`] — the power trace recorder.
 //! * [`hash`] — stable FNV-1a hashing for campaign seed derivation and
 //!   artifact fingerprints.
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
-pub mod dist;
-pub mod event;
+mod dist;
+mod event;
 pub mod hash;
-pub mod rng;
-pub mod shard;
-pub mod stats;
-pub mod time;
-pub mod trace;
-pub mod units;
+mod rng;
+mod shard;
+mod stats;
+mod time;
+mod trace;
+mod units;
 
+pub use dist::{normal, Dist};
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use shard::{ShardCtx, ShardEngine, ShardError, ShardId, ShardLogic, ShardRun, ShardStats};

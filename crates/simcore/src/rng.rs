@@ -73,9 +73,11 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Uniform index draw in `[0, n)`. Panics if `n == 0`.
+    /// Uniform index draw in `[0, n)`. Panics if `n == 0`. The same
+    /// draw as `gen_range(0..n)`: the sampler is one rejection loop for
+    /// every integer width.
     pub fn index(&mut self, n: usize) -> usize {
-        self.inner.gen_range(0..n)
+        self.range_u64(0, n as u64) as usize
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
@@ -90,7 +92,8 @@ impl SimRng {
     }
 
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    #[cfg(test)]
+    fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.index(i + 1);
             items.swap(i, j);

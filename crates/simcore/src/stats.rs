@@ -125,7 +125,8 @@ impl Cdf {
     }
 
     /// `P(X <= x)`; 0 for an empty CDF.
-    pub fn prob_le(&self, x: f64) -> f64 {
+    #[cfg(test)]
+    fn prob_le(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }
@@ -164,14 +165,10 @@ impl Cdf {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 
-    /// The sorted samples, for plotting `(x, F(x))` series.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Renders the CDF as `n` evenly spaced `(value, probability)` points,
     /// the format benches print for figure series.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
+    #[cfg(test)]
+    fn points(&self, n: usize) -> Vec<(f64, f64)> {
         if self.sorted.is_empty() || n == 0 {
             return Vec::new();
         }
@@ -271,19 +268,16 @@ impl Histogram {
     }
 
     /// Bucket boundaries `(lo, hi)` for bucket `i`.
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
+    #[cfg(test)]
+    fn bucket_range(&self, i: usize) -> (f64, f64) {
         (self.edges[i], self.edges[i + 1])
-    }
-
-    /// Number of in-range buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn online_stats_basic() {
@@ -383,6 +377,21 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
+        }
+    }
+
+    proptest! {
+        /// prob_le is a valid, monotone CDF.
+        #[test]
+        fn cdf_prob_le_monotone(samples in prop::collection::vec(-1e3f64..1e3, 1..200)) {
+            let c = Cdf::from_samples(samples);
+            let mut prev = 0.0;
+            for i in -10..=10 {
+                let p = c.prob_le(i as f64 * 100.0);
+                prop_assert!((0.0..=1.0).contains(&p));
+                prop_assert!(p >= prev);
+                prev = p;
+            }
         }
     }
 }

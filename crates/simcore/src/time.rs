@@ -191,7 +191,8 @@ impl SimDuration {
 
     /// Multiplies the duration by a non-negative scalar, saturating at the
     /// maximum representable duration.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
+    #[cfg(test)]
+    fn mul_f64(self, k: f64) -> SimDuration {
         let v = (self.0 as f64 * k.max(0.0)).round();
         if v >= u64::MAX as f64 {
             SimDuration::MAX

@@ -5,7 +5,7 @@
 //! [`TimeSeries`] is the common container: timestamped samples with
 //! resampling and windowed-aggregation helpers.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::Serialize;
 
 /// A monotonic sequence of `(time, value)` samples.
@@ -88,7 +88,8 @@ impl TimeSeries {
     /// Aggregates samples into fixed windows of `width`, producing one
     /// `(window_start, aggregate)` point per non-empty window. `agg`
     /// receives the samples that fell into the window.
-    pub fn windowed<F>(&self, width: SimDuration, mut agg: F) -> Vec<(SimTime, f64)>
+    #[cfg(test)]
+    fn windowed<F>(&self, width: crate::time::SimDuration, mut agg: F) -> Vec<(SimTime, f64)>
     where
         F: FnMut(&[f64]) -> f64,
     {
@@ -119,32 +120,22 @@ impl TimeSeries {
 
     /// Sums values per window — the natural aggregation for byte counts,
     /// returning `(window_start, sum)` pairs.
-    pub fn windowed_sum(&self, width: SimDuration) -> Vec<(SimTime, f64)> {
+    #[cfg(test)]
+    fn windowed_sum(&self, width: crate::time::SimDuration) -> Vec<(SimTime, f64)> {
         self.windowed(width, |xs| xs.iter().sum())
     }
 
     /// Means values per window — the natural aggregation for gauges.
-    pub fn windowed_mean(&self, width: SimDuration) -> Vec<(SimTime, f64)> {
+    #[cfg(test)]
+    fn windowed_mean(&self, width: crate::time::SimDuration) -> Vec<(SimTime, f64)> {
         self.windowed(width, |xs| xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-
-    /// Renders the series as CSV with the given header, for artifact
-    /// export.
-    pub fn to_csv(&self, value_name: &str) -> String {
-        let mut s = String::with_capacity(self.len() * 24 + 16);
-        s.push_str("time_s,");
-        s.push_str(value_name);
-        s.push('\n');
-        for (t, v) in self.iter() {
-            s.push_str(&format!("{:.6},{v}\n", t.as_secs_f64()));
-        }
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -203,13 +194,5 @@ mod tests {
         assert!(ts.mean().is_nan());
         assert!(ts.windowed_sum(SimDuration::from_secs(1)).is_empty());
         assert!(ts.last().is_none());
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut ts = TimeSeries::new();
-        ts.push(ms(1500), 42.0);
-        let csv = ts.to_csv("power_mw");
-        assert_eq!(csv, "time_s,power_mw\n1.500000,42\n");
     }
 }

@@ -90,7 +90,8 @@ impl Db {
         self.0
     }
     /// Converts the ratio to linear scale.
-    pub fn to_linear(self) -> f64 {
+    #[cfg(test)]
+    fn to_linear(self) -> f64 {
         10f64.powf(self.0 / 10.0)
     }
     /// Constructs from a linear power ratio.
@@ -147,10 +148,6 @@ impl Frequency {
     /// Constructs from megahertz.
     pub fn from_mhz(mhz: f64) -> Self {
         Frequency(mhz * 1e6)
-    }
-    /// Constructs from gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Frequency(ghz * 1e9)
     }
     /// Hertz value.
     pub const fn hz(self) -> f64 {
@@ -416,7 +413,7 @@ mod tests {
 
     #[test]
     fn frequency_conversions() {
-        assert_eq!(Frequency::from_ghz(3.5).mhz(), 3500.0);
+        assert_eq!(Frequency::from_mhz(3500.0).hz(), 3.5e9);
         assert_eq!(Bandwidth::from_mhz(100.0).hz(), 1e8);
     }
 

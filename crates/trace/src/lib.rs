@@ -4,7 +4,7 @@
 //! are emitted from the radio / fault / KPI / CC / shard layers into an
 //! ambient per-run sink, then merged in global `(t_ns, origin, seq)`
 //! order into [`Row`]s of one fixed 9-column layout ([`COLUMNS`]). The
-//! rows are serialised column-major by [`encode`] into a `.trace.bin`,
+//! rows are serialised column-major into a `.trace.bin`,
 //! next to a JSON sidecar that repeats the layout and carries counts,
 //! groups and the binary's hash; [`decode`] checks a binary against
 //! that layout. The merged order is keyed by **logical** origins
@@ -43,10 +43,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[expect(clippy::disallowed_types, reason = "TraceSink's lock")]
 use std::sync::{Arc, Mutex, PoisonError};
 
-pub mod columnar;
-pub mod event;
+mod columnar;
+mod event;
 
-pub use columnar::{decode, encode, DecodeError, COLUMNS};
+use columnar::encode;
+pub use columnar::{decode, DecodeError, COLUMNS};
 pub use event::{Category, TraceEvent, KINDS, NO_UE, ROUTER_ORIGIN};
 
 /// Capture mode.

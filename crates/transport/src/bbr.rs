@@ -137,7 +137,8 @@ impl Bbr {
     }
 
     /// Current phase name, for traces/tests.
-    pub fn phase_name(&self) -> &'static str {
+    #[cfg(test)]
+    fn phase_name(&self) -> &'static str {
         match self.phase {
             Phase::Startup => "startup",
             Phase::Drain => "drain",
@@ -147,7 +148,8 @@ impl Bbr {
     }
 
     /// Current bottleneck-bandwidth estimate.
-    pub fn btlbw(&self) -> BitRate {
+    #[cfg(test)]
+    fn btlbw(&self) -> BitRate {
         BitRate::from_bps(self.btlbw_bps)
     }
 }

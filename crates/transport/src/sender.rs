@@ -753,7 +753,7 @@ mod tests {
     use fiveg_simcore::SimTime;
 
     fn clean_path(rate_mbps: f64) -> PathConfig {
-        use fiveg_net::hop::HopConfig;
+        use fiveg_net::HopConfig;
         PathConfig {
             hops: vec![HopConfig::wired(
                 "bn",

@@ -102,7 +102,7 @@ pub struct UdpProbeResult {
 /// offered/received/loss. `seed` pins the cross-traffic sample path.
 pub fn udp_probe(
     path: fiveg_net::PathConfig,
-    cross: Option<fiveg_net::crosstraffic::CrossTraffic>,
+    cross: Option<fiveg_net::CrossTraffic>,
     rate: BitRate,
     duration: SimDuration,
     seed: u64,
@@ -135,8 +135,7 @@ pub fn udp_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiveg_net::hop::HopConfig;
-    use fiveg_net::PathConfig;
+    use fiveg_net::{HopConfig, PathConfig};
 
     fn path(rate_mbps: f64, cap: usize) -> PathConfig {
         PathConfig {

@@ -1,11 +1,9 @@
 //! Property-based tests for the congestion-control algorithms and the
 //! sender machinery.
 
-use fiveg_net::hop::HopConfig;
-use fiveg_net::{NetSim, PathConfig};
+use fiveg_net::{HopConfig, NetSim, PathConfig};
 use fiveg_simcore::{BitRate, SimDuration, SimTime};
-use fiveg_transport::cc::{min_cwnd, AckSample, CcAlgorithm};
-use fiveg_transport::TcpSender;
+use fiveg_transport::{min_cwnd, AckSample, CcAlgorithm, TcpSender};
 use proptest::prelude::*;
 
 /// A random sequence of protocol events.

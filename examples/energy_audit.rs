@@ -4,15 +4,13 @@
 //!
 //! Run with: `cargo run --release --example energy_audit`
 
-use fiveg_core::experiments::energy;
-
 fn main() {
-    let f21 = energy::fig21(60);
+    let f21 = fiveg_core::fig21(60);
     print!("{}", f21.to_text());
-    let f22 = energy::fig22();
+    let f22 = fiveg_core::fig22();
     print!("{}", f22.to_text());
-    let f23 = energy::fig23();
+    let f23 = fiveg_core::fig23();
     print!("{}", f23.to_text());
-    let t4 = energy::table4();
+    let t4 = fiveg_core::table4();
     print!("{}", t4.to_text());
 }

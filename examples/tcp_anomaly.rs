@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example tcp_anomaly [--paper]`
 //! (`--paper` runs the full 60 s × 5 repetition methodology)
 
-use fiveg_core::experiments::throughput;
 use fiveg_core::Fidelity;
 
 fn main() {
@@ -13,14 +12,14 @@ fn main() {
     } else {
         Fidelity::Quick
     };
-    let f7 = throughput::fig7(fidelity, 42);
+    let f7 = fiveg_core::fig7(fidelity, 42);
     print!("{}", f7.to_text());
-    let f8 = throughput::fig8(fidelity, 42);
+    let f8 = fiveg_core::fig8(fidelity, 42);
     print!("{}", f8.to_text());
-    let f9 = throughput::fig9(fidelity, 42);
+    let f9 = fiveg_core::fig9(fidelity, 42);
     print!("{}", f9.to_text());
-    let f11 = throughput::fig11(fidelity, 42);
+    let f11 = fiveg_core::fig11(fidelity, 42);
     print!("{}", f11.to_text());
-    let t3 = throughput::table3(fidelity, 42);
+    let t3 = fiveg_core::table3(fidelity, 42);
     print!("{}", t3.to_text());
 }

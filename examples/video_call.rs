@@ -3,11 +3,10 @@
 //!
 //! Run with: `cargo run --release --example video_call`
 
-use fiveg_core::experiments::application;
 use fiveg_core::Fidelity;
 
 fn main() {
-    let v = application::video_study(Fidelity::Quick, 7);
+    let v = fiveg_core::video_study(Fidelity::Quick, 7);
     print!("{}", v.to_text());
     // The paper's punchline: processing dominates frame delay.
     if let Some(r) = v.row("4K", "static", "5G") {

@@ -11,9 +11,9 @@ use fiveg_campaign::{
     Registry, RunConfig, RunReport,
 };
 use fiveg_core::jobs::paper_registry;
-use fiveg_core::par::CHUNK;
 use fiveg_core::scenario_dsl::{parse_scenario, WorkloadSpec};
 use fiveg_core::scenario_run::ScenarioJob;
+use fiveg_core::CHUNK;
 use std::fs;
 
 /// The cheap end of the suite: model-only jobs that finish in
@@ -209,10 +209,10 @@ fn panicking_job_fails_without_aborting_siblings() {
         reg.register(ArcJob(job));
     }
     reg.register(
+        // `FnJob::new` grants one retry.
         FnJob::new("always_panics", "test", |_| {
             panic!("deliberate campaign-test panic")
-        })
-        .with_retry_budget(1),
+        }),
     );
     let report = run(&reg, &RunConfig::new(2020).workers(2), &mut |_| {});
     assert_eq!(report.results.len(), 2);

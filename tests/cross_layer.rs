@@ -1,13 +1,12 @@
 //! Cross-layer tests: interactions the paper highlights between the
 //! physical layer, control plane, transport and energy models.
 
-use fiveg_core::energy::machine::{Burst, RadioStateMachine};
-use fiveg_core::energy::params::RadioModel;
-use fiveg_core::phy::Tech;
+use fiveg_core::energy::{Burst, RadioModel, RadioStateMachine};
+use fiveg_core::phy::{MeasureScratch, Tech};
 use fiveg_core::ran::{HandoffCampaign, HandoffKind};
 use fiveg_core::simcore::{SimDuration, SimTime};
 use fiveg_core::Scenario;
-use fiveg_geo::mobility::RandomWaypoint;
+use fiveg_geo::RandomWaypoint;
 
 #[test]
 fn handoff_rate_reflects_smaller_5g_cells() {
@@ -54,7 +53,7 @@ fn coverage_holes_force_vertical_handoffs() {
     // Does the walk cross a hole at all?
     let crosses_hole = trace.iter().any(|p| {
         sc.env
-            .serving(p.pos, Tech::Nr)
+            .serving_into(p.pos, Tech::Nr, &mut MeasureScratch::new())
             .is_none_or(|m| m.rsrp.value() < -105.0)
     });
     let recs = HandoffCampaign::default().run(&sc.env, &trace, &mut rng.substream("h"));

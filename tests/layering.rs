@@ -194,3 +194,173 @@ fiveg-core = { workspace = true }
     assert_eq!(fiveg_deps(net), ["obs", "simcore", "trace"]);
     assert!(violations("net", net).is_empty());
 }
+
+/// The `.rs` files under `dir`, recursively, in path order.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    let mut paths: Vec<_> = entries.map(|e| e.expect("dir entry").path()).collect();
+    paths.sort();
+    for path in paths {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A file's non-test text: everything before its first column-0
+/// `#[cfg(test)]` (the unit-test module), with `//` comments (doc
+/// comments included) cut from each line.
+fn non_test_lines(source: &str) -> Vec<&str> {
+    source
+        .lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .map(|l| l.find("//").map_or(l, |i| &l[..i]))
+        .collect()
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// `text` without its `pub use ...;` re-exports: listing a name in the
+/// crate's API is not a use of it.
+fn without_reexports(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(i) = rest.find("pub use ") {
+        let at_word = rest[..i].chars().next_back().is_none_or(|c| !is_ident(c));
+        out.push_str(&rest[..i]);
+        if at_word {
+            let end = rest[i..].find(';').map_or(rest.len(), |j| i + j + 1);
+            rest = &rest[end..];
+        } else {
+            out.push_str("pub use ");
+            rest = &rest[i + "pub use ".len()..];
+        }
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The `pub fn` / `pub const fn` definitions in `defining` whose name
+/// appears nowhere else in the non-test text of `defining` and
+/// `using`, as `file:line name`.
+fn named_only_by_tests(defining: &[(String, String)], using: &[(String, String)]) -> Vec<String> {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    let texts: Vec<String> = defining
+        .iter()
+        .chain(using)
+        .map(|(_, source)| without_reexports(&non_test_lines(source).join("\n")))
+        .collect();
+    for word in texts.iter().flat_map(|t| t.split(|c: char| !is_ident(c))) {
+        *uses.entry(word).or_default() += 1;
+    }
+    let mut bad = Vec::new();
+    for (file, source) in defining {
+        for (n, line) in non_test_lines(source).iter().enumerate() {
+            for prefix in ["pub fn ", "pub const fn "] {
+                let mut from = 0;
+                while let Some(at) = line[from..].find(prefix).map(|j| from + j) {
+                    from = at + prefix.len();
+                    if line[..at].chars().next_back().is_some_and(is_ident) {
+                        continue;
+                    }
+                    let name: String = line[from..].chars().take_while(|&c| is_ident(c)).collect();
+                    if uses.get(name.as_str()).copied().unwrap_or(0) <= 1 {
+                        bad.push(format!("{file}:{} {name}", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    bad
+}
+
+/// No `pub fn` in `crates/*/src` is named only by tests.
+///
+/// rustc's `dead_code` lint reports a callerless free item in a private
+/// module, but never a method of an exported type, nor a function only
+/// `#[cfg(test)]` code calls. This check covers those: for each
+/// `pub fn` or `pub const fn` in the non-test text of `crates/*/src`
+/// (each file up to its first column-0 `#[cfg(test)]`, `//` comments
+/// cut), it counts whole-word uses of the name in that text and in
+/// `examples/`, `crates/*/examples/` and `benchmark/src`, not counting
+/// `pub use` re-exports. A name whose definition is its only use fails.
+/// Unit tests, `crates/*/tests` and `tests/` do not count: an item only
+/// they need is `#[cfg(test)]` next to them, not API.
+///
+/// It matches names, not paths: a common name such as `new` or `len`
+/// passes as long as anything else says it. So it misses some
+/// test-only functions (false negatives), but fails only on a name that
+/// no non-test code writes at all.
+#[test]
+fn no_pub_fn_is_named_only_by_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |dirs: &[std::path::PathBuf]| -> Vec<(String, String)> {
+        let mut files = Vec::new();
+        for dir in dirs {
+            rust_files(dir, &mut files);
+        }
+        files
+            .into_iter()
+            .map(|f| {
+                let name = f.strip_prefix(&root).unwrap_or(&f).display().to_string();
+                (name, fs::read_to_string(&f).expect("read source"))
+            })
+            .collect()
+    };
+    let mut crate_dirs: Vec<_> = fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    crate_dirs.sort();
+    let src: Vec<_> = crate_dirs.iter().map(|d| d.join("src")).collect();
+    let mut other: Vec<_> = crate_dirs.iter().map(|d| d.join("examples")).collect();
+    other.push(root.join("examples"));
+    other.push(root.join("benchmark/src"));
+    let (defining, using) = (read(&src), read(&other));
+    assert!(
+        defining.len() > 50,
+        "found only {} source files",
+        defining.len()
+    );
+    let bad = named_only_by_tests(&defining, &using);
+    assert!(
+        bad.is_empty(),
+        "pub fns that no non-test code names (delete them, or make them \
+         #[cfg(test)] next to their tests):\n{}",
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn a_pub_fn_named_only_by_tests_fails_the_scan() {
+    let file = |name: &str, text: &str| (name.to_string(), text.to_string());
+    let lib = file(
+        "crates/x/src/lib.rs",
+        "pub use a::{kept, only_tested};\n\
+         pub fn kept() {}\n\
+         /// `only_tested` is mentioned here.\n\
+         pub fn only_tested() {} // kept(), only_tested()\n\
+         pub const fn used_by_example() {}\n\
+         #[cfg(test)]\n\
+         mod tests { fn t() { super::only_tested(); } }\n",
+    );
+    let main = file("crates/x/src/main.rs", "fn main() { x::kept(); }\n");
+    let example = file("examples/e.rs", "fn main() { x::used_by_example(); }\n");
+    assert_eq!(
+        named_only_by_tests(&[lib.clone(), main.clone()], &[example]),
+        ["crates/x/src/lib.rs:4 only_tested"]
+    );
+    assert_eq!(
+        named_only_by_tests(&[lib, main], &[]),
+        [
+            "crates/x/src/lib.rs:4 only_tested",
+            "crates/x/src/lib.rs:5 used_by_example"
+        ]
+    );
+}
