@@ -910,9 +910,8 @@ impl RouterHub<'_> {
     fn on_aggregate(&mut self, ctx: &mut ShardCtx<'_, FleetEvent>, tick: u64) {
         let t_s = tick as f64 * self.tick_s;
         let active = faults_at(&self.spec.faults, t_s);
-        // Per-tick KPI rows, subject to the trace sampling rate.
-        let trace_kpi =
-            fiveg_trace::is_active() && tick.is_multiple_of(u64::from(fiveg_trace::sample_rate()));
+        // Per-tick KPI rows.
+        let trace_kpi = fiveg_trace::is_active();
         let trace_t_ns = ctx.now().as_nanos();
         // Intents arrive in (origin shard, seq) order; restore the
         // global UE order, which no shard count changes.
@@ -1363,19 +1362,6 @@ impl Job for ScenarioJob {
     }
 
     fn run(&self, ctx: &JobCtx) -> Result<JobOutput, String> {
-        // Apply the spec's `trace` block to the ambient recorder — a
-        // no-op when the run is untraced. Category names were already
-        // validated against the same list by `ScenarioSpec::validate`.
-        if let Some(t) = &self.spec.trace {
-            let mask = t.categories.iter().fold(0u8, |m, c| {
-                m | fiveg_trace::Category::from_name(c).map_or(0, fiveg_trace::Category::bit)
-            });
-            fiveg_trace::configure(|cfg| {
-                cfg.sample = t.sample;
-                cfg.ring = t.ring as usize;
-                cfg.mask = mask;
-            });
-        }
         let sc = build_scenario(&self.spec, ctx.base_seed);
         match &self.spec.workload {
             WorkloadSpec::Survey(s) => {
@@ -1637,7 +1623,6 @@ mod tests {
                 description: String::new(),
                 campus: fiveg_scenario::CampusSpec::default(),
                 city: None,
-                trace: None,
                 loads: fiveg_scenario::LoadSpec::default(),
                 workload: WorkloadSpec::Fleet(FleetSpec {
                     duration_s: 12,
@@ -1714,9 +1699,10 @@ mod tests {
 
             /// Trace artifacts are shard-count invariant: for random
             /// mobility mixes, fault schedules and seeds, a full-mode
-            /// trace of the same run at 1, 3 and 8 shards (three UE
-            /// shards at 3 and 8) produces byte-identical binary columns
-            /// and sidecar.
+            /// trace and an 8-event ring-mode trace of the same run at
+            /// 1, 3 and 8 shards (three UE shards at 3 and 8) each
+            /// produce byte-identical binary columns and sidecar, and
+            /// the ring counts every event the full trace keeps.
             #[test]
             fn trace_bytes_are_shard_count_invariant(
                 crowd in crowd_strategy(),
@@ -1730,29 +1716,34 @@ mod tests {
                     unreachable!()
                 };
                 let sc = paper_sc();
-                let leg = |shards: usize| {
-                    let t = fiveg_trace::TraceHandle::new(fiveg_trace::TraceConfig {
-                        mode: fiveg_trace::TraceMode::Full,
-                        ..Default::default()
-                    });
+                let leg = |mode: fiveg_trace::TraceMode, shards: usize| {
+                    let t = fiveg_trace::TraceHandle::new(fiveg_trace::TraceConfig { mode, ring: 8 });
                     let r = fiveg_trace::scoped(&t, || {
                         run_fleet_sharded(sc, &spec, fleet, run_seed, shards)
                     });
                     (chunks(&r), t.finish())
                 };
-                let (n_chunks, base) = leg(1);
-                prop_assert!(n_chunks >= 3, "{} chunks", n_chunks);
-                prop_assert!(base.events > 0, "a traced fleet run must emit events");
-                for shards in [3usize, 8] {
-                    let (_, out) = leg(shards);
-                    prop_assert_eq!(
-                        &out.bin, &base.bin,
-                        "trace bytes diverge at shards={}", shards
-                    );
-                    prop_assert_eq!(
-                        &out.sidecar, &base.sidecar,
-                        "trace sidecar diverges at shards={}", shards
-                    );
+                let mut full_events = None;
+                for mode in [fiveg_trace::TraceMode::Full, fiveg_trace::TraceMode::Ring] {
+                    let (n_chunks, base) = leg(mode, 1);
+                    prop_assert!(n_chunks >= 3, "{} chunks", n_chunks);
+                    prop_assert!(base.events > 0, "a traced fleet run must emit events");
+                    let full_events = *full_events.get_or_insert(base.events);
+                    prop_assert_eq!(base.events, full_events, "{} mode events", mode.name());
+                    if mode == fiveg_trace::TraceMode::Ring {
+                        prop_assert!(base.rows < base.events, "the ring must truncate");
+                    }
+                    for shards in [3usize, 8] {
+                        let (_, out) = leg(mode, shards);
+                        prop_assert_eq!(
+                            &out.bin, &base.bin,
+                            "{} trace bytes diverge at shards={}", mode.name(), shards
+                        );
+                        prop_assert_eq!(
+                            &out.sidecar, &base.sidecar,
+                            "{} trace sidecar diverges at shards={}", mode.name(), shards
+                        );
+                    }
                 }
             }
         }

@@ -221,7 +221,6 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
             description: String::new(),
             campus,
             city,
-            trace: None,
             loads,
             workload,
             faults,

@@ -142,30 +142,22 @@ impl PathConfig {
             extra_delay_ms: Some(Dist::Exponential { mean: 0.5 }),
             drop_prob: 0.0,
         };
-        let core = HopConfig {
-            name: "core".into(),
-            rate: RateModel::Fixed(BitRate::from_mbps(2.0 * params.metro_rate_mbps)),
-            prop_delay: params.core_prop,
-            capacity_pkts: 20_000,
-            extra_delay_ms: None,
-            drop_prob: 0.0,
-        };
+        let core = HopConfig::wired(
+            "core",
+            2.0 * params.metro_rate_mbps,
+            params.core_prop,
+            20_000,
+        );
         let metro = HopConfig {
-            name: "metro".into(),
-            rate: RateModel::Fixed(BitRate::from_mbps(params.metro_rate_mbps)),
-            prop_delay: SimDuration::from_millis(4),
-            capacity_pkts: params.metro_buffer_pkts,
-            extra_delay_ms: None,
             drop_prob: params.metro_drop_prob,
+            ..HopConfig::wired(
+                "metro",
+                params.metro_rate_mbps,
+                SimDuration::from_millis(4),
+                params.metro_buffer_pkts,
+            )
         };
-        let server = HopConfig {
-            name: "server".into(),
-            rate: RateModel::Fixed(BitRate::from_mbps(10_000.0)),
-            prop_delay: SimDuration::from_millis(4),
-            capacity_pkts: 20_000,
-            extra_delay_ms: None,
-            drop_prob: 0.0,
-        };
+        let server = HopConfig::wired("server", 10_000.0, SimDuration::from_millis(4), 20_000);
         let hops = match dir {
             Direction::Downlink => vec![server, metro, core, radio],
             Direction::Uplink => vec![radio, core, metro, server],

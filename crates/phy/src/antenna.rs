@@ -74,12 +74,6 @@ impl SectorAntenna {
         let theta = Self::angle_diff(towards_deg, self.azimuth_deg);
         (12.0 * (theta / self.beamwidth_deg).powi(2)).min(self.max_attenuation_db)
     }
-
-    /// Whether an azimuth is within the half-power field of view.
-    #[cfg(test)]
-    fn in_fov(&self, towards_deg: f64) -> bool {
-        Self::angle_diff(towards_deg, self.azimuth_deg) <= self.beamwidth_deg / 2.0
-    }
 }
 
 /// Vertical (elevation) pattern with electrical downtilt.
@@ -167,15 +161,6 @@ mod tests {
         assert_eq!(SectorAntenna::angle_diff(0.0, 180.0), 180.0);
         let a = SectorAntenna::standard(350.0);
         assert!((a.attenuation_db(10.0) - 12.0 * (20.0f64 / 65.0).powi(2)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fov_test() {
-        let a = SectorAntenna::standard(90.0);
-        assert!(a.in_fov(90.0));
-        assert!(a.in_fov(120.0));
-        assert!(!a.in_fov(130.0));
-        assert!(!a.in_fov(270.0));
     }
 
     #[test]

@@ -38,26 +38,6 @@ pub enum Duplex {
     },
 }
 
-impl Duplex {
-    /// Fraction of airtime available to the downlink.
-    #[cfg(test)]
-    fn dl_share(self) -> f64 {
-        match self {
-            Duplex::Fdd => 1.0,
-            Duplex::Tdd { dl_fraction } => dl_fraction,
-        }
-    }
-
-    /// Fraction of airtime available to the uplink.
-    #[cfg(test)]
-    fn ul_share(self) -> f64 {
-        match self {
-            Duplex::Fdd => 1.0,
-            Duplex::Tdd { dl_fraction } => 1.0 - dl_fraction,
-        }
-    }
-}
-
 /// A carrier configuration — everything the bitrate and measurement
 /// models need to know about the air interface.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -151,20 +131,6 @@ impl Carrier {
     pub fn dl_rate_at_peak_mcs(&self, prb_fraction: f64) -> BitRate {
         self.max_phy_dl * prb_fraction.clamp(0.0, 1.0)
     }
-
-    /// Peak uplink PHY bitrate: scaled from the downlink peak by the
-    /// duplex share and a single-layer/lower-order penalty. Calibrated to
-    /// the paper's UL baselines (5G ≈130 Mbps of a 900 Mbps DL; 4G
-    /// ≈100 Mbps night of a 200 Mbps DL).
-    #[cfg(test)]
-    fn max_phy_ul(&self) -> BitRate {
-        let dir_ratio = self.duplex.ul_share() / self.duplex.dl_share();
-        let layer_penalty = match self.tech {
-            Tech::Lte => 0.55, // 1 UL layer, 16QAM-heavy
-            Tech::Nr => 0.50,
-        };
-        BitRate::from_bps(self.max_phy_dl.bps() * dir_ratio * layer_penalty)
-    }
 }
 
 #[cfg(test)]
@@ -178,14 +144,12 @@ mod tests {
         assert_eq!(lte.freq.mhz(), 1850.0);
         assert_eq!(lte.bandwidth.mhz(), 20.0);
         assert_eq!(lte.num_prbs, 100);
-        assert_eq!(lte.duplex.dl_share(), 1.0);
 
         let nr = Carrier::nr_n78();
         assert_eq!(nr.tech, Tech::Nr);
         assert_eq!(nr.freq.mhz(), 3550.0);
         assert_eq!(nr.bandwidth.mhz(), 100.0);
         assert_eq!(nr.num_prbs, 273);
-        assert!((nr.duplex.dl_share() - 0.75).abs() < 1e-12);
         assert!((nr.max_phy_dl.mbps() - 1200.98).abs() < 1e-9);
     }
 
@@ -207,25 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn ul_peaks_match_paper_scale() {
-        // 5G UL baseline ~130 Mbps (Sec. 4.1); PHY peak a bit above that.
-        let nr_ul = Carrier::nr_n78().max_phy_ul().mbps();
-        assert!((150.0..270.0).contains(&nr_ul), "NR UL peak {nr_ul}");
-        // 4G UL nighttime baseline ~100 Mbps.
-        let lte_ul = Carrier::lte_b3().max_phy_ul().mbps();
-        assert!((100.0..130.0).contains(&lte_ul), "LTE UL peak {lte_ul}");
-    }
-
-    #[test]
     fn prb_scaling() {
         let nr = Carrier::nr_n78();
         assert_eq!(nr.dl_rate_at_peak_mcs(0.5).bps(), nr.max_phy_dl.bps() * 0.5);
         assert_eq!(nr.dl_rate_at_peak_mcs(2.0).bps(), nr.max_phy_dl.bps());
-    }
-
-    #[test]
-    fn duplex_shares_sum_to_one_for_tdd() {
-        let d = Duplex::Tdd { dl_fraction: 0.75 };
-        assert!((d.dl_share() + d.ul_share() - 1.0).abs() < 1e-12);
     }
 }

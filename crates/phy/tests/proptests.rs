@@ -14,7 +14,7 @@ proptest! {
     #[test]
     fn pathloss_monotone(d1 in 1.0f64..2000.0, d2 in 1.0f64..2000.0, ghz in 0.7f64..6.0) {
         let p = PropagationParams::default_urban();
-        let f = Frequency::from_hz(ghz * 1e9);
+        let f = Frequency::from_mhz(ghz * 1e3);
         let (lo, hi) = if d1 < d2 { (d1, d2) } else { (d2, d1) };
         prop_assert!(p.loss_los(hi, f).value() >= p.loss_los(lo, f).value());
         prop_assert!(p.loss_nlos(hi, f).value() >= p.loss_nlos(lo, f).value());
@@ -27,8 +27,8 @@ proptest! {
         let p = PropagationParams::default_urban();
         let (lo, hi) = if f1 < f2 { (f1, f2) } else { (f2, f1) };
         prop_assert!(
-            p.loss_los(d, Frequency::from_hz(hi * 1e9)).value()
-                >= p.loss_los(d, Frequency::from_hz(lo * 1e9)).value()
+            p.loss_los(d, Frequency::from_mhz(hi * 1e3)).value()
+                >= p.loss_los(d, Frequency::from_mhz(lo * 1e3)).value()
         );
     }
 

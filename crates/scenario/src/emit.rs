@@ -227,19 +227,6 @@ pub fn emit_scenario(spec: &ScenarioSpec) -> String {
         e.line(&kv_f64("concrete_fraction", city.concrete_fraction), false);
         e.close('}', true);
     }
-    if let Some(t) = &spec.trace {
-        e.open(Some("trace"), '{');
-        e.line(&kv_u64("sample", u64::from(t.sample)), true);
-        e.line(&kv_u64("ring", u64::from(t.ring)), true);
-        let list = t
-            .categories
-            .iter()
-            .map(|c| json_string(c))
-            .collect::<Vec<_>>()
-            .join(", ");
-        e.line(&format!("\"categories\": [{list}]"), false);
-        e.close('}', true);
-    }
     e.open(Some("loads"), '{');
     let mut load_lines: Vec<String> = vec![kv_str("period", spec.loads.period.name())];
     if let Some(lte) = spec.loads.lte {
@@ -293,7 +280,6 @@ mod tests {
             description: "paper-default road survey".into(),
             campus: CampusSpec::default(),
             city: None,
-            trace: None,
             loads: LoadSpec::default(),
             workload: WorkloadSpec::Survey(SurveySpec::default()),
             faults: Vec::new(),

@@ -29,7 +29,7 @@ pub use emit::emit_scenario;
 pub use parse::{parse_scenario, ScenarioError};
 pub use spec::{
     AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, CityPreset, FaultSpec, FleetSpec, LoadSpec,
-    MobilitySpec, Period, ScenarioSpec, SceneSpec, SpecError, SurveySpec, TechSpec, TraceDslSpec,
-    UeGroupSpec, VideoRes, WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M, TRACE_CATEGORIES,
+    MobilitySpec, Period, ScenarioSpec, SceneSpec, SpecError, SurveySpec, TechSpec, UeGroupSpec,
+    VideoRes, WebCategory, WorkloadSpec, MIN_CAMPUS_SIDE_M,
 };
 pub use variants::{expand, parse_family, Axis, FamilySpec};

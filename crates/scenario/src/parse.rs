@@ -16,8 +16,8 @@
 
 use crate::spec::{
     AppSpec, ArrivalSpec, CampusSpec, CityDslSpec, CityPreset, FaultSpec, FleetSpec, LoadSpec,
-    MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec, UeGroupSpec,
-    VideoRes, WebCategory, WorkloadSpec,
+    MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, UeGroupSpec, VideoRes,
+    WebCategory, WorkloadSpec,
 };
 use fiveg_obs::json::key_path_offset;
 use fiveg_obs::{parse_json, JsonValue};
@@ -324,41 +324,6 @@ fn parse_city(ctx: &Ctx<'_>, v: &JsonValue) -> Result<CityDslSpec, ScenarioError
         enb_per_tile: ctx.u32_or(map, "enb_per_tile", d.enb_per_tile)?,
         gnb_per_tile: ctx.u32_or(map, "gnb_per_tile", d.gnb_per_tile)?,
         concrete_fraction: ctx.f64_or(map, "concrete_fraction", d.concrete_fraction)?,
-    })
-}
-
-fn parse_trace(ctx: &Ctx<'_>, v: &JsonValue) -> Result<TraceDslSpec, ScenarioError> {
-    let map = ctx.obj(v, "`trace`")?;
-    ctx.check_keys(map, &["sample", "ring", "categories"], "`trace`")?;
-    let d = TraceDslSpec::default();
-    let categories = match map.get("categories") {
-        None => d.categories,
-        Some(JsonValue::Array(items)) => {
-            let mut cats = Vec::with_capacity(items.len());
-            for item in items {
-                match item.as_str() {
-                    Some(s) => cats.push(s.to_string()),
-                    None => {
-                        return Err(ctx.err_at_key(
-                            "categories",
-                            "`trace.categories` must be an array of strings".to_string(),
-                        ))
-                    }
-                }
-            }
-            cats
-        }
-        Some(_) => {
-            return Err(ctx.err_at_key(
-                "categories",
-                "`trace.categories` must be an array of strings".to_string(),
-            ))
-        }
-    };
-    Ok(TraceDslSpec {
-        sample: ctx.u32_or(map, "sample", d.sample)?,
-        ring: ctx.u32_or(map, "ring", d.ring)?,
-        categories,
     })
 }
 
@@ -695,7 +660,6 @@ pub fn scenario_from_value(
             "description",
             "campus",
             "city",
-            "trace",
             "loads",
             "workload",
             "faults",
@@ -710,10 +674,6 @@ pub fn scenario_from_value(
     };
     let city = match map.get("city") {
         Some(v) => Some(parse_city(&ctx.child("city"), v)?),
-        None => None,
-    };
-    let trace = match map.get("trace") {
-        Some(v) => Some(parse_trace(&ctx.child("trace"), v)?),
         None => None,
     };
     let loads = match map.get("loads") {
@@ -741,7 +701,6 @@ pub fn scenario_from_value(
         description,
         campus,
         city,
-        trace,
         loads,
         workload,
         faults,
@@ -791,6 +750,13 @@ mod tests {
         assert_eq!(e.line, 5, "{e}");
         assert!(e.message.contains("unknown key `widht_m`"), "{e}");
         assert!(e.message.contains("allowed:"), "{e}");
+
+        let src =
+            "{\n  \"name\": \"x\",\n  \"workload\": { \"kind\": \"survey\" },\n  \"trace\": {}\n}";
+        let e = parse_scenario(src, "bad.json").unwrap_err();
+        assert_eq!(e.file, "bad.json");
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("unknown key `trace`"), "{e}");
     }
 
     #[test]

@@ -96,44 +96,6 @@ impl CityDslSpec {
     }
 }
 
-/// Event categories the trace recorder understands, in mask-bit order.
-/// `shard` (physical shard-message events) is opt-in: it is the one
-/// category whose bytes legitimately vary with the shard count (which
-/// `repro --jobs` sets).
-pub const TRACE_CATEGORIES: &[&str] = &["radio", "fault", "kpi", "cc", "shard"];
-
-/// Trace recording parameters (the `trace` block). Configures the
-/// flight recorder when the run is traced (`repro --trace`); without
-/// `--trace` the block is inert. All fields are concrete after parsing
-/// — missing keys resolve to the recorder defaults — so canonical
-/// emission is total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceDslSpec {
-    /// KPI sampling stride: one KPI row every `sample` ticks per UE
-    /// (1 = every tick). Sparse event kinds are never sampled down.
-    pub sample: u32,
-    /// Flight-recorder capacity: last `ring` events kept per category
-    /// in ring mode. Ignored by `--trace=full`.
-    pub ring: u32,
-    /// Recorded event categories, a subset of [`TRACE_CATEGORIES`].
-    pub categories: Vec<String>,
-}
-
-impl Default for TraceDslSpec {
-    fn default() -> Self {
-        TraceDslSpec {
-            sample: 1,
-            ring: 1024,
-            // The recorder default: everything except the shard-count
-            // dependent `shard` category.
-            categories: ["radio", "fault", "kpi", "cc"]
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
-        }
-    }
-}
-
 /// Time-of-day regime selecting the default interference loads
 /// (Sec. 4.1: 4G busy by day, the early 5G network nearly empty).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -487,8 +449,6 @@ pub struct ScenarioSpec {
     /// Procedural-city generation parameters. When present the run
     /// uses a generated metro city instead of the campus block.
     pub city: Option<CityDslSpec>,
-    /// Trace-recorder overrides, applied when the run is traced.
-    pub trace: Option<TraceDslSpec>,
     /// Interference loads.
     pub loads: LoadSpec,
     /// The workload.
@@ -571,34 +531,6 @@ impl ScenarioSpec {
         if let Some(city) = &self.city {
             if let Err(e) = city.to_city_spec().validate() {
                 return invalid("city", e);
-            }
-        }
-        if let Some(t) = &self.trace {
-            if t.sample == 0 {
-                return invalid("trace.sample", "must be at least 1");
-            }
-            if t.ring == 0 {
-                return invalid("trace.ring", "must be at least 1");
-            }
-            if t.categories.is_empty() {
-                return invalid("trace.categories", "must name at least one category");
-            }
-            let mut seen: Vec<&str> = Vec::new();
-            for (k, c) in t.categories.iter().enumerate() {
-                let path = format!("trace.categories[{k}]");
-                if !TRACE_CATEGORIES.contains(&c.as_str()) {
-                    return invalid(
-                        path,
-                        format!(
-                            "unknown category `{c}` (expected {})",
-                            TRACE_CATEGORIES.join(", ")
-                        ),
-                    );
-                }
-                if seen.contains(&c.as_str()) {
-                    return invalid(path, format!("duplicate category `{c}`"));
-                }
-                seen.push(c);
             }
         }
         let (lte, nr) = self.loads.resolve();
@@ -756,7 +688,6 @@ mod tests {
             description: String::new(),
             campus: CampusSpec::default(),
             city: None,
-            trace: None,
             loads: LoadSpec::default(),
             workload: WorkloadSpec::Survey(SurveySpec::default()),
             faults: Vec::new(),

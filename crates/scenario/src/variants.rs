@@ -54,8 +54,6 @@ pub const PATHS: &[&str] = &[
     "city.enb_per_tile",
     "city.gnb_per_tile",
     "city.concrete_fraction",
-    "trace.sample",
-    "trace.ring",
     "loads.lte",
     "loads.nr",
     "workload.speed_kmh",
@@ -105,17 +103,6 @@ pub fn set_path(spec: &mut ScenarioSpec, path: &str, value: f64) -> Result<(), S
                 "city.enb_per_tile" => city.enb_per_tile = as_u32(path, value)?,
                 "city.gnb_per_tile" => city.gnb_per_tile = as_u32(path, value)?,
                 _ => city.concrete_fraction = value,
-            }
-        }
-        "trace.sample" | "trace.ring" => {
-            let Some(trace) = &mut spec.trace else {
-                return Err(format!(
-                    "`{path}` needs a `trace` block in the base scenario"
-                ));
-            };
-            match path {
-                "trace.sample" => trace.sample = as_u32(path, value)?,
-                _ => trace.ring = as_u32(path, value)?,
             }
         }
         "loads.lte" => spec.loads.lte = Some(value),
@@ -274,7 +261,6 @@ mod tests {
             description: String::new(),
             campus: CampusSpec::default(),
             city: None,
-            trace: None,
             loads: LoadSpec::default(),
             workload: WorkloadSpec::Survey(SurveySpec::default()),
             faults: Vec::new(),
@@ -366,6 +352,14 @@ mod tests {
         let e = parse_family(src, "fam.json").unwrap_err();
         assert!(
             e.message.contains("unknown sweep path `campus.magic`"),
+            "{e}"
+        );
+
+        let src = r#"{ "base": { "name": "x", "workload": { "kind": "survey" } },
+                       "axes": [ { "path": "trace.sample", "values": [1] } ] }"#;
+        let e = parse_family(src, "fam.json").unwrap_err();
+        assert!(
+            e.message.contains("unknown sweep path `trace.sample`"),
             "{e}"
         );
 

@@ -4,8 +4,8 @@
 
 use fiveg_scenario::{
     emit_scenario, parse_scenario, AppSpec, ArrivalSpec, CampusSpec, FaultSpec, FleetSpec,
-    LoadSpec, MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, TraceDslSpec,
-    UeGroupSpec, VideoRes, WebCategory, WorkloadSpec, TRACE_CATEGORIES,
+    LoadSpec, MobilitySpec, Period, ScenarioSpec, SceneSpec, SurveySpec, TechSpec, UeGroupSpec,
+    VideoRes, WebCategory, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -164,45 +164,23 @@ fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     ]
 }
 
-fn trace_strategy() -> impl Strategy<Value = Option<TraceDslSpec>> {
-    prop_oneof![
-        Just(None),
-        ((1u32..100), (1u32..10_000), (0usize..5)).prop_map(|(sample, ring, drop)| {
-            // Any non-empty prefix of the category list is valid and
-            // duplicate-free.
-            let mut categories: Vec<String> =
-                TRACE_CATEGORIES.iter().map(ToString::to_string).collect();
-            categories.truncate(categories.len() - drop.min(categories.len() - 1));
-            Some(TraceDslSpec {
-                sample,
-                ring,
-                categories,
-            })
-        }),
-    ]
-}
-
 fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
         "[a-z][a-z0-9_]{0,12}",
         campus_strategy(),
-        trace_strategy(),
         loads_strategy(),
         workload_strategy(),
         prop::collection::vec(fault_strategy(), 0..4),
     )
-        .prop_map(
-            |(name, campus, trace, loads, workload, faults)| ScenarioSpec {
-                name,
-                description: String::new(),
-                campus,
-                city: None,
-                trace,
-                loads,
-                workload,
-                faults,
-            },
-        )
+        .prop_map(|(name, campus, loads, workload, faults)| ScenarioSpec {
+            name,
+            description: String::new(),
+            campus,
+            city: None,
+            loads,
+            workload,
+            faults,
+        })
 }
 
 proptest! {
@@ -228,7 +206,7 @@ proptest! {
     fn unknown_keys_never_pass(key in "[a-z_]{3,12}", spec in scenario_strategy()) {
         prop_assume!(!matches!(
             key.as_str(),
-            "name" | "description" | "campus" | "city" | "trace" | "loads" | "workload" | "faults"
+            "name" | "description" | "campus" | "city" | "loads" | "workload" | "faults"
         ));
         let text = emit_scenario(&spec);
         // Splice the stray key into the top-level object.
@@ -263,7 +241,6 @@ proptest! {
             description: String::new(),
             campus: CampusSpec::default(),
             city: None,
-            trace: None,
             loads: LoadSpec::default(),
             workload: WorkloadSpec::Survey(SurveySpec::default()),
             faults: vec![fault],

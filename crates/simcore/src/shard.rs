@@ -202,23 +202,12 @@ impl<E> ShardCtx<'_, E> {
             return;
         }
         let Some(key) = self.next_key() else { return };
-        let now = self.now();
         let msg = ScheduledEvent {
-            at: now + self.lookahead,
+            at: self.now() + self.lookahead,
             seq: key,
             payload: event,
         };
         self.outbox.push((dst, msg));
-        // `shard` trace category: physical ids, opt-in only (the
-        // event stream varies with the shard count by construction).
-        fiveg_trace::emit(
-            self.shard as u32,
-            &fiveg_trace::TraceEvent::ShardMsgSend {
-                t_ns: now.as_nanos(),
-                src: self.shard as u32,
-                dst: dst as u32,
-            },
-        );
     }
 
     fn fail(&mut self, e: ShardError) {
@@ -414,19 +403,6 @@ impl<L: ShardLogic> ShardEngine<L> {
                     let mut cell = lock(&cells[s]);
                     let cell = &mut *cell;
                     while let Some(ev) = cell.queue.pop_until(end) {
-                        let origin = (ev.seq >> ORIGIN_SHIFT) as ShardId;
-                        if origin != cell.id {
-                            // Recv is traced at *execution* time,
-                            // in the queue's deterministic key order.
-                            fiveg_trace::emit(
-                                cell.id as u32,
-                                &fiveg_trace::TraceEvent::ShardMsgRecv {
-                                    t_ns: ev.at.as_nanos(),
-                                    src: origin as u32,
-                                    dst: cell.id as u32,
-                                },
-                            );
-                        }
                         let mut ctx = ShardCtx {
                             shard: cell.id,
                             shards: n,
@@ -463,9 +439,10 @@ impl<L: ShardLogic> ShardEngine<L> {
                             Some(h) => fiveg_obs::scoped(h, worker),
                             None => worker(),
                         };
-                        // Trace emission is shared-sink + per-origin
-                        // sequenced, so re-installing the same handle
-                        // in every worker stays thread-count invariant.
+                        // Logic handlers emit UE-side trace events into
+                        // one shared, per-origin sequenced sink, so
+                        // re-installing the same handle in every worker
+                        // stays thread-count invariant.
                         match &trace_handle {
                             Some(t) => fiveg_trace::scoped(t, run),
                             None => run(),
@@ -566,7 +543,7 @@ mod tests {
     /// origin the engine's keys grow with its local counter, so the
     /// tuple order is `(time, origin, local seq)` whatever the key's bit
     /// layout: the oracle checks the packing rather than sharing it. No
-    /// window, failure or trace handling.
+    /// window or failure handling.
     fn run_merged<L: ShardLogic>(engine: ShardEngine<L>) -> ShardRun<L> {
         struct Merged<E> {
             heap: BinaryHeap<Reverse<(SimTime, ShardId, u64, usize)>>,

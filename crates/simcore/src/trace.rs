@@ -3,7 +3,7 @@
 //! The measurement campaigns produce traces — throughput over time, power
 //! over time, cwnd over time — which benches print as figure series.
 //! [`TimeSeries`] is the common container: timestamped samples with
-//! resampling and windowed-aggregation helpers.
+//! summary helpers.
 
 use crate::time::SimTime;
 use serde::Serialize;
@@ -84,58 +84,11 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(SimTime, f64)> {
         Some((*self.times.last()?, *self.values.last()?))
     }
-
-    /// Aggregates samples into fixed windows of `width`, producing one
-    /// `(window_start, aggregate)` point per non-empty window. `agg`
-    /// receives the samples that fell into the window.
-    #[cfg(test)]
-    fn windowed<F>(&self, width: crate::time::SimDuration, mut agg: F) -> Vec<(SimTime, f64)>
-    where
-        F: FnMut(&[f64]) -> f64,
-    {
-        assert!(!width.is_zero(), "window width must be positive");
-        let mut out = Vec::new();
-        if self.times.is_empty() {
-            return out;
-        }
-        let w = width.as_nanos();
-        let mut win_start = self.times[0].as_nanos() / w * w;
-        let mut bucket: Vec<f64> = Vec::new();
-        for (t, v) in self.iter() {
-            let s = t.as_nanos() / w * w;
-            if s != win_start {
-                if !bucket.is_empty() {
-                    out.push((SimTime::from_nanos(win_start), agg(&bucket)));
-                    bucket.clear();
-                }
-                win_start = s;
-            }
-            bucket.push(v);
-        }
-        if !bucket.is_empty() {
-            out.push((SimTime::from_nanos(win_start), agg(&bucket)));
-        }
-        out
-    }
-
-    /// Sums values per window — the natural aggregation for byte counts,
-    /// returning `(window_start, sum)` pairs.
-    #[cfg(test)]
-    fn windowed_sum(&self, width: crate::time::SimDuration) -> Vec<(SimTime, f64)> {
-        self.windowed(width, |xs| xs.iter().sum())
-    }
-
-    /// Means values per window — the natural aggregation for gauges.
-    #[cfg(test)]
-    fn windowed_mean(&self, width: crate::time::SimDuration) -> Vec<(SimTime, f64)> {
-        self.windowed(width, |xs| xs.iter().sum::<f64>() / xs.len() as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -151,28 +104,6 @@ mod tests {
         assert_eq!(ts.mean(), 2.0);
         assert_eq!(ts.max(), 3.0);
         assert_eq!(ts.last(), Some((ms(20), 3.0)));
-    }
-
-    #[test]
-    fn windowed_sum_buckets_correctly() {
-        let mut ts = TimeSeries::new();
-        for i in 0..10 {
-            ts.push(ms(i * 100), 1.0); // samples at 0,100,...,900 ms
-        }
-        let w = ts.windowed_sum(SimDuration::from_millis(500));
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0], (ms(0), 5.0));
-        assert_eq!(w[1], (ms(500), 5.0));
-    }
-
-    #[test]
-    fn windowed_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(ms(0), 2.0);
-        ts.push(ms(1), 4.0);
-        ts.push(ms(1000), 10.0);
-        let w = ts.windowed_mean(SimDuration::from_secs(1));
-        assert_eq!(w, vec![(ms(0), 3.0), (ms(1000), 10.0)]);
     }
 
     #[test]
@@ -192,7 +123,6 @@ mod tests {
     fn empty_series() {
         let ts = TimeSeries::new();
         assert!(ts.mean().is_nan());
-        assert!(ts.windowed_sum(SimDuration::from_secs(1)).is_empty());
         assert!(ts.last().is_none());
     }
 }

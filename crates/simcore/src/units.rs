@@ -141,17 +141,9 @@ impl Energy {
 }
 
 impl Frequency {
-    /// Constructs from hertz.
-    pub const fn from_hz(hz: f64) -> Self {
-        Frequency(hz)
-    }
     /// Constructs from megahertz.
     pub fn from_mhz(mhz: f64) -> Self {
         Frequency(mhz * 1e6)
-    }
-    /// Hertz value.
-    pub const fn hz(self) -> f64 {
-        self.0
     }
     /// Megahertz value.
     pub fn mhz(self) -> f64 {
@@ -164,17 +156,9 @@ impl Frequency {
 }
 
 impl Bandwidth {
-    /// Constructs from hertz.
-    pub const fn from_hz(hz: f64) -> Self {
-        Bandwidth(hz)
-    }
     /// Constructs from megahertz.
     pub fn from_mhz(mhz: f64) -> Self {
         Bandwidth(mhz * 1e6)
-    }
-    /// Hertz value.
-    pub const fn hz(self) -> f64 {
-        self.0
     }
     /// Megahertz value.
     pub fn mhz(self) -> f64 {
@@ -413,8 +397,8 @@ mod tests {
 
     #[test]
     fn frequency_conversions() {
-        assert_eq!(Frequency::from_mhz(3500.0).hz(), 3.5e9);
-        assert_eq!(Bandwidth::from_mhz(100.0).hz(), 1e8);
+        assert_eq!(Frequency::from_mhz(3500.0).0, 3.5e9);
+        assert_eq!(Bandwidth::from_mhz(100.0).0, 1e8);
     }
 
     #[test]

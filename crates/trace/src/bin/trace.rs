@@ -29,7 +29,7 @@ const USAGE: &str = "usage:
   trace stats <stem>[.trace.bin]
   trace chrome <spans.json>
 
-kinds: attach handoff cell_outage cell_restore brownout_cap shard_msg_send shard_msg_recv cc_state kpi";
+kinds: attach handoff cell_outage cell_restore brownout_cap cc_state kpi";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,7 +151,11 @@ fn columns_match(side: &JsonValue) -> bool {
 }
 
 fn kind_name(kind: u8) -> &'static str {
-    KINDS.get(kind as usize).map_or("?", |k| k.0)
+    KINDS
+        .get(kind as usize)
+        .copied()
+        .flatten()
+        .map_or("?", |k| k.0)
 }
 
 fn secs(t_ns: u64) -> f64 {
@@ -198,7 +202,7 @@ fn cmd_dump(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
         match flag.as_str() {
             "--kind" => {
                 let v = val("--kind")?;
-                let k = KINDS.iter().position(|(n, _)| *n == v);
+                let k = KINDS.iter().position(|k| k.is_some_and(|(n, _)| n == v));
                 f.kind = Some(k.ok_or_else(|| format!("dump: unknown kind `{v}`"))? as u8);
             }
             "--ue" => f.ue = Some(parse_num(&val("--ue")?, "--ue")?),
@@ -262,7 +266,6 @@ fn render(r: &Row, groups: &[Group]) -> String {
                 format!("cap {:.1} Mbit/s", r.v0)
             }
         }
-        5 | 6 => format!("shard {} -> {}", r.a, r.b),
         7 => format!(
             "flow {} state {} alg {}",
             r.ue,
@@ -305,9 +308,9 @@ fn cmd_stats(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
     if !loaded.rows.is_empty() {
         writeln!(out, "window {:.3}s .. {:.3}s", secs(t_min), secs(t_max))?;
     }
-    for (k, (name, _)) in KINDS.iter().enumerate() {
-        if counts[k] > 0 {
-            writeln!(out, "  {name:<16} {}", counts[k])?;
+    for (kind, n) in KINDS.iter().zip(counts) {
+        if let Some((name, _)) = kind.filter(|_| n > 0) {
+            writeln!(out, "  {name:<16} {n}")?;
         }
     }
     timelines(&loaded, out)

@@ -11,8 +11,8 @@
 //! | `seq`   | u32  | per-origin monotone sequence number              |
 //! | `kind`  | u8   | event kind code ([`TraceEvent::kind`])           |
 //! | `ue`    | u32  | UE / flow index, or [`NO_UE`] when not applicable|
-//! | `a`     | u32  | kind-specific (PCI, source shard, state code, …) |
-//! | `b`     | u32  | kind-specific (target PCI, dest shard, …)        |
+//! | `a`     | u32  | kind-specific (PCI, state code, …)               |
+//! | `b`     | u32  | kind-specific (target PCI, algorithm code, …)    |
 //! | `v0`    | f64  | kind-specific (RSRP dBm, margin dB, Mbit/s, …)   |
 //! | `v1`    | f64  | kind-specific (hysteresis dB, RSRP dBm, …)       |
 //!
@@ -21,11 +21,7 @@
 //! events use [`ROUTER_ORIGIN`], and serial experiment code uses 0.
 //! Logical origins are invariant under the shard count, which is what
 //! makes the merged `(t_ns, origin, seq)` order — and therefore the
-//! trace bytes — shard-count invariant. The one exception is the
-//! `shard` category (message send/recv), whose events are keyed by
-//! *physical* shard ids and therefore vary with the shard count; it is
-//! excluded from the default category set and from the cross-shard
-//! byte-identity contract.
+//! trace bytes — shard-count invariant.
 
 /// `ue` column value for events not tied to a UE.
 pub const NO_UE: u32 = u32::MAX;
@@ -33,7 +29,7 @@ pub const NO_UE: u32 = u32::MAX;
 /// Logical origin used by the router-hub / aggregation stream.
 pub const ROUTER_ORIGIN: u32 = u32::MAX;
 
-/// Event category, used for filtering and ring-buffer bounds.
+/// Event category: the unit of the ring-buffer bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Category {
     /// Attach decisions and handoffs (paper Fig. 8 territory).
@@ -44,22 +40,18 @@ pub enum Category {
     Kpi,
     /// Transport congestion-control state transitions.
     Cc,
-    /// Physical shard-kernel message send/recv. Keyed by physical
-    /// shard ids: NOT shard-count invariant, opt-in only.
-    Shard,
 }
 
 impl Category {
     /// All categories, in stable order.
-    pub const ALL: [Category; 5] = [
+    pub const ALL: [Category; 4] = [
         Category::Radio,
         Category::Fault,
         Category::Kpi,
         Category::Cc,
-        Category::Shard,
     ];
 
-    /// Stable lowercase name (DSL / sidecar spelling).
+    /// Stable lowercase name (sidecar spelling).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -67,32 +59,7 @@ impl Category {
             Category::Fault => "fault",
             Category::Kpi => "kpi",
             Category::Cc => "cc",
-            Category::Shard => "shard",
         }
-    }
-
-    /// Inverse of [`Category::name`].
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Category> {
-        Category::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// Bit in the category mask.
-    #[must_use]
-    pub fn bit(self) -> u8 {
-        match self {
-            Category::Radio => 1,
-            Category::Fault => 2,
-            Category::Kpi => 4,
-            Category::Cc => 8,
-            Category::Shard => 16,
-        }
-    }
-
-    /// Default mask: everything whose bytes are shard-count invariant.
-    #[must_use]
-    pub fn default_mask() -> u8 {
-        Category::Radio.bit() | Category::Fault.bit() | Category::Kpi.bit() | Category::Cc.bit()
     }
 }
 
@@ -146,24 +113,6 @@ pub enum TraceEvent {
         /// New backhaul cap, Mbit/s (negative = cap removed).
         cap_mbps: f64,
     },
-    /// Shard kernel cross-shard message enqueued (physical ids).
-    ShardMsgSend {
-        /// Simulation time, nanoseconds.
-        t_ns: u64,
-        /// Sending shard-local node id.
-        src: u32,
-        /// Receiving shard-local node id.
-        dst: u32,
-    },
-    /// Shard kernel cross-shard message executed (physical ids).
-    ShardMsgRecv {
-        /// Simulation time, nanoseconds.
-        t_ns: u64,
-        /// Sending shard-local node id.
-        src: u32,
-        /// Receiving shard-local node id.
-        dst: u32,
-    },
     /// Congestion-control state change: 0 open, 1 recovery, 2 loss/RTO.
     CcState {
         /// Simulation time, nanoseconds.
@@ -175,7 +124,7 @@ pub enum TraceEvent {
         /// Congestion-control algorithm code.
         alg: u32,
     },
-    /// Per-tick UE KPI row (subject to the sampling rate).
+    /// Per-tick UE KPI row.
     Kpi {
         /// Simulation time, nanoseconds.
         t_ns: u64,
@@ -193,17 +142,18 @@ pub enum TraceEvent {
 }
 
 /// Each kind's name and category, indexed by kind code
-/// ([`TraceEvent::kind`]).
-pub const KINDS: [(&str, Category); 9] = [
-    ("attach", Category::Radio),
-    ("handoff", Category::Radio),
-    ("cell_outage", Category::Fault),
-    ("cell_restore", Category::Fault),
-    ("brownout_cap", Category::Fault),
-    ("shard_msg_send", Category::Shard),
-    ("shard_msg_recv", Category::Shard),
-    ("cc_state", Category::Cc),
-    ("kpi", Category::Kpi),
+/// ([`TraceEvent::kind`]). Codes 5 and 6 are reserved: nothing writes
+/// them, and the later codes keep their values.
+pub const KINDS: [Option<(&str, Category)>; 9] = [
+    Some(("attach", Category::Radio)),
+    Some(("handoff", Category::Radio)),
+    Some(("cell_outage", Category::Fault)),
+    Some(("cell_restore", Category::Fault)),
+    Some(("brownout_cap", Category::Fault)),
+    None,
+    None,
+    Some(("cc_state", Category::Cc)),
+    Some(("kpi", Category::Kpi)),
 ];
 
 impl TraceEvent {
@@ -216,17 +166,9 @@ impl TraceEvent {
             TraceEvent::CellOutage { .. } => 2,
             TraceEvent::CellRestore { .. } => 3,
             TraceEvent::BrownoutCap { .. } => 4,
-            TraceEvent::ShardMsgSend { .. } => 5,
-            TraceEvent::ShardMsgRecv { .. } => 6,
             TraceEvent::CcState { .. } => 7,
             TraceEvent::Kpi { .. } => 8,
         }
-    }
-
-    /// Category this event belongs to.
-    #[must_use]
-    pub fn category(&self) -> Category {
-        KINDS[usize::from(self.kind())].1
     }
 
     /// Simulation timestamp.
@@ -238,8 +180,6 @@ impl TraceEvent {
             | TraceEvent::CellOutage { t_ns, .. }
             | TraceEvent::CellRestore { t_ns, .. }
             | TraceEvent::BrownoutCap { t_ns, .. }
-            | TraceEvent::ShardMsgSend { t_ns, .. }
-            | TraceEvent::ShardMsgRecv { t_ns, .. }
             | TraceEvent::CcState { t_ns, .. }
             | TraceEvent::Kpi { t_ns, .. } => t_ns,
         }
@@ -263,8 +203,6 @@ impl TraceEvent {
             TraceEvent::CellOutage { pci, .. } => (NO_UE, pci, 0, 0.0, 0.0),
             TraceEvent::CellRestore { pci, .. } => (NO_UE, pci, 0, 0.0, 0.0),
             TraceEvent::BrownoutCap { cap_mbps, .. } => (NO_UE, 0, 0, cap_mbps, 0.0),
-            TraceEvent::ShardMsgSend { src, dst, .. } => (NO_UE, src, dst, 0.0, 0.0),
-            TraceEvent::ShardMsgRecv { src, dst, .. } => (NO_UE, src, dst, 0.0, 0.0),
             TraceEvent::CcState {
                 flow, state, alg, ..
             } => (flow, state, alg, 0.0, 0.0),
@@ -307,16 +245,6 @@ mod tests {
                 t_ns: 1,
                 cap_mbps: 50.0,
             },
-            TraceEvent::ShardMsgSend {
-                t_ns: 1,
-                src: 0,
-                dst: 1,
-            },
-            TraceEvent::ShardMsgRecv {
-                t_ns: 1,
-                src: 0,
-                dst: 1,
-            },
             TraceEvent::CcState {
                 t_ns: 1,
                 flow: 0,
@@ -334,16 +262,10 @@ mod tests {
         ];
         let mut kinds: Vec<u8> = evs.iter().map(TraceEvent::kind).collect();
         kinds.sort_unstable();
-        assert_eq!(kinds, (0..9).collect::<Vec<u8>>());
-        assert_eq!(KINDS.len(), 9);
-    }
-
-    #[test]
-    fn category_round_trips_names() {
-        for c in Category::ALL {
-            assert_eq!(Category::from_name(c.name()), Some(c));
+        assert_eq!(kinds, [0, 1, 2, 3, 4, 7, 8]);
+        for k in kinds {
+            assert!(KINDS[usize::from(k)].is_some(), "kind {k} has no name");
         }
-        assert_eq!(Category::from_name("nope"), None);
-        assert_eq!(Category::default_mask() & Category::Shard.bit(), 0);
+        assert_eq!(KINDS.iter().flatten().count(), evs.len());
     }
 }

@@ -1,17 +1,17 @@
 //! # fiveg-trace — deterministic flight recorder + columnar KPI store
 //!
 //! Structured event tracing for the simulator: typed [`TraceEvent`]s
-//! are emitted from the radio / fault / KPI / CC / shard layers into an
+//! are emitted from the radio / fault / KPI / CC layers into an
 //! ambient per-run sink, then merged in global `(t_ns, origin, seq)`
 //! order into [`Row`]s of one fixed 9-column layout ([`COLUMNS`]). The
 //! rows are serialised column-major into a `.trace.bin`,
 //! next to a JSON sidecar that repeats the layout and carries counts,
 //! groups and the binary's hash; [`decode`] checks a binary against
 //! that layout. The merged order is keyed by **logical** origins
-//! (UE chunk, router hub, serial code), so for the default category
-//! set the trace bytes are invariant under `--jobs`, which sets the
-//! worker, sweep-thread and shard counts — the same contract every
-//! other artifact obeys (see DESIGN.md §11).
+//! (UE chunk, router hub, serial code), so the trace bytes are
+//! invariant under `--jobs`, which sets the worker, sweep-thread and
+//! shard counts — the same contract every other artifact obeys (see
+//! DESIGN.md §11). Every event of every [`Category`] is recorded.
 //!
 //! Like `fiveg-obs`, the API is ambient: instrumented code calls
 //! [`emit`] unconditionally and pays one thread-local read when no
@@ -21,11 +21,12 @@
 //!
 //! Two capture modes:
 //!
-//! * **full** — every accepted event is kept.
+//! * **full** — every event is kept.
 //! * **ring** (flight recorder, the default) — each `(origin,
 //!   category)` stream keeps a bounded deque of its most recent
 //!   events, and after the global merge each *category* is truncated
-//!   to its last `ring` events. Because the per-stream deques retain a
+//!   to its last `ring` events (1024 unless [`TraceConfig::ring`] says
+//!   otherwise). Because the per-stream deques retain a
 //!   superset of any global suffix, the truncated result equals what a
 //!   single global ring would have kept — for any shard partition.
 
@@ -38,9 +39,7 @@
 )]
 
 use std::collections::{BTreeMap, VecDeque};
-#[expect(clippy::disallowed_types, reason = "TraceSink's mask mirror")]
-use std::sync::atomic::{AtomicU8, Ordering};
-#[expect(clippy::disallowed_types, reason = "TraceSink's lock")]
+#[expect(clippy::disallowed_types, reason = "TraceHandle's lock")]
 use std::sync::{Arc, Mutex, PoisonError};
 
 mod columnar;
@@ -55,7 +54,9 @@ pub use event::{Category, TraceEvent, KINDS, NO_UE, ROUTER_ORIGIN};
 pub enum TraceMode {
     /// Keep everything.
     Full,
-    /// Flight recorder: last `ring` events per category.
+    /// Flight recorder: the last [`TraceConfig::ring`] events of each
+    /// category. Every event still counts toward
+    /// [`TraceOutput::events`].
     Ring,
 }
 
@@ -77,10 +78,6 @@ pub struct TraceConfig {
     pub mode: TraceMode,
     /// Ring capacity per category (ring mode only).
     pub ring: usize,
-    /// KPI sampling: record every `sample`-th tick (1 = every tick).
-    pub sample: u32,
-    /// Category bitmask ([`Category::bit`]).
-    pub mask: u8,
 }
 
 impl Default for TraceConfig {
@@ -88,8 +85,6 @@ impl Default for TraceConfig {
         TraceConfig {
             mode: TraceMode::Ring,
             ring: 1024,
-            sample: 1,
-            mask: Category::default_mask(),
         }
     }
 }
@@ -137,30 +132,21 @@ struct Inner {
     /// Full-mode buffer.
     full: Vec<Row>,
     /// Ring-mode per-(origin, category) bounded deques.
-    rings: BTreeMap<(u32, u8), VecDeque<Row>>,
+    rings: BTreeMap<(u32, Option<u8>), VecDeque<Row>>,
     /// Accepted events per kind (before any ring truncation).
     counts: [u64; 9],
     groups: Vec<Group>,
 }
 
-/// The per-run trace sink. Shared across threads behind one mutex;
-/// determinism comes from per-origin sequencing plus the final sort,
-/// not from lock-acquisition order.
+/// Cloneable handle to the per-run trace sink. The sink is shared
+/// across threads behind one mutex; determinism comes from per-origin
+/// sequencing plus the final sort, not from lock-acquisition order.
+#[derive(Clone)]
 #[expect(
     clippy::disallowed_types,
     reason = "the one run sink: rows are merged in (t_ns, origin, seq) order after the run, so lock order never reaches the trace bytes"
 )]
-pub struct TraceSink {
-    inner: Mutex<Inner>,
-    /// Lock-free mirror of `cfg.mask` so hot emitters (the shard
-    /// kernel's per-message send/recv) skip the mutex entirely when
-    /// their category is filtered out.
-    mask: AtomicU8,
-}
-
-/// Cloneable handle to a [`TraceSink`].
-#[derive(Clone)]
-pub struct TraceHandle(Arc<TraceSink>);
+pub struct TraceHandle(Arc<Mutex<Inner>>);
 
 /// Finished trace: the columnar binary plus its JSON sidecar.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,7 +157,7 @@ pub struct TraceOutput {
     pub sidecar: String,
     /// Rows present in `bin` (post-truncation).
     pub rows: u64,
-    /// Events accepted by the mask (pre-truncation).
+    /// Events emitted (pre-truncation).
     pub events: u64,
 }
 
@@ -184,35 +170,24 @@ impl Default for TraceHandle {
 impl TraceHandle {
     /// Creates a fresh sink with the given configuration.
     #[must_use]
-    #[expect(clippy::disallowed_types, reason = "builds the TraceSink")]
+    #[expect(clippy::disallowed_types, reason = "builds the sink")]
     pub fn new(cfg: TraceConfig) -> TraceHandle {
-        let mask = cfg.mask;
-        TraceHandle(Arc::new(TraceSink {
-            inner: Mutex::new(Inner {
-                cfg,
-                ..Inner::default()
-            }),
-            mask: AtomicU8::new(mask),
-        }))
+        TraceHandle(Arc::new(Mutex::new(Inner {
+            cfg,
+            ..Inner::default()
+        })))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A panicking emitter cannot leave partial state worth
         // protecting: rows are appended whole.
-        self.0.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one event (applies the category mask, assigns the
-    /// per-origin sequence number, honours ring bounds).
+    /// Records one event (assigns the per-origin sequence number,
+    /// honours ring bounds).
     pub fn emit(&self, origin: u32, ev: &TraceEvent) {
-        let cat = ev.category();
-        if self.0.mask.load(Ordering::Relaxed) & cat.bit() == 0 {
-            return;
-        }
         let mut g = self.lock();
-        if g.cfg.mask & cat.bit() == 0 {
-            return;
-        }
         let seq = g.seqs.entry(origin).or_insert(0);
         let s = *seq;
         *seq += 1;
@@ -233,29 +208,13 @@ impl TraceHandle {
             TraceMode::Full => g.full.push(row),
             TraceMode::Ring => {
                 let cap = g.cfg.ring.max(1);
-                let dq = g.rings.entry((origin, cat.bit())).or_default();
+                let dq = g.rings.entry((origin, category_key(row.kind))).or_default();
                 if dq.len() == cap {
                     dq.pop_front();
                 }
                 dq.push_back(row);
             }
         }
-    }
-
-    /// Current KPI sampling rate (>= 1).
-    #[must_use]
-    pub fn sample(&self) -> u32 {
-        self.lock().cfg.sample.max(1)
-    }
-
-    /// Adjusts the configuration in place. Intended for the scenario
-    /// DSL `trace` block, which refines sampling / categories / ring
-    /// size before any event is emitted; reconfiguring mid-run only
-    /// affects subsequent events.
-    pub fn configure(&self, f: impl FnOnce(&mut TraceConfig)) {
-        let mut g = self.lock();
-        f(&mut g.cfg);
-        self.0.mask.store(g.cfg.mask, Ordering::Relaxed);
     }
 
     /// Installs the fleet-group UE-range annotations for the sidecar.
@@ -295,14 +254,17 @@ impl TraceHandle {
     }
 }
 
+/// The ring bound's key for kind code `kind`: its [`KINDS`] category.
+fn category_key(kind: u8) -> Option<u8> {
+    KINDS[usize::from(kind)].map(|(_, c)| c as u8)
+}
+
 /// Keeps the last `cap` rows of each category, preserving order.
 fn truncate_per_category(rows: Vec<Row>, cap: usize) -> Vec<Row> {
-    let mut budget: BTreeMap<u8, usize> = BTreeMap::new();
+    let mut budget: BTreeMap<Option<u8>, usize> = BTreeMap::new();
     let mut keep = vec![false; rows.len()];
     for (i, r) in rows.iter().enumerate().rev() {
-        let used = budget
-            .entry(KINDS[usize::from(r.kind)].1.bit())
-            .or_insert(0);
+        let used = budget.entry(category_key(r.kind)).or_insert(0);
         if *used < cap {
             *used += 1;
             keep[i] = true;
@@ -360,19 +322,19 @@ fn sidecar_json(
         schema: 1,
         mode: cfg.mode.name(),
         ring: cfg.ring as u64,
-        sample: cfg.sample,
-        categories: Category::ALL
-            .into_iter()
-            .filter(|c| cfg.mask & c.bit() != 0)
-            .map(Category::name)
-            .collect(),
+        // `sample` and `categories` are fixed; the sidecar keeps them
+        // so its bytes do not move.
+        sample: 1,
+        categories: Category::ALL.map(Category::name).into(),
         columns: COLUMNS.map(|(name, ty)| SidecarColumn { name, ty }).into(),
         rows: rows as u64,
         counts: KINDS
             .iter()
             .zip(counts)
-            .filter(|&(_, &n)| n > 0)
-            .map(|((name, _), &n)| ((*name).to_string(), n))
+            .filter_map(|(kind, &n)| match kind {
+                Some((name, _)) if n > 0 => Some(((*name).to_string(), n)),
+                _ => None,
+            })
             .collect(),
         bin_hash: hex64(fnv1a64(bin)),
         groups: groups.to_vec(),
@@ -426,19 +388,6 @@ pub fn emit(origin: u32, ev: &TraceEvent) {
             h.emit(origin, ev);
         }
     });
-}
-
-/// Ambient KPI sampling rate; 1 when no scope is installed.
-#[must_use]
-pub fn sample_rate() -> u32 {
-    current().map_or(1, |h| h.sample())
-}
-
-/// Adjusts the ambient sink's configuration; no-op without a scope.
-pub fn configure(f: impl FnOnce(&mut TraceConfig)) {
-    if let Some(h) = current() {
-        h.configure(f);
-    }
 }
 
 /// Installs group annotations on the ambient sink; no-op without one.
@@ -498,12 +447,10 @@ mod tests {
     /// of how origins were partitioned into per-stream deques.
     #[test]
     fn ring_truncation_matches_global_ring() {
-        let cfg = TraceConfig {
+        let h = TraceHandle::new(TraceConfig {
             mode: TraceMode::Ring,
             ring: 5,
-            ..TraceConfig::default()
-        };
-        let h = TraceHandle::new(cfg.clone());
+        });
         // 3 origins x 20 events, timestamps interleaved across origins.
         for i in 0..20u64 {
             for origin in 0..3u32 {
@@ -521,18 +468,14 @@ mod tests {
         assert_eq!(out.events, 60);
     }
 
-    /// Ring mode counts the same accepted events as full mode into
+    /// Ring mode counts the same emitted events as full mode into
     /// `trace.events`, but keeps and encodes fewer `trace.bytes`.
     #[test]
     fn ring_mode_counts_every_event_in_fewer_bytes() {
         let counters = |mode: TraceMode| {
             let m = fiveg_obs::MetricsHandle::new();
             fiveg_obs::scoped(&m, || {
-                let h = TraceHandle::new(TraceConfig {
-                    mode,
-                    ring: 5,
-                    ..TraceConfig::default()
-                });
+                let h = TraceHandle::new(TraceConfig { mode, ring: 5 });
                 for i in 0..20u64 {
                     for origin in 0..3u32 {
                         h.emit(origin, &ev(i * 10 + u64::from(origin), origin));
@@ -554,45 +497,16 @@ mod tests {
         );
     }
 
-    /// Category mask drops events entirely (no seq consumed, so masked
-    /// categories cannot perturb the bytes of unmasked ones).
-    #[test]
-    fn masked_categories_do_not_consume_sequence_numbers() {
-        let mk = |with_shard_events: bool| {
-            let h = TraceHandle::new(TraceConfig {
-                mode: TraceMode::Full,
-                ..TraceConfig::default()
-            });
-            h.emit(0, &ev(5, 1));
-            if with_shard_events {
-                h.emit(
-                    0,
-                    &TraceEvent::ShardMsgSend {
-                        t_ns: 6,
-                        src: 0,
-                        dst: 1,
-                    },
-                );
-            }
-            h.emit(0, &ev(7, 1));
-            h.finish()
-        };
-        assert_eq!(mk(true).bin, mk(false).bin);
-    }
-
     #[test]
     fn scope_is_ambient_and_nested() {
         assert!(!is_active());
-        assert_eq!(sample_rate(), 1);
         emit(0, &ev(1, 1)); // no-op without scope
         let h = TraceHandle::new(TraceConfig {
             mode: TraceMode::Full,
-            sample: 4,
             ..TraceConfig::default()
         });
         let out = scoped(&h, || {
             assert!(is_active());
-            assert_eq!(sample_rate(), 4);
             emit(3, &ev(2, 9));
             h.finish()
         });

@@ -150,6 +150,13 @@ fn bad_inputs_exit_2_and_name_the_file() {
         assert!(o.stdout.is_empty());
     };
 
+    // Kind codes 5 and 6 are reserved: their old names are unknown.
+    let o = trace(&["dump", stem_arg, "--kind", "shard_msg_send"]);
+    let err = stderr(&o);
+    assert_eq!(o.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown kind `shard_msg_send`"), "{err}");
+    assert!(o.stdout.is_empty());
+
     std::fs::write(&bin_path, &bin[..bin.len() - 1]).unwrap();
     expect_rejected(&bin_path, "truncated");
 

@@ -20,7 +20,6 @@ fn main() {
         description: "ten walkers + three streamers through an NR outage".to_string(),
         campus: Default::default(),
         city: None,
-        trace: None,
         loads: Default::default(),
         workload: WorkloadSpec::Fleet(FleetSpec {
             duration_s: 60,

@@ -246,19 +246,40 @@ fn without_reexports(text: &str) -> String {
     out
 }
 
+/// The words of `text` written as a function use: `.name`, `::name`
+/// or `name(`, but not the `fn name(` of a definition. A struct field
+/// or binding that shares a function's name is none of these.
+fn called_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut start = None;
+    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+        match (is_ident(c), start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                start = None;
+                let (before, after) = (&text[..s], &text[i..]);
+                let called =
+                    before.ends_with('.') || before.ends_with("::") || after.starts_with('(');
+                if called && !before.ends_with("fn ") {
+                    names.push(&text[s..i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
 /// The `pub fn` / `pub const fn` definitions in `defining` whose name
-/// appears nowhere else in the non-test text of `defining` and
-/// `using`, as `file:line name`.
+/// the non-test text of `defining` and `using` never calls, as
+/// `file:line name`.
 fn named_only_by_tests(defining: &[(String, String)], using: &[(String, String)]) -> Vec<String> {
-    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
     let texts: Vec<String> = defining
         .iter()
         .chain(using)
         .map(|(_, source)| without_reexports(&non_test_lines(source).join("\n")))
         .collect();
-    for word in texts.iter().flat_map(|t| t.split(|c: char| !is_ident(c))) {
-        *uses.entry(word).or_default() += 1;
-    }
+    let called: BTreeSet<&str> = texts.iter().flat_map(|t| called_names(t)).collect();
     let mut bad = Vec::new();
     for (file, source) in defining {
         for (n, line) in non_test_lines(source).iter().enumerate() {
@@ -270,7 +291,7 @@ fn named_only_by_tests(defining: &[(String, String)], using: &[(String, String)]
                         continue;
                     }
                     let name: String = line[from..].chars().take_while(|&c| is_ident(c)).collect();
-                    if uses.get(name.as_str()).copied().unwrap_or(0) <= 1 {
+                    if !called.contains(name.as_str()) {
                         bad.push(format!("{file}:{} {name}", n + 1));
                     }
                 }
@@ -287,16 +308,17 @@ fn named_only_by_tests(defining: &[(String, String)], using: &[(String, String)]
 /// `#[cfg(test)]` code calls. This check covers those: for each
 /// `pub fn` or `pub const fn` in the non-test text of `crates/*/src`
 /// (each file up to its first column-0 `#[cfg(test)]`, `//` comments
-/// cut), it counts whole-word uses of the name in that text and in
-/// `examples/`, `crates/*/examples/` and `benchmark/src`, not counting
-/// `pub use` re-exports. A name whose definition is its only use fails.
+/// cut), it counts calls of the name (`.name`, `::name` or `name(`)
+/// in that text and in `examples/`, `crates/*/examples/` and
+/// `benchmark/src`, not counting `pub use` re-exports or the `fn name`
+/// of a definition. A name that nothing calls fails.
 /// Unit tests, `crates/*/tests` and `tests/` do not count: an item only
 /// they need is `#[cfg(test)]` next to them, not API.
 ///
 /// It matches names, not paths: a common name such as `new` or `len`
-/// passes as long as anything else says it. So it misses some
+/// passes as long as anything else calls it. So it misses some
 /// test-only functions (false negatives), but fails only on a name that
-/// no non-test code writes at all.
+/// no non-test code calls at all.
 #[test]
 fn no_pub_fn_is_named_only_by_tests() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -347,20 +369,30 @@ fn a_pub_fn_named_only_by_tests_fails_the_scan() {
          /// `only_tested` is mentioned here.\n\
          pub fn only_tested() {} // kept(), only_tested()\n\
          pub const fn used_by_example() {}\n\
+         pub struct Estimate { pub wired: f64 }\n\
+         pub fn wired() -> f64 { 0.0 }\n\
          #[cfg(test)]\n\
-         mod tests { fn t() { super::only_tested(); } }\n",
+         mod tests { fn t() { super::only_tested(); super::wired(); } }\n",
     );
-    let main = file("crates/x/src/main.rs", "fn main() { x::kept(); }\n");
+    // A field that shares a test-only fn's name does not hide it.
+    let main = file(
+        "crates/x/src/main.rs",
+        "fn main() { x::kept(); let _ = x::Estimate { wired: 1.0 }; }\n",
+    );
     let example = file("examples/e.rs", "fn main() { x::used_by_example(); }\n");
     assert_eq!(
         named_only_by_tests(&[lib.clone(), main.clone()], &[example]),
-        ["crates/x/src/lib.rs:4 only_tested"]
+        [
+            "crates/x/src/lib.rs:4 only_tested",
+            "crates/x/src/lib.rs:7 wired"
+        ]
     );
     assert_eq!(
         named_only_by_tests(&[lib, main], &[]),
         [
             "crates/x/src/lib.rs:4 only_tested",
-            "crates/x/src/lib.rs:5 used_by_example"
+            "crates/x/src/lib.rs:5 used_by_example",
+            "crates/x/src/lib.rs:7 wired"
         ]
     );
 }
