@@ -370,7 +370,7 @@ impl Fig11 {
                 bursts.push((i as u64, n));
                 missing += n;
             }
-            debug_assert_eq!(seq / mss, i as u64 + missing, "arrival {i} out of order");
+            assert_eq!(seq / mss, i as u64 + missing, "arrival {i} out of order");
             expected = seq + mss;
         }
         Fig11 {

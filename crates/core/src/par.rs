@@ -109,9 +109,8 @@ pub fn par_map_with<T: Sync, R: Send, S>(
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Every chunk index is claimed by construction (the atomic counter
-    // covers 0..n_chunks); the flatten keeps this total without a panic
-    // path, and the debug assert documents the invariant in test builds.
-    debug_assert!(slots.iter().all(Option::is_some), "every chunk claimed");
+    // covers 0..n_chunks).
+    assert!(slots.iter().all(Option::is_some), "every chunk claimed");
     let mut out = Vec::with_capacity(items.len());
     for s in slots {
         out.extend(s.into_iter().flatten());

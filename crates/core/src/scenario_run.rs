@@ -857,15 +857,9 @@ impl RouterHub<'_> {
         }
         // The router is the highest shard id, so this local event sorts
         // after every same-time Attach/Unattached intent.
-        ctx.schedule_at(
-            now + self.delta + self.delta,
-            FleetEvent::Aggregate { tick },
-        );
+        ctx.schedule_in(self.delta + self.delta, FleetEvent::Aggregate { tick });
         if tick + 1 < self.ticks {
-            ctx.schedule_at(
-                now + self.tick_dur,
-                FleetEvent::TickStart { tick: tick + 1 },
-            );
+            ctx.schedule_in(self.tick_dur, FleetEvent::TickStart { tick: tick + 1 });
         }
     }
 
@@ -1020,9 +1014,8 @@ impl ShardLogic for FleetNode<'_> {
             }
             (FleetNode::Router(r), FleetEvent::Unattached { ue }) => r.unattached.push(ue),
             (FleetNode::Router(r), FleetEvent::Aggregate { tick }) => r.on_aggregate(ctx, tick),
-            // A misrouted event is a protocol bug; ignore in release,
-            // surface in test builds.
-            (_, _) => debug_assert!(false, "fleet event routed to the wrong shard kind"),
+            // A misrouted event is a protocol bug.
+            (_, _) => unreachable!("fleet event routed to the wrong shard kind"),
         }
     }
 }

@@ -344,7 +344,7 @@ impl<T> Pipe<T> {
 
     /// Appends `item` and schedules `ev`, its arrival, at `at`.
     fn push(&mut self, q: &mut EventQueue<Ev>, at: SimTime, item: T, ev: Ev) {
-        debug_assert!(
+        assert!(
             at >= self.tail,
             "pipe on lane {} pushed out of order: {at} < {}",
             self.lane,
@@ -386,15 +386,12 @@ impl Drop for NetSim {
     /// Flushes per-run totals into the ambient metrics scope (see
     /// `fiveg-obs`): packets forwarded/dropped across all hops, packets
     /// delivered to receivers, the reassembly high-watermark, and the
-    /// event queue's totals (clamps only when non-zero). All are
-    /// deterministic functions of the simulation seed.
+    /// event queue's totals. All are deterministic functions of the
+    /// simulation seed.
     fn drop(&mut self) {
         if self.q.scheduled() > 0 {
             fiveg_obs::counter_add("sim.events.scheduled", self.q.scheduled());
             fiveg_obs::counter_add("sim.events.executed", self.q.executed());
-        }
-        if self.q.clamped() > 0 {
-            fiveg_obs::counter_add("sim.events.clamped", self.q.clamped());
         }
         let forwarded: u64 = self.hops.iter().map(|h| h.stats.forwarded).sum();
         let dropped: u64 = self.hops.iter().map(|h| h.stats.dropped()).sum();
@@ -468,13 +465,13 @@ impl NetSim {
         assert!(ct.hop < self.hops.len(), "cross-traffic hop out of range");
         let idx = self.cross.len();
         self.cross.push((ct, false));
-        // First burst begins after one OFF period.
+        // First burst begins one OFF period after now.
         let off = {
             let (ct, _) = &self.cross[idx];
             ct.off_ms.sample(&mut self.rng).max(0.0)
         };
         self.q.schedule_at(
-            SimTime::ZERO + SimDuration::from_millis_f64(off),
+            self.q.now() + SimDuration::from_millis_f64(off),
             Ev::CrossToggle {
                 idx: idx as u32,
                 on: true,
@@ -560,8 +557,7 @@ impl NetSim {
             Ev::Arrive { hop } => {
                 let hop = hop as usize;
                 let Some(pkt) = self.pipes[hop].pop() else {
-                    debug_assert!(false, "Arrive with an empty pipe");
-                    return;
+                    panic!("Arrive with an empty pipe");
                 };
                 self.on_arrive(hop, pkt);
             }
@@ -573,8 +569,7 @@ impl NetSim {
             }
             Ev::AckArrive => {
                 let Some((flow, ack)) = self.acks.pop() else {
-                    debug_assert!(false, "AckArrive with an empty pipe");
-                    return;
+                    panic!("AckArrive with an empty pipe");
                 };
                 self.with_sender(flow, |s, ctx| s.on_ack(ack, ctx));
             }
@@ -664,8 +659,7 @@ impl NetSim {
     fn on_tx_done(&mut self, hop_idx: usize) {
         let now = self.q.now();
         let Some(served) = self.in_service[hop_idx].take() else {
-            debug_assert!(false, "TxDone without a packet in service");
-            return;
+            panic!("TxDone without a packet in service");
         };
         // Per-packet latency jitter (HARQ rounds) is applied after
         // serialisation so it does not consume link capacity. Exits are

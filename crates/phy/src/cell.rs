@@ -40,8 +40,10 @@ impl CellPhy {
         (d2 * d2 + dh * dh).sqrt()
     }
 
-    /// Antenna attenuation towards the UE, dB.
-    pub fn antenna_attenuation_db(&self, ue: Point) -> f64 {
+    /// Antenna attenuation towards the UE, dB: the reference loss's
+    /// term (the fast path takes the azimuth from its site ray).
+    #[cfg(test)]
+    pub(crate) fn antenna_attenuation_db(&self, ue: Point) -> f64 {
         // A UE standing at the mast foot sees the pattern's downtilt
         // region; treat it as boresight (no horizontal attenuation).
         if self.pos.distance(ue) < 1.0 {

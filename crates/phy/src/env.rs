@@ -573,61 +573,8 @@ impl RadioEnv {
         &self.pcis[tech_slot(tech)]
     }
 
-    /// Total propagation loss (path loss + antenna + walls + shadowing)
-    /// from cell `idx` to `ue` — reference implementation scanning every
-    /// building. The fast path ([`RadioEnv::measure_all_into`]) computes
-    /// the same value through the spatial index and the per-cell caches;
-    /// equivalence tests hold the two bit-identical.
-    fn total_loss_db(&self, idx: usize, ue: Point) -> Db {
-        let cell = &self.cells[idx];
-        let f = cell.carrier.freq;
-        let d3 = cell.distance_3d(ue);
-        let seg = Segment::new(cell.pos, ue);
-
-        // Rooftop mast: the building under the mast does not obstruct its
-        // own transmissions.
-        let mut blocked_walls_ue_building = 0usize;
-        let mut ue_material = None;
-        let mut blocked = false;
-        for b in &self.map.buildings {
-            if b.contains(cell.pos) {
-                continue;
-            }
-            let crossings = b.wall_crossings(seg);
-            let contains_ue = b.contains(ue);
-            if crossings > 0 || contains_ue {
-                blocked = true;
-            }
-            if contains_ue {
-                // At least one exterior wall separates an indoor UE.
-                blocked_walls_ue_building = crossings.max(1);
-                ue_material = Some(b.material);
-            }
-        }
-
-        let (median, sigma) = if !blocked {
-            (self.params.loss_los(d3, f), self.params.shadow_sigma_los)
-        } else {
-            (self.params.loss_nlos(d3, f), self.params.shadow_sigma_nlos)
-        };
-        let mut loss = median.value()
-            + cell.antenna_attenuation_db(ue)
-            + cell
-                .vertical
-                .attenuation_db(cell.pos.distance(ue), cell.height_m);
-        if let Some(mat) = ue_material {
-            // Indoor UE: add the exterior wall(s) of its own building.
-            // Outdoor blockage by intermediate buildings is already
-            // captured by the NLoS branch (diffraction dominates going
-            // *around* a building; going *into* one has no such path).
-            loss += wall_loss(mat, f).value() * blocked_walls_ue_building as f64;
-        }
-        loss += self.shadowing[idx].value_db(ue.x, ue.y, sigma).value();
-        Db::new(loss)
-    }
-
     /// Traces the ray geometry from site `si` to `ue` — identical logic
-    /// to the building loop of [`RadioEnv::total_loss_db`], restructured
+    /// to the building loop of the reference `total_loss_db`, restructured
     /// around what that loop actually produces: a single `blocked` bit
     /// plus the UE building's material and wall count. `ue_hits` (the
     /// buildings containing the UE, hoisted to once per sample) supplies
@@ -693,13 +640,6 @@ impl RadioEnv {
             d2: site.pos.distance(ue),
             az_deg: site.pos.azimuth_to(ue),
         }
-    }
-
-    /// RSRP of cell `idx` at `ue`.
-    pub fn rsrp(&self, idx: usize, ue: Point) -> Dbm {
-        let cell = &self.cells[idx];
-        cell.carrier.tx_power_per_re() + Db::new(cell.carrier.ref_signal_gain_db)
-            - self.total_loss_db(idx, ue)
     }
 
     /// [`RadioEnv::measure_all_into`] with a fresh [`MeasureScratch`],
@@ -886,7 +826,7 @@ impl RadioEnv {
     /// computed.
     pub fn materialise(&self, survey: &Survey, k: usize) -> CellMeasurement {
         let idxs = &self.by_tech[tech_slot(survey.tech)];
-        debug_assert_eq!(
+        assert_eq!(
             idxs.len(),
             survey.rank.len(),
             "survey of another environment"
@@ -904,6 +844,68 @@ impl RadioEnv {
             sinr,
             distance_m: survey.d2[k],
         }
+    }
+
+    /// Total propagation loss (path loss + antenna + walls + shadowing)
+    /// from cell `idx` to `ue` — reference implementation scanning every
+    /// building. The fast path ([`RadioEnv::measure_all_into`]) computes
+    /// the same value through the spatial index and the per-cell caches;
+    /// equivalence tests hold the two bit-identical.
+    #[cfg(test)]
+    fn total_loss_db(&self, idx: usize, ue: Point) -> Db {
+        let cell = &self.cells[idx];
+        let f = cell.carrier.freq;
+        let d3 = cell.distance_3d(ue);
+        let seg = Segment::new(cell.pos, ue);
+
+        // Rooftop mast: the building under the mast does not obstruct its
+        // own transmissions.
+        let mut blocked_walls_ue_building = 0usize;
+        let mut ue_material = None;
+        let mut blocked = false;
+        for b in &self.map.buildings {
+            if b.contains(cell.pos) {
+                continue;
+            }
+            let crossings = b.wall_crossings(seg);
+            let contains_ue = b.contains(ue);
+            if crossings > 0 || contains_ue {
+                blocked = true;
+            }
+            if contains_ue {
+                // At least one exterior wall separates an indoor UE.
+                blocked_walls_ue_building = crossings.max(1);
+                ue_material = Some(b.material);
+            }
+        }
+
+        let (median, sigma) = if !blocked {
+            (self.params.loss_los(d3, f), self.params.shadow_sigma_los)
+        } else {
+            (self.params.loss_nlos(d3, f), self.params.shadow_sigma_nlos)
+        };
+        let mut loss = median.value()
+            + cell.antenna_attenuation_db(ue)
+            + cell
+                .vertical
+                .attenuation_db(cell.pos.distance(ue), cell.height_m);
+        if let Some(mat) = ue_material {
+            // Indoor UE: add the exterior wall(s) of its own building.
+            // Outdoor blockage by intermediate buildings is already
+            // captured by the NLoS branch (diffraction dominates going
+            // *around* a building; going *into* one has no such path).
+            loss += wall_loss(mat, f).value() * blocked_walls_ue_building as f64;
+        }
+        loss += self.shadowing[idx].value_db(ue.x, ue.y, sigma).value();
+        Db::new(loss)
+    }
+
+    /// RSRP of cell `idx` at `ue`, through [`RadioEnv::total_loss_db`].
+    #[cfg(test)]
+    fn rsrp(&self, idx: usize, ue: Point) -> Dbm {
+        let cell = &self.cells[idx];
+        cell.carrier.tx_power_per_re() + Db::new(cell.carrier.ref_signal_gain_db)
+            - self.total_loss_db(idx, ue)
     }
 
     /// Reference implementation of [`RadioEnv::measure_all`]: full

@@ -94,26 +94,31 @@ impl PropagationParams {
         free_space_db(self.d0_m, f).value() + self.clutter_offset_db
     }
 
-    /// Median (shadowing-free) LoS path loss at distance `d_m`.
-    pub fn loss_los(&self, d_m: f64, f: Frequency) -> Db {
+    /// [`PropagationParams::loss_los_from`] with the frequency terms
+    /// computed in place.
+    #[cfg(test)]
+    pub(crate) fn loss_los(&self, d_m: f64, f: Frequency) -> Db {
         Db::new(self.loss_los_from(self.pl0_db(f), self.clutter_per_100m(f), d_m))
     }
 
-    /// LoS loss from precomputed frequency terms (`pl0_db`,
-    /// `clutter_per_100m`); bit-identical to [`PropagationParams::loss_los`]
-    /// by construction — the dB expression is evaluated in the same order.
+    /// Median (shadowing-free) LoS path loss at distance `d_m`, from the
+    /// precomputed frequency terms [`PropagationParams::pl0_db`] and
+    /// [`PropagationParams::clutter_per_100m`].
     pub fn loss_los_from(&self, pl0: f64, clutter_per_100m: f64, d_m: f64) -> f64 {
         let d = d_m.max(self.d0_m);
         pl0 + 10.0 * self.n_los * (d / self.d0_m).log10() + clutter_per_100m * d / 100.0
     }
 
-    /// Median NLoS path loss at distance `d_m` (never below the LoS loss).
-    pub fn loss_nlos(&self, d_m: f64, f: Frequency) -> Db {
+    /// [`PropagationParams::loss_nlos_from`] with the frequency terms
+    /// computed in place.
+    #[cfg(test)]
+    pub(crate) fn loss_nlos(&self, d_m: f64, f: Frequency) -> Db {
         Db::new(self.loss_nlos_from(self.pl0_db(f), self.clutter_per_100m(f), d_m))
     }
 
-    /// NLoS loss from precomputed frequency terms; bit-identical to
-    /// [`PropagationParams::loss_nlos`] by construction.
+    /// Median NLoS path loss at distance `d_m` from the precomputed
+    /// frequency terms, never below
+    /// [`PropagationParams::loss_los_from`].
     pub fn loss_nlos_from(&self, pl0: f64, clutter_per_100m: f64, d_m: f64) -> f64 {
         let d = d_m.max(self.d0_m);
         let nlos = pl0
@@ -184,7 +189,8 @@ impl ShadowingField {
     }
 
     /// Shadowing loss in dB at `(x, y)` with the given sigma.
-    pub fn value_db(&self, x: f64, y: f64, sigma: f64) -> Db {
+    #[cfg(test)]
+    pub(crate) fn value_db(&self, x: f64, y: f64, sigma: f64) -> Db {
         Db::new(self.standard_value(x, y) * sigma)
     }
 
@@ -216,13 +222,14 @@ impl ShadowingField {
         }
     }
 
-    /// [`ShadowingField::value_db`] at a point located once with
-    /// `LatticePoint::new` (and `LatticePoint::in_grid`): the
-    /// lattice Gaussians come from `grid` when the point's corners lie
-    /// inside it, else from direct evaluation. Same arithmetic, same
-    /// bits — the Gaussian evaluation (two hashes, `ln`, `sqrt`, `cos`
-    /// per corner) dominates a direct query, and the grid replaces it
-    /// with four loads. `grid` must be this field's grid with the
+    /// Shadowing loss in dB with the given sigma
+    /// ([`ShadowingField::standard_value`] times `sigma`) at a point
+    /// located once with `LatticePoint::new` (and
+    /// `LatticePoint::in_grid`): the lattice Gaussians come from `grid`
+    /// when the point's corners lie inside it, else from direct
+    /// evaluation. Same arithmetic, same bits as a direct query — the
+    /// Gaussian evaluation (two hashes, `ln`, `sqrt`, `cos` per corner)
+    /// dominates one, and the grid replaces it with four loads. `grid` must be this field's grid with the
     /// extent `p` was located against.
     pub fn value_db_at(&self, p: &LatticePoint, sigma: f64, grid: &ShadowGrid) -> Db {
         let v = match p.slot {
@@ -349,12 +356,38 @@ impl ShadowGrid {
 mod tests {
     use super::*;
     use fiveg_simcore::OnlineStats;
+    use proptest::prelude::*;
 
     fn f5g() -> Frequency {
         Frequency::from_mhz(3550.0)
     }
     fn f4g() -> Frequency {
         Frequency::from_mhz(1850.0)
+    }
+
+    proptest! {
+        /// Path loss grows with distance on both branches, and NLoS never
+        /// undercuts LoS.
+        #[test]
+        fn pathloss_monotone(d1 in 1.0f64..2000.0, d2 in 1.0f64..2000.0, ghz in 0.7f64..6.0) {
+            let p = PropagationParams::default_urban();
+            let f = Frequency::from_mhz(ghz * 1e3);
+            let (lo, hi) = if d1 < d2 { (d1, d2) } else { (d2, d1) };
+            prop_assert!(p.loss_los(hi, f).value() >= p.loss_los(lo, f).value());
+            prop_assert!(p.loss_nlos(hi, f).value() >= p.loss_nlos(lo, f).value());
+            prop_assert!(p.loss_nlos(d1, f).value() >= p.loss_los(d1, f).value() - 1e-9);
+        }
+
+        /// Higher frequency always loses more.
+        #[test]
+        fn pathloss_frequency_monotone(d in 10.0f64..1000.0, f1 in 0.7f64..6.0, f2 in 0.7f64..6.0) {
+            let p = PropagationParams::default_urban();
+            let (lo, hi) = if f1 < f2 { (f1, f2) } else { (f2, f1) };
+            prop_assert!(
+                p.loss_los(d, Frequency::from_mhz(hi * 1e3)).value()
+                    >= p.loss_los(d, Frequency::from_mhz(lo * 1e3)).value()
+            );
+        }
     }
 
     #[test]

@@ -2,36 +2,13 @@
 
 use fiveg_phy::{
     bler, cqi_from_sinr, rate_fraction, spectral_efficiency, CellMeasurement, MeasureScratch,
-    PropagationParams, RadioEnv, SectorAntenna, ShadowingField, Survey, Tech, VerticalPattern,
+    RadioEnv, SectorAntenna, ShadowingField, Survey, Tech, VerticalPattern,
 };
-use fiveg_simcore::{Frequency, SimRng};
+use fiveg_simcore::SimRng;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 proptest! {
-    /// Path loss grows with distance on both branches, and NLoS never
-    /// undercuts LoS.
-    #[test]
-    fn pathloss_monotone(d1 in 1.0f64..2000.0, d2 in 1.0f64..2000.0, ghz in 0.7f64..6.0) {
-        let p = PropagationParams::default_urban();
-        let f = Frequency::from_mhz(ghz * 1e3);
-        let (lo, hi) = if d1 < d2 { (d1, d2) } else { (d2, d1) };
-        prop_assert!(p.loss_los(hi, f).value() >= p.loss_los(lo, f).value());
-        prop_assert!(p.loss_nlos(hi, f).value() >= p.loss_nlos(lo, f).value());
-        prop_assert!(p.loss_nlos(d1, f).value() >= p.loss_los(d1, f).value() - 1e-9);
-    }
-
-    /// Higher frequency always loses more.
-    #[test]
-    fn pathloss_frequency_monotone(d in 10.0f64..1000.0, f1 in 0.7f64..6.0, f2 in 0.7f64..6.0) {
-        let p = PropagationParams::default_urban();
-        let (lo, hi) = if f1 < f2 { (f1, f2) } else { (f2, f1) };
-        prop_assert!(
-            p.loss_los(d, Frequency::from_mhz(hi * 1e3)).value()
-                >= p.loss_los(d, Frequency::from_mhz(lo * 1e3)).value()
-        );
-    }
-
     /// Antenna attenuation is bounded and symmetric around boresight.
     #[test]
     fn antenna_bounded_and_symmetric(az in 0.0f64..360.0, off in 0.0f64..180.0) {

@@ -14,10 +14,11 @@
 //! packets leaving one link, ACKs on a fixed-delay channel — schedules it
 //! with [`EventQueue::schedule_on`], and the event is appended to that
 //! lane in O(1) instead of sifting through the heap. An event earlier
-//! than its lane's tail falls back to the heap, so any schedule is
-//! accepted. `pop` compares the heap top with the cached `(time, seq)`
-//! of every lane head, so the pop order is exactly the one a single heap
-//! would give: lanes change the cost, never the order.
+//! than its lane's tail falls back to the heap, so any schedule at or
+//! after the clock is accepted. `pop` compares the heap top with the
+//! cached `(time, seq)` of every lane head, so the pop order is exactly
+//! the one a single heap would give: lanes change the cost, never the
+//! order.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -77,9 +78,7 @@ impl<E> Ord for HeapEntry<E> {
 ///
 /// The queue tracks the current virtual time: popping an event advances the
 /// clock to that event's timestamp. Scheduling an event in the past is a
-/// logic error and panics in debug builds; in release it is clamped to the
-/// current time so the simulation keeps a coherent, monotonic clock, and
-/// counted in [`EventQueue::clamped`].
+/// logic error and panics.
 pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     lanes: Vec<VecDeque<HeapEntry<E>>>,
@@ -89,7 +88,6 @@ pub struct EventQueue<E> {
     now: SimTime,
     next_seq: u64,
     popped: u64,
-    clamped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -114,7 +112,6 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
-            clamped: 0,
         }
     }
 
@@ -143,38 +140,32 @@ impl<E> EventQueue<E> {
         self.popped + self.len() as u64
     }
 
-    /// Number of past schedules clamped into the present (release only).
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-
-    /// Checks `at` against the clock and clamps it into the present.
-    fn clamp(&mut self, at: SimTime) -> SimTime {
-        debug_assert!(
+    /// Panics if `at` is before the clock.
+    fn check(&self, at: SimTime) {
+        assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        if at < self.now {
-            self.clamped += 1;
-            self.now
-        } else {
-            at
-        }
     }
 
-    /// Clamps `at` into the present and assigns the next sequence number.
-    fn stamp(&mut self, at: SimTime) -> Key {
+    /// Checks `at` against the clock and assigns the next sequence number.
+    fn stamp(&mut self, at: SimTime) -> u64 {
+        self.check(at);
         let seq = self.next_seq;
         self.next_seq += 1;
-        (self.clamp(at), seq)
+        seq
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
     ///
     /// Returns the sequence number assigned to the event.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is before [`EventQueue::now`].
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> u64 {
-        let (at, seq) = self.stamp(at);
+        let seq = self.stamp(at);
         self.heap.push(HeapEntry { at, seq, payload });
         seq
     }
@@ -182,9 +173,13 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at absolute time `at` under a `seq` stamped by
     /// the caller, below `u64::MAX` and clear of the seqs the queue
     /// stamps (the shard engine keys `origin << 40 | local seq`).
+    ///
+    /// # Panics
+    ///
+    /// If `at` is before [`EventQueue::now`] or `seq` is `u64::MAX`.
     pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, payload: E) {
-        debug_assert!(seq < u64::MAX, "u64::MAX is the empty-queue key");
-        let at = self.clamp(at);
+        assert!(seq < u64::MAX, "u64::MAX is the empty-queue key");
+        self.check(at);
         self.heap.push(HeapEntry { at, seq, payload });
     }
 
@@ -198,10 +193,10 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// If `lane` is not below the count given to
-    /// [`EventQueue::with_lanes`].
+    /// If `at` is before [`EventQueue::now`], or `lane` is not below the
+    /// count given to [`EventQueue::with_lanes`].
     pub fn schedule_on(&mut self, lane: usize, at: SimTime, payload: E) -> u64 {
-        let (at, seq) = self.stamp(at);
+        let seq = self.stamp(at);
         let entry = HeapEntry { at, seq, payload };
         let fifo = &mut self.lanes[lane];
         match fifo.back() {
@@ -240,7 +235,7 @@ impl<E> EventQueue<E> {
                 entry
             }
         };
-        debug_assert!(entry.at >= self.now, "event queue time went backwards");
+        assert!(entry.at >= self.now, "event queue time went backwards");
         self.now = entry.at;
         self.popped += 1;
         Some(ScheduledEvent {
@@ -345,24 +340,29 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_millis(50));
     }
 
-    /// Release builds clamp past schedules (debug builds panic first) on
-    /// every path and count them.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn past_schedules_are_clamped_and_counted() {
-        let ms = SimTime::from_millis;
+    /// A one-lane queue whose clock stands at 10 ms.
+    fn at_ten_ms() -> EventQueue<u32> {
         let mut q = EventQueue::with_lanes(1);
-        q.schedule_at(ms(10), 0);
+        q.schedule_at(SimTime::from_millis(10), 0);
         q.pop();
-        assert_eq!(q.clamped(), 0);
-        q.schedule_at(ms(3), 1);
-        q.schedule_on(0, ms(4), 2);
-        q.schedule_keyed(ms(5), 1 << 40, 3);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.at, e.payload))
-            .collect();
-        assert_eq!(order, [(ms(10), 1), (ms(10), 2), (ms(10), 3)]);
-        assert_eq!(q.clamped(), 3);
-        assert_eq!((q.scheduled(), q.executed()), (4, 4));
+        q
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past: 0.003000s < now 0.010000s")]
+    fn schedule_at_in_the_past_panics() {
+        at_ten_ms().schedule_at(SimTime::from_millis(3), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn schedule_on_in_the_past_panics() {
+        at_ten_ms().schedule_on(0, SimTime::from_millis(4), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn schedule_keyed_in_the_past_panics() {
+        at_ten_ms().schedule_keyed(SimTime::from_millis(5), 1 << 40, 3);
     }
 }

@@ -23,7 +23,8 @@
 //! would overflow fails with [`ShardError::KeySpace`].
 //! [`ShardEngine::run`] executes one barrier-windowed loop for every
 //! thread count (one thread runs it inline), so a run, its windows
-//! and the error it fails with are bit-identical for any thread count.
+//! and the error or panic it fails with are bit-identical for any
+//! thread count.
 //! The property tests at the bottom of this module pin every shard's
 //! sequence to a reference loop over one std heap of
 //! `(time, origin, seq)` tuples.
@@ -41,16 +42,17 @@
 //! On completion the engine flushes two deterministic counters into
 //! the ambient `fiveg-obs` scope: `shard.events` (events executed,
 //! summed over shards) and `shard.msgs` (cross-shard messages
-//! delivered), plus `sim.events.clamped` when a release build clamped
-//! a past schedule. All are integer sums of per-shard totals — merging
-//! is commutative — and are byte-identical for any thread count. Window
+//! delivered). Both are integer sums of per-shard totals — merging is
+//! commutative — and are byte-identical for any thread count. Window
 //! round counts are too, but they measure the synchronizer rather than
 //! the model, so they are reported only in [`ShardStats`], never as
 //! ambient counters.
 
 use crate::event::{EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
+use std::any::Any;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 #[expect(clippy::disallowed_types, reason = "ShardEngine::run's barrier loop")]
 use std::sync::{
     atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder},
@@ -79,7 +81,7 @@ pub enum ShardError {
     ZeroLookahead,
     /// A seed named a shard outside `0..shards`, or a send named one
     /// or its own shard (a shard's own events go through
-    /// [`ShardCtx::schedule_at`]).
+    /// [`ShardCtx::schedule_in`]).
     BadTarget {
         /// The sending shard; `None` for a seed.
         src: Option<ShardId>,
@@ -116,7 +118,7 @@ impl fmt::Display for ShardError {
             } => write!(
                 f,
                 "shard {src} sent to shard {dst}: a send needs another shard of 0..{shards} \
-                 (local events go through schedule_at)"
+                 (local events go through schedule_in)"
             ),
             ShardError::KeySpace { shard } => write!(
                 f,
@@ -178,11 +180,10 @@ impl<E> ShardCtx<'_, E> {
             .ok()
     }
 
-    /// Schedules a local event at absolute time `at` (clamped to now
-    /// and counted as `sim.events.clamped`; scheduling into the past is
-    /// a logic error caught in debug builds, as in [`EventQueue`]).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+    /// Schedules a local event `delay` after now.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         if let Some(key) = self.next_key() {
+            let at = self.now() + delay;
             self.queue.schedule_keyed(at, key, event);
         }
     }
@@ -229,6 +230,37 @@ struct Cell<L: ShardLogic> {
     /// The first error this shard's handlers raised; it ends the run
     /// at the next barrier.
     error: Option<ShardError>,
+    /// The payload of a handler panic; it ends the run at the next
+    /// barrier, as `error` does.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<L: ShardLogic> Cell<L> {
+    /// Executes this shard's events up to `end`, stopping at the first
+    /// failure. A handler panic is caught and kept, so the worker still
+    /// reaches the barrier its peers wait at.
+    fn run_window(&mut self, shards: usize, lookahead: SimDuration, end: SimTime) {
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            while let Some(ev) = self.queue.pop_until(end) {
+                let mut ctx = ShardCtx {
+                    shard: self.id,
+                    shards,
+                    lookahead,
+                    seq: &mut self.seq,
+                    queue: &mut self.queue,
+                    outbox: &mut self.outbox,
+                    error: &mut self.error,
+                };
+                self.logic.handle(&mut ctx, ev.at, ev.payload);
+                if self.error.is_some() {
+                    break;
+                }
+            }
+        }));
+        if let Err(payload) = run {
+            self.panic = Some(payload);
+        }
+    }
 }
 
 /// Leader only, at a barrier: moves every shard's outbox into the
@@ -311,6 +343,7 @@ impl<L: ShardLogic> ShardEngine<L> {
                 seq: 0,
                 outbox: Vec::new(),
                 error: None,
+                panic: None,
             })
             .collect();
         Ok(ShardEngine { lookahead, cells })
@@ -340,12 +373,17 @@ impl<L: ShardLogic> ShardEngine<L> {
     /// `threads` workers (clamped to `1..=shards`; one runs inline on
     /// the calling thread) execute every shard's events inside it.
     /// Observable behavior is bit-identical for any `threads`; on
-    /// completion the `shard.events` / `shard.msgs` counters (and a
-    /// non-zero `sim.events.clamped`) are flushed into the ambient
-    /// `fiveg-obs` scope.
+    /// completion the `shard.events` / `shard.msgs` counters are flushed
+    /// into the ambient `fiveg-obs` scope.
     ///
     /// The first window in which a handler fails ends the run with the
     /// error of the lowest failing shard.
+    ///
+    /// # Panics
+    ///
+    /// A handler panic ends the run at the same barrier, and `run`
+    /// re-raises the lowest failing shard's panic on the calling thread
+    /// (a failing shard below it returns its error instead).
     #[expect(
         clippy::disallowed_types,
         reason = "the barrier loop: only the leader touches shared state, between barriers, and it walks shards in index order"
@@ -376,7 +414,9 @@ impl<L: ShardLogic> ShardEngine<L> {
                 if barrier.wait().is_leader() {
                     let mut shards: Vec<_> = cells.iter().map(lock).collect();
                     // A handler failure ends the run before delivery.
-                    let failed = shards.iter().any(|c| c.error.is_some());
+                    let failed = shards
+                        .iter()
+                        .any(|c| c.error.is_some() || c.panic.is_some());
                     if !failed {
                         msgs.fetch_add(deliver(&mut shards), MemOrder::Relaxed);
                     }
@@ -400,23 +440,7 @@ impl<L: ShardLogic> ShardEngine<L> {
                     if s >= n {
                         break;
                     }
-                    let mut cell = lock(&cells[s]);
-                    let cell = &mut *cell;
-                    while let Some(ev) = cell.queue.pop_until(end) {
-                        let mut ctx = ShardCtx {
-                            shard: cell.id,
-                            shards: n,
-                            lookahead,
-                            seq: &mut cell.seq,
-                            queue: &mut cell.queue,
-                            outbox: &mut cell.outbox,
-                            error: &mut cell.error,
-                        };
-                        cell.logic.handle(&mut ctx, ev.at, ev.payload);
-                        if cell.error.is_some() {
-                            break;
-                        }
-                    }
+                    lock(&cells[s]).run_window(n, lookahead, end);
                 }
             }
         };
@@ -452,15 +476,17 @@ impl<L: ShardLogic> ShardEngine<L> {
             });
         }
 
-        let (mut events, mut clamped) = (0u64, 0u64);
+        let mut events = 0u64;
         let mut logics = Vec::with_capacity(n);
         for cell in cells {
             let cell = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
+            if let Some(payload) = cell.panic {
+                panic::resume_unwind(payload);
+            }
             if let Some(e) = cell.error {
                 return Err(e);
             }
             events += cell.queue.executed();
-            clamped += cell.queue.clamped();
             logics.push(cell.logic);
         }
         let stats = ShardStats {
@@ -470,9 +496,6 @@ impl<L: ShardLogic> ShardEngine<L> {
         };
         fiveg_obs::counter_add("shard.events", stats.events);
         fiveg_obs::counter_add("shard.msgs", stats.msgs);
-        if clamped > 0 {
-            fiveg_obs::counter_add("sim.events.clamped", clamped);
-        }
         Ok(ShardRun { logics, stats })
     }
 }
@@ -512,7 +535,7 @@ mod tests {
             let h =
                 crate::hash::fnv1a64(format!("{}:{}:{event}", self.id, at.as_nanos()).as_bytes());
             if !h.is_multiple_of(3) {
-                ctx.schedule_at(at + SimDuration::from_micros(1 + h % 50), h ^ 1);
+                ctx.schedule_in(SimDuration::from_micros(1 + h % 50), h ^ 1);
             }
             if h.is_multiple_of(2) && self.shards > 1 {
                 // Any shard but this one.
@@ -743,37 +766,6 @@ mod tests {
         );
     }
 
-    /// Release builds clamp a shard's past schedules (debug builds
-    /// panic first), as NetSim's queue does, and the run flushes their
-    /// sum as `sim.events.clamped`.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn past_shard_schedules_are_clamped_and_counted() {
-        struct Rewind;
-        impl ShardLogic for Rewind {
-            type Event = u64;
-            fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
-                if ev > 0 {
-                    ctx.schedule_at(SimTime::ZERO, ev - 1);
-                }
-            }
-        }
-        for threads in [1, 2] {
-            let m = fiveg_obs::MetricsHandle::new();
-            let run = fiveg_obs::scoped(&m, || {
-                let mut engine =
-                    ShardEngine::new(SimDuration::from_micros(1), vec![Rewind, Rewind])
-                        .expect("builds");
-                engine.seed(0, SimTime::from_micros(5), 3).expect("seeds");
-                engine.seed(1, SimTime::from_micros(5), 2).expect("seeds");
-                engine.run(threads).expect("completes")
-            });
-            assert_eq!(run.stats.events, 7, "threads={threads}");
-            let c = m.snapshot().counters;
-            assert_eq!(c.get("sim.events.clamped"), Some(&5), "threads={threads}");
-        }
-    }
-
     /// Stalls its worker for `.1`, then sends to shard `.0`.
     struct Sender(ShardId, Duration);
 
@@ -810,7 +802,7 @@ mod tests {
                     shards: 2
                 }
             );
-            assert!(err.to_string().contains("schedule_at"), "{err}");
+            assert!(err.to_string().contains("schedule_in"), "{err}");
             // Shard 1 sends past the last shard.
             assert_eq!(
                 sender_error(senders(), &[1], threads),
@@ -844,6 +836,66 @@ mod tests {
                     "threads={threads} attempt={attempt}"
                 );
             }
+        }
+    }
+
+    /// When armed with its shard id and a stall, stalls its worker and
+    /// then panics on its first event.
+    struct Fuse(Option<(ShardId, Duration)>);
+
+    impl ShardLogic for Fuse {
+        type Event = u64;
+        fn handle(&mut self, _ctx: &mut ShardCtx<'_, u64>, _at: SimTime, _ev: u64) {
+            if let Some((id, stall)) = self.0 {
+                std::thread::sleep(stall);
+                panic!("shard {id} blew up");
+            }
+        }
+    }
+
+    /// Runs eight shards seeded at time zero, of which those in
+    /// `fuses` panic (`(shard, stall)`), on `threads` workers, and
+    /// returns the panic message `run` raises. The run goes on a
+    /// spawned thread so a hang fails the test instead of the suite.
+    fn panic_of(fuses: &[(ShardId, Duration)], threads: usize) -> Option<String> {
+        let logics = (0..8)
+            .map(|id| Fuse(fuses.iter().find(|f| f.0 == id).copied()))
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut engine =
+                ShardEngine::new(SimDuration::from_micros(1), logics).expect("engine builds");
+            for s in 0..8 {
+                engine.seed(s, SimTime::ZERO, 0).expect("seeds");
+            }
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| engine.run(threads)));
+            let _ = tx.send(caught.err().map(|p| match p.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(_) => "a non-string payload".to_string(),
+            }));
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("threads={threads}: run hung after a handler panic"))
+    }
+
+    #[test]
+    fn a_handler_panic_is_re_raised_on_the_calling_thread() {
+        for threads in [1, 2, 8] {
+            // One shard panics while its peers wait at the barrier.
+            assert_eq!(
+                panic_of(&[(5, Duration::ZERO)], threads).as_deref(),
+                Some("shard 5 blew up"),
+                "threads={threads}"
+            );
+            // Shards 3 and 5 panic in the same window; shard 3 stalls
+            // first, so with several threads shard 5 panics first in
+            // wall time. The run still re-raises shard 3's panic.
+            let both = [(3, Duration::from_millis(5)), (5, Duration::ZERO)];
+            assert_eq!(
+                panic_of(&both, threads).as_deref(),
+                Some("shard 3 blew up"),
+                "threads={threads}"
+            );
         }
     }
 
@@ -887,10 +939,10 @@ mod tests {
 
     impl ShardLogic for Counter {
         type Event = u64;
-        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, at: SimTime, ev: u64) {
+        fn handle(&mut self, ctx: &mut ShardCtx<'_, u64>, _at: SimTime, ev: u64) {
             self.0 += 1;
             if ev > 0 {
-                ctx.schedule_at(at + SimDuration::from_micros(1), ev - 1);
+                ctx.schedule_in(SimDuration::from_micros(1), ev - 1);
             }
         }
     }
@@ -968,7 +1020,7 @@ mod tests {
                         ctx.send(2, p);
                     }
                 } else if ev == u64::MAX - 1 {
-                    ctx.schedule_at(SimTime::from_micros(10), 99);
+                    ctx.schedule_in(SimDuration::from_micros(10), 99);
                 } else {
                     self.log.push(ev);
                 }

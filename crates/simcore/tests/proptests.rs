@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel.
 
-use fiveg_simcore::{Cdf, Dist, EventQueue, Histogram, OnlineStats, SimDuration, SimRng, SimTime};
+use fiveg_simcore::{Cdf, Dist, EventQueue, Histogram, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -183,28 +183,6 @@ proptest! {
         prop_assert_eq!(h.total(), samples.len() as u64);
         let frac_sum: f64 = (0..h.counts().len()).map(|i| h.fraction(i)).sum();
         prop_assert!(frac_sum <= 1.0 + 1e-9);
-    }
-
-    /// Merging statistics equals sequential accumulation.
-    #[test]
-    fn online_stats_merge_associative(
-        a in prop::collection::vec(-1e4f64..1e4, 0..100),
-        b in prop::collection::vec(-1e4f64..1e4, 0..100),
-    ) {
-        let mut whole = OnlineStats::new();
-        for &x in a.iter().chain(&b) {
-            whole.push(x);
-        }
-        let mut sa = OnlineStats::new();
-        a.iter().for_each(|&x| sa.push(x));
-        let mut sb = OnlineStats::new();
-        b.iter().for_each(|&x| sb.push(x));
-        sa.merge(&sb);
-        prop_assert_eq!(sa.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((sa.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((sa.variance() - whole.variance()).abs() < 1e-3);
-        }
     }
 
     /// Seeded streams replay identically and substreams are stable.

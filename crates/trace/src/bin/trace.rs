@@ -87,7 +87,6 @@ struct Loaded {
     rows: Vec<Row>,
     groups: Vec<Group>,
     mode: String,
-    sample: u64,
 }
 
 fn stem_paths(arg: &str) -> (String, String) {
@@ -134,7 +133,6 @@ fn load(arg: &str) -> Result<Loaded, String> {
             .and_then(|v| v.as_str())
             .unwrap_or("?")
             .to_string(),
-        sample: side.get("sample").and_then(JsonValue::as_u64).unwrap_or(1),
     })
 }
 
@@ -289,13 +287,7 @@ fn cmd_stats(rest: &[String], out: &mut impl Write) -> Result<(), Fail> {
         .first()
         .ok_or_else(|| format!("stats: missing <stem>\n{USAGE}"))?;
     let loaded = load(target)?;
-    writeln!(
-        out,
-        "mode {}  sample 1/{}  rows {}",
-        loaded.mode,
-        loaded.sample,
-        loaded.rows.len()
-    )?;
+    writeln!(out, "mode {}  rows {}", loaded.mode, loaded.rows.len())?;
     let mut counts = [0u64; 9];
     let (mut t_min, mut t_max) = (u64::MAX, 0u64);
     for r in &loaded.rows {

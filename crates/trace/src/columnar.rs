@@ -15,7 +15,7 @@
 //! equality. The JSON sidecar repeats [`COLUMNS`] so the pair is
 //! self-describing; readers check it against this layout.
 
-use crate::Row;
+use crate::{Row, KINDS};
 use std::fmt;
 
 /// The row layout as `(name, type)` pairs in encoded order; the
@@ -85,6 +85,14 @@ pub enum DecodeError {
         /// How many bytes are left over.
         extra: usize,
     },
+    /// A row's kind code is reserved or unknown: [`KINDS`] names no
+    /// event for it.
+    UnknownKind {
+        /// Index of the first such row.
+        row: usize,
+        /// Its kind code.
+        kind: u8,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -103,6 +111,9 @@ impl fmt::Display for DecodeError {
                 write!(f, "truncated: need {need} bytes, have {have}")
             }
             DecodeError::TrailingBytes { extra } => write!(f, "{extra} trailing bytes"),
+            DecodeError::UnknownKind { row, kind } => {
+                write!(f, "row {row} has kind code {kind}, which names no event")
+            }
         }
     }
 }
@@ -125,7 +136,8 @@ pub fn encode(rows: &[Row]) -> Vec<u8> {
 }
 
 /// Decodes a trace binary, checking its header against the fixed
-/// layout and its length against the header before allocating.
+/// layout and its length against the header before allocating, and
+/// every kind code against [`KINDS`].
 pub fn decode(bytes: &[u8]) -> Result<Vec<Row>, DecodeError> {
     if bytes.len() < HEADER {
         return Err(DecodeError::Truncated {
@@ -166,6 +178,11 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Row>, DecodeError> {
         at += col.len();
         col
     });
+    // The `kind` column: one byte a row.
+    let named = |kind: u8| KINDS.get(usize::from(kind)).is_some_and(Option::is_some);
+    if let Some((row, &kind)) = columns[3].iter().enumerate().find(|&(_, &k)| !named(k)) {
+        return Err(DecodeError::UnknownKind { row, kind });
+    }
     let cell = |c: usize, i: usize| {
         let w = widths[c];
         let mut b = [0u8; 8];
@@ -203,7 +220,11 @@ mod tests {
         ]
     }
 
+    /// Rows of random cells, each with a kind code that [`KINDS`] names.
     fn any_rows() -> impl Strategy<Value = Vec<Row>> {
+        let named: Vec<u8> = (0..KINDS.len() as u8)
+            .filter(|&k| KINDS[usize::from(k)].is_some())
+            .collect();
         prop::collection::vec(
             (
                 any::<u64>(),
@@ -215,14 +236,14 @@ mod tests {
             ),
             0..40,
         )
-        .prop_map(|cells| {
+        .prop_map(move |cells| {
             cells
                 .into_iter()
                 .map(|(t_ns, ids, k, ab, v0, v1)| Row {
                     t_ns,
                     origin: ids as u32,
                     seq: (ids >> 32) as u32,
-                    kind: k as u8,
+                    kind: named[k as usize % named.len()],
                     ue: (k >> 8) as u32,
                     a: ab as u32,
                     b: (ab >> 32) as u32,
@@ -321,5 +342,15 @@ mod tests {
             decode(&huge),
             Err(DecodeError::TooManyRows { rows: 1 << 61 })
         );
+        // The kind column follows t_ns, origin and seq (8 + 4 + 4 bytes
+        // for one row): reserved code 5 and unknown code 9 are rejected.
+        for kind in [5, 9] {
+            let mut unnamed = bytes.clone();
+            unnamed[HEADER + 16] = kind;
+            assert_eq!(
+                decode(&unnamed),
+                Err(DecodeError::UnknownKind { row: 0, kind })
+            );
+        }
     }
 }

@@ -112,7 +112,7 @@ fn stats_reports_the_per_kind_counts() {
     let text = stdout(&o);
     let rows = UES as usize + handoffs.len() + (UES as u64 * TICKS) as usize;
     assert!(
-        text.starts_with(&format!("mode full  sample 1/1  rows {rows}\n")),
+        text.starts_with(&format!("mode full  rows {rows}\n")),
         "{text}"
     );
     for line in [
@@ -165,6 +165,16 @@ fn bad_inputs_exit_2_and_name_the_file() {
     huge.extend_from_slice(&(1u64 << 61).to_le_bytes());
     std::fs::write(&bin_path, &huge).unwrap();
     expect_rejected(&bin_path, "2305843009213693952 rows");
+
+    // A reserved (5) or unknown (9) kind code in the kind column, which
+    // follows the 16 bytes a row of t_ns, origin and seq take.
+    let rows = (bin.len() - 20) / 45;
+    for (row, kind) in [(0, 5u8), (rows - 1, 9)] {
+        let mut planted = bin.clone();
+        planted[20 + 16 * rows + row] = kind;
+        std::fs::write(&bin_path, &planted).unwrap();
+        expect_rejected(&bin_path, &format!("row {row} has kind code {kind}"));
+    }
 
     std::fs::write(&bin_path, &bin).unwrap();
     let renamed = side.replace("\"name\": \"v1\"", "\"name\": \"v2\"");

@@ -555,7 +555,7 @@ struct SentIndex(VecDeque<(SimTime, u64)>);
 impl SentIndex {
     /// Adds a send of `seg` at `t`; `t` must not precede any held send.
     fn insert(&mut self, t: SimTime, seg: u64) {
-        debug_assert!(self.0.back().is_none_or(|&(last, _)| last <= t));
+        assert!(self.0.back().is_none_or(|&(last, _)| last <= t));
         let key = (t, seg);
         let mut at = self.0.len();
         while at > 0 {

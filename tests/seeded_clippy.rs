@@ -95,6 +95,13 @@ const RULES: &[Rule] = &[
         body: "/// Seeded.\npub fn first(o: Option<u32>, r: Result<u32, ()>) -> u32 {\n    o.unwrap() + r.expect(\"set\")\n}\n",
     },
     Rule {
+        id: "U002",
+        what: "a check compiled out of release builds (debug_assert!, debug_assert_eq!, debug_assert_ne!)",
+        lints: &["clippy::disallowed_macros"],
+        configured_in: CLIPPY_TOML,
+        body: "/// Seeded.\npub fn half(a: u32, b: u32) -> u32 {\n    debug_assert!(a >= b);\n    debug_assert_eq!(a % 2, 0);\n    debug_assert_ne!(b, 7);\n    (a - b) / 2\n}\n",
+    },
+    Rule {
         id: "W002",
         what: "unsafe code",
         lints: &["unsafe_code"],
@@ -349,6 +356,19 @@ fn s002_env_reads_are_disallowed_methods() {
 }
 
 #[test]
+fn u002_debug_asserts_are_disallowed_macros() {
+    // Each of the three macros is flagged, not only the first.
+    let text = assert_rule_enforced("U002");
+    for mac in ["debug_assert", "debug_assert_eq", "debug_assert_ne"] {
+        let msg = format!("use of a disallowed macro `std::{mac}`");
+        assert!(
+            text.contains(&msg),
+            "U002: clippy did not flag {mac}!\n{text}"
+        );
+    }
+}
+
+#[test]
 fn u001_panics_fail_in_lib_code_only() {
     assert_rule_enforced("U001");
     // Unit tests, binaries and integration-test helpers stay exempt.
@@ -513,12 +533,12 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `thread_local!` invocations in `src`, outside `//` comments.
-fn thread_locals(src: &str) -> usize {
+/// `name!` invocations in `src`, outside `//` comments.
+fn macro_calls(src: &str, name: &str) -> usize {
     src.lines()
         .map(|line| {
             let code = line.split("//").next().unwrap_or_default();
-            code.match_indices("thread_local")
+            code.match_indices(name)
                 .filter(|&(i, word)| {
                     let before = code[..i].chars().next_back();
                     let after = code[i + word.len()..].trim_start();
@@ -530,12 +550,8 @@ fn thread_locals(src: &str) -> usize {
         .sum()
 }
 
-#[test]
-fn thread_locals_stay_at_the_two_expected_crate_roots() {
-    // S003's macro ban is expected once per crate root in obs and
-    // trace (clippy reports item-position macros there), which would
-    // hide a second `thread_local!` in either crate. So count them:
-    // exactly one in each of those roots, none anywhere else.
+/// The files of `crates/*/src` that invoke `name!`, with their counts.
+fn macro_sites(name: &str) -> Vec<(String, usize)> {
     let root = repo_root();
     let mut files = Vec::new();
     for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
@@ -549,19 +565,39 @@ fn thread_locals_stay_at_the_two_expected_crate_roots() {
         .iter()
         .map(|f| {
             let rel = f.strip_prefix(&root).unwrap_or(f);
-            (rel.display().to_string(), thread_locals(&read(f)))
+            (rel.display().to_string(), macro_calls(&read(f), name))
         })
         .filter(|&(_, n)| n > 0)
         .collect();
     found.sort();
+    found
+}
+
+#[test]
+fn thread_locals_stay_at_the_two_expected_crate_roots() {
+    // S003's macro ban is expected once per crate root in obs and
+    // trace (clippy reports item-position macros there), which would
+    // hide a second `thread_local!` in either crate. So count them:
+    // exactly one in each of those roots, none anywhere else. The same
+    // expectation would hide U002's macros there, so count those too:
+    // none anywhere.
     let want = [
         ("crates/obs/src/lib.rs".to_string(), 1),
         ("crates/trace/src/lib.rs".to_string(), 1),
     ];
-    assert_eq!(found, want, "thread_local! sites under crates/*/src");
+    assert_eq!(
+        macro_sites("thread_local"),
+        want,
+        "thread_local! sites under crates/*/src"
+    );
+    for name in ["debug_assert", "debug_assert_eq", "debug_assert_ne"] {
+        assert_eq!(macro_sites(name), [], "{name}! sites under crates/*/src");
+    }
+    let thread_locals = |src| macro_calls(src, "thread_local");
     assert_eq!(thread_locals("thread_local! {}\n// thread_local!\n"), 1);
     assert_eq!(
         thread_locals("std::thread_local ! {}\nmy_thread_local!()\n"),
         1
     );
+    assert_eq!(macro_calls("debug_assert_eq!(a, b);\n", "debug_assert"), 0);
 }
